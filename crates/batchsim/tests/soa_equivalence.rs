@@ -9,18 +9,26 @@
 //! string, and the scalar work counters — so a single bit of drift in
 //! any output anywhere in the run fails the battery.
 //!
+//! The `<preset>-elastic` rows pin the posted-quote delay search:
+//! `Adaptive` under CBA and EBA with elastic agents and carbon-indexed
+//! and time-of-use price tables, so every delay the agents consider is
+//! quoted. They were captured from the tree before the quote kernel
+//! replaced the per-call quote.
+//!
 //! Regenerate (only when an *intentional* output change is being made,
 //! which per the determinism contract should never happen on a perf
 //! refactor) with:
 //!
 //! ```text
-//! SOA_GOLDEN_REGEN=1 cargo test -p green-batchsim --test soa_equivalence
+//! SOA_GOLDEN_REGEN=1 cargo test -p green-batchsim --test soa_equivalence -- --test-threads=1
 //! ```
+
+use std::sync::Arc;
 
 use green_accounting::MethodKind;
 use green_batchsim::{
-    intensity_for, run_cell, run_cell_in, JobOutcome, MarketInputs, PlacementTable, Policy,
-    RunMetrics, SimArena, SimConfig,
+    intensity_for, run_cell, run_cell_in, JobOutcome, MarketAgent, MarketInputs, PlacementTable,
+    Policy, PriceTable, RunMetrics, SimArena, SimConfig,
 };
 use green_carbon::HourlyTrace;
 use green_machines::{simulation_fleet, FleetMachine};
@@ -155,13 +163,22 @@ struct World {
 }
 
 fn world(preset_name: &str) -> World {
+    world_at(preset_name, 1.0)
+}
+
+/// The preset's world at a workload volume (`1.0` = the preset trace),
+/// scaled with the trace seed as a sweep's `workload_scales` axis does.
+fn world_at(preset_name: &str, volume: f64) -> World {
     let fleet = simulation_fleet();
     let behaviors: Vec<MachineBehavior> = fleet
         .iter()
         .map(|m| MachineBehavior::for_spec(&m.spec))
         .collect();
     let predictor = CrossMachinePredictor::train(behaviors, 2, 23);
-    let trace = Trace::generate(&preset(preset_name), &predictor);
+    let mut trace = Trace::generate(&preset(preset_name), &predictor);
+    if volume != 1.0 {
+        trace = trace.scaled(volume, 23);
+    }
     let table = PlacementTable::build(&trace, &fleet, &predictor);
     World {
         fleet,
@@ -170,8 +187,9 @@ fn world(preset_name: &str) -> World {
     }
 }
 
-/// A `(seed, policy, digest)` golden row.
-type GoldenRow = (u64, String, u64);
+/// A `(label, policy, digest)` golden row; the label is the seed, plus
+/// the method and schedule on elastic rows.
+type GoldenRow = (String, String, u64);
 
 /// Runs all 8 golden seeds of one preset through a single reused arena
 /// (the sweep-worker shape — recycling is part of what the goldens pin)
@@ -191,64 +209,182 @@ fn run_preset(preset_name: &str) -> Vec<GoldenRow> {
             config,
             &mut arena,
         );
-        rows.push((seed, metrics.policy.clone(), digest(&metrics)));
+        rows.push((seed.to_string(), metrics.policy.clone(), digest(&metrics)));
         arena.recycle(metrics);
     }
     rows
 }
 
-fn golden_lines(rows: &[(String, Vec<GoldenRow>)]) -> String {
-    let mut out = String::new();
-    for (preset_name, preset_rows) in rows {
-        for (seed, policy, digest) in preset_rows {
-            out.push_str(&format!("{preset_name} {seed} {policy} {digest:016x}\n"));
+/// The two posted schedules of `examples/sweeps/incentives.toml`.
+#[derive(Clone, Copy)]
+enum Schedule {
+    /// `carbon:1.5`: the multiplier tracks the machine's own grid.
+    Carbon,
+    /// `tou:0.25`: a quarter off in the cleanest quartile of hours, a
+    /// quarter on in the dirtiest.
+    TimeOfUse,
+}
+
+impl Schedule {
+    fn label(self) -> &'static str {
+        match self {
+            Schedule::Carbon => "carbon",
+            Schedule::TimeOfUse => "tou",
         }
     }
-    out
+
+    /// One machine's hourly multipliers, compiled from its realization
+    /// the way `green_market::price_table` compiles these schedules.
+    fn series(self, trace: &HourlyTrace) -> Vec<f64> {
+        let values = trace.values();
+        match self {
+            Schedule::Carbon => {
+                let mean = trace.mean().as_g_per_kwh().max(1e-9);
+                values
+                    .iter()
+                    .map(|i| (1.0 + 1.5 * (i - mean) / mean).clamp(0.25, 4.0))
+                    .collect()
+            }
+            Schedule::TimeOfUse => {
+                let mut sorted = values.to_vec();
+                sorted.sort_by(f64::total_cmp);
+                let (q25, q75) = (sorted[sorted.len() / 4], sorted[sorted.len() * 3 / 4]);
+                values
+                    .iter()
+                    .map(|&i| match i {
+                        i if i <= q25 => 0.75,
+                        i if i >= q75 => 1.25,
+                        _ => 1.0,
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
+/// Elastic agents: elasticities 0.25–2.0 and slacks 6–48 h, mixed so
+/// that neighbouring users differ in both.
+fn elastic_agents() -> Vec<MarketAgent> {
+    (0..16u32)
+        .map(|k| MarketAgent {
+            elasticity: 0.25 * (1 + k % 8) as f64,
+            slack_hours: 6 * (1 + (k * 3) % 8),
+        })
+        .collect()
+}
+
+fn elastic_market(intensity: &[HourlyTrace], schedule: Schedule) -> MarketInputs {
+    MarketInputs {
+        prices: Arc::new(PriceTable::new(
+            intensity.iter().map(|t| schedule.series(t)).collect(),
+        )),
+        agents: Arc::new(elastic_agents()),
+        max_delay_hours: 24,
+        shift_threshold: 0.10,
+    }
+}
+
+/// Elastic rows: `Adaptive` under CBA and EBA at both schedules, two
+/// seeds, through one reused arena. `paper` runs at the incentive
+/// sweep's 0.25 volume, where the fleet has the slack capacity
+/// temporal shifting needs.
+fn run_elastic(preset_name: &str) -> Vec<GoldenRow> {
+    let volume = if preset_name == "paper" { 0.25 } else { 1.0 };
+    let world = world_at(preset_name, volume);
+    let users = preset(preset_name).users;
+    let mut arena = SimArena::new();
+    let mut rows = Vec::new();
+    for seed in 1..=2u64 {
+        let intensity: Vec<HourlyTrace> = intensity_for(&world.fleet, seed);
+        for method in [MethodKind::Cba, MethodKind::eba()] {
+            for schedule in [Schedule::Carbon, Schedule::TimeOfUse] {
+                let config = SimConfig::new(Policy::Adaptive, method, users)
+                    .with_market(elastic_market(&intensity, schedule));
+                let metrics = run_cell_in(
+                    &world.trace,
+                    &world.fleet,
+                    &world.table,
+                    &intensity,
+                    config,
+                    &mut arena,
+                );
+                let label = format!("{seed}-{method}-{}", schedule.label());
+                // Each delayed job re-arrives once: one event beyond
+                // its arrival and finish.
+                let jobs = world.trace.jobs.len();
+                let delayed = metrics.events - jobs - metrics.outcomes.len();
+                assert!(
+                    4 * delayed >= jobs,
+                    "{preset_name} {label}: only {delayed} of {jobs} jobs delayed — \
+                     the row no longer exercises the delay search"
+                );
+                rows.push((label, metrics.policy.clone(), digest(&metrics)));
+                arena.recycle(metrics);
+            }
+        }
+    }
+    rows
+}
+
+fn golden_lines(block: &str, rows: &[GoldenRow]) -> String {
+    rows.iter()
+        .map(|(label, policy, digest)| format!("{block} {label} {policy} {digest:016x}\n"))
+        .collect()
 }
 
 fn check_preset(preset_name: &str) {
-    let rows = vec![(preset_name.to_string(), run_preset(preset_name))];
-    let current = golden_lines(&rows);
+    check_block(preset_name, &run_preset(preset_name));
+}
+
+fn check_elastic(preset_name: &str) {
+    check_block(&format!("{preset_name}-elastic"), &run_elastic(preset_name));
+}
+
+/// Compares one block of rows (the fixture lines starting `<block> `)
+/// with the fixture file, or rewrites the block under
+/// `SOA_GOLDEN_REGEN`.
+fn check_block(block: &str, rows: &[GoldenRow]) {
+    let current = golden_lines(block, rows);
     if std::env::var_os("SOA_GOLDEN_REGEN").is_some() {
-        regen(preset_name, &current);
+        regen(block, &current);
         return;
     }
     let golden = std::fs::read_to_string(FIXTURES)
         .expect("tests/fixtures/soa_golden.txt missing — run with SOA_GOLDEN_REGEN=1");
     let expected: String = golden
         .lines()
-        .filter(|l| l.starts_with(&format!("{preset_name} ")))
+        .filter(|l| l.starts_with(&format!("{block} ")))
         .map(|l| format!("{l}\n"))
         .collect();
     assert!(
         !expected.is_empty(),
-        "no golden rows for preset `{preset_name}` in {FIXTURES}"
+        "no golden rows for `{block}` in {FIXTURES}"
     );
     assert_eq!(
         current, expected,
-        "preset `{preset_name}` diverged from the pre-change golden digests — \
+        "`{block}` diverged from the pre-change golden digests — \
          the refactor moved output bytes"
     );
 }
 
-/// Rewrites this preset's block of the fixture file, preserving the
-/// other presets' rows (each `#[test]` regenerates only its own block,
-/// so one regen run over the whole battery rebuilds the whole file).
-fn regen(preset_name: &str, block: &str) {
+/// Rewrites one block of the fixture file, preserving the other blocks'
+/// rows (each `#[test]` regenerates only its own block, so one regen run
+/// over the whole battery, with `--test-threads=1`, rebuilds the whole
+/// file).
+fn regen(block: &str, lines_text: &str) {
     let existing = std::fs::read_to_string(FIXTURES).unwrap_or_default();
     let mut kept: String = existing
         .lines()
-        .filter(|l| !l.starts_with(&format!("{preset_name} ")) && !l.trim().is_empty())
+        .filter(|l| !l.starts_with(&format!("{block} ")) && !l.trim().is_empty())
         .map(|l| format!("{l}\n"))
         .collect();
-    kept.push_str(block);
+    kept.push_str(lines_text);
     let mut lines: Vec<&str> = kept.lines().collect();
     lines.sort();
     let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
     std::fs::create_dir_all(std::path::Path::new(FIXTURES).parent().unwrap()).unwrap();
     std::fs::write(FIXTURES, text).unwrap();
-    eprintln!("soa_equivalence: regenerated `{preset_name}` golden digests");
+    eprintln!("soa_equivalence: regenerated `{block}` golden digests");
 }
 
 #[test]
@@ -264,6 +400,21 @@ fn quick_preset_matches_prechange_goldens() {
 #[test]
 fn paper_preset_matches_prechange_goldens() {
     check_preset("paper");
+}
+
+#[test]
+fn tiny_elastic_market_matches_prechange_goldens() {
+    check_elastic("tiny");
+}
+
+#[test]
+fn quick_elastic_market_matches_prechange_goldens() {
+    check_elastic("quick");
+}
+
+#[test]
+fn paper_elastic_market_matches_prechange_goldens() {
+    check_elastic("paper");
 }
 
 /// The arena path and the fresh-allocation path must agree bit for bit
