@@ -18,6 +18,7 @@ use crate::cluster::{Cluster, QueuedJob};
 use crate::event::EventQueue;
 use crate::metrics::{JobOutcome, RunMetrics};
 use crate::policy::MachineOption;
+use crate::simulator::QuoteBasis;
 
 /// Struct-of-arrays completion log: the event loop stages the four
 /// scalars a finish produces into parallel columns, and the expensive
@@ -79,8 +80,11 @@ pub struct SimArena {
     pub(crate) started_buf: Vec<QueuedJob>,
     /// Scratch: the policy's per-machine options for one arrival.
     pub(crate) options_buf: Vec<MachineOption>,
-    /// Scratch: per-machine estimated waits (adaptive agents).
-    pub(crate) waits_buf: Vec<f64>,
+    /// Scratch: one arrival's quote basis per machine.
+    pub(crate) bases: Vec<QuoteBasis>,
+    /// Scratch: the cheapest posted quote per submission delay
+    /// (GreedyShift/Adaptive delay search).
+    pub(crate) delay_quotes: Vec<f64>,
 }
 
 impl SimArena {

@@ -8,7 +8,7 @@
 //! price elasticity and a deadline slack the temporal-shifting loop works
 //! within.
 
-use green_units::TimePoint;
+use green_units::{wrap_hour, TimePoint};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -51,11 +51,18 @@ impl PriceTable {
     /// The posted multiplier for `machine` at time `at` (wrapping hourly
     /// step lookup; 1.0 for machines beyond the table).
     pub fn multiplier_at(&self, machine: usize, at: TimePoint) -> f64 {
-        let Some(series) = self.per_machine.get(machine) else {
-            return 1.0;
-        };
-        let hour = (at.as_secs() / 3600.0).floor().max(0.0) as usize;
-        series[hour % series.len()]
+        self.multiplier_at_hour(machine, at.hour_index())
+    }
+
+    /// The posted multiplier for `machine` in the hour with index `hour`
+    /// (see [`TimePoint::hour_index`]) — the same hour key
+    /// `HourlyTrace::intensity_at_hour` reads, so one index serves both.
+    #[inline]
+    pub fn multiplier_at_hour(&self, machine: usize, hour: usize) -> f64 {
+        match self.per_machine.get(machine) {
+            Some(series) => series[wrap_hour(hour, series.len())],
+            None => 1.0,
+        }
     }
 
     /// The raw multiplier series of one machine.

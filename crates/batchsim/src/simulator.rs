@@ -1,11 +1,11 @@
 //! The discrete-event simulation loop.
 
-use green_accounting::{ChargeContext, MethodKind};
-use green_carbon::{HourlyTrace, IntensitySource};
+use green_accounting::{AffineCharge, ChargeContext, MethodKind};
+use green_carbon::HourlyTrace;
 use green_machines::FleetMachine;
 use green_obs::{Counter, NoopRecorder, Phase, Recorder, Stopwatch};
-use green_units::TimePoint;
-use green_workload::Trace;
+use green_units::{CarbonIntensity, Energy, TimePoint, TimeSpan};
+use green_workload::{Job, Trace};
 
 use crate::arena::SimArena;
 use crate::cluster::{Cluster, QueuedJob};
@@ -55,6 +55,26 @@ impl SimConfig {
     }
 }
 
+/// One arrival's view of one machine: the decision method's charge with
+/// the grid intensity left open, plus the provisioned slice and queue
+/// estimate. Built once per (arrival, machine) at the top of the arrival
+/// arm; the delay search, the policy's options and the submission all
+/// read it, so a quote costs one hour index, one affine charge and one
+/// multiplier.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QuoteBasis {
+    /// Request rounded up to the machine's allocation slice.
+    provisioned: u32,
+    /// Predicted runtime on the machine.
+    runtime: TimeSpan,
+    /// Predicted energy on the machine.
+    energy: Energy,
+    /// Estimated queue wait at the arrival.
+    est_wait: TimeSpan,
+    /// The decision method's charge as a function of the intensity.
+    charge: AffineCharge,
+}
+
 /// A configured simulator, borrowing the immutable experiment state.
 pub struct Simulator<'a> {
     trace: &'a Trace,
@@ -93,21 +113,63 @@ impl<'a> Simulator<'a> {
         cores.max(1).div_ceil(slice) * slice
     }
 
-    /// The posted price multiplier for a machine at a moment: 1.0 without
-    /// a market, the market's schedule otherwise.
-    fn posted_multiplier(&self, machine: usize, at: TimePoint) -> f64 {
-        self.config
-            .market
-            .as_ref()
-            .map(|m| m.prices.multiplier_at(machine, at))
-            .unwrap_or(1.0)
+    /// The accounting context of a job on a machine holding `provisioned`
+    /// cores, with every term but the grid intensity (left at zero).
+    fn charge_basis(&self, machine: usize, job: &Job, provisioned: u32) -> ChargeContext {
+        let spec = &self.fleet[machine].spec;
+        ChargeContext::new(
+            self.table.energy(job, machine),
+            self.table.runtime(job, machine),
+        )
+        .with_cores(job.cores)
+        .with_provisioned(
+            spec.tdp_per_core() * provisioned as f64,
+            provisioned as f64 / spec.cores as f64,
+        )
+        .with_peak(spec.cpu.peak_per_thread)
+        .with_carbon(
+            CarbonIntensity::ZERO,
+            spec.carbon_rate(self.config.sim_year),
+        )
+        .with_pue(spec.facility.pue)
     }
 
-    /// The posted price of a job on a machine at `at`: the method charge
-    /// times the posted multiplier.
-    fn posted_quote(&self, machine: usize, job_idx: usize, at: TimePoint) -> f64 {
-        let ctx = self.charge_context(machine, job_idx, at);
-        self.config.decision_method.charge(&ctx).value() * self.posted_multiplier(machine, at)
+    /// One arrival's view of one machine, built once per arrival: every
+    /// quote, option and submission of that arrival reads it.
+    fn quote_basis(
+        &self,
+        clusters: &[Cluster],
+        machine: usize,
+        job: &Job,
+        now: TimePoint,
+    ) -> QuoteBasis {
+        let provisioned = self.provisioned_cores(machine, job.cores);
+        let ctx = self.charge_basis(machine, job, provisioned);
+        QuoteBasis {
+            provisioned,
+            runtime: ctx.duration,
+            energy: ctx.energy,
+            est_wait: clusters[machine].estimated_wait(provisioned, job.user, now),
+            charge: self.config.decision_method.affine(&ctx),
+        }
+    }
+
+    /// The posted price of an arrival on `machine` at `at`: the method
+    /// charge at the hour's grid intensity times the hour's posted
+    /// multiplier (none without a market). One hour index serves both
+    /// series. Bit-identical to the per-call quote it replaced
+    /// (`charge_context` → `MethodKind::charge` →
+    /// `PriceTable::multiplier_at`), which the tests keep as its oracle.
+    #[inline]
+    fn quote(&self, machine: usize, basis: &QuoteBasis, at: TimePoint) -> f64 {
+        let hour = at.hour_index();
+        let charge = basis
+            .charge
+            .at(self.intensity[machine].intensity_at_hour(hour));
+        match &self.config.market {
+            Some(market) => charge * market.prices.multiplier_at_hour(machine, hour),
+            None => charge,
+        }
     }
 
     /// Builds the policy's view of one machine for one job. `cost` is the
@@ -121,136 +183,91 @@ impl<'a> Simulator<'a> {
         &self,
         clusters: &[Cluster],
         machine: usize,
-        job_idx: usize,
+        basis: &QuoteBasis,
         now: TimePoint,
     ) -> MachineOption {
-        let job = &self.trace.jobs[job_idx];
-        let provisioned = self.provisioned_cores(machine, job.cores);
-        let eligible = clusters[machine].eligible(provisioned);
-        let runtime = self.table.runtime(job, machine);
-        let energy = self.table.energy(job, machine);
-        let est_wait = clusters[machine].estimated_wait(provisioned, job.user, now);
         let quote_at = if self.config.market.is_some() {
-            now + est_wait
+            now + basis.est_wait
         } else {
             now
         };
         MachineOption {
             machine,
-            eligible,
-            runtime,
-            energy,
-            cost: self.posted_quote(machine, job_idx, quote_at),
-            est_wait,
+            eligible: clusters[machine].eligible(basis.provisioned),
+            runtime: basis.runtime,
+            energy: basis.energy,
+            cost: self.quote(machine, basis, quote_at),
+            est_wait: basis.est_wait,
         }
     }
 
-    /// For GreedyShift and Adaptive: the delay (in whole hours, `1..=max`)
-    /// that minimizes the cheapest posted machine quote over the window,
-    /// or `None` when no delayed quote beats the immediate one by at
-    /// least `required_saving` (a fraction of the immediate cost).
-    fn best_submission_delay(
-        &self,
-        job_idx: usize,
-        now: TimePoint,
-        max_delay_hours: u32,
-        required_saving: f64,
-    ) -> Option<u32> {
-        let quote_at = |at: TimePoint| -> f64 {
-            (0..self.fleet.len())
-                .map(|m| self.posted_quote(m, job_idx, at))
-                .fold(f64::INFINITY, f64::min)
-        };
-        let now_cost = quote_at(now);
-        let mut best: Option<(u32, f64)> = None;
-        for delay in 1..=max_delay_hours {
-            let cost = quote_at(now + green_units::TimeSpan::from_hours(delay as f64));
-            if cost < best.map(|(_, c)| c).unwrap_or(now_cost) {
-                best = Some((delay, cost));
-            }
-        }
-        // Only shift for a material gain; a fraction of a percent is not
-        // worth sitting in a queue an hour longer.
-        best.filter(|(_, c)| *c < now_cost * (1.0 - required_saving))
-            .map(|(d, _)| d)
-    }
-
-    /// The submission delay an adaptive agent picks for a job, if any:
-    /// bounded by the agent's slack and the market-wide cap, with the
-    /// required saving shrinking as elasticity grows.
-    ///
-    /// Unlike [`best_submission_delay`](Simulator::best_submission_delay),
-    /// quotes are anchored at each machine's *expected start*: delaying
-    /// submission by `d` hours moves the start to `now + d + max(0,
-    /// wait − d)` — the queue keeps draining while the agent sits out
-    /// the delay, so in a congested system a delay mostly re-times the
-    /// start only once it exceeds the backlog.
-    fn adaptive_delay(
-        &self,
-        clusters: &[Cluster],
-        job_idx: usize,
-        now: TimePoint,
-        waits: &mut Vec<f64>,
-    ) -> Option<u32> {
+    /// The delay window (whole hours) and required relative saving of an
+    /// adaptive agent — bounded by the agent's slack and the market-wide
+    /// cap, with the saving shrinking as elasticity grows — or `None`
+    /// when the agent never shifts.
+    fn adaptive_search(&self, job: &Job) -> Option<(u32, f64)> {
         let market = self.config.market.as_ref()?;
-        let job = &self.trace.jobs[job_idx];
         let agent = market.agent(job.user.0);
         if agent.elasticity <= 0.0 {
             return None;
         }
         let window = agent.slack_hours.min(market.max_delay_hours);
+        Some((window, (market.shift_threshold / agent.elasticity).min(0.5)))
+    }
+
+    /// For GreedyShift and Adaptive: the delay (whole hours, `1..=window`)
+    /// that minimizes the cheapest posted machine quote, or `None` when no
+    /// delayed quote beats the immediate one by at least
+    /// `required_saving` (a fraction of the immediate cost).
+    ///
+    /// Adaptive quotes each machine at its *expected start*: delaying
+    /// submission by `d` hours moves the start to `now + d + max(0,
+    /// wait − d)` — the queue keeps draining while the agent sits out
+    /// the delay, so in a congested system a delay mostly re-times the
+    /// start only once it exceeds the backlog. GreedyShift quotes the
+    /// submission moment itself, which is the same search with every
+    /// wait taken as zero (`d + max(0, 0 − d)` is exactly `d`).
+    ///
+    /// Machine-outer: `cheapest[d]` folds each machine's quote for delay
+    /// `d` in fleet order, the same `min` sequence a delay-outer loop
+    /// applies, while one machine's basis and series stay hot.
+    fn best_delay(
+        &self,
+        bases: &[QuoteBasis],
+        cheapest: &mut Vec<f64>,
+        now: TimePoint,
+        window: u32,
+        required_saving: f64,
+        with_waits: bool,
+    ) -> Option<u32> {
         if window == 0 {
             return None;
         }
-        waits.clear();
-        waits.extend((0..self.fleet.len()).map(|m| {
-            let provisioned = self.provisioned_cores(m, job.cores);
-            clusters[m]
-                .estimated_wait(provisioned, job.user, now)
-                .as_secs()
-        }));
-        let quote_at = |delay_s: f64| -> f64 {
-            (0..self.fleet.len())
-                .map(|m| {
-                    let start = now
-                        + green_units::TimeSpan::from_secs(delay_s + (waits[m] - delay_s).max(0.0));
-                    self.posted_quote(m, job_idx, start)
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        let now_cost = quote_at(0.0);
-        let mut best: Option<(u32, f64)> = None;
-        for delay in 1..=window {
-            let cost = quote_at(delay as f64 * 3600.0);
-            if cost < best.map(|(_, c)| c).unwrap_or(now_cost) {
-                best = Some((delay, cost));
+        cheapest.clear();
+        cheapest.resize(window as usize + 1, f64::INFINITY);
+        for (machine, basis) in bases.iter().enumerate() {
+            let wait_s = if with_waits {
+                basis.est_wait.as_secs()
+            } else {
+                0.0
+            };
+            for (delay, slot) in cheapest.iter_mut().enumerate() {
+                let delay_s = delay as f64 * 3600.0;
+                let start = now + TimeSpan::from_secs(delay_s + (wait_s - delay_s).max(0.0));
+                *slot = slot.min(self.quote(machine, basis, start));
             }
         }
-        let required = (market.shift_threshold / agent.elasticity).min(0.5);
-        best.filter(|(_, c)| *c < now_cost * (1.0 - required))
+        let now_cost = cheapest[0];
+        let mut best: Option<(u32, f64)> = None;
+        for (delay, &cost) in cheapest.iter().enumerate().skip(1) {
+            if cost < best.map_or(now_cost, |(_, c)| c) {
+                best = Some((delay as u32, cost));
+            }
+        }
+        // Only shift for a material gain; a fraction of a percent is not
+        // worth sitting in a queue an hour longer.
+        best.filter(|&(_, c)| c < now_cost * (1.0 - required_saving))
             .map(|(d, _)| d)
-    }
-
-    /// The accounting context of a job on a machine, with the grid
-    /// intensity read at `at`.
-    fn charge_context(&self, machine: usize, job_idx: usize, at: TimePoint) -> ChargeContext {
-        let job = &self.trace.jobs[job_idx];
-        let spec = &self.fleet[machine].spec;
-        let provisioned = self.provisioned_cores(machine, job.cores);
-        let runtime = self.table.runtime(job, machine);
-        let energy = self.table.energy(job, machine);
-        ChargeContext::new(energy, runtime)
-            .with_cores(job.cores)
-            .with_provisioned(
-                spec.tdp_per_core() * provisioned as f64,
-                provisioned as f64 / spec.cores as f64,
-            )
-            .with_peak(spec.cpu.peak_per_thread)
-            .with_carbon(
-                self.intensity[machine].intensity_at(at),
-                spec.carbon_rate(self.config.sim_year),
-            )
-            .with_pue(spec.facility.pue)
     }
 
     /// Runs the full workload to completion and collects metrics,
@@ -344,47 +361,59 @@ impl<'a> Simulator<'a> {
             match event.kind {
                 EventKind::Arrival(job_idx) => {
                     let arm_watch = Stopwatch::<R>::start();
+                    let job = &self.trace.jobs[job_idx];
+                    let bases = &mut arena.bases;
+                    bases.clear();
+                    bases.extend((0..n_machines).map(|m| self.quote_basis(clusters, m, job, now)));
                     // Temporal shifting: quote every whole-hour submission
                     // moment in the window and postpone if a cleaner hour
                     // is cheaper by enough. GreedyShift applies a uniform
                     // window and threshold; Adaptive lets each user's
                     // elasticity profile decide.
                     if !shifted[job_idx] {
-                        let delay = match self.config.policy {
+                        let search = match self.config.policy {
                             Policy::GreedyShift { max_delay_hours } => {
                                 shifted[job_idx] = true;
-                                self.best_submission_delay(job_idx, now, max_delay_hours, 0.01)
+                                Some((max_delay_hours, 0.01, false))
                             }
                             Policy::Adaptive => {
                                 shifted[job_idx] = true;
-                                self.adaptive_delay(clusters, job_idx, now, &mut arena.waits_buf)
+                                self.adaptive_search(job)
+                                    .map(|(w, saving)| (w, saving, true))
                             }
                             _ => None,
                         };
+                        let delay = search.and_then(|(window, saving, with_waits)| {
+                            let cheapest = &mut arena.delay_quotes;
+                            self.best_delay(bases, cheapest, now, window, saving, with_waits)
+                        });
                         if let Some(delay_h) = delay {
                             events.push(
-                                now + green_units::TimeSpan::from_hours(delay_h as f64),
+                                now + TimeSpan::from_hours(delay_h as f64),
                                 EventKind::Arrival(job_idx),
                             );
                             schedule_ns += arm_watch.elapsed_ns();
                             continue;
                         }
                     }
-                    let job = &self.trace.jobs[job_idx];
                     let options = &mut arena.options_buf;
                     options.clear();
-                    options.extend((0..n_machines).map(|m| self.option(clusters, m, job_idx, now)));
+                    options.extend(
+                        bases
+                            .iter()
+                            .enumerate()
+                            .map(|(m, basis)| self.option(clusters, m, basis, now)),
+                    );
                     let Some(machine) = self.config.policy.choose(options) else {
                         rejected += 1;
                         schedule_ns += arm_watch.elapsed_ns();
                         continue;
                     };
-                    let provisioned = self.provisioned_cores(machine, job.cores);
                     clusters[machine].submit(QueuedJob {
                         job: job_idx,
                         user: job.user,
-                        cores: provisioned,
-                        runtime: self.table.runtime(job, machine),
+                        cores: bases[machine].provisioned,
+                        runtime: bases[machine].runtime,
                         submitted: now,
                     });
                     started.clear();
@@ -480,7 +509,8 @@ impl<'a> Simulator<'a> {
         // read the point intensity at the expected start: a scheduler
         // can't know a job's completed window before running it.)
         let start = TimePoint::from_secs(start_s);
-        let mut ctx = self.charge_context(machine, job_idx, start);
+        let provisioned = self.provisioned_cores(machine, job.cores);
+        let mut ctx = self.charge_basis(machine, job, provisioned);
         ctx.carbon_intensity = self.intensity[machine].window_mean(start, end);
         let charges = [
             MethodKind::Runtime.charge(&ctx).value(),
@@ -516,9 +546,11 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::market::MarketInputs;
     use green_machines::simulation_fleet;
     use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
     use green_workload::TraceConfig;
+    use proptest::prelude::*;
 
     fn setup() -> (Trace, Vec<FleetMachine>, PlacementTable, Vec<HourlyTrace>) {
         let fleet = simulation_fleet();
@@ -716,6 +748,244 @@ mod tests {
             posted(&elastic),
             posted(&rigid)
         );
+    }
+
+    /// The per-call quote the kernel replaced, kept as its independent
+    /// oracle: the full accounting context at the moment, then
+    /// `MethodKind::charge`, then `PriceTable::multiplier_at`, each
+    /// derived from scratch.
+    impl Simulator<'_> {
+        fn charge_context(&self, machine: usize, job_idx: usize, at: TimePoint) -> ChargeContext {
+            let job = &self.trace.jobs[job_idx];
+            let spec = &self.fleet[machine].spec;
+            let provisioned = self.provisioned_cores(machine, job.cores);
+            ChargeContext::new(
+                self.table.energy(job, machine),
+                self.table.runtime(job, machine),
+            )
+            .with_cores(job.cores)
+            .with_provisioned(
+                spec.tdp_per_core() * provisioned as f64,
+                provisioned as f64 / spec.cores as f64,
+            )
+            .with_peak(spec.cpu.peak_per_thread)
+            .with_carbon(
+                green_carbon::IntensitySource::intensity_at(&self.intensity[machine], at),
+                spec.carbon_rate(self.config.sim_year),
+            )
+            .with_pue(spec.facility.pue)
+        }
+
+        fn posted_quote(&self, machine: usize, job_idx: usize, at: TimePoint) -> f64 {
+            let multiplier = self
+                .config
+                .market
+                .as_ref()
+                .map_or(1.0, |m| m.prices.multiplier_at(machine, at));
+            let ctx = self.charge_context(machine, job_idx, at);
+            self.config.decision_method.charge(&ctx).value() * multiplier
+        }
+
+        /// GreedyShift's search as the per-call code ran it: delay-outer,
+        /// quoting the submission moment itself.
+        fn submission_delay_oracle(
+            &self,
+            job_idx: usize,
+            now: TimePoint,
+            max_delay_hours: u32,
+            required_saving: f64,
+        ) -> Option<u32> {
+            let quote_at = |at: TimePoint| -> f64 {
+                (0..self.fleet.len())
+                    .map(|m| self.posted_quote(m, job_idx, at))
+                    .fold(f64::INFINITY, f64::min)
+            };
+            let now_cost = quote_at(now);
+            let mut best: Option<(u32, f64)> = None;
+            for delay in 1..=max_delay_hours {
+                let cost = quote_at(now + TimeSpan::from_hours(delay as f64));
+                if cost < best.map(|(_, c)| c).unwrap_or(now_cost) {
+                    best = Some((delay, cost));
+                }
+            }
+            best.filter(|(_, c)| *c < now_cost * (1.0 - required_saving))
+                .map(|(d, _)| d)
+        }
+
+        /// Adaptive's search as the per-call code ran it: delay-outer,
+        /// quoting each machine at its expected start.
+        fn adaptive_delay_oracle(
+            &self,
+            job_idx: usize,
+            now: TimePoint,
+            waits: &[f64],
+            window: u32,
+            required_saving: f64,
+        ) -> Option<u32> {
+            let quote_at = |delay_s: f64| -> f64 {
+                (0..self.fleet.len())
+                    .map(|m| {
+                        let start =
+                            now + TimeSpan::from_secs(delay_s + (waits[m] - delay_s).max(0.0));
+                        self.posted_quote(m, job_idx, start)
+                    })
+                    .fold(f64::INFINITY, f64::min)
+            };
+            let now_cost = quote_at(0.0);
+            let mut best: Option<(u32, f64)> = None;
+            for delay in 1..=window {
+                let cost = quote_at(delay as f64 * 3600.0);
+                if cost < best.map(|(_, c)| c).unwrap_or(now_cost) {
+                    best = Some((delay, cost));
+                }
+            }
+            best.filter(|(_, c)| *c < now_cost * (1.0 - required_saving))
+                .map(|(d, _)| d)
+        }
+    }
+
+    /// The world of the kernel oracles, built once: three-day intensity
+    /// traces, so moments past hour 72 wrap, and two facilities with a
+    /// PUE above one, so CBA's slope is not the bare IT energy.
+    fn oracle_world() -> &'static (Trace, Vec<FleetMachine>, PlacementTable, Vec<HourlyTrace>) {
+        static WORLD: std::sync::OnceLock<(
+            Trace,
+            Vec<FleetMachine>,
+            PlacementTable,
+            Vec<HourlyTrace>,
+        )> = std::sync::OnceLock::new();
+        WORLD.get_or_init(|| {
+            let (trace, mut fleet, table, _) = setup();
+            fleet[0].spec.facility.pue = 1.1;
+            fleet[2].spec.facility.pue = 1.3;
+            let intensity = fleet
+                .iter()
+                .map(|m| m.spec.facility.region.trace(29, 3))
+                .collect();
+            (trace, fleet, table, intensity)
+        })
+    }
+
+    /// A price table that covers only three of the four machines, with a
+    /// one-entry flat series among them.
+    fn oracle_market() -> MarketInputs {
+        use crate::market::{MarketAgent, PriceTable};
+        let diurnal: Vec<f64> = (0..24)
+            .map(|h| 0.5 + (h as f64 * 0.37).sin().abs())
+            .collect();
+        let weekly: Vec<f64> = (0..50).map(|h| 0.3 + (h % 7) as f64 * 0.45).collect();
+        MarketInputs {
+            prices: std::sync::Arc::new(PriceTable::new(vec![diurnal, vec![1.0], weekly])),
+            agents: std::sync::Arc::new(vec![MarketAgent {
+                elasticity: 1.0,
+                slack_hours: 24,
+            }]),
+            max_delay_hours: 24,
+            shift_threshold: 0.05,
+        }
+    }
+
+    fn oracle_config(method: usize, market: bool) -> SimConfig {
+        let config = SimConfig::new(Policy::Adaptive, MethodKind::ALL[method], 24);
+        if market {
+            config.with_market(oracle_market())
+        } else {
+            config
+        }
+    }
+
+    /// Empty clusters shaped like the fleet: the quote basis needs a
+    /// queue estimate, and an idle fleet's is zero.
+    fn idle_clusters(fleet: &[FleetMachine]) -> Vec<Cluster> {
+        fleet
+            .iter()
+            .map(|m| {
+                let cores = m.spec.cores as u64 * m.nodes as u64 * 24;
+                Cluster::new(cores, cores.min(u32::MAX as u64) as u32)
+            })
+            .collect()
+    }
+
+    /// Moments the hour key must get right: before the epoch, exactly
+    /// on hour boundaries (inside the series and past them), the first
+    /// hours after each series length wraps (24 and 50 for prices, 72
+    /// for intensity), and anywhere in a long run.
+    fn moment() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -1.0e7..0.0f64,
+            Just(-0.0f64),
+            (0u32..400).prop_map(|h| h as f64 * 3600.0),
+            (0u32..400).prop_map(|h| h as f64 * 3600.0 - 1e-6),
+            (1u32..5, 0usize..3, 0u32..2).prop_map(|(k, series, h)| {
+                let len = [24, 50, 72][series];
+                (k * len + h) as f64 * 3600.0
+            }),
+            0.0..3.2e7f64,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The quote kernel equals the per-call quote bit for bit, for
+        /// every method, with the market on and off, on every machine —
+        /// the one past the end of the price table included.
+        #[test]
+        fn quote_kernel_matches_per_call_quote(
+            job_idx in 0usize..1_500,
+            machine in 0usize..4,
+            method in 0usize..5,
+            market in 0u32..2,
+            now_s in 0.0..3.2e7f64,
+            at_s in moment(),
+        ) {
+            let (trace, fleet, table, intensity) = oracle_world();
+            let sim = Simulator::new(trace, fleet, table, intensity, oracle_config(method, market == 1));
+            let clusters = idle_clusters(fleet);
+            let basis = sim.quote_basis(&clusters, machine, &trace.jobs[job_idx], TimePoint::from_secs(now_s));
+            let at = TimePoint::from_secs(at_s);
+            prop_assert_eq!(
+                sim.quote(machine, &basis, at).to_bits(),
+                sim.posted_quote(machine, job_idx, at).to_bits(),
+                "job {} machine {} method {} market {} at {}s", job_idx, machine, method, market, at_s
+            );
+        }
+
+        /// The machine-outer delay search picks the delay the per-call
+        /// delay-outer searches picked: Adaptive's with each machine's
+        /// wait, and GreedyShift's with every wait taken as zero.
+        #[test]
+        fn delay_search_matches_per_call_search(
+            job_idx in 0usize..1_500,
+            method in 0usize..5,
+            market in 0u32..2,
+            now_s in 0.0..3.2e7f64,
+            waits in prop::collection::vec(prop_oneof![Just(0.0f64), 0.0..2.0e5f64], 4..5),
+            window in 0u32..30,
+            required in 0.0..0.2f64,
+        ) {
+            let (trace, fleet, table, intensity) = oracle_world();
+            let sim = Simulator::new(trace, fleet, table, intensity, oracle_config(method, market == 1));
+            let clusters = idle_clusters(fleet);
+            let now = TimePoint::from_secs(now_s);
+            let job = &trace.jobs[job_idx];
+            let mut bases: Vec<QuoteBasis> =
+                (0..4).map(|m| sim.quote_basis(&clusters, m, job, now)).collect();
+            for (basis, wait) in bases.iter_mut().zip(&waits) {
+                basis.est_wait = TimeSpan::from_secs(*wait);
+            }
+            let mut cheapest = Vec::new();
+            prop_assert_eq!(
+                sim.best_delay(&bases, &mut cheapest, now, window, required, true),
+                sim.adaptive_delay_oracle(job_idx, now, &waits, window, required),
+                "adaptive: job {} method {} market {} now {}s", job_idx, method, market, now_s
+            );
+            prop_assert_eq!(
+                sim.best_delay(&bases, &mut cheapest, now, window, required, false),
+                sim.submission_delay_oracle(job_idx, now, window, required),
+                "greedy-shift: job {} method {} market {} now {}s", job_idx, method, market, now_s
+            );
+        }
     }
 
     #[test]

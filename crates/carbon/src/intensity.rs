@@ -1,6 +1,6 @@
 //! Carbon-intensity sources: `I_f(t)` in gCO2e/kWh as a function of time.
 
-use green_units::{CarbonIntensity, TimePoint, TimeSpan, SECS_PER_HOUR};
+use green_units::{wrap_hour, CarbonIntensity, TimePoint, TimeSpan, SECS_PER_HOUR};
 use serde::{Deserialize, Serialize};
 
 /// Anything that can report the grid carbon intensity at a point in virtual
@@ -118,6 +118,15 @@ impl HourlyTrace {
         (x / n) as f64 * self.total() + self.cumulative[(x % n) as usize]
     }
 
+    /// The intensity of the hour with index `hour` (see
+    /// [`TimePoint::hour_index`]), wrapping past the end of the trace. A
+    /// caller reading several hourly series at one moment computes the
+    /// hour once.
+    #[inline]
+    pub fn intensity_at_hour(&self, hour: usize) -> CarbonIntensity {
+        CarbonIntensity::from_g_per_kwh(self.values[wrap_hour(hour, self.values.len())])
+    }
+
     /// Arithmetic mean of the trace — O(1) via the prefix total.
     pub fn mean(&self) -> CarbonIntensity {
         CarbonIntensity::from_g_per_kwh(self.total() / self.values.len() as f64)
@@ -206,8 +215,7 @@ impl HourlyTrace {
 
 impl IntensitySource for HourlyTrace {
     fn intensity_at(&self, t: TimePoint) -> CarbonIntensity {
-        let hour = (t.as_secs().max(0.0) / SECS_PER_HOUR) as usize;
-        CarbonIntensity::from_g_per_kwh(self.values[hour % self.values.len()])
+        self.intensity_at_hour(t.hour_index())
     }
 
     /// O(1) override of the trait's per-hour sampling loop: the samples

@@ -39,7 +39,7 @@ pub mod store;
 pub use allocation::{Allocation, AllocationError, Ledger, Transaction};
 pub use context::ChargeContext;
 pub use exchange::ExchangeRate;
-pub use methods::{AccountingMethod, MethodKind};
+pub use methods::{AccountingMethod, AffineCharge, MethodKind};
 pub use normalize::normalize_min;
 pub use quote::{MachineQuote, QuoteSet};
 pub use store::{CreditStore, LockedLedger};

@@ -1,6 +1,6 @@
 //! The five accounting methods.
 
-use green_units::Credits;
+use green_units::{CarbonIntensity, Credits};
 use serde::{Deserialize, Serialize};
 
 use crate::context::ChargeContext;
@@ -75,6 +75,31 @@ impl MethodKind {
         }
     }
 
+    /// The charge as an affine function of the grid intensity — what is
+    /// left of [`charge`](MethodKind::charge) once everything but
+    /// `ctx.carbon_intensity` is fixed. Carbon-Based Accounting (Eq. 2)
+    /// is the one method that reads the intensity: its slope is the
+    /// facility energy in kWh and its intercept the embodied grams,
+    /// `d_j · D_f(y)/8760 · share`. The four intensity-blind methods have
+    /// slope zero and their whole charge as the intercept.
+    ///
+    /// For every finite intensity, `affine(ctx).at(I)` equals `charge` on
+    /// `ctx` with intensity `I`, bit for bit. A caller that prices one job
+    /// at many moments (a scheduler quoting submission delays)
+    /// decomposes once and evaluates per moment.
+    pub fn affine(self, ctx: &ChargeContext) -> AffineCharge {
+        match self {
+            MethodKind::Cba => AffineCharge {
+                per_intensity: ctx.facility_energy().as_kwh(),
+                fixed: ((ctx.carbon_rate * ctx.duration) * ctx.provisioned_share).as_grams(),
+            },
+            blind => AffineCharge {
+                per_intensity: 0.0,
+                fixed: blind.charge(ctx).value(),
+            },
+        }
+    }
+
     /// Table name.
     pub fn name(self) -> &'static str {
         match self {
@@ -90,6 +115,26 @@ impl MethodKind {
 impl core::fmt::Display for MethodKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// A method charge as a function of the grid intensity `I`:
+/// `per_intensity · I + fixed` credits. See [`MethodKind::affine`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AffineCharge {
+    /// Credits per gCO2e/kWh of grid intensity (kWh for CBA, else 0).
+    pub per_intensity: f64,
+    /// Credits independent of the intensity.
+    pub fixed: f64,
+}
+
+impl AffineCharge {
+    /// The charge at grid intensity `intensity`: a rounded product, then
+    /// a rounded sum, exactly as Eq. 2 rounds. Not a fused multiply-add —
+    /// its single rounding would move the output bits.
+    #[inline]
+    pub fn at(self, intensity: CarbonIntensity) -> f64 {
+        self.per_intensity * intensity.as_g_per_kwh() + self.fixed
     }
 }
 

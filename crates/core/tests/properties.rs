@@ -109,4 +109,30 @@ proptest! {
             prop_assert!((b - k * a).abs() <= (k * a).abs() * 1e-9 + 1e-9, "{kind}");
         }
     }
+
+    /// The affine decomposition reproduces `charge` bit for bit, for
+    /// every method, at any finite intensity — including zero, the
+    /// context's own, and one far past any real grid — with PUE and the
+    /// EBA weight varied too.
+    #[test]
+    fn affine_decomposition_is_bit_exact(
+        ctx in arb_context(),
+        pue in 1.0..2.0f64,
+        beta in 0.0..2.0f64,
+        intensity in prop_oneof![Just(0.0f64), 0.0..1500.0f64, 1.0e3..1.0e9f64],
+    ) {
+        let mut ctx = ctx.with_pue(pue);
+        let methods = MethodKind::ALL.into_iter().chain([MethodKind::Eba { beta }]);
+        for kind in methods {
+            let affine = kind.affine(&ctx);
+            for at in [ctx.carbon_intensity, CarbonIntensity::from_g_per_kwh(intensity)] {
+                ctx.carbon_intensity = at;
+                prop_assert_eq!(
+                    affine.at(at).to_bits(),
+                    kind.charge(&ctx).value().to_bits(),
+                    "{} at {} g/kWh", kind, at.as_g_per_kwh()
+                );
+            }
+        }
+    }
 }

@@ -35,7 +35,9 @@ pub use carbon::{CarbonIntensity, CarbonMass, CarbonRate};
 pub use credits::Credits;
 pub use energy::Energy;
 pub use power::Power;
-pub use time::{TimePoint, TimeSpan, HOURS_PER_YEAR, SECS_PER_DAY, SECS_PER_HOUR, SECS_PER_YEAR};
+pub use time::{
+    wrap_hour, TimePoint, TimeSpan, HOURS_PER_YEAR, SECS_PER_DAY, SECS_PER_HOUR, SECS_PER_YEAR,
+};
 pub use work::CoreHours;
 
 /// Implements the ring-ish operations every scalar quantity supports:

@@ -137,6 +137,14 @@ impl TimePoint {
         }
     }
 
+    /// The index of the whole hour containing this point: the key of
+    /// every hourly series (grid intensity, posted prices). Points before
+    /// the epoch, and NaN, read hour 0; `+∞` saturates at `usize::MAX`.
+    #[inline]
+    pub fn hour_index(self) -> usize {
+        (self.0.max(0.0) / SECS_PER_HOUR) as usize
+    }
+
     /// The day index since the epoch (floor of days).
     #[inline]
     pub fn day_index(self) -> u64 {
@@ -153,6 +161,18 @@ impl TimePoint {
     #[inline]
     pub fn min(self, other: TimePoint) -> TimePoint {
         TimePoint(self.0.min(other.0))
+    }
+}
+
+/// Folds an [`hour_index`](TimePoint::hour_index) into a series of `len`
+/// hourly values that repeats, so a one-year series serves a longer run.
+/// The division runs only for hours past the end of the series.
+#[inline]
+pub fn wrap_hour(hour: usize, len: usize) -> usize {
+    if hour < len {
+        hour
+    } else {
+        hour % len
     }
 }
 
@@ -212,6 +232,32 @@ mod tests {
         assert!((t1.as_hours() - 5.0).abs() < 1e-12);
         assert!(((t1 - t0).as_hours() - 5.0).abs() < 1e-12);
         assert!(((t1 - TimeSpan::from_hours(1.0)).as_hours() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hour_index_clamps_and_floors() {
+        let hour = |s: f64| TimePoint::from_secs(s).hour_index();
+        assert_eq!(hour(0.0), 0);
+        assert_eq!(hour(3_599.999), 0);
+        assert_eq!(hour(3_600.0), 1);
+        assert_eq!(hour(-0.0), 0);
+        assert_eq!(hour(-1e-300), 0);
+        assert_eq!(hour(-7_200.0), 0);
+        assert_eq!(hour(f64::NAN), 0);
+        assert_eq!(hour(f64::NEG_INFINITY), 0);
+        assert_eq!(hour(f64::INFINITY), usize::MAX);
+        // The floor-then-clamp form agrees on every one of these.
+        for s in [0.0, 3_599.999, 3_600.0, -0.0, -1e-300, -7_200.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(hour(s), (s / SECS_PER_HOUR).floor().max(0.0) as usize, "{s}");
+        }
+    }
+
+    #[test]
+    fn wrap_hour_folds_only_past_the_end() {
+        assert_eq!(wrap_hour(5, 24), 5);
+        assert_eq!(wrap_hour(24, 24), 0);
+        assert_eq!(wrap_hour(50, 24), 2);
+        assert_eq!(wrap_hour(usize::MAX, 1), 0);
     }
 
     #[test]
