@@ -13,6 +13,9 @@ use green_scenarios::{
     PolicySpec, Shard, ShardAssignment, ShardJob, ShardManifest, Sweep, SweepRunner,
 };
 
+mod common;
+use common::Scratch;
+
 /// A 6-configuration × 2-replicate grid, same shape as shard_golden —
 /// wide enough that 3- and 8-way splits land mid-axis.
 fn grid() -> Sweep {
@@ -21,27 +24,6 @@ fn grid() -> Sweep {
     sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
     sweep.seeds = vec![1, 2];
     sweep
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("green-analyze-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self, file: &str) -> PathBuf {
-        self.0.join(file)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn run_one_shard(sweep: &Sweep, shard: Shard, csv: &Path, columnar: bool) {

@@ -27,6 +27,9 @@ use green_scenarios::{
     OrchestrateEvent, PolicySpec, ShardAssignment, ShardJob, Sweep, SweepRunner,
 };
 
+mod common;
+use common::Scratch;
+
 /// The 6-configuration × 2-replicate grid the other golden tests use:
 /// two fragments of 3 configurations each tile the 12 cells.
 fn grid() -> Sweep {
@@ -35,27 +38,6 @@ fn grid() -> Sweep {
     sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
     sweep.seeds = vec![1, 2];
     sweep
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("green-crash-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self, file: &str) -> PathBuf {
-        self.0.join(file)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn job<'a>(sweep: &'a Sweep, csv: &'a Path, resume: bool, columnar: bool) -> ShardJob<'a> {

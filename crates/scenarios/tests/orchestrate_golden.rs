@@ -16,27 +16,13 @@ use green_scenarios::{
     ProcessLauncher, ThreadLauncher, WatchReport, WorkerHandle, WorkerSpec,
 };
 
+mod common;
+use common::Scratch;
+
 const SWEEP: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../examples/sweeps/sensitivity.toml"
 );
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("green-orch-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// The single-process `--stream` reference bytes for the sweep file.
 fn reference_csv(dir: &Scratch) -> Vec<u8> {

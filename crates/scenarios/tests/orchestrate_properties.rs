@@ -14,6 +14,9 @@ use green_scenarios::{
 };
 use proptest::prelude::*;
 
+mod common;
+use common::Scratch;
+
 /// Applies a pseudo-random split sequence to a plan: each step picks a
 /// task and a config-aligned interior cut from the `choices` stream.
 /// Returns how many splits actually landed (some choices miss — a
@@ -68,23 +71,6 @@ fn grid() -> Sweep {
     sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
     sweep.seeds = vec![1, 2];
     sweep
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("green-orchp-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 /// Deterministic end-to-end tiling: split the plan a few times, run

@@ -20,6 +20,9 @@ use green_scenarios::{
     ProgressRecord, ShardAssignment, ShardJob, ShardManifest, Sweep, SweepRunner,
 };
 
+mod common;
+use common::Scratch;
+
 /// Thread counts under test. 1 is the golden reference, 2 exercises the
 /// minimal race, 8 oversubscribes every CI box we run on.
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -33,28 +36,6 @@ fn grid() -> Sweep {
     sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
     sweep.seeds = vec![1, 2, 3];
     sweep
-}
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir =
-            std::env::temp_dir().join(format!("green-parallel-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self, file: &str) -> PathBuf {
-        self.0.join(file)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn job<'a>(

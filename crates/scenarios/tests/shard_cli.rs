@@ -4,8 +4,10 @@
 //! against the single-process `--stream` run.
 
 use green_scenarios::shard::Fnv1a;
-use std::path::PathBuf;
 use std::process::Command;
+
+mod common;
+use common::Scratch;
 
 const SWEEP: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -28,37 +30,16 @@ fn run_ok(args: &[&str]) {
     );
 }
 
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("green-cli-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self, file: &str) -> String {
-        self.0.join(file).to_string_lossy().into_owned()
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 #[test]
 fn cli_shard_resume_merge_is_byte_identical() {
     let scratch = Scratch::new("roundtrip");
-    let reference = scratch.path("reference.csv");
+    let reference = scratch.arg("reference.csv");
     run_ok(&[SWEEP, "--stream", "--out", &reference, "--quiet"]);
 
     // Three shard workers.
     let shards: Vec<String> = (0..3)
         .map(|i| {
-            let csv = scratch.path(&format!("shard_{i}.csv"));
+            let csv = scratch.arg(&format!("shard_{i}.csv"));
             run_ok(&[
                 SWEEP,
                 "--shard",
@@ -105,7 +86,7 @@ fn cli_shard_resume_merge_is_byte_identical() {
     run_ok(&[
         SWEEP, "--shard", "1/3", "--out", &shards[1], "--resume", "--quiet",
     ]);
-    let merged = scratch.path("merged.csv");
+    let merged = scratch.arg("merged.csv");
     run_ok(&[
         "merge", "--out", &merged, &shards[0], &shards[1], &shards[2], "--quiet",
     ]);
@@ -119,8 +100,8 @@ fn cli_shard_resume_merge_is_byte_identical() {
 #[test]
 fn cli_cell_range_matches_the_shard_partition() {
     let scratch = Scratch::new("range");
-    let by_shard = scratch.path("by_shard.csv");
-    let by_range = scratch.path("by_range.csv");
+    let by_shard = scratch.arg("by_shard.csv");
+    let by_range = scratch.arg("by_range.csv");
     // sensitivity.toml: 12 configs × 3 seeds = 36 cells; shard 1/3
     // covers cells 12..24.
     run_ok(&[SWEEP, "--shard", "1/3", "--out", &by_shard, "--quiet"]);
@@ -141,7 +122,7 @@ fn cli_cell_range_matches_the_shard_partition() {
 #[test]
 fn cli_rejects_bad_shard_and_misaligned_range() {
     let scratch = Scratch::new("badargs");
-    let out_csv = scratch.path("out.csv");
+    let out_csv = scratch.arg("out.csv");
     for args in [
         vec![SWEEP, "--shard", "3/3", "--out", out_csv.as_str()],
         vec![SWEEP, "--shard", "1of3", "--out", out_csv.as_str()],
@@ -159,10 +140,10 @@ fn cli_rejects_bad_shard_and_misaligned_range() {
 #[test]
 fn cli_orchestrate_merges_byte_identical_and_watch_renders_it() {
     let scratch = Scratch::new("orchestrate");
-    let reference = scratch.path("reference.csv");
+    let reference = scratch.arg("reference.csv");
     run_ok(&[SWEEP, "--stream", "--out", &reference, "--quiet"]);
 
-    let out_dir = scratch.path("run");
+    let out_dir = scratch.arg("run");
     run_ok(&[
         "orchestrate",
         SWEEP,
@@ -176,14 +157,14 @@ fn cli_orchestrate_merges_byte_identical_and_watch_renders_it() {
         "20",
         "--quiet",
     ]);
-    let merged = std::fs::read(scratch.path("run/merged.csv")).expect("merged output");
+    let merged = std::fs::read(scratch.arg("run/merged.csv")).expect("merged output");
     assert_eq!(
         merged,
         std::fs::read(&reference).unwrap(),
         "orchestrated output must be byte-identical to the streamed run"
     );
     assert!(
-        std::fs::read_to_string(scratch.path("run/orchestrate.jsonl"))
+        std::fs::read_to_string(scratch.arg("run/orchestrate.jsonl"))
             .expect("event log")
             .contains("\"event\": \"complete\""),
         "event log records completion"

@@ -14,6 +14,9 @@ use green_scenarios::{
     Shard, ShardAssignment, ShardChaos, ShardJob, ShardManifest, Sweep, SweepRunner,
 };
 
+mod common;
+use common::Scratch;
+
 /// A 6-configuration × 2-replicate grid — small enough that every test
 /// re-runs it several times, wide enough that shards land mid-axis.
 fn grid() -> Sweep {
@@ -30,28 +33,6 @@ fn reference_csv(sweep: &Sweep) -> Vec<u8> {
         .run_streamed(sweep, None, None, &mut bytes)
         .expect("streaming to a Vec cannot fail");
     bytes
-}
-
-/// A scratch directory unique to this test, cleaned up on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("green-shard-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self, file: &str) -> PathBuf {
-        self.0.join(file)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn run_one_shard(sweep: &Sweep, shard: Shard, csv: &Path, resume: bool) {

@@ -6,7 +6,7 @@
 //! and ETAs only appear for in-flight shards, so a complete directory
 //! always renders the same table).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use green_obs::{Counter, StatsRecorder};
 use green_scenarios::watch::{watch_once, WatchReport, STALL_AFTER_S};
@@ -14,6 +14,9 @@ use green_scenarios::{
     progress_path, run_shard, run_shard_obs, MethodSpec, PolicySpec, ProgressRecord, Shard,
     ShardAssignment, ShardJob, Sweep, SweepRunner, PROGRESS_SCHEMA,
 };
+
+mod common;
+use common::Scratch;
 
 /// The same 6-configuration × 2-replicate grid the shard golden tests
 /// use: 3 shards get exactly 2 configurations each.
@@ -23,28 +26,6 @@ fn grid() -> Sweep {
     sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
     sweep.seeds = vec![1, 2];
     sweep
-}
-
-/// A scratch directory unique to this test, cleaned up on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let dir = std::env::temp_dir().join(format!("green-watch-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        Scratch(dir)
-    }
-
-    fn path(&self, file: &str) -> PathBuf {
-        self.0.join(file)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn job<'a>(sweep: &'a Sweep, shard: Shard, csv: &'a Path, resume: bool) -> ShardJob<'a> {
