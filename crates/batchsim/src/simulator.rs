@@ -373,21 +373,18 @@ impl<'a> Simulator<'a> {
                     if !shifted[job_idx] {
                         let search = match self.config.policy {
                             Policy::GreedyShift { max_delay_hours } => {
-                                shifted[job_idx] = true;
-                                Some((max_delay_hours, 0.01, false))
+                                Some((max_delay_hours, 0.01))
                             }
-                            Policy::Adaptive => {
-                                shifted[job_idx] = true;
-                                self.adaptive_search(job)
-                                    .map(|(w, saving)| (w, saving, true))
-                            }
+                            Policy::Adaptive => self.adaptive_search(job),
                             _ => None,
                         };
-                        let delay = search.and_then(|(window, saving, with_waits)| {
+                        let with_waits = self.config.policy == Policy::Adaptive;
+                        let delay = search.and_then(|(window, saving)| {
                             let cheapest = &mut arena.delay_quotes;
                             self.best_delay(bases, cheapest, now, window, saving, with_waits)
                         });
                         if let Some(delay_h) = delay {
+                            shifted[job_idx] = true;
                             events.push(
                                 now + TimeSpan::from_hours(delay_h as f64),
                                 EventKind::Arrival(job_idx),

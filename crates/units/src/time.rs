@@ -236,19 +236,21 @@ mod tests {
 
     #[test]
     fn hour_index_clamps_and_floors() {
-        let hour = |s: f64| TimePoint::from_secs(s).hour_index();
-        assert_eq!(hour(0.0), 0);
-        assert_eq!(hour(3_599.999), 0);
-        assert_eq!(hour(3_600.0), 1);
-        assert_eq!(hour(-0.0), 0);
-        assert_eq!(hour(-1e-300), 0);
-        assert_eq!(hour(-7_200.0), 0);
-        assert_eq!(hour(f64::NAN), 0);
-        assert_eq!(hour(f64::NEG_INFINITY), 0);
-        assert_eq!(hour(f64::INFINITY), usize::MAX);
-        // The floor-then-clamp form agrees on every one of these.
-        for s in [0.0, 3_599.999, 3_600.0, -0.0, -1e-300, -7_200.0, f64::NAN, f64::INFINITY] {
-            assert_eq!(hour(s), (s / SECS_PER_HOUR).floor().max(0.0) as usize, "{s}");
+        let cases = [
+            (0.0, 0),
+            (3_599.999, 0),
+            (3_600.0, 1),
+            (-0.0, 0),
+            (-1e-300, 0),
+            (-7_200.0, 0),
+            (f64::NAN, 0),
+            (f64::NEG_INFINITY, 0),
+            (f64::INFINITY, usize::MAX),
+        ];
+        for (s, hour) in cases {
+            assert_eq!(TimePoint::from_secs(s).hour_index(), hour, "{s}");
+            // The floor-then-clamp form gives the same hour.
+            assert_eq!((s / SECS_PER_HOUR).floor().max(0.0) as usize, hour, "{s}");
         }
     }
 
