@@ -882,12 +882,14 @@ mod tests {
         }
     }
 
-    fn oracle_config(method: usize, market: bool) -> SimConfig {
+    /// `market`: 0 = none, 1 = the oracle price table, 2 = the identity
+    /// market's flat table (one entry per machine).
+    fn oracle_config(method: usize, market: u32) -> SimConfig {
         let config = SimConfig::new(Policy::Adaptive, MethodKind::ALL[method], 24);
-        if market {
-            config.with_market(oracle_market())
-        } else {
-            config
+        match market {
+            0 => config,
+            1 => config.with_market(oracle_market()),
+            _ => config.with_market(MarketInputs::identity(4)),
         }
     }
 
@@ -925,19 +927,20 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The quote kernel equals the per-call quote bit for bit, for
-        /// every method, with the market on and off, on every machine —
-        /// the one past the end of the price table included.
+        /// every method, with no market, the oracle table and a flat
+        /// one-entry table, on every machine — the one past the end of
+        /// the oracle table included.
         #[test]
         fn quote_kernel_matches_per_call_quote(
             job_idx in 0usize..1_500,
             machine in 0usize..4,
             method in 0usize..5,
-            market in 0u32..2,
+            market in 0u32..3,
             now_s in 0.0..3.2e7f64,
             at_s in moment(),
         ) {
             let (trace, fleet, table, intensity) = oracle_world();
-            let sim = Simulator::new(trace, fleet, table, intensity, oracle_config(method, market == 1));
+            let sim = Simulator::new(trace, fleet, table, intensity, oracle_config(method, market));
             let clusters = idle_clusters(fleet);
             let basis = sim.quote_basis(&clusters, machine, &trace.jobs[job_idx], TimePoint::from_secs(now_s));
             let at = TimePoint::from_secs(at_s);
@@ -955,14 +958,14 @@ mod tests {
         fn delay_search_matches_per_call_search(
             job_idx in 0usize..1_500,
             method in 0usize..5,
-            market in 0u32..2,
+            market in 0u32..3,
             now_s in 0.0..3.2e7f64,
             waits in prop::collection::vec(prop_oneof![Just(0.0f64), 0.0..2.0e5f64], 4..5),
             window in 0u32..30,
             required in 0.0..0.2f64,
         ) {
             let (trace, fleet, table, intensity) = oracle_world();
-            let sim = Simulator::new(trace, fleet, table, intensity, oracle_config(method, market == 1));
+            let sim = Simulator::new(trace, fleet, table, intensity, oracle_config(method, market));
             let clusters = idle_clusters(fleet);
             let now = TimePoint::from_secs(now_s);
             let job = &trace.jobs[job_idx];
