@@ -3,10 +3,9 @@
 //! The sweep stack's durability story — checkpointed shard fragments,
 //! atomic sidecar rewrites, an append-only orchestrator event log —
 //! only counts if it survives faults that land at *arbitrary* byte
-//! positions, not just the polite row boundaries PR 7's ad-hoc
-//! `SCENARIOS_CHAOS_*` hooks could hit. This crate gives every durable
-//! writer a named [`Failpoint`] probe and a deterministic, seeded way
-//! to detonate it:
+//! positions, not just the polite row boundaries of a CSV writer. This
+//! crate gives every durable writer a named [`Failpoint`] probe and a
+//! deterministic, seeded way to detonate it:
 //!
 //! * [`Failpoint`] — the registry of probes, one per durable artifact
 //!   write. Names are wire surface: they appear in `--chaos` specs,
@@ -45,8 +44,7 @@
 //!
 //! # Actions
 //!
-//! * `err` — a generic injected `io::Error` (the PR 7
-//!   `SCENARIOS_CHAOS_FAIL_ROWS` shape).
+//! * `err` — a generic injected `io::Error`.
 //! * `writezero` — `ErrorKind::WriteZero`, the "wrote nothing" retry
 //!   path.
 //! * `enospc` — `ErrorKind::StorageFull`, a full disk.
@@ -324,13 +322,6 @@ impl ChaosRegistry {
             Ok(spec) if !spec.trim().is_empty() => ChaosRegistry::from_spec(&spec).map(Some),
             _ => Ok(None),
         }
-    }
-
-    /// Appends one rule (the compat-shim entry point for the PR 7
-    /// `SCENARIOS_CHAOS_*` row hooks).
-    pub fn push_rule(&mut self, spec: &str) -> Result<(), ChaosError> {
-        self.rules.push(parse_rule(spec.trim())?);
-        Ok(())
     }
 
     /// The compiled rules, in spec order.

@@ -98,8 +98,8 @@ use green_machines::simulation_fleet;
 use green_obs::{NoopRecorder, Recorder, StatsRecorder};
 use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
 use green_scenarios::{
-    analyze_dir, orchestrate, run_shard, run_shard_chaos, AnalyzeQuery, OrchestrateConfig, Shard,
-    ShardAssignment, ShardJob, Sweep, SweepRunner, ThreadLauncher,
+    analyze_dir, orchestrate, run_shard, AnalyzeQuery, OrchestrateConfig, Shard, ShardAssignment,
+    ShardJob, Sweep, SweepRunner, ThreadLauncher,
 };
 use green_units::TimePoint;
 use green_workload::{Trace, TraceConfig};
@@ -259,7 +259,10 @@ fn bench_attribution() -> PerfBench {
 fn bench_sweep<R: Recorder>(name: &str, toml: &str, obs: &R) -> PerfBench {
     let sweep = Sweep::from_toml_str(toml).expect("shipped sweep parses");
     let start = Instant::now();
-    let (results, stats) = SweepRunner::new(1).run_collect_obs(&sweep, None, None, obs);
+    let (results, stats) = SweepRunner::new(1)
+        .recording(obs)
+        .run_collect(&sweep, None, None)
+        .expect("shipped sweep is valid");
     std::hint::black_box(results);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     PerfBench {
@@ -298,15 +301,8 @@ fn bench_sweep_mega<R: Recorder>(obs: &R) -> PerfBench {
     let range = Shard { index: 0, of: 10 }.cell_range(sweep.config_count(), sweep.seeds.len());
     let start = Instant::now();
     let summary = SweepRunner::new(1)
-        .run_streamed_range_obs(
-            &sweep,
-            None,
-            Some(range),
-            true,
-            None,
-            &mut std::io::sink(),
-            obs,
-        )
+        .recording(obs)
+        .run_streamed_range(&sweep, None, Some(range), true, None, &mut std::io::sink())
         .expect("streaming to a sink cannot fail");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     PerfBench {
@@ -406,10 +402,10 @@ fn bench_analyze_mega(run_dir: &std::path::Path) -> PerfBench {
 
 /// The chaos subsystem's disabled-path contract, measured: the same
 /// checkpointed 100,000-cell shard run twice — once through
-/// [`run_shard`] (the default `NoopChaos`, every failpoint probe
-/// compiled away) and once through [`run_shard_chaos`] with an armed
-/// registry whose rule can never fire (dynamic-dispatch probes on
-/// every durable write). `faults_injected` is the hard zero gate: a
+/// [`run_shard`] on the default runner (`NoopChaos`, every failpoint
+/// probe compiled away) and once on a runner
+/// [`armed`](SweepRunner::armed) with a registry whose rule can never
+/// fire (dynamic-dispatch probes on every durable write). `faults_injected` is the hard zero gate: a
 /// disabled or never-firing chaos run that injects anything is a
 /// correctness bug, and both variants must write identical row counts.
 /// The `armed_overhead_rel` rate reports what arming costs (warn-only,
@@ -445,12 +441,10 @@ fn bench_chaos_noop() -> PerfBench {
     let registry = ChaosRegistry::from_spec(&spec).expect("bench spec compiles");
     let armed_csv = dir.join("armed.csv");
     let start = Instant::now();
-    let armed = run_shard_chaos(
-        &SweepRunner::new(1),
+    let armed = run_shard(
+        &SweepRunner::new(1).armed(&registry),
         &job(&sweep, &armed_csv),
         None,
-        &NoopRecorder,
-        &registry,
     )
     .expect("armed-but-quiet shard runs");
     let armed_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -536,8 +530,9 @@ fn with_scaling_rates(mut bench: PerfBench, threads: usize, t1_ms: f64) -> PerfB
 fn bench_scaling_paper(threads: usize) -> PerfBench {
     let sweep = Sweep::from_toml_str(PAPER_GRID_TOML).expect("shipped sweep parses");
     let start = Instant::now();
-    let (results, stats) =
-        SweepRunner::new(threads).run_collect_obs(&sweep, None, None, &NoopRecorder);
+    let (results, stats) = SweepRunner::new(threads)
+        .run_collect(&sweep, None, None)
+        .expect("shipped sweep is valid");
     std::hint::black_box(results);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     PerfBench {
@@ -565,15 +560,7 @@ fn bench_scaling_mega(threads: usize) -> PerfBench {
     let range = Shard { index: 0, of: 10 }.cell_range(sweep.config_count(), sweep.seeds.len());
     let start = Instant::now();
     let summary = SweepRunner::new(threads)
-        .run_streamed_range_obs(
-            &sweep,
-            None,
-            Some(range),
-            true,
-            None,
-            &mut std::io::sink(),
-            &NoopRecorder,
-        )
+        .run_streamed_range(&sweep, None, Some(range), true, None, &mut std::io::sink())
         .expect("streaming to a sink cannot fail");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     PerfBench {

@@ -377,6 +377,7 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_scratch::Scratch;
 
     fn sample_csv(dir: &Path) -> PathBuf {
         let path = dir.join("sample.csv");
@@ -408,8 +409,7 @@ mod tests {
 
     #[test]
     fn sidecar_roundtrips_and_binds_to_csv() {
-        let dir = std::env::temp_dir().join(format!("green-cols-rt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = Scratch::new("cols-rt");
         let csv = sample_csv(&dir);
         write_sidecar(&csv).unwrap();
         let cols = ColsFile::load(&cols_path(&csv)).unwrap();
@@ -425,25 +425,21 @@ mod tests {
         let completed = cols.column("completed_mean").unwrap();
         assert_eq!(completed.f64_at(0), 1.5);
         assert_eq!(completed.f64_at(2), 3.5);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn rewriting_is_byte_stable() {
-        let dir = std::env::temp_dir().join(format!("green-cols-stable-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = Scratch::new("cols-stable");
         let csv = sample_csv(&dir);
         write_sidecar(&csv).unwrap();
         let first = std::fs::read(cols_path(&csv)).unwrap();
         write_sidecar(&csv).unwrap();
         assert_eq!(first, std::fs::read(cols_path(&csv)).unwrap());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn load_rejects_truncation_and_wrong_schema() {
-        let dir = std::env::temp_dir().join(format!("green-cols-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = Scratch::new("cols-bad");
         let csv = sample_csv(&dir);
         write_sidecar(&csv).unwrap();
         let path = cols_path(&csv);
@@ -454,6 +450,5 @@ mod tests {
         wrong[4..16].copy_from_slice(b"green-colz/1");
         std::fs::write(&path, &wrong).unwrap();
         assert!(ColsFile::load(&path).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -32,12 +32,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use green_chaos::{ChaosRegistry, Failpoint};
-use green_obs::{NoopRecorder, Recorder, StatsRecorder};
+use green_obs::{Recorder, StatsRecorder};
+use green_scenarios::runner::ProgressFn;
 use green_scenarios::{
     analyze_path, cell_label, merge_shards, merge_shards_chaos, orchestrate, orchestrate_chaos,
-    run_shard, run_shard_chaos, run_shard_obs, watch, write_atomic, write_atomic_chaos,
-    AnalyzeQuery, OrchestrateConfig, ProcessLauncher, Shard, ShardAssignment, ShardChaos, ShardJob,
-    ShardOutcome, Sweep, SweepRunner, WorkloadPreset, CHECKPOINT_EVERY,
+    run_shard, watch, write_atomic, write_atomic_chaos, AnalyzeQuery, Grid, OrchestrateConfig,
+    ProcessLauncher, Shard, ShardAssignment, ShardJob, ShardOutcome, Sweep, SweepRunner,
+    WorkloadPreset, CHECKPOINT_EVERY,
 };
 
 const USAGE: &str = "\
@@ -164,10 +165,8 @@ fn fail(message: &str) -> ! {
 }
 
 /// The invocation's one failure-injection registry: `--chaos <spec>`
-/// rules, the `SCENARIOS_CHAOS` env spec, and the legacy
-/// `SCENARIOS_CHAOS_{FAIL_ROWS,PANIC_ROWS,SLEEP_MS}` row knobs
-/// ([`ShardChaos::spec`]) all compile into it, in that order. `None`
-/// when nothing is armed, so every probe stays on the
+/// rules and the `SCENARIOS_CHAOS` env spec both compile into it, in
+/// that order. `None` when nothing is armed, so every probe stays on the
 /// `NoopChaos`-monomorphized zero-cost path. A malformed spec is fatal:
 /// a chaos run that silently injects nothing would claim fault
 /// tolerance it never tested.
@@ -180,10 +179,6 @@ fn chaos_registry(flag: Option<&str>) -> Option<ChaosRegistry> {
         if !env.trim().is_empty() {
             specs.push(env);
         }
-    }
-    let legacy = ShardChaos::from_env().spec();
-    if !legacy.is_empty() {
-        specs.push(legacy);
     }
     if specs.is_empty() {
         return None;
@@ -659,9 +654,12 @@ fn main() {
     let Some(sweep_path) = sweep_path else {
         fail("no sweep file given");
     };
-    if shard.is_some() && cell_range.is_some() {
-        fail("--shard and --cell-range are mutually exclusive");
-    }
+    let assignment = match (shard, cell_range) {
+        (Some(_), Some(_)) => fail("--shard and --cell-range are mutually exclusive"),
+        (Some(s), None) => ShardAssignment::Shard(s),
+        (None, Some(r)) => ShardAssignment::Cells(r),
+        (None, None) => ShardAssignment::Whole,
+    };
 
     let text = std::fs::read_to_string(&sweep_path).unwrap_or_else(|e| {
         fail(&format!("cannot read {}: {e}", sweep_path.display()));
@@ -674,7 +672,16 @@ fn main() {
     }
 
     if list {
-        let replicates = sweep.seeds.len().max(1);
+        // The run's own resolution: without a filter only the assigned
+        // range is materialized (`--list --shard 3/512` of a
+        // million-cell grid answers instantly), and a range the run
+        // would refuse is refused here with the same message.
+        let cells = Grid::new(&sweep, filter.as_deref())
+            .and_then(|grid| grid.cells(&assignment))
+            .unwrap_or_else(|e| {
+                eprintln!("error: list: {e}");
+                std::process::exit(1);
+            });
         println!(
             "sweep `{}`: {} configurations × {} replicates = {} cells",
             sweep.name,
@@ -682,32 +689,6 @@ fn main() {
             sweep.seeds.len(),
             sweep.cell_count()
         );
-        let cells: Vec<green_scenarios::Cell> = match filter.as_deref().filter(|f| !f.is_empty()) {
-            None => match (&shard, &cell_range) {
-                // Without a filter the listing materializes only the
-                // assigned range — `--list --shard 3/512` of a
-                // million-cell grid answers instantly.
-                (Some(s), None) => {
-                    sweep.expand_range(s.cell_range(sweep.config_count(), replicates))
-                }
-                (None, Some(r)) => sweep
-                    .expand_range(r.start.min(sweep.cell_count())..r.end.min(sweep.cell_count())),
-                _ => sweep.expand(),
-            },
-            Some(f) => {
-                let filtered: Vec<green_scenarios::Cell> = sweep
-                    .expand()
-                    .into_iter()
-                    .filter(|c| cell_label(&c.spec).contains(f))
-                    .collect();
-                let range = match (&shard, &cell_range) {
-                    (Some(s), None) => s.cell_range(filtered.len() / replicates, replicates),
-                    (None, Some(r)) => r.start.min(filtered.len())..r.end.min(filtered.len()),
-                    _ => 0..filtered.len(),
-                };
-                filtered[range].to_vec()
-            }
-        };
         for cell in cells {
             println!(
                 "  [{:>4}] {} seed={}",
@@ -721,10 +702,10 @@ fn main() {
 
     let runner = SweepRunner::new(threads);
     if !quiet {
-        let slice = match (&shard, &cell_range) {
-            (Some(s), None) => format!(" (shard {}/{})", s.index, s.of),
-            (None, Some(r)) => format!(" (cells {}..{})", r.start, r.end),
-            _ => String::new(),
+        let slice = match &assignment {
+            ShardAssignment::Shard(s) => format!(" (shard {}/{})", s.index, s.of),
+            ShardAssignment::Cells(r) => format!(" (cells {}..{})", r.start, r.end),
+            ShardAssignment::Whole => String::new(),
         };
         eprintln!(
             "running sweep `{}`: {} cells on {} threads{slice}{}…",
@@ -738,7 +719,7 @@ fn main() {
         );
     }
     let last_printed = AtomicUsize::new(0);
-    let progress = move |done: usize, total: usize| {
+    let progress_line = move |done: usize, total: usize| {
         // Only one worker wins each milestone print, so the stream stays
         // readable under parallelism.
         let prev = last_printed.load(Ordering::Relaxed);
@@ -750,18 +731,14 @@ fn main() {
             eprintln!("  {done}/{total} cells");
         }
     };
+    let progress: Option<&ProgressFn> = if quiet { None } else { Some(&progress_line) };
     // The sharded/checkpointed path: a worker of an N-way split, an
     // explicit cell range, or a resumable whole-grid run. Always
     // streamed (constant memory is the point at this scale) and always
     // checkpointed through the `<out>.manifest` sidecar.
-    if shard.is_some() || cell_range.is_some() || resume || columnar || chaos_spec.is_some() {
+    if assignment != ShardAssignment::Whole || resume || columnar || chaos_spec.is_some() {
         let Some(out) = out else {
             fail("--shard/--cell-range/--resume/--columnar/--chaos need --out <file.csv>");
-        };
-        let assignment = match (&shard, &cell_range) {
-            (Some(s), None) => ShardAssignment::Shard(*s),
-            (None, Some(r)) => ShardAssignment::Cells(r.clone()),
-            _ => ShardAssignment::Whole,
         };
         let job = ShardJob {
             sweep: &sweep,
@@ -772,52 +749,43 @@ fn main() {
             checkpoint_every,
             columnar,
         };
-        // Armed only when a spec (flag, env, or the legacy row knobs)
-        // asks for it — otherwise the NoopChaos monomorphization keeps
-        // the probes compiled out entirely.
+        // Armed only when a spec (flag or env) asks for it — otherwise
+        // the NoopChaos monomorphization keeps the probes compiled out
+        // entirely. With --obs, phase timings and work counters flow
+        // into the `.progress` heartbeats and a stderr summary; output
+        // bytes are identical to the uninstrumented run.
         let chaos = chaos_registry(chaos_spec.as_deref());
-        let progress: Option<&green_scenarios::runner::ProgressFn> =
-            if quiet { None } else { Some(&progress) };
-        let fail_shard = |e: std::io::Error| -> ! {
+        let recorder = StatsRecorder::new();
+        let outcome: ShardOutcome = match (&chaos, obs) {
+            (Some(registry), true) => {
+                run_shard(&runner.armed(registry).recording(&recorder), &job, progress)
+            }
+            (Some(registry), false) => run_shard(&runner.armed(registry), &job, progress),
+            (None, true) => run_shard(&runner.recording(&recorder), &job, progress),
+            (None, false) => run_shard(&runner, &job, progress),
+        }
+        .unwrap_or_else(|e| {
             eprintln!("error: shard: {e}");
             std::process::exit(1);
-        };
-        let outcome: ShardOutcome = if obs {
-            // Recording run: phase timings and work counters flow into
-            // the `.progress` heartbeats and a stderr summary. Output
-            // bytes are identical to the uninstrumented run.
-            let recorder = StatsRecorder::new();
-            let outcome = match &chaos {
-                Some(registry) => run_shard_chaos(&runner, &job, progress, &recorder, registry),
-                None => run_shard_obs(&runner, &job, progress, &recorder),
-            }
-            .unwrap_or_else(|e| fail_shard(e));
-            if !quiet {
-                if let Some(snapshot) = recorder.snapshot() {
-                    eprintln!("obs: phase timings (ms):");
-                    for (phase, ms) in &snapshot.phases_ms {
-                        eprintln!("  {phase:<12} {ms:>12.1}");
-                    }
-                    eprintln!("obs: work counters:");
-                    for (counter, value) in &snapshot.counters {
-                        eprintln!("  {counter:<22} {value:>12}");
-                    }
-                    for span in &snapshot.spans {
-                        eprintln!(
-                            "obs: span {}: {} × (total {:.1} ms, max {:.2} ms)",
-                            span.kind, span.count, span.total_ms, span.max_ms
-                        );
-                    }
+        });
+        if obs && !quiet {
+            if let Some(snapshot) = recorder.snapshot() {
+                eprintln!("obs: phase timings (ms):");
+                for (phase, ms) in &snapshot.phases_ms {
+                    eprintln!("  {phase:<12} {ms:>12.1}");
+                }
+                eprintln!("obs: work counters:");
+                for (counter, value) in &snapshot.counters {
+                    eprintln!("  {counter:<22} {value:>12}");
+                }
+                for span in &snapshot.spans {
+                    eprintln!(
+                        "obs: span {}: {} × (total {:.1} ms, max {:.2} ms)",
+                        span.kind, span.count, span.total_ms, span.max_ms
+                    );
                 }
             }
-            outcome
-        } else {
-            match &chaos {
-                Some(registry) => run_shard_chaos(&runner, &job, progress, &NoopRecorder, registry),
-                None => run_shard(&runner, &job, progress),
-            }
-            .unwrap_or_else(|e| fail_shard(e))
-        };
+        }
         if !quiet {
             let resumed = if outcome.resumed_rows > 0 {
                 format!(" ({} rows resumed from checkpoint)", outcome.resumed_rows)
@@ -846,12 +814,7 @@ fn main() {
         });
         let mut writer = std::io::BufWriter::new(file);
         let summary = runner
-            .run_streamed(
-                &sweep,
-                filter.as_deref(),
-                if quiet { None } else { Some(&progress) },
-                &mut writer,
-            )
+            .run_streamed_range(&sweep, filter.as_deref(), None, true, progress, &mut writer)
             .and_then(|summary| {
                 use std::io::Write;
                 writer.flush()?;
@@ -876,11 +839,12 @@ fn main() {
         return;
     }
 
-    let results = runner.run_filtered(
-        &sweep,
-        filter.as_deref(),
-        if quiet { None } else { Some(&progress) },
-    );
+    let (results, _) = runner
+        .run_collect(&sweep, filter.as_deref(), progress)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
     if results.cells.is_empty() {
         if let Some(f) = filter.as_deref() {
             eprintln!("warning: filter `{f}` matched no cells");

@@ -5,7 +5,7 @@
 //! maps each artifact to its discipline and the [`Failpoint`] armed in
 //! front of it):
 //!
-//! * **Atomic rewrite** ([`atomic_rewrite`]) — for files whose readers
+//! * **Atomic rewrite** ([`write_atomic`]) — for files whose readers
 //!   need a complete document (shard manifests, progress sidecars,
 //!   columnar sidecars, merged/analyzed outputs): write a `<path>.tmp`
 //!   sibling, flush, `sync_all`, rename over the target, then fsync
@@ -18,7 +18,8 @@
 //!   first truncates any torn tail (bytes past the last newline) back
 //!   to the last complete record, then writes the new line in one
 //!   `write` and syncs. Readers apply the same rule on their side
-//!   ([`crate::progress::ProgressRecord::parse_sidecar_tolerant`],
+//!   ([`parse_lines_tolerant`], behind
+//!   [`crate::progress::ProgressRecord::parse_sidecar_tolerant`] and
 //!   [`crate::orchestrate::OrchestrateEvent::parse_log_tolerant`]):
 //!   a torn tail is skipped with a warning, never a hard error and
 //!   never silent data loss of the intact prefix.
@@ -126,23 +127,6 @@ pub fn write_atomic_chaos<C: Chaos>(
     file.commit()
 }
 
-/// Writes `contents` to `path` atomically (the string face of
-/// [`write_atomic`] — the shard manifest and progress sidecar call
-/// this through their own `_chaos` wrappers).
-pub fn atomic_rewrite(path: &Path, contents: &str) -> io::Result<()> {
-    write_atomic(path, contents.as_bytes())
-}
-
-/// [`atomic_rewrite`] with a chaos probe at `fp`.
-pub fn atomic_rewrite_chaos<C: Chaos>(
-    path: &Path,
-    contents: &str,
-    chaos: &C,
-    fp: Failpoint,
-) -> io::Result<()> {
-    write_atomic_chaos(path, contents.as_bytes(), chaos, fp)
-}
-
 /// Truncates any torn tail of a line-oriented log: bytes past the last
 /// newline (a crash mid-append) are dropped so the file ends on a
 /// complete record again. Returns the bytes removed (0 for a healthy
@@ -162,6 +146,31 @@ pub fn repair_torn_tail(path: &Path) -> io::Result<u64> {
     file.set_len(keep as u64)?;
     file.sync_all()?;
     Ok(dropped)
+}
+
+/// Parses a line-oriented log tolerantly: blank lines are skipped, and a
+/// line `parse` refuses (a torn tail from a crash mid-write, a record
+/// from an incompatible build) becomes a `line N: <error>` warning
+/// instead of failing the intact records around it. Live consumers
+/// (`scenarios watch`, the orchestrator's failure-text probe) read this
+/// way — a monitor that goes blind the moment a worker crashes ugliest
+/// is a monitor for healthy runs only.
+pub fn parse_lines_tolerant<T, E: std::fmt::Display>(
+    text: &str,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> (Vec<T>, Vec<String>) {
+    let mut records = Vec::new();
+    let mut warnings = Vec::new();
+    for (index, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match parse(line) {
+            Ok(record) => records.push(record),
+            Err(e) => warnings.push(format!("line {}: {e}", index + 1)),
+        }
+    }
+    (records, warnings)
 }
 
 /// Appends one line to a JSONL log (created if missing), repairing any
@@ -205,32 +214,26 @@ mod tests {
     use super::*;
     use green_chaos::ChaosRegistry;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("green-durable-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::test_scratch::Scratch;
 
     #[test]
     fn atomic_rewrite_replaces_and_leaves_no_tmp() {
-        let dir = scratch("atomic");
+        let dir = Scratch::new("durable-atomic");
         let path = dir.join("doc.toml");
-        atomic_rewrite(&path, "a = 1\n").unwrap();
-        atomic_rewrite(&path, "a = 2\n").unwrap();
+        write_atomic(&path, b"a = 1\n").unwrap();
+        write_atomic(&path, b"a = 2\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a = 2\n");
         assert!(!tmp_path(&path).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_atomic_rewrite_leaves_the_target_intact() {
-        let dir = scratch("torn-atomic");
+        let dir = Scratch::new("durable-torn-atomic");
         let path = dir.join("doc.toml");
-        atomic_rewrite(&path, "a = 1\n").unwrap();
+        write_atomic(&path, b"a = 1\n").unwrap();
         let reg = ChaosRegistry::from_spec("manifest_rewrite=torn:3@hit:1").unwrap();
         let died = std::panic::catch_unwind(|| {
-            atomic_rewrite_chaos(&path, "a = 2222\n", &reg, Failpoint::ManifestRewrite)
+            write_atomic_chaos(&path, b"a = 2222\n", &reg, Failpoint::ManifestRewrite)
         });
         assert!(died.is_err(), "torn write must die");
         // The crash tore the *tmp* sibling; the target still holds the
@@ -238,15 +241,14 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a = 1\n");
         assert_eq!(std::fs::read(tmp_path(&path)).unwrap(), b"a =");
         // The next rewrite recovers without ceremony.
-        atomic_rewrite(&path, "a = 3\n").unwrap();
+        write_atomic(&path, b"a = 3\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a = 3\n");
         assert!(!tmp_path(&path).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn append_repairs_a_torn_tail_before_growing() {
-        let dir = scratch("append");
+        let dir = Scratch::new("durable-append");
         let log = dir.join("events.jsonl");
         append_line(&log, "{\"a\": 1}").unwrap();
         append_line(&log, "{\"b\": 2}").unwrap();
@@ -264,12 +266,11 @@ mod tests {
             std::fs::read_to_string(&log).unwrap(),
             "{\"a\": 1}\n{\"b\": 2}\n{\"c\": 3}\n"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_append_tears_only_the_final_line() {
-        let dir = scratch("torn-append");
+        let dir = Scratch::new("durable-torn-append");
         let log = dir.join("events.jsonl");
         append_line(&log, "{\"a\": 1}").unwrap();
         let reg = ChaosRegistry::from_spec("orchestrate_append=torn:4@hit:1").unwrap();
@@ -283,12 +284,11 @@ mod tests {
         assert_eq!(repair_torn_tail(&log).unwrap(), 4);
         assert_eq!(std::fs::read_to_string(&log).unwrap(), "{\"a\": 1}\n");
         assert_eq!(repair_torn_tail(&log).unwrap(), 0, "idempotent");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn repair_handles_missing_empty_and_headless_files() {
-        let dir = scratch("repair");
+        let dir = Scratch::new("durable-repair");
         let log = dir.join("missing.jsonl");
         assert_eq!(repair_torn_tail(&log).unwrap(), 0);
         std::fs::write(&log, "").unwrap();
@@ -297,19 +297,17 @@ mod tests {
         std::fs::write(&log, "{\"torn").unwrap();
         assert_eq!(repair_torn_tail(&log).unwrap(), 6);
         assert_eq!(std::fs::read(&log).unwrap(), b"");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn injected_enospc_fails_before_touching_the_target() {
-        let dir = scratch("enospc");
+        let dir = Scratch::new("durable-enospc");
         let path = dir.join("doc.toml");
-        atomic_rewrite(&path, "a = 1\n").unwrap();
+        write_atomic(&path, b"a = 1\n").unwrap();
         let reg = ChaosRegistry::from_spec("manifest_rewrite=enospc@hit:1").unwrap();
         let err =
-            atomic_rewrite_chaos(&path, "a = 2\n", &reg, Failpoint::ManifestRewrite).unwrap_err();
+            write_atomic_chaos(&path, b"a = 2\n", &reg, Failpoint::ManifestRewrite).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a = 1\n");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

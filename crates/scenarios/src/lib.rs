@@ -19,16 +19,19 @@
 //!   `banking_caps`) sweep `green-market`'s incentive loop: posted
 //!   dynamic prices, elastic agents re-timing their submissions, and
 //!   per-cell settlement through the sharded credit store;
-//! * [`SweepRunner`] — the parallel driver: traces, placement tables,
-//!   intensity realizations, compiled price tables and agent
-//!   populations are each built once per distinct configuration and
-//!   `Arc`-shared across scoped worker threads ([`SweepCaches`]);
-//!   slot-per-cell collection makes results **bit-identical for every
-//!   thread count** (asserted by `tests/determinism.rs`), and
-//!   [`SweepRunner::run_streamed`] flushes aggregate rows as
-//!   configurations complete — byte-identical to the in-memory path
-//!   (asserted by `tests/streaming_golden.rs`) without ever holding the
-//!   grid in memory;
+//! * [`SweepRunner`] — the parallel driver and the one execution path:
+//!   traces, placement tables, intensity realizations, compiled price
+//!   tables and agent populations are each built once per distinct
+//!   configuration and `Arc`-shared across scoped worker threads
+//!   ([`SweepCaches`]). One row sink commits each configuration's
+//!   aggregate row in expansion order, so results are **bit-identical
+//!   for every thread count** (asserted by `tests/determinism.rs`).
+//!   [`SweepRunner::run_collect`] keeps the rows in memory;
+//!   [`SweepRunner::run_streamed_range`] writes them as CSV the moment
+//!   each configuration completes, never holding the grid in memory.
+//!   Both equal a naive serial fold of the grid (asserted by
+//!   `tests/streaming_golden.rs`). [`Grid`] resolves a filter and an
+//!   assignment to cells for every entry point;
 //! * [`shard`] — million-cell grids across processes: a deterministic
 //!   configuration-aligned cell-range partitioner ([`Shard`]),
 //!   checkpointed per-shard CSV output with a content-hashed
@@ -78,6 +81,8 @@ pub mod runner;
 pub mod shard;
 pub mod spec;
 pub mod sweep;
+#[cfg(test)]
+mod test_scratch;
 pub mod toml;
 pub mod watch;
 
@@ -87,8 +92,7 @@ pub use analyze::{
     QuantileSketch, ANALYZE_SCHEMA, COLS_SCHEMA, EXACT_QUANTILE_ROWS,
 };
 pub use durable_io::{
-    append_line, append_line_chaos, atomic_rewrite, atomic_rewrite_chaos, repair_torn_tail,
-    write_atomic, write_atomic_chaos,
+    append_line, append_line_chaos, repair_torn_tail, write_atomic, write_atomic_chaos,
 };
 pub use orchestrate::{
     orchestrate, orchestrate_chaos, orchestrate_log_path, EventKind, Launcher, OrchestrateConfig,
@@ -100,13 +104,13 @@ pub use progress::{
 };
 pub use reorder::{ClaimWindow, ReorderBuffer};
 pub use runner::{
-    cell_label, CellMetrics, CellScratch, FleetSlice, RunStats, StreamSummary, SweepCaches,
+    cell_label, CellMetrics, CellScratch, FleetSlice, Grid, RunStats, StreamSummary, SweepCaches,
     SweepRunner, SweepWorld,
 };
 pub use shard::{
     load_shard_set, manifest_path, merge_shards, merge_shards_chaos, read_verified, run_shard,
-    run_shard_chaos, run_shard_obs, shard_ranges, MergeSummary, Shard, ShardAssignment, ShardChaos,
-    ShardJob, ShardManifest, ShardOutcome, CHECKPOINT_EVERY,
+    run_shard_obs, shard_ranges, MergeSummary, Shard, ShardAssignment, ShardJob, ShardManifest,
+    ShardOutcome, CHECKPOINT_EVERY,
 };
 pub use spec::{fleet_index, MethodSpec, PolicySpec, ScenarioSpec, SpecError};
 pub use sweep::{Cell, Sweep, WorkloadConfig, WorkloadPreset};

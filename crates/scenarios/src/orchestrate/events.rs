@@ -3,11 +3,12 @@
 //!
 //! Every scheduling decision the supervisor takes — spawn, exit,
 //! stall-kill, retry, reassign, steal, merge — appends one
-//! [`OrchestrateEvent`] line via the shared [`append_line`] helper, so
-//! a concurrent reader (`scenarios watch`, the CI chaos job) sees
-//! either the old tail or a whole new record, never a torn one. The log
-//! is the *history*; the authoritative current state stays where it
-//! always was, in the per-fragment `.manifest`/`.progress` sidecars.
+//! [`OrchestrateEvent`] line via the shared
+//! [`crate::durable_io::append_line`] helper, so a concurrent reader
+//! (`scenarios watch`, the CI chaos job) sees either the old tail or a
+//! whole new record, never a torn one. The log is the *history*; the
+//! authoritative current state stays where it always was, in the
+//! per-fragment `.manifest`/`.progress` sidecars.
 //!
 //! Records share the flat one-line JSON dialect of the progress sidecar
 //! (`green-bench`'s [`Json`]), tagged `green-orchestrate/1`; the record
@@ -21,8 +22,7 @@ use std::path::{Path, PathBuf};
 use green_bench::json::{quote, Json};
 use green_chaos::{Chaos, Failpoint};
 
-use crate::durable_io::append_line_chaos;
-use crate::progress::append_line;
+use crate::durable_io::{append_line_chaos, parse_lines_tolerant};
 use crate::spec::SpecError;
 
 /// Schema tag carried by every event record (first key).
@@ -228,30 +228,15 @@ impl OrchestrateEvent {
     /// torn audit line is evidence of a crash, not a reason to go
     /// blind.
     pub fn parse_log_tolerant(text: &str) -> (Vec<OrchestrateEvent>, Vec<String>) {
-        let mut events = Vec::new();
-        let mut warnings = Vec::new();
-        for (index, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match OrchestrateEvent::parse(line) {
-                Ok(event) => events.push(event),
-                Err(e) => warnings.push(format!("line {}: {e}", index + 1)),
-            }
-        }
-        (events, warnings)
+        parse_lines_tolerant(text, OrchestrateEvent::parse)
     }
 
     /// Appends this event to `dir`'s log. Best-effort durability is the
     /// supervisor's call; the writes themselves are single short
-    /// appends (see [`append_line`]).
-    pub fn log(&self, dir: &Path) -> io::Result<()> {
-        append_line(&orchestrate_log_path(dir), &self.to_json_line())
-    }
-
-    /// [`log`](Self::log) with the `orchestrate_append` failpoint
-    /// armed — the supervisor's write path under `--chaos`.
-    pub fn log_chaos<C: Chaos>(&self, dir: &Path, chaos: &C) -> io::Result<()> {
+    /// appends (see [`crate::durable_io::append_line`]). `chaos` arms
+    /// the `orchestrate_append` failpoint — the supervisor's write path
+    /// under `--chaos`; pass [`green_chaos::NoopChaos`] for none.
+    pub fn log<C: Chaos>(&self, dir: &Path, chaos: &C) -> io::Result<()> {
         append_line_chaos(
             &orchestrate_log_path(dir),
             &self.to_json_line(),
@@ -264,6 +249,8 @@ impl OrchestrateEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_scratch::Scratch;
+    use green_chaos::NoopChaos;
 
     #[test]
     fn every_kind_roundtrips_by_name() {
@@ -328,19 +315,17 @@ mod tests {
 
     #[test]
     fn log_appends_in_order() {
-        let dir = std::env::temp_dir().join(format!("green-orch-events-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = Scratch::new("orchestrate-events");
         OrchestrateEvent::run_level(EventKind::Plan, "tasks=2")
-            .log(&dir)
+            .log(&dir, &NoopChaos)
             .unwrap();
         OrchestrateEvent::run_level(EventKind::Complete, "ok")
-            .log(&dir)
+            .log(&dir, &NoopChaos)
             .unwrap();
         let text = std::fs::read_to_string(orchestrate_log_path(&dir)).unwrap();
         let events = OrchestrateEvent::parse_log(&text).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, EventKind::Plan);
         assert_eq!(events[1].kind, EventKind::Complete);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -89,8 +89,8 @@ pub struct ProcessLauncher {
     /// [`ProcessLauncher::current_exe`], unless pointed elsewhere).
     pub binary: PathBuf,
     /// Extra environment for every spawned worker — the chaos tests
-    /// inject `SCENARIOS_CHAOS_*` here without polluting the
-    /// supervisor's own environment.
+    /// inject a `SCENARIOS_CHAOS` failpoint spec here without polluting
+    /// the supervisor's own environment.
     pub envs: Vec<(String, String)>,
 }
 

@@ -524,7 +524,7 @@ fn log_event<C: Chaos>(config: &OrchestrateConfig, chaos: &C, event: Orchestrate
     // disk must not kill a run whose real state lives in the sidecars.
     // (An injected *error* is likewise swallowed; torn/panic faults
     // still crash here — that is the crash they simulate.)
-    let _ = event.log_chaos(&config.out_dir, chaos);
+    let _ = event.log(&config.out_dir, chaos);
 }
 
 /// The last progress record's failure text, for exit-event details.
@@ -733,7 +733,7 @@ fn try_steal<C: Chaos>(
         // untouched — they describe a verified prefix of the kept head.
         m.cells = cells.start..split;
         m.shard = format!("cells:{}..{split}", cells.start);
-        m.store_chaos(&csv, chaos)?;
+        m.store(&csv, chaos)?;
         schedule.resume_next[task_id] = true;
     } else {
         schedule.resume_next[task_id] = false;

@@ -20,7 +20,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use green_bench::json::{fmt_num, quote, Json};
+use green_chaos::{Chaos, Failpoint};
 
+use crate::durable_io::{parse_lines_tolerant, write_atomic_chaos};
 use crate::spec::SpecError;
 
 /// Schema tag carried by every progress record (first key), so a
@@ -38,11 +40,6 @@ pub fn progress_path(csv: &Path) -> PathBuf {
     name.push(".progress");
     csv.with_file_name(name)
 }
-
-// The write primitives both checkpoint sidecars ride on moved to the
-// shared [`crate::durable_io`] module when it grew fsync discipline and
-// chaos probes; the old names stay importable from here.
-pub use crate::durable_io::{append_line, atomic_rewrite};
 
 /// One heartbeat from a shard worker: a snapshot of where the run is
 /// and how fast it is moving. Serialized as one JSON line.
@@ -191,26 +188,11 @@ impl ProgressRecord {
             .collect()
     }
 
-    /// Parses a sidecar tolerantly: unparsable lines (a torn tail from
-    /// a crash mid-write, a record from an incompatible build) are
-    /// skipped and described in the returned warnings instead of
-    /// failing the intact records around them. This is what live
-    /// consumers (`scenarios watch`, the orchestrator's failure-text
-    /// probe) use — a monitor that goes blind the moment a worker
-    /// crashes ugliest is a monitor for healthy runs only.
+    /// Parses a sidecar tolerantly ([`parse_lines_tolerant`]):
+    /// unparsable lines are skipped and described in the returned
+    /// warnings.
     pub fn parse_sidecar_tolerant(text: &str) -> (Vec<ProgressRecord>, Vec<String>) {
-        let mut records = Vec::new();
-        let mut warnings = Vec::new();
-        for (number, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match ProgressRecord::parse(line) {
-                Ok(record) => records.push(record),
-                Err(e) => warnings.push(format!("line {}: {e}", number + 1)),
-            }
-        }
-        (records, warnings)
+        parse_lines_tolerant(text, ProgressRecord::parse)
     }
 }
 
@@ -252,18 +234,10 @@ impl ProgressWriter {
     }
 
     /// Appends `record` and rewrites the sidecar atomically, dropping
-    /// the oldest records beyond [`PROGRESS_HISTORY`].
-    pub fn append(&mut self, record: &ProgressRecord) -> io::Result<()> {
-        self.append_chaos(record, &green_chaos::NoopChaos)
-    }
-
-    /// [`append`](Self::append) with the `progress_rewrite` failpoint
-    /// armed — the shard writer's heartbeat path.
-    pub fn append_chaos<C: green_chaos::Chaos>(
-        &mut self,
-        record: &ProgressRecord,
-        chaos: &C,
-    ) -> io::Result<()> {
+    /// the oldest records beyond [`PROGRESS_HISTORY`]. `chaos` arms the
+    /// `progress_rewrite` failpoint; pass [`green_chaos::NoopChaos`] for
+    /// none.
+    pub fn append<C: Chaos>(&mut self, record: &ProgressRecord, chaos: &C) -> io::Result<()> {
         if self.lines.len() >= PROGRESS_HISTORY {
             self.lines.pop_front();
         }
@@ -273,11 +247,11 @@ impl ProgressWriter {
             text.push_str(line);
             text.push('\n');
         }
-        crate::durable_io::atomic_rewrite_chaos(
+        write_atomic_chaos(
             &self.path,
-            &text,
+            text.as_bytes(),
             chaos,
-            green_chaos::Failpoint::ProgressRewrite,
+            Failpoint::ProgressRewrite,
         )
     }
 }
@@ -285,6 +259,9 @@ impl ProgressWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable_io::append_line;
+    use crate::test_scratch::Scratch;
+    use green_chaos::NoopChaos;
 
     fn record() -> ProgressRecord {
         ProgressRecord {
@@ -342,8 +319,7 @@ mod tests {
 
     #[test]
     fn append_line_grows_a_log_without_rewriting_it() {
-        let dir = std::env::temp_dir().join(format!("green-append-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = Scratch::new("progress-append");
         let log = dir.join("events.jsonl");
         append_line(&log, "{\"a\": 1}").unwrap();
         append_line(&log, "{\"b\": 2}").unwrap();
@@ -351,7 +327,6 @@ mod tests {
             std::fs::read_to_string(&log).unwrap(),
             "{\"a\": 1}\n{\"b\": 2}\n"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -381,14 +356,13 @@ mod tests {
 
     #[test]
     fn writer_keeps_a_bounded_rolling_history() {
-        let dir = std::env::temp_dir().join(format!("green-progress-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = Scratch::new("progress-history");
         let csv = dir.join("shard0.csv");
         let mut writer = ProgressWriter::new(&csv);
         for i in 0..(PROGRESS_HISTORY + 10) {
             let mut r = record();
             r.rows = i;
-            writer.append(&r).unwrap();
+            writer.append(&r, &NoopChaos).unwrap();
         }
         let text = std::fs::read_to_string(progress_path(&csv)).unwrap();
         let records = ProgressRecord::parse_sidecar(&text).unwrap();
@@ -396,7 +370,6 @@ mod tests {
         // Oldest records were dropped; the tail is the latest appends.
         assert_eq!(records.first().unwrap().rows, 10);
         assert_eq!(records.last().unwrap().rows, PROGRESS_HISTORY + 9);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

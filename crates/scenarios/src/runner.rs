@@ -15,15 +15,17 @@
 //!   `(users, elasticity)`.
 //!
 //! Workers claim cell indices from an atomic counter and report results
-//! keyed by index, so the assembled output is a pure function of the
-//! sweep spec: **thread count cannot change a single byte** of the
-//! aggregated results, which `tests/determinism.rs` asserts — and the
-//! streaming sink produces the same bytes as the in-memory path, which
+//! keyed by index to one row sink, which commits each configuration's
+//! aggregate row in expansion order — to a CSV writer or to memory. The
+//! output is a pure function of the sweep spec: **thread count cannot
+//! change a single byte** of it, which `tests/determinism.rs` asserts,
+//! and both committers match a naive serial fold of the grid, which
 //! `tests/streaming_golden.rs` asserts.
 
 use std::collections::HashMap;
-use std::io::Write;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::io::{self, Write};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use green_accounting::CreditStore;
@@ -44,6 +46,7 @@ use green_workload::Trace;
 
 use crate::agg::{CellSummary, SweepResults, CSV_HEADERS};
 use crate::reorder::{ClaimWindow, ReorderBuffer};
+use crate::shard::ShardAssignment;
 use crate::spec::ScenarioSpec;
 use crate::sweep::{Cell, Sweep};
 
@@ -639,42 +642,100 @@ fn dedup_by<T: PartialEq>(cells: &[Cell], f: impl Fn(&Cell) -> T) -> Vec<T> {
     values
 }
 
-/// Validates a shard/cell range against the grid it indexes: in bounds,
-/// ascending, and aligned to replicate groups (a configuration's
-/// replicates must never straddle two workers — its CSV row aggregates
-/// all of them).
-pub(crate) fn check_range(
-    range: &std::ops::Range<usize>,
-    cells: usize,
-    replicates: usize,
-) -> std::io::Result<()> {
-    let bad = |message: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, message);
-    if range.start > range.end || range.end > cells {
-        return Err(bad(format!(
-            "cell range {}..{} outside the grid's {cells} cells",
-            range.start, range.end
-        )));
-    }
-    if !range.start.is_multiple_of(replicates) || !range.end.is_multiple_of(replicates) {
-        return Err(bad(format!(
-            "cell range {}..{} is not aligned to replicate groups of {replicates} \
-             (configuration boundaries fall on multiples of the seed count)",
-            range.start, range.end
-        )));
-    }
-    Ok(())
+fn invalid_input(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, message)
 }
 
-/// Keeps only the cells of configurations whose label matches `filter`
-/// (case-sensitive substring; `None`/empty keeps everything).
-pub(crate) fn filter_cells(cells: Vec<Cell>, filter: Option<&str>) -> Vec<Cell> {
-    let Some(filter) = filter.filter(|f| !f.is_empty()) else {
-        return cells;
-    };
-    cells
-        .into_iter()
-        .filter(|c| cell_label(&c.spec).contains(filter))
-        .collect()
+/// A sweep resolved for one run: validated, filtered, and ready to hand
+/// out the cells of an assignment. The runner, the shard worker and
+/// `scenarios --list` all turn `(sweep, filter, assignment)` into cells
+/// here, so they accept and refuse exactly the same ranges.
+pub struct Grid<'s> {
+    sweep: &'s Sweep,
+    /// The filtered expansion. `None` (no filter) indexes the raw
+    /// expansion order, so a range materializes only its own cells.
+    filtered: Option<Vec<Cell>>,
+}
+
+impl<'s> Grid<'s> {
+    /// Validates `sweep` and keeps the configurations whose label
+    /// contains `filter` (case-sensitive substring; `None` or empty
+    /// keeps everything). Matching configurations keep their full
+    /// replicate sets and expansion order; a filter re-indexes the grid,
+    /// so ranges address the filtered order.
+    pub fn new(sweep: &'s Sweep, filter: Option<&str>) -> io::Result<Grid<'s>> {
+        sweep
+            .validate()
+            .map_err(|e| invalid_input(format!("invalid sweep `{}`: {e}", sweep.name)))?;
+        let filtered = filter.filter(|f| !f.is_empty()).map(|f| {
+            sweep
+                .expand()
+                .into_iter()
+                .filter(|c| cell_label(&c.spec).contains(f))
+                .collect()
+        });
+        Ok(Grid { sweep, filtered })
+    }
+
+    /// Replicates per configuration.
+    pub(crate) fn replicates(&self) -> usize {
+        self.sweep.seeds.len()
+    }
+
+    /// Cells of the (filtered) grid.
+    pub(crate) fn cell_count(&self) -> usize {
+        self.filtered
+            .as_ref()
+            .map_or_else(|| self.sweep.cell_count(), Vec::len)
+    }
+
+    /// The cells `assignment` owns, in (filtered) expansion order; each
+    /// keeps its raw expansion index. An explicit range must lie inside
+    /// the grid and be aligned to replicate groups: a configuration's
+    /// CSV row aggregates all its replicates, so they must never
+    /// straddle two workers.
+    pub fn cells(self, assignment: &ShardAssignment) -> io::Result<Vec<Cell>> {
+        let range = self.range(assignment)?;
+        Ok(self.into_cells(range))
+    }
+
+    /// The cell range `assignment` owns (see [`cells`](Grid::cells)).
+    pub(crate) fn range(&self, assignment: &ShardAssignment) -> io::Result<Range<usize>> {
+        let (cells, replicates) = (self.cell_count(), self.replicates());
+        let range = match assignment {
+            ShardAssignment::Shard(shard) => {
+                return Ok(shard.cell_range(cells / replicates, replicates))
+            }
+            ShardAssignment::Whole => return Ok(0..cells),
+            ShardAssignment::Cells(range) => range.clone(),
+        };
+        if range.start > range.end || range.end > cells {
+            return Err(invalid_input(format!(
+                "cell range {}..{} outside the grid's {cells} cells",
+                range.start, range.end
+            )));
+        }
+        if !range.start.is_multiple_of(replicates) || !range.end.is_multiple_of(replicates) {
+            return Err(invalid_input(format!(
+                "cell range {}..{} is not aligned to replicate groups of {replicates} \
+                 (configuration boundaries fall on multiples of the seed count)",
+                range.start, range.end
+            )));
+        }
+        Ok(range)
+    }
+
+    /// The cells of a checked `range` of the (filtered) expansion order.
+    pub(crate) fn into_cells(self, range: Range<usize>) -> Vec<Cell> {
+        match self.filtered {
+            Some(mut cells) => {
+                cells.truncate(range.end);
+                cells.drain(..range.start);
+                cells
+            }
+            None => self.sweep.expand_range(range),
+        }
+    }
 }
 
 /// What a streamed sweep run reports once every row is flushed.
@@ -688,21 +749,33 @@ pub struct StreamSummary {
     pub stats: RunStats,
 }
 
-/// The parallel sweep driver.
-pub struct SweepRunner {
+/// The parallel sweep driver: the one execution path every sweep takes.
+///
+/// The runner carries the run's observability recorder and
+/// failure-injection handle. [`recording`](SweepRunner::recording) and
+/// [`armed`](SweepRunner::armed) set them; the defaults
+/// ([`NoopRecorder`], [`NoopChaos`]) compile every probe out. A
+/// recording runner books world/cache construction to the `prepare`
+/// phase and per-cell spans plus the full phase/counter taxonomy (see
+/// [`SweepWorld::run_cell_in_obs`]); CSV output also books row
+/// rendering to the `csv` phase and counts `rows_flushed`. Output is
+/// bit-identical regardless of either handle, unless a failpoint fires.
+pub struct SweepRunner<'a, R: Recorder = NoopRecorder, C: Chaos = NoopChaos> {
     threads: usize,
+    pub(crate) obs: &'a R,
+    pub(crate) chaos: &'a C,
 }
 
-impl Default for SweepRunner {
+impl Default for SweepRunner<'static> {
     fn default() -> Self {
         SweepRunner::new(0)
     }
 }
 
-impl SweepRunner {
+impl SweepRunner<'static> {
     /// A runner fanning out over `threads` workers (`0` = one per
     /// available core).
-    pub fn new(threads: usize) -> SweepRunner {
+    pub fn new(threads: usize) -> SweepRunner<'static> {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -710,261 +783,171 @@ impl SweepRunner {
         } else {
             threads
         };
-        SweepRunner { threads }
+        SweepRunner {
+            threads,
+            obs: &NoopRecorder,
+            chaos: &NoopChaos,
+        }
     }
+}
 
+impl<'a, R: Recorder, C: Chaos> SweepRunner<'a, R, C> {
     /// The worker count this runner fans out to.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
+    /// This runner, recording into `obs`.
+    pub fn recording<'b, R2: Recorder>(&self, obs: &'b R2) -> SweepRunner<'b, R2, C>
+    where
+        'a: 'b,
+    {
+        SweepRunner {
+            threads: self.threads,
+            obs,
+            chaos: self.chaos,
+        }
+    }
+
+    /// This runner, with `chaos` armed on every durable write: CSV row
+    /// commits (`parallel_commit`) and, in [`crate::run_shard`], fragment
+    /// rows, checkpoints and the columnar sidecar.
+    pub fn armed<'b, C2: Chaos>(&self, chaos: &'b C2) -> SweepRunner<'b, R, C2>
+    where
+        'a: 'b,
+    {
+        SweepRunner {
+            threads: self.threads,
+            obs: self.obs,
+            chaos,
+        }
+    }
+
     /// Runs the sweep end to end: build shared world, execute every cell,
     /// aggregate replicates. Results are in expansion order regardless of
     /// scheduling.
+    ///
+    /// # Panics
+    ///
+    /// If the sweep is invalid ([`Sweep::validate`]);
+    /// [`run_collect`](SweepRunner::run_collect) returns that as an error.
     pub fn run(&self, sweep: &Sweep) -> SweepResults {
-        self.run_with_progress(sweep, None)
+        self.run_collect(sweep, None, None)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .0
     }
 
-    /// [`run`](SweepRunner::run) with an optional progress callback.
-    pub fn run_with_progress(&self, sweep: &Sweep, progress: Option<&ProgressFn>) -> SweepResults {
-        self.run_filtered(sweep, None, progress)
-    }
-
-    /// Runs only the grid configurations whose label (the `/`-joined
+    /// Runs the grid configurations whose label (the `/`-joined
     /// [`ScenarioSpec::config_label`]) contains `filter` — the
-    /// iterate-on-one-axis workflow of `scenarios --filter`. A `None`
-    /// (or empty) filter runs everything; matching configurations keep
-    /// their full replicate sets and expansion order.
-    pub fn run_filtered(
-        &self,
-        sweep: &Sweep,
-        filter: Option<&str>,
-        progress: Option<&ProgressFn>,
-    ) -> SweepResults {
-        self.run_collect(sweep, filter, progress).0
-    }
-
-    /// [`run_filtered`](SweepRunner::run_filtered), also returning the
-    /// run's deterministic work counters.
+    /// iterate-on-one-axis workflow of `scenarios --filter`; `None`
+    /// runs everything — and collects their rows in memory, with the
+    /// run's deterministic work counters. Fails with `InvalidInput` on
+    /// an invalid sweep.
     pub fn run_collect(
         &self,
         sweep: &Sweep,
         filter: Option<&str>,
         progress: Option<&ProgressFn>,
-    ) -> (SweepResults, RunStats) {
-        self.run_collect_obs(sweep, filter, progress, &NoopRecorder)
+    ) -> io::Result<(SweepResults, RunStats)> {
+        let cells = Grid::new(sweep, filter)?.cells(&ShardAssignment::Whole)?;
+        let mut rows = Vec::new();
+        let summary = self.stream(sweep, &cells, progress, &mut rows)?;
+        let results = SweepResults {
+            name: sweep.name.clone(),
+            replicates: sweep.seeds.len(),
+            cells: rows,
+        };
+        Ok((results, summary.stats))
     }
 
-    /// [`run_collect`](SweepRunner::run_collect) with an observability
-    /// recorder: world/cache construction is booked to the `prepare`
-    /// phase, cells record per-cell spans and the full phase/counter
-    /// taxonomy (see [`SweepWorld::run_cell_in_obs`]). Results are
-    /// bit-identical regardless of the recorder.
-    pub fn run_collect_obs<R: Recorder>(
-        &self,
-        sweep: &Sweep,
-        filter: Option<&str>,
-        progress: Option<&ProgressFn>,
-        obs: &R,
-    ) -> (SweepResults, RunStats) {
-        let prepare_watch = Stopwatch::<R>::start();
-        let (world, cells, caches) = self.prepare(sweep, filter);
-        if R::ENABLED {
-            obs.phase_ns(Phase::Prepare, prepare_watch.elapsed_ns());
-            obs.add(Counter::CacheMisses, caches.artifact_count() as u64);
-        }
-        let n = cells.len();
-        let events = AtomicU64::new(0);
-        let release_work = AtomicU64::new(0);
-        let slots: Vec<Mutex<Option<CellMetrics>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        self.execute(
-            &world,
-            &caches,
-            &cells,
-            self.claim_window(sweep.seeds.len()),
-            progress,
-            &|index, metrics| {
-                events.fetch_add(metrics.events as u64, Ordering::Relaxed);
-                release_work.fetch_add(metrics.release_work, Ordering::Relaxed);
-                *slots[index].lock().expect("slot lock") = Some(metrics);
-            },
-            obs,
-        );
-        let results: Vec<CellMetrics> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock")
-                    .expect("every cell executed")
-            })
-            .collect();
-
-        let replicates = sweep.seeds.len();
-        let mut summaries = Vec::with_capacity(n / replicates.max(1));
-        for chunk in results.chunks(replicates) {
-            let config_spec = &cells[summaries.len() * replicates].spec;
-            summaries.push(CellSummary::of(config_spec, chunk));
-        }
-        let stats = self.stats_of(&caches, n, events.into_inner(), release_work.into_inner());
-        (
-            SweepResults {
-                name: sweep.name.clone(),
-                replicates,
-                cells: summaries,
-            },
-            stats,
-        )
-    }
-
-    /// Runs the sweep, streaming aggregate CSV rows to `out` as each
-    /// configuration's replicates complete, in expansion order — the
-    /// grid never holds more than the in-flight cell results in memory,
-    /// and the bytes written are identical to
-    /// [`SweepResults::to_csv_string`] on the same sweep.
-    pub fn run_streamed<W: Write + Send>(
-        &self,
-        sweep: &Sweep,
-        filter: Option<&str>,
-        progress: Option<&ProgressFn>,
-        out: &mut W,
-    ) -> std::io::Result<StreamSummary> {
-        self.run_streamed_range(sweep, filter, None, true, progress, out)
-    }
-
-    /// [`run_streamed`](SweepRunner::run_streamed) restricted to a
-    /// contiguous cell `range` of the (filtered) expansion order — the
-    /// shard worker's execution primitive. The range must be aligned to
-    /// replicate groups (CSV rows are per configuration) and inside the
-    /// grid; world build, caches, and memory are all proportional to the
-    /// range, not the grid, so a worker of a million-cell sweep only
-    /// pays for its own slice. With `write_header = false` the header
-    /// row is left to the caller (shard workers write it through their
-    /// checkpointing writer).
+    /// Runs the cells of `range` of the (filtered) expansion order
+    /// (`None`: all of them), streaming aggregate CSV rows to `out` as
+    /// each configuration's replicates complete, in expansion order. The
+    /// range must be aligned to replicate groups and inside the grid.
+    /// World build, caches and memory are proportional to the range, not
+    /// the grid: the sink holds only in-flight configurations. With
+    /// `write_header = false` the header row is left to the caller.
     ///
     /// The rows streamed for `range` are byte-identical to the
-    /// corresponding slice of a full single-process run — the guarantee
+    /// corresponding slice of a full single-process run, and a full run
+    /// writes exactly [`SweepResults::to_csv_string`] of
+    /// [`run_collect`](SweepRunner::run_collect) — the guarantees
     /// `scenarios merge` builds on (`tests/shard_golden.rs`).
     pub fn run_streamed_range<W: Write + Send>(
         &self,
         sweep: &Sweep,
         filter: Option<&str>,
-        range: Option<std::ops::Range<usize>>,
+        range: Option<Range<usize>>,
         write_header: bool,
         progress: Option<&ProgressFn>,
         out: &mut W,
-    ) -> std::io::Result<StreamSummary> {
-        self.run_streamed_range_obs(
-            sweep,
-            filter,
-            range,
-            write_header,
-            progress,
-            out,
-            &NoopRecorder,
-        )
-    }
-
-    /// [`run_streamed_range`](SweepRunner::run_streamed_range) with an
-    /// observability recorder (see
-    /// [`run_collect_obs`](SweepRunner::run_collect_obs); the streaming
-    /// path additionally books aggregate-row rendering to the `csv`
-    /// phase and counts `rows_flushed`). Output bytes are identical
-    /// regardless of the recorder.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_streamed_range_obs<W: Write + Send, R: Recorder>(
-        &self,
-        sweep: &Sweep,
-        filter: Option<&str>,
-        range: Option<std::ops::Range<usize>>,
-        write_header: bool,
-        progress: Option<&ProgressFn>,
-        out: &mut W,
-        obs: &R,
-    ) -> std::io::Result<StreamSummary> {
-        let replicates = sweep.seeds.len().max(1);
-        let cells: Vec<Cell> = match (filter.filter(|f| !f.is_empty()), &range) {
-            // No filter: the range indexes the raw expansion order, so
-            // only the assigned cells are ever materialized.
-            (None, Some(range)) => {
-                check_range(range, sweep.cell_count(), replicates)?;
-                sweep.expand_range(range.clone())
-            }
-            (None, None) => sweep.expand(),
-            // A filter re-indexes the grid: ranges address the filtered
-            // expansion order (every worker derives the identical list).
-            (Some(filter), range) => {
-                let filtered = filter_cells(sweep.expand(), Some(filter));
-                match range {
-                    Some(range) => {
-                        check_range(range, filtered.len(), replicates)?;
-                        filtered[range.clone()].to_vec()
-                    }
-                    None => filtered,
-                }
-            }
-        };
-        self.run_streamed_cells(sweep, cells, write_header, progress, out, obs, &NoopChaos)
-    }
-
-    /// The streaming engine over an already-resolved cell list —
-    /// [`run_streamed_range`](SweepRunner::run_streamed_range) after
-    /// expansion/filtering/slicing. Crate-internal so `shard::run_shard`
-    /// can resolve its filtered assignment exactly once instead of
-    /// re-expanding the grid per invocation.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_streamed_cells<W: Write + Send, R: Recorder, C: Chaos>(
-        &self,
-        sweep: &Sweep,
-        cells: Vec<Cell>,
-        write_header: bool,
-        progress: Option<&ProgressFn>,
-        out: &mut W,
-        obs: &R,
-        chaos: &C,
-    ) -> std::io::Result<StreamSummary> {
-        sweep.validate().expect("invalid sweep");
-        let replicates = sweep.seeds.len().max(1);
-        let prepare_watch = Stopwatch::<R>::start();
-        let (world, caches) = self.prepare_cells(sweep, &cells);
-        if R::ENABLED {
-            obs.phase_ns(Phase::Prepare, prepare_watch.elapsed_ns());
-            obs.add(Counter::CacheMisses, caches.artifact_count() as u64);
-        }
-        let n = cells.len();
+    ) -> io::Result<StreamSummary> {
+        let assignment = range.map_or(ShardAssignment::Whole, ShardAssignment::Cells);
+        let cells = Grid::new(sweep, filter)?.cells(&assignment)?;
         // Write *and flush* the header before any cell runs: a consumer
         // tailing the stream (or a test asserting liveness) must see the
         // first bytes immediately, not after the writer's buffer fills
-        // with row data — large grids used to sit silent for the whole
-        // first buffer's worth of configurations.
+        // with row data.
         if write_header {
             out.write_all(green_bench::export::csv_line(&CSV_HEADERS).as_bytes())?;
             out.flush()?;
         }
+        self.stream_csv(sweep, &cells, progress, out)
+    }
 
-        let events = AtomicU64::new(0);
-        let release_work = AtomicU64::new(0);
-        let sink = Mutex::new(StreamSink {
+    /// Streams already-resolved `cells` to `out` as CSV rows, header
+    /// excluded: the shard worker's execution primitive.
+    pub(crate) fn stream_csv<W: Write + Send>(
+        &self,
+        sweep: &Sweep,
+        cells: &[Cell],
+        progress: Option<&ProgressFn>,
+        out: &mut W,
+    ) -> io::Result<StreamSummary> {
+        let mut rows = CsvRows {
+            out,
+            obs: self.obs,
+            chaos: self.chaos,
+        };
+        self.stream(sweep, cells, progress, &mut rows)
+    }
+
+    /// The engine: builds the shared world and caches for exactly
+    /// `cells`, executes them, and commits each configuration's row to
+    /// `committer` in expansion order.
+    fn stream<K: Committer + Send>(
+        &self,
+        sweep: &Sweep,
+        cells: &[Cell],
+        progress: Option<&ProgressFn>,
+        committer: &mut K,
+    ) -> io::Result<StreamSummary> {
+        let replicates = sweep.seeds.len();
+        let prepare_watch = Stopwatch::<R>::start();
+        let (world, caches) = self.prepare_cells(sweep, cells);
+        if R::ENABLED {
+            self.obs
+                .phase_ns(Phase::Prepare, prepare_watch.elapsed_ns());
+            self.obs
+                .add(Counter::CacheMisses, caches.artifact_count() as u64);
+        }
+        let sink = Mutex::new(RowSink {
             replicates,
-            cells: &cells,
+            cells,
             pending: HashMap::new(),
             reorder: ReorderBuffer::new(),
-            out,
+            committer,
             error: None,
-            obs,
-            chaos,
+            events: 0,
+            release_work: 0,
         });
         self.execute(
             &world,
             &caches,
-            &cells,
+            cells,
             self.claim_window(replicates),
             progress,
-            &|index, metrics| {
-                events.fetch_add(metrics.events as u64, Ordering::Relaxed);
-                release_work.fetch_add(metrics.release_work, Ordering::Relaxed);
-                sink.lock().expect("sink lock").offer(index, metrics);
-            },
-            obs,
+            &sink,
         );
         let sink = sink.into_inner().expect("sink lock");
         if let Some(e) = sink.error {
@@ -972,22 +955,18 @@ impl SweepRunner {
         }
         debug_assert!(sink.pending.is_empty(), "incomplete configuration groups");
         debug_assert!(sink.reorder.is_empty(), "rows parked past the end");
-        let configs = sink.reorder.committed();
-        let stats = self.stats_of(&caches, n, events.into_inner(), release_work.into_inner());
         Ok(StreamSummary {
-            configs,
-            cells: n,
-            stats,
+            configs: sink.reorder.committed(),
+            cells: cells.len(),
+            stats: RunStats {
+                cells: cells.len(),
+                events: sink.events,
+                release_work: sink.release_work,
+                realizations: caches.realization_count(),
+                price_tables: caches.price_table_count(),
+                agent_populations: caches.agent_population_count(),
+            },
         })
-    }
-
-    /// Expands, filters and prepares a sweep: shared world + caches for
-    /// exactly the cells that will run.
-    fn prepare(&self, sweep: &Sweep, filter: Option<&str>) -> (SweepWorld, Vec<Cell>, SweepCaches) {
-        sweep.validate().expect("invalid sweep");
-        let cells = filter_cells(sweep.expand(), filter);
-        let (world, caches) = self.prepare_cells(sweep, &cells);
-        (world, cells, caches)
     }
 
     /// Builds the shared world + caches for exactly `cells` — the
@@ -1006,23 +985,6 @@ impl SweepRunner {
         (world, caches)
     }
 
-    fn stats_of(
-        &self,
-        caches: &SweepCaches,
-        cells: usize,
-        events: u64,
-        release_work: u64,
-    ) -> RunStats {
-        RunStats {
-            cells,
-            events,
-            release_work,
-            realizations: caches.realization_count(),
-            price_tables: caches.price_table_count(),
-            agent_populations: caches.agent_population_count(),
-        }
-    }
-
     /// How far past the contiguously-offered prefix workers may claim:
     /// enough slack that nobody idles behind a slow cell (a few cells
     /// per worker, whole replicate groups at a time), small enough that
@@ -1033,32 +995,33 @@ impl SweepRunner {
     }
 
     /// Executes every cell, fanning out across workers; results are
-    /// reported to `sink` keyed by expansion index (any thread, any
+    /// offered to `sink` keyed by expansion index (any thread, any
     /// order, but never more than `window` indices past the oldest
-    /// unreported one). Each cell records one `cell` span on the
+    /// unoffered one). Each cell records one `cell` span on the
     /// recorder.
-    #[allow(clippy::too_many_arguments)]
-    fn execute<R: Recorder>(
+    fn execute<K: Committer + Send>(
         &self,
         world: &SweepWorld,
         caches: &SweepCaches,
         cells: &[Cell],
         window: usize,
         progress: Option<&ProgressFn>,
-        sink: &(dyn Fn(usize, CellMetrics) + Sync),
-        obs: &R,
+        sink: &Mutex<RowSink<'_, K>>,
     ) {
         let n = cells.len();
+        let run_cell = |i: usize, scratch: &mut CellScratch| {
+            let cell_watch = Stopwatch::<R>::start();
+            let metrics = world.run_cell_in_obs(&cells[i].spec, caches, scratch, self.obs);
+            if R::ENABLED {
+                self.obs.span_ns(SpanKind::Cell, cell_watch.elapsed_ns());
+            }
+            sink.lock().expect("sink lock").offer(i, metrics);
+        };
         let workers = self.threads.min(n.max(1));
         if workers <= 1 {
             let mut scratch = CellScratch::new();
-            for (i, c) in cells.iter().enumerate() {
-                let cell_watch = Stopwatch::<R>::start();
-                let metrics = world.run_cell_in_obs(&c.spec, caches, &mut scratch, obs);
-                if R::ENABLED {
-                    obs.span_ns(SpanKind::Cell, cell_watch.elapsed_ns());
-                }
-                sink(i, metrics);
+            for i in 0..n {
+                run_cell(i, &mut scratch);
                 if let Some(cb) = progress {
                     cb(i + 1, n);
                 }
@@ -1088,13 +1051,7 @@ impl SweepRunner {
                         // blocked behind it must run into the failure,
                         // not wait on it forever.
                         let offered = claims.completing(i);
-                        let cell_watch = Stopwatch::<R>::start();
-                        let metrics =
-                            world.run_cell_in_obs(&cells[i].spec, caches, &mut scratch, obs);
-                        if R::ENABLED {
-                            obs.span_ns(SpanKind::Cell, cell_watch.elapsed_ns());
-                        }
-                        sink(i, metrics);
+                        run_cell(i, &mut scratch);
                         drop(offered);
                         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
                         if let Some(cb) = progress {
@@ -1107,32 +1064,82 @@ impl SweepRunner {
     }
 }
 
-/// The streaming aggregation sink: collects a configuration's replicates
-/// as workers finish them (any order), aggregates each completed group,
-/// and commits CSV rows strictly in expansion order through a
-/// [`ReorderBuffer`]. Memory held is the in-flight groups plus any
-/// completed-but-out-of-order summaries — bounded by the runner's
-/// [`ClaimWindow`], not the grid.
+/// Where the row sink hands each configuration's aggregate row, in
+/// expansion order.
+trait Committer {
+    fn commit(&mut self, row: CellSummary) -> io::Result<()>;
+}
+
+/// The in-memory committer behind [`SweepRunner::run_collect`]. Nothing
+/// is rendered or flushed, so it books no `csv` phase and no
+/// `rows_flushed`.
+impl Committer for Vec<CellSummary> {
+    fn commit(&mut self, row: CellSummary) -> io::Result<()> {
+        self.push(row);
+        Ok(())
+    }
+}
+
+/// The CSV committer: renders each row and writes it to `out`, booking
+/// the time to the `csv` phase and one `rows_flushed` per row.
 ///
-/// The row commit is the `parallel_commit` failpoint: it runs under the
-/// sink lock and rows commit in strict config order, so `hit:N` targets
-/// the Nth row of the output deterministically — on one worker or
-/// sixteen.
-struct StreamSink<'a, W: Write, R: Recorder, C: Chaos> {
+/// The write is the `parallel_commit` failpoint: rows commit under the
+/// sink lock in strict configuration order, so `hit:N` targets the Nth
+/// row of the output deterministically — on one worker or sixteen.
+struct CsvRows<'w, W, R, C> {
+    out: &'w mut W,
+    obs: &'w R,
+    chaos: &'w C,
+}
+
+impl<W: Write, R: Recorder, C: Chaos> Committer for CsvRows<'_, W, R, C> {
+    fn commit(&mut self, row: CellSummary) -> io::Result<()> {
+        let watch = Stopwatch::<R>::start();
+        let line = green_bench::export::csv_line(&row.csv_row());
+        if let Some(bytes) = probe(self.chaos, Failpoint::ParallelCommit)? {
+            // Torn commit: the row's prefix reaches the writer (and
+            // through it the fragment on disk), then the worker dies —
+            // the resume path must truncate it.
+            let bytes = bytes.min(line.len());
+            let _ = self.out.write_all(&line.as_bytes()[..bytes]);
+            let _ = self.out.flush();
+            torn_crash(Failpoint::ParallelCommit, bytes);
+        }
+        self.out.write_all(line.as_bytes())?;
+        if R::ENABLED {
+            self.obs.phase_ns(Phase::Csv, watch.elapsed_ns());
+            self.obs.add(Counter::RowsFlushed, 1);
+        }
+        Ok(())
+    }
+}
+
+/// The row sink: collects a configuration's replicates as workers
+/// finish them (any order), aggregates each completed group, and hands
+/// the rows to its committer strictly in expansion order through a
+/// [`ReorderBuffer`]. Memory held is the in-flight groups plus any
+/// completed-but-out-of-order rows — bounded by the runner's
+/// [`ClaimWindow`], not the grid. The first commit error stops further
+/// commits and fails the run.
+struct RowSink<'c, K> {
     replicates: usize,
-    cells: &'a [Cell],
+    cells: &'c [Cell],
     /// Partially-filled configuration groups, keyed by config index.
     pending: HashMap<usize, Vec<Option<CellMetrics>>>,
     /// Aggregated groups committing in config order.
     reorder: ReorderBuffer<CellSummary>,
-    out: &'a mut W,
-    error: Option<std::io::Error>,
-    obs: &'a R,
-    chaos: &'a C,
+    committer: &'c mut K,
+    error: Option<io::Error>,
+    /// Simulator events, summed over offered cells.
+    events: u64,
+    /// Backfill release-list work, summed over offered cells.
+    release_work: u64,
 }
 
-impl<W: Write, R: Recorder, C: Chaos> StreamSink<'_, W, R, C> {
+impl<K: Committer> RowSink<'_, K> {
     fn offer(&mut self, index: usize, metrics: CellMetrics) {
+        self.events += metrics.events as u64;
+        self.release_work += metrics.release_work;
         let config = index / self.replicates;
         let group = self
             .pending
@@ -1144,45 +1151,20 @@ impl<W: Write, R: Recorder, C: Chaos> StreamSink<'_, W, R, C> {
         }
         let group = self.pending.remove(&config).expect("group exists");
         let chunk: Vec<CellMetrics> = group.into_iter().map(|m| m.expect("full group")).collect();
-        let spec = &self.cells[config * self.replicates].spec;
-        let summary = CellSummary::of(spec, &chunk);
-        let csv_watch = Stopwatch::<R>::start();
-        let mut rows = 0u64;
+        let summary = CellSummary::of(&self.cells[config * self.replicates].spec, &chunk);
         let Self {
             reorder,
-            out,
+            committer,
             error,
-            chaos,
             ..
         } = self;
-        reorder.offer(config, summary, |_, summary| {
-            rows += 1;
-            if error.is_some() {
-                return;
-            }
-            let row = green_bench::export::csv_line(&summary.csv_row());
-            match probe(*chaos, Failpoint::ParallelCommit) {
-                Ok(None) => {
-                    if let Err(e) = out.write_all(row.as_bytes()) {
-                        *error = Some(e);
-                    }
+        reorder.offer(config, summary, |_, row| {
+            if error.is_none() {
+                if let Err(e) = committer.commit(row) {
+                    *error = Some(e);
                 }
-                Ok(Some(bytes)) => {
-                    // Torn commit: the row's prefix reaches the writer
-                    // (and through it the fragment on disk), then the
-                    // worker dies — the resume path must truncate it.
-                    let bytes = bytes.min(row.len());
-                    let _ = out.write_all(&row.as_bytes()[..bytes]);
-                    let _ = out.flush();
-                    torn_crash(Failpoint::ParallelCommit, bytes);
-                }
-                Err(e) => *error = Some(e),
             }
         });
-        if R::ENABLED && rows > 0 {
-            self.obs.phase_ns(Phase::Csv, csv_watch.elapsed_ns());
-            self.obs.add(Counter::RowsFlushed, rows);
-        }
     }
 }
 
@@ -1284,18 +1266,22 @@ mod tests {
         // Filtering to one policy reproduces that configuration's
         // aggregate bit for bit (the narrowed world builds the same
         // shared artifacts).
-        let filtered = SweepRunner::new(1).run_filtered(&sweep, Some("eft/"), None);
+        let (filtered, _) = SweepRunner::new(1)
+            .run_collect(&sweep, Some("eft/"), None)
+            .unwrap();
         assert_eq!(filtered.cells.len(), 1);
         assert_eq!(filtered.cells[0], full.cells[1]);
         // A filter that matches nothing runs nothing.
-        let none = SweepRunner::new(1).run_filtered(&sweep, Some("no-such-cell"), None);
+        let (none, _) = SweepRunner::new(1)
+            .run_collect(&sweep, Some("no-such-cell"), None)
+            .unwrap();
         assert!(none.cells.is_empty());
     }
 
     #[test]
     fn run_collect_reports_work_counters() {
         let sweep = tiny_sweep();
-        let (results, stats) = SweepRunner::new(2).run_collect(&sweep, None, None);
+        let (results, stats) = SweepRunner::new(2).run_collect(&sweep, None, None).unwrap();
         assert_eq!(stats.cells, 4);
         assert_eq!(stats.realizations, 2, "one per replicate seed");
         assert_eq!(stats.price_tables, 0, "no market axes");
@@ -1348,7 +1334,7 @@ mod tests {
         for threads in [1, 4] {
             let mut streamed = Vec::new();
             let summary = SweepRunner::new(threads)
-                .run_streamed(&sweep, None, None, &mut streamed)
+                .run_streamed_range(&sweep, None, None, true, None, &mut streamed)
                 .expect("stream to a Vec cannot fail");
             assert_eq!(summary.configs, 2);
             assert_eq!(summary.cells, 4);

@@ -33,12 +33,12 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use green_chaos::{probe, torn_crash, Chaos, Failpoint, NoopChaos};
-use green_obs::{Counter, NoopRecorder, Recorder, SpanKind, Stopwatch};
+use green_obs::{Counter, Recorder, SpanKind, Stopwatch};
 
 use crate::agg::CSV_HEADERS;
-use crate::durable_io::atomic_rewrite_chaos;
-use crate::progress::{current_rss_mb, ProgressRecord, ProgressWriter};
-use crate::runner::{ProgressFn, StreamSummary, SweepRunner};
+use crate::durable_io::{append_line, write_atomic_chaos};
+use crate::progress::{current_rss_mb, progress_path, ProgressRecord, ProgressWriter};
+use crate::runner::{Grid, ProgressFn, StreamSummary, SweepRunner};
 use crate::spec::SpecError;
 use crate::sweep::Sweep;
 use crate::toml::{self, Value};
@@ -265,19 +265,14 @@ impl ShardManifest {
     }
 
     /// Writes the manifest sidecar of `csv` atomically (via
-    /// [`crate::durable_io::atomic_rewrite`], shared with the progress
-    /// sidecar), so a kill mid-checkpoint leaves the previous
-    /// checkpoint intact rather than a torn sidecar.
-    pub fn store(&self, csv: &Path) -> std::io::Result<()> {
-        self.store_chaos(csv, &NoopChaos)
-    }
-
-    /// [`store`](Self::store) with the `manifest_rewrite` failpoint
-    /// armed — the shard writer's checkpoint path.
-    pub fn store_chaos<C: Chaos>(&self, csv: &Path, chaos: &C) -> std::io::Result<()> {
-        atomic_rewrite_chaos(
+    /// [`write_atomic_chaos`], shared with the progress sidecar), so a
+    /// kill mid-checkpoint leaves the previous checkpoint intact rather
+    /// than a torn sidecar. `chaos` arms the `manifest_rewrite`
+    /// failpoint; pass [`green_chaos::NoopChaos`] for none.
+    pub fn store<C: Chaos>(&self, csv: &Path, chaos: &C) -> std::io::Result<()> {
+        write_atomic_chaos(
             &manifest_path(csv),
-            &self.to_string(),
+            self.to_string().as_bytes(),
             chaos,
             Failpoint::ManifestRewrite,
         )
@@ -295,64 +290,6 @@ fn invalid(message: impl Into<String>) -> std::io::Error {
 /// traffic on million-cell grids.
 pub const CHECKPOINT_EVERY: usize = 64;
 
-/// The PR 7 row-hook knobs, kept as a compat shim over the
-/// [`green_chaos`] failpoint registry: the old environment names
-/// (`SCENARIOS_CHAOS_FAIL_ROWS`, `SCENARIOS_CHAOS_PANIC_ROWS`,
-/// `SCENARIOS_CHAOS_SLEEP_MS`) still work, but they now compile to
-/// `fragment_row` rules in the same registry the `--chaos` /
-/// `SCENARIOS_CHAOS` spec grammar feeds ([`ShardChaos::spec`]) — one
-/// injection mechanism, two spellings. All-`None`/zero (the
-/// [`Default`]) injects nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardChaos {
-    /// Return an I/O error after this many rows written by this
-    /// invocation (resumed rows not counted).
-    pub fail_after_rows: Option<usize>,
-    /// Panic after this many rows written by this invocation — the
-    /// "worker process dies mid-cell" shape.
-    pub panic_after_rows: Option<usize>,
-    /// Sleep this long before each row — a deterministic straggler.
-    pub sleep_per_row_ms: u64,
-}
-
-impl ShardChaos {
-    /// Reads the chaos knobs from the environment (unset or unparsable
-    /// variables inject nothing).
-    pub fn from_env() -> ShardChaos {
-        let rows = |key: &str| std::env::var(key).ok().and_then(|v| v.parse().ok());
-        ShardChaos {
-            fail_after_rows: rows("SCENARIOS_CHAOS_FAIL_ROWS"),
-            panic_after_rows: rows("SCENARIOS_CHAOS_PANIC_ROWS"),
-            sleep_per_row_ms: std::env::var("SCENARIOS_CHAOS_SLEEP_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-        }
-    }
-
-    /// These knobs as `--chaos` spec rules (empty when inert). "After
-    /// N rows" means the (N+1)th row write of this invocation fails —
-    /// `fragment_row` hit N+1 — exactly the old boundary. The delay
-    /// rule comes first so a straggler that also crashes sleeps before
-    /// dying, as the old hooks did.
-    pub fn spec(&self) -> String {
-        let mut rules: Vec<String> = Vec::new();
-        if self.sleep_per_row_ms > 0 {
-            rules.push(format!(
-                "fragment_row=delay:{}@hit:1",
-                self.sleep_per_row_ms
-            ));
-        }
-        if let Some(n) = self.fail_after_rows {
-            rules.push(format!("fragment_row=err@hit:{}", n + 1));
-        }
-        if let Some(n) = self.panic_after_rows {
-            rules.push(format!("fragment_row=panic@hit:{}", n + 1));
-        }
-        rules.join(";")
-    }
-}
-
 /// Which slice of the (filtered) grid a worker runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardAssignment {
@@ -363,6 +300,18 @@ pub enum ShardAssignment {
     /// The whole grid — a checkpointed/resumable full run (`--resume`
     /// without `--shard`).
     Whole,
+}
+
+impl ShardAssignment {
+    /// The worker label manifests and progress records carry: `"I/N"`,
+    /// `"cells:A..B"`, or `"0/1"` for the whole grid.
+    pub(crate) fn label(&self) -> String {
+        match self {
+            ShardAssignment::Shard(shard) => format!("{}/{}", shard.index, shard.of),
+            ShardAssignment::Cells(range) => format!("cells:{}..{}", range.start, range.end),
+            ShardAssignment::Whole => "0/1".to_string(),
+        }
+    }
 }
 
 /// One shard-worker invocation: the sweep, the assignment, and where
@@ -447,7 +396,7 @@ impl<R: Recorder, C: Chaos> ShardWriter<'_, R, C> {
         let watch = Stopwatch::<R>::start();
         self.file.flush()?;
         self.manifest.hash = self.hash.0;
-        self.manifest.store_chaos(self.csv, self.chaos)?;
+        self.manifest.store(self.csv, self.chaos)?;
         self.heartbeat()?;
         self.since_checkpoint = 0;
         if R::ENABLED {
@@ -493,7 +442,7 @@ impl<R: Recorder, C: Chaos> ShardWriter<'_, R, C> {
             error: None,
             complete: self.manifest.complete,
         };
-        self.progress.append_chaos(&record, self.chaos)
+        self.progress.append(&record, self.chaos)
     }
 }
 
@@ -538,50 +487,30 @@ impl<R: Recorder, C: Chaos> Write for ShardWriter<'_, R, C> {
 /// a previous (possibly killed) invocation's checkpoint is verified and
 /// extended instead of restarted — the resulting file is byte-identical
 /// to an uninterrupted run either way.
-pub fn run_shard(
-    runner: &SweepRunner,
-    job: &ShardJob<'_>,
-    progress: Option<&ProgressFn>,
-) -> std::io::Result<ShardOutcome> {
-    run_shard_obs(runner, job, progress, &NoopRecorder)
-}
-
-/// [`run_shard`] with an explicit observability recorder: checkpoint
-/// spans, resume verification and row-flush counters land in `obs`, and
-/// the `.progress` heartbeats carry the recorder's per-phase timing
-/// breakdown. With the default [`NoopRecorder`] every probe compiles
-/// away and only the (unconditional) progress sidecar remains.
+///
+/// The runner's handles reach every layer of the shard. A
+/// [`recording`](SweepRunner::recording) runner books checkpoint spans,
+/// resume verification and row-flush counters, and the `.progress`
+/// heartbeats carry its per-phase timing breakdown. An
+/// [`armed`](SweepRunner::armed) runner probes a failpoint at every
+/// durable write: fragment rows, manifest checkpoints, progress
+/// heartbeats and the columnar sidecar. The CLI's `--chaos` /
+/// `SCENARIOS_CHAOS` path runs here.
 ///
 /// A shard invocation that dies must leave a non-ambiguous state: on
-/// any error *or panic* this wrapper appends a terminal `"failed"`
+/// any error *or panic* this function appends a terminal `"failed"`
 /// record to the `.progress` sidecar before propagating, so a
 /// supervisor (and `scenarios watch`) can tell a crash from a stall —
 /// only a SIGKILL leaves no terminal record, and that is exactly the
 /// case heartbeat-age stall detection covers.
-pub fn run_shard_obs<R: Recorder>(
-    runner: &SweepRunner,
+pub fn run_shard<R: Recorder, C: Chaos>(
+    runner: &SweepRunner<'_, R, C>,
     job: &ShardJob<'_>,
     progress: Option<&ProgressFn>,
-    obs: &R,
-) -> std::io::Result<ShardOutcome> {
-    run_shard_chaos(runner, job, progress, obs, &NoopChaos)
-}
-
-/// [`run_shard_obs`] with a failure-injection handle: the CLI's
-/// `--chaos` / `SCENARIOS_CHAOS` path. Every durable write of the
-/// shard invocation — fragment rows, manifest checkpoints, progress
-/// heartbeats, the columnar sidecar — runs with its failpoint armed.
-/// With the default [`NoopChaos`] every probe compiles away.
-pub fn run_shard_chaos<R: Recorder, C: Chaos>(
-    runner: &SweepRunner,
-    job: &ShardJob<'_>,
-    progress: Option<&ProgressFn>,
-    obs: &R,
-    chaos: &C,
 ) -> std::io::Result<ShardOutcome> {
     let started = Instant::now();
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_shard_inner(runner, job, progress, obs, chaos)
+        run_shard_inner(runner, job, progress)
     }));
     match attempt {
         Ok(Ok(outcome)) => Ok(outcome),
@@ -601,16 +530,21 @@ pub fn run_shard_chaos<R: Recorder, C: Chaos>(
     }
 }
 
+/// [`run_shard`] on `runner` recording into `obs`.
+pub fn run_shard_obs<R: Recorder>(
+    runner: &SweepRunner,
+    job: &ShardJob<'_>,
+    progress: Option<&ProgressFn>,
+    obs: &R,
+) -> std::io::Result<ShardOutcome> {
+    run_shard(&runner.recording(obs), job, progress)
+}
+
 /// Appends the terminal `"failed"` progress record of a dying shard
 /// invocation. Best-effort by design (the worker is already on its
 /// error path); [`append_line`] preserves the sidecar's existing
 /// heartbeat history — the flight record of *how* the run got here.
 fn record_failure(job: &ShardJob<'_>, started: Instant, error: &str) {
-    let label = match &job.assignment {
-        ShardAssignment::Shard(shard) => format!("{}/{}", shard.index, shard.of),
-        ShardAssignment::Cells(range) => format!("cells:{}..{}", range.start, range.end),
-        ShardAssignment::Whole => "0/1".to_string(),
-    };
     // The manifest checkpoint (if one exists) is the authoritative
     // rows-done count at death; a pre-manifest failure reports 0.
     let (rows, expected_rows) = ShardManifest::load(job.csv)
@@ -618,7 +552,7 @@ fn record_failure(job: &ShardJob<'_>, started: Instant, error: &str) {
         .unwrap_or((0, 0));
     let record = ProgressRecord {
         sweep: job.sweep.name.clone(),
-        shard: label,
+        shard: job.assignment.label(),
         rows,
         expected_rows,
         elapsed_s: started.elapsed().as_secs_f64(),
@@ -630,45 +564,23 @@ fn record_failure(job: &ShardJob<'_>, started: Instant, error: &str) {
         error: Some(error.to_string()),
         complete: false,
     };
-    let _ = crate::progress::append_line(
-        &crate::progress::progress_path(job.csv),
-        &record.to_json_line(),
-    );
+    let _ = append_line(&progress_path(job.csv), &record.to_json_line());
 }
 
 fn run_shard_inner<R: Recorder, C: Chaos>(
-    runner: &SweepRunner,
+    runner: &SweepRunner<'_, R, C>,
     job: &ShardJob<'_>,
     progress: Option<&ProgressFn>,
-    obs: &R,
-    chaos: &C,
 ) -> std::io::Result<ShardOutcome> {
-    let replicates = job.sweep.seeds.len().max(1);
-    // Resolve the filtered grid and the assignment exactly once: the
-    // filter expansion is the expensive part on survey-scale grids, and
-    // every later step (range check, manifest, execution) reads the
-    // same resolution.
+    let (obs, chaos) = (runner.obs, runner.chaos);
+    // Resolve the filtered grid and the assignment exactly once, before
+    // any file is touched: the filter expansion is the expensive part on
+    // survey-scale grids, and an invalid sweep or range must leave no
+    // shard output behind.
+    let grid = Grid::new(job.sweep, job.filter)?;
+    let range = grid.range(&job.assignment)?;
+    let (total_cells, replicates) = (grid.cell_count(), grid.replicates());
     let filter = job.filter.filter(|f| !f.is_empty());
-    let filtered: Option<Vec<crate::sweep::Cell>> =
-        filter.map(|f| crate::runner::filter_cells(job.sweep.expand(), Some(f)));
-    let total_cells = filtered
-        .as_ref()
-        .map_or_else(|| job.sweep.cell_count(), Vec::len);
-    let configs = total_cells / replicates;
-    let (range, label) = match &job.assignment {
-        ShardAssignment::Shard(shard) => (
-            shard.cell_range(configs, replicates),
-            format!("{}/{}", shard.index, shard.of),
-        ),
-        ShardAssignment::Cells(range) => {
-            crate::runner::check_range(range, total_cells, replicates)?;
-            (
-                range.clone(),
-                format!("cells:{}..{}", range.start, range.end),
-            )
-        }
-        ShardAssignment::Whole => (0..total_cells, "0/1".to_string()),
-    };
     let expected_rows = (range.end - range.start) / replicates;
     // Fingerprint of the fully-resolved workload: every axis value, the
     // preset (post `--preset` override), the workload seed, and the
@@ -685,7 +597,7 @@ fn run_shard_inner<R: Recorder, C: Chaos>(
     let header = green_bench::export::csv_line(&CSV_HEADERS);
     let fresh_manifest = || ShardManifest {
         sweep: job.sweep.name.clone(),
-        shard: label.clone(),
+        shard: job.assignment.label(),
         spec_hash,
         cells: range.clone(),
         total_cells,
@@ -789,7 +701,7 @@ fn run_shard_inner<R: Recorder, C: Chaos>(
     if resumed_rows == 0 && writer.manifest.bytes == 0 {
         // Every shard file carries the header — including a worker whose
         // assigned range is empty, so `merge` never sees a headerless
-        // file (the same contract `run_streamed` keeps for zero-cell
+        // file (the same contract `run_streamed_range` keeps for zero-cell
         // sweeps).
         writer.absorb_header(header.as_bytes())?;
     }
@@ -798,13 +710,8 @@ fn run_shard_inner<R: Recorder, C: Chaos>(
     // Skip the configurations the checkpoint already covers: their rows
     // are on disk, verified. Determinism makes re-running the remainder
     // produce exactly the bytes the uninterrupted run would have.
-    let start = range.start + resumed_rows * replicates;
-    let cells = match &filtered {
-        Some(filtered) => filtered[start..range.end].to_vec(),
-        None => job.sweep.expand_range(start..range.end),
-    };
-    let summary =
-        runner.run_streamed_cells(job.sweep, cells, false, progress, &mut writer, obs, chaos)?;
+    let cells = grid.into_cells(range.start + resumed_rows * replicates..range.end);
+    let summary = runner.stream_csv(job.sweep, &cells, progress, &mut writer)?;
     debug_assert_eq!(resumed_rows + summary.configs, writer.manifest.rows);
     if writer.manifest.rows != expected_rows {
         return Err(invalid(format!(

@@ -8,6 +8,8 @@
 
 use std::path::{Path, PathBuf};
 
+use green_chaos::NoopChaos;
+
 use green_scenarios::{
     analyze_csv, analyze_dir, analyze_path, manifest_path, merge_shards, AnalyzeQuery, MethodSpec,
     PolicySpec, Shard, ShardAssignment, ShardJob, ShardManifest, Sweep, SweepRunner,
@@ -210,7 +212,7 @@ fn analyze_refuses_torn_and_stale_fragments_by_name() {
     // Mid-run checkpoint: complete=false.
     let mut manifest = ShardManifest::load(&shards[1]).unwrap();
     manifest.complete = false;
-    manifest.store(&shards[1]).unwrap();
+    manifest.store(&shards[1], &NoopChaos).unwrap();
     let err = analyze_dir(&scratch.0, &query, false).unwrap_err();
     assert!(err.to_string().contains("shard incomplete"), "{err}");
     assert!(
@@ -218,7 +220,7 @@ fn analyze_refuses_torn_and_stale_fragments_by_name() {
         "must name the torn fragment: {err}"
     );
     manifest.complete = true;
-    manifest.store(&shards[1]).unwrap();
+    manifest.store(&shards[1], &NoopChaos).unwrap();
 
     // Torn tail: bytes drifted from the manifest hash.
     let mut bytes = std::fs::read(&shards[2]).unwrap();

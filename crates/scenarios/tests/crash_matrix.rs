@@ -19,12 +19,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use green_chaos::{ChaosRegistry, Failpoint, NoopChaos};
-use green_obs::NoopRecorder;
 use green_scenarios::analyze::cols_path;
 use green_scenarios::{
-    analyze_csv, merge_shards, merge_shards_chaos, orchestrate_log_path, run_shard,
-    run_shard_chaos, write_atomic, write_atomic_chaos, AnalyzeQuery, EventKind, MethodSpec,
-    OrchestrateEvent, PolicySpec, ShardAssignment, ShardJob, Sweep, SweepRunner,
+    analyze_csv, merge_shards, merge_shards_chaos, orchestrate_log_path, run_shard, write_atomic,
+    write_atomic_chaos, AnalyzeQuery, EventKind, MethodSpec, OrchestrateEvent, PolicySpec,
+    ShardAssignment, ShardJob, Sweep, SweepRunner,
 };
 
 mod common;
@@ -109,12 +108,10 @@ fn crash_fragment(
     let csv = scratch.path("frag0.csv");
     let registry = ChaosRegistry::from_spec(spec).expect("spec compiles");
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_shard_chaos(
-            &SweepRunner::new(threads),
+        run_shard(
+            &SweepRunner::new(threads).armed(&registry),
             &job(sweep, &csv, false, columnar),
             None,
-            &NoopRecorder,
-            &registry,
         )
     }));
     match outcome {
@@ -268,9 +265,9 @@ fn orchestrate_append_crash_recovers() {
     let last = OrchestrateEvent::run_level(EventKind::Complete, "ok");
     let registry = ChaosRegistry::from_spec("orchestrate_append=torn:9@hit:2").expect("spec");
     first
-        .log_chaos(&scratch.0, &registry)
+        .log(&scratch.0, &registry)
         .expect("first append is clean");
-    let outcome = catch_unwind(AssertUnwindSafe(|| last.log_chaos(&scratch.0, &registry)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| last.log(&scratch.0, &registry)));
     assert!(outcome.is_err(), "torn append must crash");
 
     // Refusal arm: the tolerant reader renders the intact prefix and
@@ -283,8 +280,7 @@ fn orchestrate_append_crash_recovers() {
 
     // Recovery arm: the next append truncates the torn tail first, so
     // the log ends up exactly [first, last] — strictly parseable.
-    last.log_chaos(&scratch.0, &NoopChaos)
-        .expect("repairing append");
+    last.log(&scratch.0, &NoopChaos).expect("repairing append");
     let repaired = std::fs::read_to_string(orchestrate_log_path(&scratch.0)).expect("log");
     assert_eq!(
         repaired,
@@ -330,12 +326,10 @@ fn enospc_mid_manifest_rewrite_recovers_on_resume() {
     let scratch = Scratch::new("enospc-manifest");
     let csv = scratch.path("frag0.csv");
     let registry = ChaosRegistry::from_spec("manifest_rewrite=enospc@hit:3").expect("spec");
-    let err = run_shard_chaos(
-        &SweepRunner::new(1),
+    let err = run_shard(
+        &SweepRunner::new(1).armed(&registry),
         &job(&sweep, &csv, false, false),
         None,
-        &NoopRecorder,
-        &registry,
     )
     .expect_err("full disk kills the invocation");
     assert_eq!(err.kind(), ErrorKind::StorageFull, "{err}");
@@ -354,12 +348,10 @@ fn enospc_mid_fragment_write_names_the_short_fragment_then_resumes() {
     let scratch = Scratch::new("enospc-fragment");
     let csv = scratch.path("frag0.csv");
     let registry = ChaosRegistry::from_spec("fragment_row=enospc@hit:3").expect("spec");
-    let err = run_shard_chaos(
-        &SweepRunner::new(1),
+    let err = run_shard(
+        &SweepRunner::new(1).armed(&registry),
         &job(&sweep, &csv, false, false),
         None,
-        &NoopRecorder,
-        &registry,
     )
     .expect_err("full disk kills the invocation");
     assert_eq!(err.kind(), ErrorKind::StorageFull, "{err}");

@@ -3,10 +3,11 @@
 //! to the single-process `--stream` run, and the event log tells the
 //! true story of how it got there.
 //!
-//! Worker failure is injected deterministically through the
-//! `SCENARIOS_CHAOS_*` environment hooks (the same tear points a real
-//! `kill -9` hits, minus the timing race); CI's chaos job additionally
-//! exercises the real-signal path on the mega grid.
+//! Worker failure is injected deterministically through
+//! `fragment_row` failpoint specs in the workers' `SCENARIOS_CHAOS`
+//! environment (the same tear points a real `kill -9` hits, minus the
+//! timing race); CI's chaos job additionally exercises the real-signal
+//! path on the mega grid.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -128,7 +129,7 @@ fn crashed_worker_is_retried_from_checkpoint_and_bytes_match() {
             binary: PathBuf::from(env!("CARGO_BIN_EXE_scenarios")),
             envs: Vec::new(),
         },
-        fault_env: vec![("SCENARIOS_CHAOS_FAIL_ROWS".into(), "2".into())],
+        fault_env: vec![("SCENARIOS_CHAOS".into(), "fragment_row=err@hit:3".into())],
         nth: 0,
         launches: AtomicU32::new(0),
     };
@@ -162,7 +163,7 @@ fn unrecoverable_task_fails_the_run_after_max_attempts() {
     let launcher = ProcessLauncher {
         binary: PathBuf::from(env!("CARGO_BIN_EXE_scenarios")),
         // Every worker dies after one row — nothing can finish.
-        envs: vec![("SCENARIOS_CHAOS_PANIC_ROWS".into(), "1".into())],
+        envs: vec![("SCENARIOS_CHAOS".into(), "fragment_row=panic@hit:2".into())],
     };
     let err = orchestrate(&config, &launcher).expect_err("run must give up");
     assert!(err.to_string().contains("failed 2 times"), "{err}");
@@ -193,7 +194,10 @@ fn straggler_range_is_stolen_and_bytes_still_match() {
         },
         // Worker 0 crawls: 400ms per row over its 6-config range gives
         // the fast worker ample time to finish and steal.
-        fault_env: vec![("SCENARIOS_CHAOS_SLEEP_MS".into(), "400".into())],
+        fault_env: vec![(
+            "SCENARIOS_CHAOS".into(),
+            "fragment_row=delay:400@hit:1".into(),
+        )],
         nth: 0,
         launches: AtomicU32::new(0),
     };

@@ -81,7 +81,7 @@ fn split_fragments_merge_back_to_streamed_bytes() {
     let sweep = grid();
     let mut reference = Vec::new();
     SweepRunner::new(1)
-        .run_streamed(&sweep, None, None, &mut reference)
+        .run_streamed_range(&sweep, None, None, true, None, &mut reference)
         .expect("reference run");
 
     let mut plan = Plan::partition(6, 2, 2); // 0..6, 6..12

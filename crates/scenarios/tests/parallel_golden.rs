@@ -14,10 +14,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use green_chaos::ChaosRegistry;
-use green_obs::NoopRecorder;
 use green_scenarios::{
-    manifest_path, merge_shards, progress_path, run_shard, run_shard_chaos, MethodSpec, PolicySpec,
-    ProgressRecord, ShardAssignment, ShardJob, ShardManifest, Sweep, SweepRunner,
+    manifest_path, merge_shards, progress_path, run_shard, MethodSpec, PolicySpec, ProgressRecord,
+    ShardAssignment, ShardJob, ShardManifest, Sweep, SweepRunner,
 };
 
 mod common;
@@ -165,12 +164,10 @@ fn merged_output_is_identical_across_thread_counts() {
 fn crash(sweep: &Sweep, csv: &Path, threads: usize, spec: &str) {
     let registry = ChaosRegistry::from_spec(spec).expect("spec compiles");
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_shard_chaos(
-            &SweepRunner::new(threads),
+        run_shard(
+            &SweepRunner::new(threads).armed(&registry),
             &job(sweep, csv, 0..9, false),
             None,
-            &NoopRecorder,
-            &registry,
         )
     }));
     assert!(

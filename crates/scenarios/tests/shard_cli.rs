@@ -134,6 +134,40 @@ fn cli_rejects_bad_shard_and_misaligned_range() {
     }
 }
 
+/// `--list` resolves cells exactly as a run does, so it refuses the
+/// ranges a run refuses, with the run's message: a range that splits a
+/// replicate group of 3, and one past the grid's 36 cells.
+#[test]
+fn cli_list_refuses_the_ranges_a_run_refuses() {
+    let scratch = Scratch::new("list");
+    let out_csv = scratch.arg("out.csv");
+    for (range, message) in [
+        (
+            "1..4",
+            "cell range 1..4 is not aligned to replicate groups of 3",
+        ),
+        ("30..90", "cell range 30..90 outside the grid's 36 cells"),
+    ] {
+        let listed = scenarios(&[SWEEP, "--list", "--cell-range", range]);
+        let run = scenarios(&[SWEEP, "--cell-range", range, "--out", &out_csv, "--quiet"]);
+        for (what, out) in [("--list", &listed), ("run", &run)] {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{what} {range} should fail");
+            assert!(stderr.contains(message), "{what} {range}: {stderr}");
+        }
+        assert!(listed.stdout.is_empty(), "nothing listed for {range}");
+    }
+    // An aligned range inside the grid lists exactly its cells.
+    let listed = scenarios(&[SWEEP, "--list", "--cell-range", "12..24"]);
+    assert!(listed.status.success());
+    let stdout = String::from_utf8_lossy(&listed.stdout);
+    assert_eq!(stdout.lines().count(), 1 + 12, "{stdout}");
+    assert!(
+        stdout.contains("[  12]") && stdout.contains("[  23]"),
+        "{stdout}"
+    );
+}
+
 /// The orchestrator as operators run it: one `scenarios orchestrate`
 /// command replaces the whole manual shard/resume/merge sequence, and
 /// `scenarios watch` renders its event log.

@@ -6,12 +6,11 @@
 
 use std::path::{Path, PathBuf};
 
-use green_chaos::ChaosRegistry;
-use green_obs::NoopRecorder;
+use green_chaos::{ChaosRegistry, NoopChaos};
 use green_scenarios::shard::Fnv1a;
 use green_scenarios::{
-    manifest_path, merge_shards, run_shard, run_shard_chaos, shard_ranges, MethodSpec, PolicySpec,
-    Shard, ShardAssignment, ShardChaos, ShardJob, ShardManifest, Sweep, SweepRunner,
+    manifest_path, merge_shards, run_shard, shard_ranges, MethodSpec, PolicySpec, Shard,
+    ShardAssignment, ShardJob, ShardManifest, Sweep, SweepRunner,
 };
 
 mod common;
@@ -30,7 +29,7 @@ fn grid() -> Sweep {
 fn reference_csv(sweep: &Sweep) -> Vec<u8> {
     let mut bytes = Vec::new();
     SweepRunner::new(1)
-        .run_streamed(sweep, None, None, &mut bytes)
+        .run_streamed_range(sweep, None, None, true, None, &mut bytes)
         .expect("streaming to a Vec cannot fail");
     bytes
 }
@@ -106,7 +105,7 @@ fn zero_cell_stream_still_writes_the_header() {
     let sweep = grid();
     let mut bytes = Vec::new();
     let summary = SweepRunner::new(1)
-        .run_streamed(&sweep, Some("no-such-label"), None, &mut bytes)
+        .run_streamed_range(&sweep, Some("no-such-label"), None, true, None, &mut bytes)
         .expect("streaming to a Vec cannot fail");
     assert_eq!(summary.configs, 0);
     let text = String::from_utf8(bytes).unwrap();
@@ -147,7 +146,7 @@ fn resume_after_a_mid_shard_kill_converges_to_identical_bytes() {
         complete: false,
         ..full_manifest.clone()
     };
-    checkpoint.store(&killed).unwrap();
+    checkpoint.store(&killed, &NoopChaos).unwrap();
 
     // Resume: verify checkpoint, truncate the torn tail, finish.
     run_one_shard(&sweep, Shard { index: 0, of: 2 }, &killed, true);
@@ -179,7 +178,7 @@ fn resume_refuses_a_tampered_prefix_and_a_foreign_checkpoint() {
     // file that would fail the merge.
     let mut manifest = ShardManifest::load(&csv).unwrap();
     manifest.complete = false;
-    manifest.store(&csv).unwrap();
+    manifest.store(&csv, &NoopChaos).unwrap();
     let mut bytes = std::fs::read(&csv).unwrap();
     bytes[40] ^= 0x01;
     std::fs::write(&csv, &bytes).unwrap();
@@ -201,7 +200,7 @@ fn resume_refuses_a_tampered_prefix_and_a_foreign_checkpoint() {
     std::fs::write(&csv, &bytes).unwrap();
     let mut foreign = ShardManifest::load(&csv).unwrap();
     foreign.cells = 2..4;
-    foreign.store(&csv).unwrap();
+    foreign.store(&csv, &NoopChaos).unwrap();
     let err = run_shard(&SweepRunner::new(1), &job, None).unwrap_err();
     assert!(err.to_string().contains("refusing to resume"), "{err}");
 
@@ -212,7 +211,7 @@ fn resume_refuses_a_tampered_prefix_and_a_foreign_checkpoint() {
     foreign.cells = Shard { index: 0, of: 2 }.cell_range(sweep.config_count(), sweep.seeds.len());
     foreign.spec_hash ^= 0x1;
     foreign.complete = false;
-    foreign.store(&csv).unwrap();
+    foreign.store(&csv, &NoopChaos).unwrap();
     let err = run_shard(&SweepRunner::new(1), &job, None).unwrap_err();
     assert!(err.to_string().contains("preset/filter"), "{err}");
 }
@@ -246,11 +245,11 @@ fn merge_rejects_gaps_incomplete_shards_and_stale_content() {
     // An incomplete shard (mid-run checkpoint) is refused.
     let mut manifest = ShardManifest::load(&shards[1]).unwrap();
     manifest.complete = false;
-    manifest.store(&shards[1]).unwrap();
+    manifest.store(&shards[1], &NoopChaos).unwrap();
     let err = merge_shards(&shards, &merged, false).unwrap_err();
     assert!(err.to_string().contains("shard incomplete"), "{err}");
     manifest.complete = true;
-    manifest.store(&shards[1]).unwrap();
+    manifest.store(&shards[1], &NoopChaos).unwrap();
 
     // Content drifting from its manifest (stale or edited CSV) is
     // refused by the hash check.
@@ -337,26 +336,15 @@ fn dying_shard_leaves_a_terminal_failed_record_then_resumes_clean() {
         checkpoint_every: 1,
         columnar: false,
     };
-    // The legacy row knobs compile to `fragment_row` registry rules —
-    // each invocation gets a fresh registry, so "after N rows" counts
-    // this invocation's writes exactly as the old hooks did.
-    let registry =
-        |chaos: ShardChaos| ChaosRegistry::from_spec(&chaos.spec()).expect("compat spec compiles");
+    // Each invocation gets a fresh registry, so `hit:N` counts this
+    // invocation's fragment row writes.
+    let registry = |spec: &str| ChaosRegistry::from_spec(spec).expect("spec compiles");
 
-    // Error path: the injected I/O failure surfaces as Err and the
-    // sidecar's last record is terminal-failed with the error text.
-    let chaos = registry(ShardChaos {
-        fail_after_rows: Some(2),
-        ..ShardChaos::default()
-    });
-    let err = run_shard_chaos(
-        &SweepRunner::new(1),
-        &job(false),
-        None,
-        &NoopRecorder,
-        &chaos,
-    )
-    .unwrap_err();
+    // Error path: the injected I/O failure (on the third row write)
+    // surfaces as Err and the sidecar's last record is terminal-failed
+    // with the error text.
+    let chaos = registry("fragment_row=err@hit:3");
+    let err = run_shard(&SweepRunner::new(1).armed(&chaos), &job(false), None).unwrap_err();
     assert!(err.to_string().contains("chaos"), "{err}");
     let sidecar = std::fs::read_to_string(progress_path(&csv)).expect("sidecar exists");
     let records = ProgressRecord::parse_sidecar(&sidecar).expect("sidecar parses");
@@ -372,19 +360,11 @@ fn dying_shard_leaves_a_terminal_failed_record_then_resumes_clean() {
     assert!(records.len() > 1, "history kept: {} records", records.len());
     assert!(!records[0].failed);
 
-    // Panic path: same contract, panic text captured.
-    let chaos = registry(ShardChaos {
-        panic_after_rows: Some(1),
-        ..ShardChaos::default()
-    });
+    // Panic path (on the second row write): same contract, panic text
+    // captured.
+    let chaos = registry("fragment_row=panic@hit:2");
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = run_shard_chaos(
-            &SweepRunner::new(1),
-            &job(true),
-            None,
-            &NoopRecorder,
-            &chaos,
-        );
+        let _ = run_shard(&SweepRunner::new(1).armed(&chaos), &job(true), None);
     }));
     assert!(panicked.is_err(), "panic propagates after recording");
     let sidecar = std::fs::read_to_string(progress_path(&csv)).expect("sidecar exists");
@@ -400,4 +380,42 @@ fn dying_shard_leaves_a_terminal_failed_record_then_resumes_clean() {
     // the byte-identical reference.
     run_shard(&SweepRunner::new(1), &job(true), None).expect("resume finishes");
     assert_eq!(std::fs::read(&csv).unwrap(), reference);
+}
+
+/// An invalid sweep is an `InvalidInput` error from every `Result`
+/// entry point, found before anything is written: no header on the
+/// stream, and no shard CSV or manifest. Only the terminal `.progress`
+/// record a failing shard always leaves remains.
+#[test]
+fn invalid_sweep_is_an_error_and_writes_no_shard_output() {
+    use std::io::ErrorKind;
+
+    let mut sweep = Sweep::new("bad");
+    sweep.seeds = vec![];
+    let runner = SweepRunner::new(1);
+    let err = runner.run_collect(&sweep, None, None).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+    let mut bytes = Vec::new();
+    let err = runner
+        .run_streamed_range(&sweep, None, None, true, None, &mut bytes)
+        .unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+    assert!(bytes.is_empty(), "nothing streamed for an invalid sweep");
+
+    let scratch = Scratch::new("invalid");
+    let csv = scratch.path("shard.csv");
+    let job = ShardJob {
+        sweep: &sweep,
+        filter: None,
+        assignment: ShardAssignment::Whole,
+        csv: &csv,
+        resume: false,
+        checkpoint_every: 1,
+        columnar: false,
+    };
+    let err = run_shard(&runner, &job, None).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("seeds"), "{err}");
+    assert!(!csv.exists(), "no shard CSV");
+    assert!(!manifest_path(&csv).exists(), "no manifest");
 }

@@ -1,9 +1,13 @@
-//! Golden equivalence of the two aggregation paths on the shipped
-//! example grid: the streaming sink must emit byte-identical CSV to the
-//! in-memory path, at every thread count, on
-//! `examples/sweeps/sensitivity.toml` exactly as users run it.
+//! Golden equivalence of the runner's two committers with a naive
+//! serial oracle: the in-memory rows (`run_collect`) and the streamed
+//! CSV (`run_streamed_range`) must both equal a one-thread, in-order
+//! fold of the grid that bypasses the runner's sink, at every thread
+//! count, on `examples/sweeps/sensitivity.toml` exactly as users run it.
 
-use green_scenarios::{Sweep, SweepRunner};
+use green_bench::export::csv_line;
+use green_scenarios::{
+    cell_label, CellMetrics, CellSummary, Sweep, SweepCaches, SweepRunner, SweepWorld, CSV_HEADERS,
+};
 use std::path::PathBuf;
 
 fn sensitivity_sweep() -> Sweep {
@@ -14,25 +18,68 @@ fn sensitivity_sweep() -> Sweep {
     Sweep::from_toml_str(&text).expect("example sweep parses")
 }
 
+/// The naive serial oracle: the full grid's world, every matching cell
+/// of `sweep.expand()` run in order on one thread with fresh simulation
+/// state, and each chunk of `replicates` results folded by
+/// `CellSummary::of` and rendered by `csv_line`. No claim window, reorder
+/// buffer or row sink is involved.
+fn oracle_csv(sweep: &Sweep, filter: Option<&str>) -> String {
+    let cells: Vec<_> = sweep
+        .expand()
+        .into_iter()
+        .filter(|c| filter.is_none_or(|f| cell_label(&c.spec).contains(f)))
+        .collect();
+    let world = SweepWorld::build(sweep);
+    let caches = SweepCaches::build(&world, &cells, 1);
+    let metrics: Vec<CellMetrics> = cells
+        .iter()
+        .map(|c| world.run_cell(&c.spec, &caches))
+        .collect();
+    let replicates = sweep.seeds.len();
+    let mut csv = csv_line(&CSV_HEADERS);
+    for (group, results) in cells.chunks(replicates).zip(metrics.chunks(replicates)) {
+        csv.push_str(&csv_line(
+            &CellSummary::of(&group[0].spec, results).csv_row(),
+        ));
+    }
+    csv
+}
+
+/// Both committers against the oracle at 1, 2 and 4 threads; returns
+/// the streamed run's configuration count.
+fn assert_committers_match_oracle(sweep: &Sweep, filter: Option<&str>) -> usize {
+    let oracle = oracle_csv(sweep, filter);
+    let mut configs = 0;
+    for threads in [1, 2, 4] {
+        let runner = SweepRunner::new(threads);
+        let (results, _) = runner
+            .run_collect(sweep, filter, None)
+            .expect("valid sweep");
+        assert_eq!(
+            results.to_csv_string(),
+            oracle,
+            "in-memory rows diverged from the oracle at {threads} threads ({filter:?})"
+        );
+        let mut streamed = Vec::new();
+        let summary = runner
+            .run_streamed_range(sweep, filter, None, true, None, &mut streamed)
+            .expect("streaming to a Vec cannot fail");
+        assert_eq!(
+            String::from_utf8(streamed).unwrap(),
+            oracle,
+            "streamed CSV diverged from the oracle at {threads} threads ({filter:?})"
+        );
+        assert_eq!(summary.configs, results.cells.len());
+        configs = summary.configs;
+    }
+    configs
+}
+
 #[test]
 fn streamed_csv_is_byte_identical_to_in_memory() {
     let sweep = sensitivity_sweep();
     assert_eq!(sweep.cell_count(), 36, "the example grid moved");
-
-    let in_memory = SweepRunner::new(1).run(&sweep).to_csv_string();
-    for threads in [1, 2, 4] {
-        let mut streamed = Vec::new();
-        let summary = SweepRunner::new(threads)
-            .run_streamed(&sweep, None, None, &mut streamed)
-            .expect("streaming to a Vec cannot fail");
-        assert_eq!(summary.cells, 36);
-        assert_eq!(summary.configs, 12);
-        assert_eq!(
-            String::from_utf8(streamed).unwrap(),
-            in_memory,
-            "streaming path diverged from the in-memory CSV at {threads} threads"
-        );
-    }
+    assert_eq!(assert_committers_match_oracle(&sweep, None), 12);
 }
 
 /// A writer that records, for every `write`/`flush` it receives, how
@@ -77,7 +124,7 @@ fn header_is_flushed_before_the_first_cell_completes() {
     };
     let mut out = &writer;
     SweepRunner::new(1)
-        .run_streamed(&sweep, None, Some(&progress), &mut out)
+        .run_streamed_range(&sweep, None, None, true, Some(&progress), &mut out)
         .expect("tracing writer cannot fail");
     let ops = writer.ops.lock().unwrap();
     assert!(ops.len() >= 2, "expected header write + flush, got {ops:?}");
@@ -95,14 +142,9 @@ fn header_is_flushed_before_the_first_cell_completes() {
 #[test]
 fn streamed_filtered_rows_match_the_filtered_run() {
     let sweep = sensitivity_sweep();
-    let filter = Some("greedy/eba");
-    let in_memory = SweepRunner::new(2)
-        .run_filtered(&sweep, filter, None)
-        .to_csv_string();
-    let mut streamed = Vec::new();
-    let summary = SweepRunner::new(2)
-        .run_streamed(&sweep, filter, None, &mut streamed)
-        .expect("streaming to a Vec cannot fail");
-    assert_eq!(summary.configs, 2, "greedy/eba × two intensity scales");
-    assert_eq!(String::from_utf8(streamed).unwrap(), in_memory);
+    assert_eq!(
+        assert_committers_match_oracle(&sweep, Some("greedy/eba")),
+        2,
+        "greedy/eba × two intensity scales"
+    );
 }
