@@ -10,7 +10,6 @@
 //! price signal).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use green_accounting::{ChargeContext, CreditStore, ExchangeRate, MethodKind};
 use green_units::{Credits, TimePoint};
@@ -87,17 +86,6 @@ impl CreditBank {
         }
     }
 
-    /// Clears every balance and re-arms the cap and decay: a sweep
-    /// worker reuses one bank across market cells instead of building a
-    /// fresh one per cell. Equivalent to `*self = CreditBank::new(..)`.
-    pub fn reset(&mut self, cap: f64, decay: f64) {
-        assert!(cap >= 0.0, "banking cap must be non-negative");
-        assert!((0.0..=1.0).contains(&decay), "decay must be in [0, 1]");
-        self.cap = cap;
-        self.decay = decay;
-        self.balances.clear();
-    }
-
     /// Deposits savings; returns the amount actually banked after the
     /// cap clamp (zero once the account is full).
     pub fn deposit(&mut self, owner: &str, amount: f64) -> f64 {
@@ -150,28 +138,9 @@ pub fn settle(
     at: TimePoint,
     label: &str,
 ) -> (Credits, Credits) {
-    settle_with(store, owner, hold, actual, at, label, &mut String::new())
-}
-
-/// [`settle`] against a caller-owned operation-name buffer, so hot
-/// settlement loops reuse one `String` instead of allocating two per
-/// job. The ledger records exactly the same operation names.
-pub fn settle_with(
-    store: &dyn CreditStore,
-    owner: &str,
-    hold: Credits,
-    actual: Credits,
-    at: TimePoint,
-    label: &str,
-    op: &mut String,
-) -> (Credits, Credits) {
-    op.clear();
-    let _ = write!(op, "release {label}");
-    let _ = store.refund(owner, hold, at, op);
-    op.clear();
-    let _ = write!(op, "settle {label}");
+    let _ = store.refund(owner, hold, at, &format!("release {label}"));
     let charged = store
-        .debit_up_to(owner, actual, at, op)
+        .debit_up_to(owner, actual, at, &format!("settle {label}"))
         .unwrap_or(Credits::ZERO);
     (charged, (actual - charged).max(Credits::ZERO))
 }

@@ -72,7 +72,7 @@ pub mod replay;
 pub mod store;
 
 pub use agents::{implied_elasticity, market_population};
-pub use desk::{settle, settle_with, CreditBank, ExchangeDesk};
+pub use desk::{settle, CreditBank, ExchangeDesk};
 pub use pricing::{price_table, PriceSpec};
-pub use replay::{settle_run, settle_run_in, MarketRun, SettleScratch};
+pub use replay::{settle_run, MarketRun, SettleBook};
 pub use store::ShardedLedger;

@@ -8,14 +8,20 @@
 //! is backend-agnostic — feeding the same run through the single-lock
 //! and sharded stores must produce identical snapshots, which the
 //! determinism suite asserts.
+//!
+//! [`SettleBook`] is the settlement kernel sweeps run per market cell:
+//! the same operation stream on a dense per-user book, with no owner
+//! names, labels or transaction log. It returns exactly the bits
+//! [`settle_run`] returns, which `tests/settle_book.rs` checks against
+//! both store backends.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 use green_accounting::CreditStore;
 use green_batchsim::{JobOutcome, PriceTable};
 use green_units::{Credits, TimePoint};
 
-use crate::desk::{settle_with, CreditBank};
+use crate::desk::{settle, CreditBank};
 
 /// Aggregate result of settling one run through the market.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,31 +37,14 @@ pub struct MarketRun {
     pub shortfall: f64,
 }
 
-/// Reusable working storage for [`settle_run_in`]: the completion-order
-/// index, the deduplicated user list, and the owner / label / operation
-/// string buffers every settlement step formats into. A sweep worker
-/// keeps one scratch for its lifetime, so after the first market cell
-/// settlement performs no heap allocation beyond the store's own ledger
-/// entries.
-#[derive(Debug, Default)]
-pub struct SettleScratch {
-    /// Outcome indices sorted into completion order.
-    order: Vec<u32>,
-    /// Distinct user ids, sorted.
-    users: Vec<u32>,
-    /// `u{user}` account-name buffer.
-    owner: String,
-    /// `job-{job}` label buffer.
-    label: String,
-    /// `hold/release/settle {label}` operation-name buffer.
-    op: String,
-}
-
-impl SettleScratch {
-    /// An empty scratch; buffers grow to the first run's sizes and stay.
-    pub fn new() -> SettleScratch {
-        SettleScratch::default()
-    }
+impl MarketRun {
+    /// The result of settling a run with no outcomes.
+    const EMPTY: MarketRun = MarketRun {
+        posted_spent: 0.0,
+        raw_spent: 0.0,
+        banked: 0.0,
+        shortfall: 0.0,
+    };
 }
 
 /// Settles every outcome of a run through `store` at posted prices.
@@ -75,37 +64,8 @@ pub fn settle_run(
     bank: &mut CreditBank,
     budget_factor: f64,
 ) -> MarketRun {
-    settle_run_in(
-        outcomes,
-        method_index,
-        prices,
-        store,
-        bank,
-        budget_factor,
-        &mut SettleScratch::new(),
-    )
-}
-
-/// [`settle_run`] against caller-owned scratch storage — the hot-path
-/// variant sweep workers call per market cell. Identical operation
-/// stream and result: the scratch only replaces the temporary vectors
-/// and per-outcome `format!` strings with reused buffers.
-pub fn settle_run_in(
-    outcomes: &[JobOutcome],
-    method_index: usize,
-    prices: &PriceTable,
-    store: &dyn CreditStore,
-    bank: &mut CreditBank,
-    budget_factor: f64,
-    scratch: &mut SettleScratch,
-) -> MarketRun {
-    debug_assert!(outcomes.len() < u32::MAX as usize);
-    scratch.order.clear();
-    scratch.order.extend(0..outcomes.len() as u32);
-    scratch.order.sort_by(|&a, &b| {
-        let (a, b) = (&outcomes[a as usize], &outcomes[b as usize]);
-        a.end_s.total_cmp(&b.end_s).then(a.job.cmp(&b.job))
-    });
+    let mut order: Vec<&JobOutcome> = outcomes.iter().collect();
+    order.sort_by(|a, b| a.end_s.total_cmp(&b.end_s).then(a.job.cmp(&b.job)));
 
     let posted = |o: &JobOutcome, at_s: f64| -> f64 {
         o.charges[method_index]
@@ -113,40 +73,24 @@ pub fn settle_run_in(
     };
 
     // Equal per-user budgets from total posted demand at start prices.
-    scratch.users.clear();
-    scratch.users.extend(outcomes.iter().map(|o| o.user));
-    scratch.users.sort_unstable();
-    scratch.users.dedup();
-    if scratch.users.is_empty() {
-        return MarketRun {
-            posted_spent: 0.0,
-            raw_spent: 0.0,
-            banked: 0.0,
-            shortfall: 0.0,
-        };
+    let mut users: Vec<u32> = order.iter().map(|o| o.user).collect();
+    users.sort_unstable();
+    users.dedup();
+    if users.is_empty() {
+        return MarketRun::EMPTY;
     }
     // Summed in completion order: the fold order (and therefore the
     // rounding) must match the settlement loop's view of the run.
-    let total_posted: f64 = scratch
-        .order
-        .iter()
-        .map(|&i| {
-            let o = &outcomes[i as usize];
-            posted(o, o.start_s)
-        })
-        .sum();
-    let budget = Credits::new(budget_factor * total_posted / scratch.users.len() as f64);
-    for &user in &scratch.users {
-        scratch.owner.clear();
-        let _ = write!(scratch.owner, "u{user}");
-        store.grant(&scratch.owner, budget);
+    let total_posted: f64 = order.iter().map(|o| posted(o, o.start_s)).sum();
+    let budget = Credits::new(budget_factor * total_posted / users.len() as f64);
+    for user in &users {
+        store.grant(&format!("u{user}"), budget);
     }
 
     let mut raw_spent = 0.0;
     let mut shortfall = 0.0;
     let mut day = 0u64;
-    for &i in &scratch.order {
-        let o = &outcomes[i as usize];
+    for o in order {
         // Close banking periods up to this completion's day.
         let completed_day = (o.end_s / 86_400.0).floor().max(0.0) as u64;
         while day < completed_day {
@@ -154,10 +98,8 @@ pub fn settle_run_in(
             day += 1;
         }
 
-        scratch.owner.clear();
-        let _ = write!(scratch.owner, "u{}", o.user);
-        scratch.label.clear();
-        let _ = write!(scratch.label, "job-{}", o.job);
+        let owner = format!("u{}", o.user);
+        let label = format!("job-{}", o.job);
         let raw = o.charges[method_index];
         let hold = Credits::new(posted(o, o.arrival_s));
         let actual = Credits::new(posted(o, o.start_s));
@@ -166,20 +108,10 @@ pub fn settle_run_in(
         // Admission: hold what the arrival-hour quote says, capped by the
         // balance (the simulator already admitted the job; the market
         // collects, it does not un-run work).
-        scratch.op.clear();
-        let _ = write!(scratch.op, "hold {}", scratch.label);
         let held = store
-            .debit_up_to(&scratch.owner, hold, at, &scratch.op)
+            .debit_up_to(&owner, hold, at, &format!("hold {label}"))
             .unwrap_or(Credits::ZERO);
-        let (_, short) = settle_with(
-            store,
-            &scratch.owner,
-            held,
-            actual,
-            at,
-            &scratch.label,
-            &mut scratch.op,
-        );
+        let (_, short) = settle(store, &owner, held, actual, at, &label);
         raw_spent += raw;
         shortfall += short.value();
 
@@ -189,7 +121,7 @@ pub fn settle_run_in(
         // insolvency, not savings.
         let saving = raw - actual.value();
         if saving > 0.0 && short.value() <= 0.0 {
-            bank.deposit(&scratch.owner, saving);
+            bank.deposit(&owner, saving);
         }
     }
     bank.end_period();
@@ -199,6 +131,249 @@ pub fn settle_run_in(
         raw_spent,
         banked: bank.total(),
         shortfall,
+    }
+}
+
+/// A dense settlement book: [`settle_run`] through a fresh store and a
+/// fresh [`CreditBank`], on plain columns indexed by user slot.
+///
+/// A user's slot is its position among the run's sorted distinct user
+/// ids. Each slot has the store account's `spent` and the bank's
+/// balance and entry flag; every account is granted the same budget
+/// once. Every operation repeats the store's clamps, operand order and
+/// float operations, so [`settle`](SettleBook::settle) returns the same
+/// [`MarketRun`] bits:
+///
+/// - each job runs `debit_up_to(hold)`, `refund(held)` and
+///   `debit_up_to(actual)`; the hold is taken and released even though
+///   they cancel, because `spent + h − h` need not equal `spent`;
+/// - a negative amount is rejected and changes nothing, as the stores
+///   reject it;
+/// - the stores sum accounts in owner-name order (`"u10"` before
+///   `"u2"`), and so does the book;
+/// - the bank total covers only the slots the bank would hold an entry
+///   for.
+///
+/// A sweep worker keeps one book for its lifetime; after the first cell
+/// a settlement allocates nothing.
+#[derive(Debug, Default)]
+pub struct SettleBook {
+    /// Outcome indices in completion order.
+    order: Vec<u32>,
+    /// Distinct user ids, sorted: user `users[s]` owns slot `s`.
+    users: Vec<u32>,
+    /// Slots in owner-name order, the order the stores sum in.
+    by_owner: Vec<u32>,
+    /// The per-slot columns.
+    slots: Slots,
+}
+
+/// The store's accounts and the bank's balances, one entry per slot.
+#[derive(Debug, Default)]
+struct Slots {
+    /// Credits granted to every account.
+    granted: f64,
+    /// Credits spent.
+    spent: Vec<f64>,
+    /// Banked savings.
+    banked: Vec<f64>,
+    /// Whether the bank holds an entry: set by the first deposit that
+    /// passes the amount and cap checks, before the cap clamp.
+    in_bank: Vec<bool>,
+    /// Ledger operations applied.
+    txns: usize,
+}
+
+impl Slots {
+    /// Opens `slots` accounts, each granted `budget`, with empty bank
+    /// balances.
+    fn open(&mut self, slots: usize, budget: f64) {
+        // A grant adds to an account that opens at zero.
+        self.granted = 0.0 + budget;
+        self.spent.clear();
+        self.banked.clear();
+        self.in_bank.clear();
+        self.spent.resize(slots, 0.0);
+        self.banked.resize(slots, 0.0);
+        self.in_bank.resize(slots, false);
+        self.txns = 0;
+    }
+
+    /// `CreditStore::debit_up_to`: charges as much of `amount` as the
+    /// balance allows and returns the charge.
+    fn debit_up_to(&mut self, slot: usize, amount: f64) -> Option<f64> {
+        if amount < 0.0 {
+            return None;
+        }
+        let spent = self.spent[slot];
+        let charge = amount.min((self.granted - spent).max(0.0));
+        self.spent[slot] = spent + charge;
+        self.txns += 1;
+        Some(charge)
+    }
+
+    /// `CreditStore::refund`: returns up to the outstanding spend and
+    /// reports the amount refunded.
+    fn refund(&mut self, slot: usize, amount: f64) -> Option<f64> {
+        if amount < 0.0 {
+            return None;
+        }
+        let spent = self.spent[slot];
+        let refunded = amount.min(spent.max(0.0));
+        self.spent[slot] = spent - refunded;
+        self.txns += 1;
+        Some(refunded)
+    }
+
+    /// `CreditBank::deposit` of a positive saving under a positive cap.
+    fn deposit(&mut self, slot: usize, saving: f64, cap: f64) {
+        self.in_bank[slot] = true;
+        let balance = &mut self.banked[slot];
+        *balance += saving.min(cap - *balance).max(0.0);
+    }
+
+    /// `CreditBank::end_period`: every balance decays. A slot the bank
+    /// holds no entry for stays at +0.0.
+    fn end_period(&mut self, keep: f64) {
+        self.banked.iter_mut().for_each(|b| *b *= keep);
+    }
+}
+
+/// Orders user ids the way their `u{user}` owner names compare as
+/// strings: the decimal digits left-aligned in a big-endian integer and
+/// zero-padded, so a name that is a prefix of another sorts first.
+fn owner_key(user: u32) -> u128 {
+    let mut name = [0u8; 16];
+    // A u32 has at most ten digits, so the write always fits.
+    let _ = write!(&mut name[..], "{user}");
+    u128::from_be_bytes(name)
+}
+
+impl SettleBook {
+    /// An empty book; its columns grow to the first run's sizes and stay.
+    pub fn new() -> SettleBook {
+        SettleBook::default()
+    }
+
+    /// Settles every outcome of a run at posted prices — the result
+    /// [`settle_run`] returns through an empty store and a
+    /// `CreditBank::new(banking_cap, bank_decay)`, bit for bit.
+    ///
+    /// Panics, as `CreditBank::new` does, when the cap is negative or
+    /// the decay lies outside `[0, 1]`.
+    pub fn settle(
+        &mut self,
+        outcomes: &[JobOutcome],
+        method_index: usize,
+        prices: &PriceTable,
+        budget_factor: f64,
+        banking_cap: f64,
+        bank_decay: f64,
+    ) -> MarketRun {
+        assert!(banking_cap >= 0.0, "banking cap must be non-negative");
+        assert!((0.0..=1.0).contains(&bank_decay), "decay must be in [0, 1]");
+        debug_assert!(outcomes.len() < u32::MAX as usize);
+        self.order.clear();
+        self.order.extend(0..outcomes.len() as u32);
+        self.order.sort_by(|&a, &b| {
+            let (a, b) = (&outcomes[a as usize], &outcomes[b as usize]);
+            a.end_s.total_cmp(&b.end_s).then(a.job.cmp(&b.job))
+        });
+        let posted = |o: &JobOutcome, at_s: f64| -> f64 {
+            o.charges[method_index]
+                * prices.multiplier_at(o.machine as usize, TimePoint::from_secs(at_s))
+        };
+        self.users.clear();
+        self.users.extend(outcomes.iter().map(|o| o.user));
+        self.users.sort_unstable();
+        self.users.dedup();
+        let total_posted: f64 = self
+            .order
+            .iter()
+            .map(|&i| {
+                let o = &outcomes[i as usize];
+                posted(o, o.start_s)
+            })
+            .sum();
+        let users = &self.users;
+        self.slots.open(
+            users.len(),
+            budget_factor * total_posted / users.len() as f64,
+        );
+        self.by_owner.clear();
+        if users.is_empty() {
+            return MarketRun::EMPTY;
+        }
+        self.by_owner.extend(0..users.len() as u32);
+        self.by_owner
+            .sort_unstable_by_key(|&s| owner_key(users[s as usize]));
+
+        let keep = 1.0 - bank_decay;
+        let slots = &mut self.slots;
+        let mut raw_spent = 0.0;
+        let mut shortfall = 0.0;
+        let mut day = 0u64;
+        for &i in &self.order {
+            let o = &outcomes[i as usize];
+            let completed_day = (o.end_s / 86_400.0).floor().max(0.0) as u64;
+            while day < completed_day {
+                slots.end_period(keep);
+                day += 1;
+            }
+
+            let slot = users
+                .binary_search(&o.user)
+                .expect("every outcome's user has a slot");
+            let raw = o.charges[method_index];
+            let hold = posted(o, o.arrival_s);
+            let actual = posted(o, o.start_s);
+            let held = slots.debit_up_to(slot, hold).unwrap_or(0.0);
+            let _ = slots.refund(slot, held);
+            let charged = slots.debit_up_to(slot, actual).unwrap_or(0.0);
+            let short = (actual - charged).max(0.0);
+            raw_spent += raw;
+            shortfall += short;
+
+            let saving = raw - actual;
+            if saving > 0.0 && short <= 0.0 && banking_cap > 0.0 {
+                slots.deposit(slot, saving, banking_cap);
+            }
+        }
+        slots.end_period(keep);
+
+        MarketRun {
+            posted_spent: self.by_owner.iter().map(|&s| slots.spent[s as usize]).sum(),
+            raw_spent,
+            banked: self
+                .by_owner
+                .iter()
+                .filter(|&&s| slots.in_bank[s as usize])
+                .map(|&s| slots.banked[s as usize])
+                .sum(),
+            shortfall,
+        }
+    }
+
+    /// Ledger operations the last settlement applied, counted as a
+    /// [`CreditStore`] records them: three per job, less any rejected
+    /// negative amount.
+    pub fn transaction_count(&self) -> usize {
+        self.slots.txns
+    }
+
+    /// A user's spent credits after the last settlement, or `None` when
+    /// the run had no outcome of theirs.
+    pub fn spent(&self, user: u32) -> Option<f64> {
+        let slot = self.users.binary_search(&user).ok()?;
+        Some(self.slots.spent[slot])
+    }
+
+    /// A user's banked balance after the last settlement (0 when nothing
+    /// was banked).
+    pub fn banked(&self, user: u32) -> f64 {
+        self.users
+            .binary_search(&user)
+            .map_or(0.0, |slot| self.slots.banked[slot])
     }
 }
 

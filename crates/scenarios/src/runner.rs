@@ -28,7 +28,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use green_accounting::CreditStore;
 use green_batchsim::{
     intensity_for, run_cell_in_obs, MarketInputs, PlacementTable, PriceTable, RunMetrics, SimArena,
     SimConfig,
@@ -36,10 +35,7 @@ use green_batchsim::{
 use green_carbon::HourlyTrace;
 use green_chaos::{probe, torn_crash, Chaos, Failpoint, NoopChaos};
 use green_machines::{simulation_fleet, FleetMachine};
-use green_market::{
-    market_population, price_table, settle_run_in, CreditBank, PriceSpec, SettleScratch,
-    ShardedLedger,
-};
+use green_market::{market_population, price_table, PriceSpec, SettleBook};
 use green_obs::{Counter, NoopRecorder, Phase, Recorder, SpanKind, Stopwatch};
 use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
 use green_workload::Trace;
@@ -260,9 +256,9 @@ impl SweepWorld {
     /// [`run_cell_in`](SweepWorld::run_cell_in) with an observability
     /// recorder. Beyond the simulator's own phases/counters this books
     /// market settlement wall time to the `settle` phase, the
-    /// settlement counters (`jobs_settled`, `ledger_txns`,
-    /// `ledger_cas_retries`), and the cell's shared-cache hit count
-    /// (each lookup served by [`SweepCaches`] instead of rebuilt).
+    /// settlement counters (`jobs_settled`, `ledger_txns`), and the
+    /// cell's shared-cache hit count (each lookup served by
+    /// [`SweepCaches`] instead of rebuilt).
     /// Results are bit-identical regardless of the recorder.
     pub fn run_cell_in_obs<R: Recorder>(
         &self,
@@ -326,27 +322,24 @@ impl SweepWorld {
             .sum();
         let mut cell = CellMetrics::of(&metrics, spec, capacity);
         if let Some(prices) = &prices {
-            // Settle the run through the sharded store: the ledger on
-            // the hot path, per cell, with banking of off-peak savings.
+            // Settle the run on the worker's dense book: the store
+            // replay's operation stream and result bits, with banking of
+            // off-peak savings, and no ledger built per cell.
             let settle_watch = Stopwatch::<R>::start();
-            let store = ShardedLedger::new(8);
-            scratch.bank.reset(spec.banking_cap, BANK_DECAY);
-            let run = settle_run_in(
+            let run = scratch.book.settle(
                 &metrics.outcomes,
                 spec.method.cost_index(),
                 prices,
-                &store,
-                &mut scratch.bank,
                 BUDGET_FACTOR,
-                &mut scratch.settle,
+                spec.banking_cap,
+                BANK_DECAY,
             );
             cell.posted_credits = run.posted_spent;
             cell.banked_credits = run.banked;
             if R::ENABLED {
                 obs.phase_ns(Phase::Settle, settle_watch.elapsed_ns());
                 obs.add(Counter::JobsSettled, metrics.outcomes.len() as u64);
-                obs.add(Counter::LedgerTxns, store.transaction_count() as u64);
-                obs.add(Counter::LedgerCasRetries, store.cas_retries());
+                obs.add(Counter::LedgerTxns, scratch.book.transaction_count() as u64);
             }
         }
         if R::ENABLED {
@@ -364,18 +357,15 @@ impl SweepWorld {
 }
 
 /// Per-worker reusable cell-execution state: the simulator arena plus
-/// market settlement scratch (credit bank and the settlement loop's
-/// index/string buffers). One lives on each sweep worker's stack for
-/// the worker's lifetime, so after its first cell a worker's
-/// steady-state allocation traffic is essentially zero — market cells
-/// included (only the per-cell ledger itself still allocates).
+/// the dense settlement book market cells settle on. One lives on each
+/// sweep worker's stack for the worker's lifetime, so after its first
+/// cell a worker's steady state allocates nothing for settlement, and
+/// (almost) nothing for simulation.
 pub struct CellScratch {
     /// The simulator's growable buffers.
     pub arena: SimArena,
-    /// Settlement-loop index and string buffers.
-    settle: SettleScratch,
-    /// The banking state, `reset` per market cell.
-    bank: CreditBank,
+    /// Market settlement's per-user columns and completion order.
+    book: SettleBook,
 }
 
 impl CellScratch {
@@ -383,8 +373,7 @@ impl CellScratch {
     pub fn new() -> CellScratch {
         CellScratch {
             arena: SimArena::new(),
-            settle: SettleScratch::new(),
-            bank: CreditBank::new(0.0, 0.0),
+            book: SettleBook::new(),
         }
     }
 }
