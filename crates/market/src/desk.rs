@@ -120,9 +120,12 @@ impl CreditBank {
         self.balances.get(owner).copied().unwrap_or(0.0)
     }
 
-    /// Total banked across all accounts.
+    /// Total banked across all accounts; +0.0 for an empty bank.
     pub fn total(&self) -> f64 {
-        self.balances.values().sum()
+        // Folded from +0.0: `f64`'s `Sum` starts at −0.0, which an empty
+        // bank would report (and a CSV print as `-0.000000`). Balances
+        // are never −0.0, so a non-empty total keeps its bits.
+        self.balances.values().fold(0.0, |total, b| total + b)
     }
 }
 
@@ -215,6 +218,10 @@ mod tests {
         assert!((bank.withdraw("u", 70.0) - 50.0).abs() < 1e-12);
         assert_eq!(bank.withdraw("stranger", 1.0), 0.0);
         assert_eq!(CreditBank::new(0.0, 0.0).deposit("u", 5.0), 0.0);
+        assert_eq!(
+            CreditBank::new(0.0, 0.0).total().to_bits(),
+            0.0f64.to_bits()
+        );
     }
 
     #[test]

@@ -139,8 +139,7 @@ pub fn settle_run(
 ///
 /// A user's slot is its position among the run's sorted distinct user
 /// ids. Each slot has the store account's `spent` and the bank's
-/// balance and entry flag; every account is granted the same budget
-/// once. Every operation repeats the store's clamps, operand order and
+/// balance; every account is granted the same budget once. Every operation repeats the store's clamps, operand order and
 /// float operations, so [`settle`](SettleBook::settle) returns the same
 /// [`MarketRun`] bits:
 ///
@@ -151,8 +150,9 @@ pub fn settle_run(
 ///   reject it;
 /// - the stores sum accounts in owner-name order (`"u10"` before
 ///   `"u2"`), and so does the book;
-/// - the bank total covers only the slots the bank would hold an entry
-///   for.
+/// - the bank total is folded from +0.0, as `CreditBank::total` is, so
+///   a slot the bank would hold no entry for, whose balance stays
+///   +0.0, adds nothing.
 ///
 /// A sweep worker keeps one book for its lifetime; after the first cell
 /// a settlement allocates nothing.
@@ -177,9 +177,6 @@ struct Slots {
     spent: Vec<f64>,
     /// Banked savings.
     banked: Vec<f64>,
-    /// Whether the bank holds an entry: set by the first deposit that
-    /// passes the amount and cap checks, before the cap clamp.
-    in_bank: Vec<bool>,
     /// Ledger operations applied.
     txns: usize,
 }
@@ -192,10 +189,8 @@ impl Slots {
         self.granted = 0.0 + budget;
         self.spent.clear();
         self.banked.clear();
-        self.in_bank.clear();
         self.spent.resize(slots, 0.0);
         self.banked.resize(slots, 0.0);
-        self.in_bank.resize(slots, false);
         self.txns = 0;
     }
 
@@ -227,13 +222,12 @@ impl Slots {
 
     /// `CreditBank::deposit` of a positive saving under a positive cap.
     fn deposit(&mut self, slot: usize, saving: f64, cap: f64) {
-        self.in_bank[slot] = true;
         let balance = &mut self.banked[slot];
         *balance += saving.min(cap - *balance).max(0.0);
     }
 
-    /// `CreditBank::end_period`: every balance decays. A slot the bank
-    /// holds no entry for stays at +0.0.
+    /// `CreditBank::end_period`: every balance decays. A slot nothing
+    /// was deposited to stays at +0.0.
     fn end_period(&mut self, keep: f64) {
         self.banked.iter_mut().for_each(|b| *b *= keep);
     }
@@ -347,9 +341,7 @@ impl SettleBook {
             banked: self
                 .by_owner
                 .iter()
-                .filter(|&&s| slots.in_bank[s as usize])
-                .map(|&s| slots.banked[s as usize])
-                .sum(),
+                .fold(0.0, |total, &s| total + slots.banked[s as usize]),
             shortfall,
         }
     }

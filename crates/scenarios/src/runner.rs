@@ -1300,6 +1300,8 @@ mod tests {
         assert_eq!(off.posted_credits.mean, 0.0, "no market, no settlement");
         assert!(on.posted_credits.mean > 0.0, "banking cell settles");
         assert_eq!(on.banked_credits.mean, 0.0, "flat prices bank nothing");
+        // An empty bank totals +0.0, as a cell without a market does.
+        assert!(!results.to_csv_string().contains("-0.000000"));
     }
 
     #[test]
