@@ -245,14 +245,30 @@ impl Sweep {
                 }
             }
         }
-        if self.workload_scales.iter().any(|s| *s <= 0.0) {
-            return Err(SpecError("workload scales must be positive".into()));
+        // Written as `!(ok)` so NaN, which fails every comparison, is
+        // refused with the infinities.
+        if self
+            .workload_scales
+            .iter()
+            .any(|s| !(s.is_finite() && *s > 0.0))
+        {
+            return Err(SpecError(
+                "workload scales must be finite and positive".into(),
+            ));
         }
-        if self.intensity_scales.iter().any(|s| *s <= 0.0) {
-            return Err(SpecError("intensity scales must be positive".into()));
+        if self
+            .intensity_scales
+            .iter()
+            .any(|s| !(s.is_finite() && *s > 0.0))
+        {
+            return Err(SpecError(
+                "intensity scales must be finite and positive".into(),
+            ));
         }
-        if self.intensity_jitter < 0.0 {
-            return Err(SpecError("intensity jitter must be non-negative".into()));
+        if !(self.intensity_jitter.is_finite() && self.intensity_jitter >= 0.0) {
+            return Err(SpecError(
+                "intensity jitter must be finite and non-negative".into(),
+            ));
         }
         if self.elasticities.iter().any(|e| *e < 0.0 || !e.is_finite()) {
             return Err(SpecError(
@@ -691,6 +707,22 @@ fleets = ["all", ["faster", "ic"], [1, 3]]
 
         assert!(Sweep::from_toml_str("[grid]\npolicies = [\"warp\"]").is_err());
         assert!(Sweep::from_toml_str("[workload]\npreset = \"huge\"").is_err());
+    }
+
+    #[test]
+    fn non_finite_scales_and_jitter_are_rejected() {
+        for (key, value, message) in [
+            ("workload_scales", "[nan]", "workload scales"),
+            ("workload_scales", "[inf]", "workload scales"),
+            ("intensity_scales", "[nan]", "intensity scales"),
+            ("intensity_scales", "[inf]", "intensity scales"),
+            ("intensity_jitter", "nan", "intensity jitter"),
+            ("intensity_jitter", "inf", "intensity jitter"),
+        ] {
+            let toml = format!("[grid]\n{key} = {value}");
+            let e = Sweep::from_toml_str(&toml).unwrap_err();
+            assert!(e.0.contains(message), "{toml}: {e}");
+        }
     }
 
     #[test]

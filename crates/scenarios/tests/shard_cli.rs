@@ -134,6 +134,29 @@ fn cli_rejects_bad_shard_and_misaligned_range() {
     }
 }
 
+/// A non-finite sweep value is a sweep error (exit 2) found before the
+/// shard writes anything, not a panic partway through the shard.
+#[test]
+fn cli_rejects_a_nan_intensity_scale_before_writing() {
+    let scratch = Scratch::new("nan");
+    let sweep = scratch.path("nan.toml");
+    std::fs::write(&sweep, "[grid]\nintensity_scales = [nan]\n").unwrap();
+    let frag = scratch.arg("frag.csv");
+    let out = scenarios(&[
+        &sweep.to_string_lossy(),
+        "--shard",
+        "0/1",
+        "--out",
+        &frag,
+        "--quiet",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("intensity scales"), "{stderr}");
+    assert!(!scratch.path("frag.csv").exists(), "no fragment");
+    assert!(!scratch.path("frag.csv.manifest").exists(), "no manifest");
+}
+
 /// `--list` resolves cells exactly as a run does, so it refuses the
 /// ranges a run refuses, with the run's message: a range that splits a
 /// replicate group of 3, and one past the grid's 36 cells.

@@ -385,37 +385,42 @@ fn dying_shard_leaves_a_terminal_failed_record_then_resumes_clean() {
 /// An invalid sweep is an `InvalidInput` error from every `Result`
 /// entry point, found before anything is written: no header on the
 /// stream, and no shard CSV or manifest. Only the terminal `.progress`
-/// record a failing shard always leaves remains.
+/// record a failing shard always leaves remains. A NaN intensity scale
+/// is such a sweep too, refused before it could panic mid-shard.
 #[test]
 fn invalid_sweep_is_an_error_and_writes_no_shard_output() {
     use std::io::ErrorKind;
 
-    let mut sweep = Sweep::new("bad");
-    sweep.seeds = vec![];
-    let runner = SweepRunner::new(1);
-    let err = runner.run_collect(&sweep, None, None).unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
-    let mut bytes = Vec::new();
-    let err = runner
-        .run_streamed_range(&sweep, None, None, true, None, &mut bytes)
-        .unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
-    assert!(bytes.is_empty(), "nothing streamed for an invalid sweep");
+    let mut no_seeds = Sweep::new("bad");
+    no_seeds.seeds = vec![];
+    let mut nan_scale = Sweep::new("nan");
+    nan_scale.intensity_scales = vec![f64::NAN];
+    for (sweep, message) in [(&no_seeds, "seeds"), (&nan_scale, "intensity scales")] {
+        let runner = SweepRunner::new(1);
+        let err = runner.run_collect(sweep, None, None).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        let mut bytes = Vec::new();
+        let err = runner
+            .run_streamed_range(sweep, None, None, true, None, &mut bytes)
+            .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        assert!(bytes.is_empty(), "nothing streamed for an invalid sweep");
 
-    let scratch = Scratch::new("invalid");
-    let csv = scratch.path("shard.csv");
-    let job = ShardJob {
-        sweep: &sweep,
-        filter: None,
-        assignment: ShardAssignment::Whole,
-        csv: &csv,
-        resume: false,
-        checkpoint_every: 1,
-        columnar: false,
-    };
-    let err = run_shard(&runner, &job, None).unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
-    assert!(err.to_string().contains("seeds"), "{err}");
-    assert!(!csv.exists(), "no shard CSV");
-    assert!(!manifest_path(&csv).exists(), "no manifest");
+        let scratch = Scratch::new("invalid");
+        let csv = scratch.path("shard.csv");
+        let job = ShardJob {
+            sweep,
+            filter: None,
+            assignment: ShardAssignment::Whole,
+            csv: &csv,
+            resume: false,
+            checkpoint_every: 1,
+            columnar: false,
+        };
+        let err = run_shard(&runner, &job, None).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(message), "{err}");
+        assert!(!csv.exists(), "no shard CSV");
+        assert!(!manifest_path(&csv).exists(), "no manifest");
+    }
 }
