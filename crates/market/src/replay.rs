@@ -139,8 +139,9 @@ pub fn settle_run(
 ///
 /// A user's slot is its position among the run's sorted distinct user
 /// ids. Each slot has the store account's `spent` and the bank's
-/// balance; every account is granted the same budget once. Every operation repeats the store's clamps, operand order and
-/// float operations, so [`settle`](SettleBook::settle) returns the same
+/// balance; every account is granted the same budget once. Every
+/// operation repeats the store's clamps, operand order and float
+/// operations, so [`settle`](SettleBook::settle) returns the same
 /// [`MarketRun`] bits:
 ///
 /// - each job runs `debit_up_to(hold)`, `refund(held)` and
@@ -207,17 +208,14 @@ impl Slots {
         Some(charge)
     }
 
-    /// `CreditStore::refund`: returns up to the outstanding spend and
-    /// reports the amount refunded.
-    fn refund(&mut self, slot: usize, amount: f64) -> Option<f64> {
+    /// `CreditStore::refund`: returns up to the outstanding spend.
+    fn refund(&mut self, slot: usize, amount: f64) {
         if amount < 0.0 {
-            return None;
+            return;
         }
         let spent = self.spent[slot];
-        let refunded = amount.min(spent.max(0.0));
-        self.spent[slot] = spent - refunded;
+        self.spent[slot] = spent - amount.min(spent.max(0.0));
         self.txns += 1;
-        Some(refunded)
     }
 
     /// `CreditBank::deposit` of a positive saving under a positive cap.
@@ -322,7 +320,7 @@ impl SettleBook {
             let hold = posted(o, o.arrival_s);
             let actual = posted(o, o.start_s);
             let held = slots.debit_up_to(slot, hold).unwrap_or(0.0);
-            let _ = slots.refund(slot, held);
+            slots.refund(slot, held);
             let charged = slots.debit_up_to(slot, actual).unwrap_or(0.0);
             let short = (actual - charged).max(0.0);
             raw_spent += raw;

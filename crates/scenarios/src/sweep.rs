@@ -245,12 +245,10 @@ impl Sweep {
                 }
             }
         }
-        // Written as `!(ok)` so NaN, which fails every comparison, is
-        // refused with the infinities.
         if self
             .workload_scales
             .iter()
-            .any(|s| !(s.is_finite() && *s > 0.0))
+            .any(|s| *s <= 0.0 || !s.is_finite())
         {
             return Err(SpecError(
                 "workload scales must be finite and positive".into(),
@@ -259,13 +257,13 @@ impl Sweep {
         if self
             .intensity_scales
             .iter()
-            .any(|s| !(s.is_finite() && *s > 0.0))
+            .any(|s| *s <= 0.0 || !s.is_finite())
         {
             return Err(SpecError(
                 "intensity scales must be finite and positive".into(),
             ));
         }
-        if !(self.intensity_jitter.is_finite() && self.intensity_jitter >= 0.0) {
+        if self.intensity_jitter < 0.0 || !self.intensity_jitter.is_finite() {
             return Err(SpecError(
                 "intensity jitter must be finite and non-negative".into(),
             ));
