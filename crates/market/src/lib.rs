@@ -27,8 +27,10 @@
 //!
 //! [`replay::settle_run`] ties the layers together: a finished
 //! simulation run is settled through any `CreditStore` at posted prices,
-//! with savings banked — the workload `green-scenarios` sweeps over the
-//! new elasticity / price-schedule / banking axes.
+//! with savings banked. [`SettleBook`] settles the same run to the same
+//! bits on a dense per-user book, without a ledger — the kernel
+//! `green-scenarios` runs per market cell when it sweeps the
+//! elasticity / price-schedule / banking axes.
 //!
 //! # Example
 //!

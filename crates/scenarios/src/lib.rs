@@ -18,7 +18,7 @@
 //!   [`toml`]. The market axes (`elasticities`, `price_schedules`,
 //!   `banking_caps`) sweep `green-market`'s incentive loop: posted
 //!   dynamic prices, elastic agents re-timing their submissions, and
-//!   per-cell settlement through the sharded credit store;
+//!   per-cell settlement on `green-market`'s dense settlement book;
 //! * [`SweepRunner`] — the parallel driver and the one execution path:
 //!   traces, placement tables, intensity realizations, compiled price
 //!   tables and agent populations are each built once per distinct

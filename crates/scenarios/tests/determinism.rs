@@ -1,7 +1,7 @@
 //! The engine's central guarantee: the aggregated output of a sweep is a
 //! pure function of the sweep spec — worker-thread count must not change
 //! a single byte. Market-enabled sweeps (adaptive agents, dynamic
-//! prices, sharded-ledger settlement) are held to the same bar, and the
+//! prices, per-cell settlement) are held to the same bar, and the
 //! two `CreditStore` backends must be indistinguishable on the same
 //! transaction stream.
 
@@ -51,9 +51,8 @@ fn structured_results_equal_across_thread_counts() {
 }
 
 /// A market-enabled sweep: adaptive agents reacting to carbon-indexed
-/// posted prices, settled per cell through the sharded ledger with
-/// banking. The full incentive loop must still be a pure function of the
-/// spec.
+/// posted prices, settled per cell with banking. The full incentive
+/// loop must still be a pure function of the spec.
 #[test]
 fn market_sweep_is_byte_identical_across_thread_counts() {
     let mut sweep = Sweep::new("market-determinism");
