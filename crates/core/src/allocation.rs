@@ -210,6 +210,10 @@ impl Ledger {
     /// amount actually charged. Used to settle a completed job whose
     /// measured cost exceeded the admission hold: the provider collects
     /// what is left rather than un-running the job.
+    ///
+    /// It never fails for lack of credits: an account with nothing left
+    /// (a negative grant, or one overdrawn within `can_afford`'s
+    /// tolerance) is charged zero, and the zero charge is recorded.
     pub fn debit_up_to(
         &mut self,
         owner: &str,
@@ -220,13 +224,18 @@ impl Ledger {
         if amount.value() < 0.0 {
             return Err(AllocationError::NegativeAmount(amount.value()));
         }
-        let remaining = self
+        let acct = self
             .accounts
-            .get(owner)
-            .ok_or_else(|| AllocationError::UnknownAccount(owner.to_string()))?
-            .remaining();
-        let charge = amount.min(remaining.max(Credits::ZERO));
-        self.debit(owner, charge, at, label)?;
+            .get_mut(owner)
+            .ok_or_else(|| AllocationError::UnknownAccount(owner.to_string()))?;
+        let charge = amount.min(acct.remaining().max(Credits::ZERO));
+        acct.spent += charge;
+        self.transactions.push(Transaction {
+            account: owner.to_string(),
+            amount: charge,
+            at,
+            label: label.into(),
+        });
         Ok(charge)
     }
 
@@ -239,8 +248,8 @@ impl Ledger {
     ///
     /// Summed in owner order, not map order: float addition is not
     /// associative, and `HashMap` iteration order changes per process —
-    /// a deterministic order is what lets different `CreditStore`
-    /// backends report bit-identical totals for the same stream.
+    /// a fixed order makes the total a pure function of the operations
+    /// applied, so replaying a stream gives the same bits in any process.
     pub fn total_spent(&self) -> Credits {
         let mut accounts: Vec<&Allocation> = self.accounts.values().collect();
         accounts.sort_by(|a, b| a.owner.cmp(&b.owner));
@@ -339,6 +348,44 @@ mod tests {
         assert!((acct.granted.value() - 150.0).abs() < 1e-12);
         assert!((acct.spent.value() - 30.0).abs() < 1e-12);
         assert!((acct.remaining().value() - 120.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hold_release_settle_clamps_to_the_balance() {
+        let mut ledger = Ledger::new();
+        ledger.grant("alice", Credits::new(100.0));
+        assert!(ledger.can_afford("alice", Credits::new(100.0)));
+        ledger
+            .debit("alice", Credits::new(60.0), TimePoint::EPOCH, "hold j1")
+            .unwrap();
+        let refunded = ledger
+            .refund("alice", Credits::new(60.0), TimePoint::EPOCH, "release j1")
+            .unwrap();
+        assert!((refunded.value() - 60.0).abs() < 1e-12);
+        // The settlement asks for more than the grant: it takes all 100.
+        let charged = ledger
+            .debit_up_to("alice", Credits::new(150.0), TimePoint::EPOCH, "settle j1")
+            .unwrap();
+        assert!((charged.value() - 100.0).abs() < 1e-12);
+        assert!((ledger.total_spent().value() - 100.0).abs() < 1e-12);
+        assert_eq!(ledger.transactions().len(), 3);
+        assert!(ledger.account("alice").unwrap().remaining().value().abs() < 1e-12);
+    }
+
+    #[test]
+    fn debit_up_to_charges_nothing_when_nothing_is_left() {
+        let mut ledger = Ledger::new();
+        ledger.grant("hana", Credits::new(-5.0));
+        let charged = ledger
+            .debit_up_to("hana", Credits::new(3.0), TimePoint::EPOCH, "settle")
+            .unwrap();
+        assert_eq!(charged.value().to_bits(), 0.0f64.to_bits());
+        assert_eq!(ledger.account("hana").unwrap().spent.value(), 0.0);
+        assert_eq!(
+            ledger.transactions().len(),
+            1,
+            "the zero charge is recorded"
+        );
     }
 
     #[test]

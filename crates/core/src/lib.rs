@@ -34,7 +34,6 @@ pub mod exchange;
 pub mod methods;
 pub mod normalize;
 pub mod quote;
-pub mod store;
 
 pub use allocation::{Allocation, AllocationError, Ledger, Transaction};
 pub use context::ChargeContext;
@@ -42,4 +41,3 @@ pub use exchange::ExchangeRate;
 pub use methods::{AccountingMethod, AffineCharge, MethodKind};
 pub use normalize::normalize_min;
 pub use quote::{MachineQuote, QuoteSet};
-pub use store::{CreditStore, LockedLedger};

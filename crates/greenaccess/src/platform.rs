@@ -3,10 +3,9 @@
 
 use std::collections::HashMap;
 
-use green_accounting::{CreditStore, LockedLedger, MethodKind};
+use green_accounting::{Allocation, Ledger, MethodKind};
 use green_carbon::{attribute_job, GridRegion};
 use green_machines::{AppId, TestbedMachine};
-use green_market::ShardedLedger;
 use green_telemetry::{Bus, Subscription, TaskEnergyReport, TaskId};
 use green_units::Credits;
 use green_units::{CarbonIntensity, TimePoint, TimeSpan};
@@ -35,13 +34,6 @@ pub struct PlatformConfig {
     pub refit_every: u32,
     /// Admission hold as a multiple of the quoted cost.
     pub admission_margin: f64,
-    /// Credit-store backend: `0` keeps the single-lock [`Ledger`]
-    /// wrapper, `n > 0` runs the `green-market` sharded store with `n`
-    /// stripes. Both backends are observably identical; the sharded one
-    /// stops concurrent clients' balance checks from serializing.
-    ///
-    /// [`Ledger`]: green_accounting::Ledger
-    pub ledger_shards: usize,
 }
 
 impl Default for PlatformConfig {
@@ -53,7 +45,6 @@ impl Default for PlatformConfig {
             telemetry_noise: 0.01,
             refit_every: 8,
             admission_margin: 1.25,
-            ledger_shards: 0,
         }
     }
 }
@@ -76,7 +67,7 @@ pub struct GreenAccess {
     reports: Subscription<PlatformMessage>,
     pending: HashMap<TaskId, TaskEnergyReport>,
     auth: AccessControl,
-    ledger: Box<dyn CreditStore>,
+    ledger: Ledger,
     predictor: PredictionService,
     next_task: u64,
     clock_s: f64,
@@ -116,11 +107,6 @@ impl GreenAccess {
             })
             .collect();
         let predictor = PredictionService::new(config.method, intensities);
-        let ledger: Box<dyn CreditStore> = if config.ledger_shards > 0 {
-            Box::new(ShardedLedger::new(config.ledger_shards))
-        } else {
-            Box::new(LockedLedger::new())
-        };
         GreenAccess {
             config,
             endpoints,
@@ -128,7 +114,7 @@ impl GreenAccess {
             reports,
             pending: HashMap::new(),
             auth: AccessControl::new(),
-            ledger,
+            ledger: Ledger::new(),
             predictor,
             next_task: 0,
             clock_s: 0.0,
@@ -148,12 +134,12 @@ impl GreenAccess {
 
     /// Remaining balance of a user.
     pub fn balance(&self, user: &str) -> Option<Credits> {
-        self.ledger.balance(user)
+        self.ledger.account(user).map(Allocation::remaining)
     }
 
-    /// The provider-side credit store (read-only).
-    pub fn ledger(&self) -> &dyn CreditStore {
-        self.ledger.as_ref()
+    /// The provider-side ledger (read-only).
+    pub fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
     /// The prediction service (for quoting without invoking).
@@ -198,12 +184,12 @@ impl GreenAccess {
         self.next_task += 1;
         let now = TimePoint::from_secs(self.clock_s);
         self.ledger
-            .debit(&user, hold, now, &format!("hold {task}"))?;
+            .debit(&user, hold, now, format!("hold {task}"))?;
 
         if !self.endpoints[machine_index].execute(ExecuteRequest { task, app, scale }) {
             // Roll the hold back; the endpoint is gone.
             self.ledger
-                .refund(&user, hold, now, &format!("rollback {task}"))?;
+                .refund(&user, hold, now, format!("rollback {task}"))?;
             return Err(PlatformError::EndpointDown(machine_index));
         }
 
@@ -219,10 +205,10 @@ impl GreenAccess {
         let actual = self.config.method.charge(&ctx);
 
         self.ledger
-            .refund(&user, hold, settled_at, &format!("release {task}"))?;
+            .refund(&user, hold, settled_at, format!("release {task}"))?;
         let charged =
             self.ledger
-                .debit_up_to(&user, actual, settled_at, &format!("settle {task}"))?;
+                .debit_up_to(&user, actual, settled_at, format!("settle {task}"))?;
 
         let footprint = attribute_job(
             ctx.facility_energy(),
@@ -281,29 +267,6 @@ mod tests {
             method,
             ..PlatformConfig::default()
         })
-    }
-
-    #[test]
-    fn sharded_ledger_backend_is_drop_in() {
-        let mut ga = GreenAccess::new(PlatformConfig {
-            ledger_shards: 8,
-            ..PlatformConfig::default()
-        });
-        let token = ga.register_user("bob", Credits::new(1.0e6));
-        let receipt = ga
-            .invoke(
-                &token,
-                AppId::Cholesky,
-                1.0,
-                Placement::On(TestbedMachine::Desktop),
-            )
-            .unwrap();
-        assert!(receipt.charged.value() > 0.0);
-        // Same settlement shape as the single-lock backend: hold,
-        // release, settle.
-        assert_eq!(ga.ledger().transaction_count(), 3);
-        let balance = ga.balance("bob").unwrap();
-        assert!((balance.value() - (1.0e6 - receipt.charged.value())).abs() < 1e-6);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use green_accounting::{ChargeContext, CreditStore, ExchangeRate, MethodKind};
+use green_accounting::{ChargeContext, ExchangeRate, Ledger, MethodKind};
 use green_units::{Credits, TimePoint};
 
 /// A table of empirical exchange rates between accounting methods.
@@ -129,21 +129,21 @@ impl CreditBank {
     }
 }
 
-/// Settles a completed job against a store: the admission `hold` is
+/// Settles a completed job against the ledger: the admission `hold` is
 /// released in full and the measured `actual` collected with
-/// [`CreditStore::debit_up_to`] — the provider takes what is left rather
+/// [`Ledger::debit_up_to`] — the provider takes what is left rather
 /// than un-running the job. Returns `(charged, shortfall)`.
 pub fn settle(
-    store: &dyn CreditStore,
+    ledger: &mut Ledger,
     owner: &str,
     hold: Credits,
     actual: Credits,
     at: TimePoint,
     label: &str,
 ) -> (Credits, Credits) {
-    let _ = store.refund(owner, hold, at, &format!("release {label}"));
-    let charged = store
-        .debit_up_to(owner, actual, at, &format!("settle {label}"))
+    let _ = ledger.refund(owner, hold, at, format!("release {label}"));
+    let charged = ledger
+        .debit_up_to(owner, actual, at, format!("settle {label}"))
         .unwrap_or(Credits::ZERO);
     (charged, (actual - charged).max(Credits::ZERO))
 }
@@ -226,14 +226,14 @@ mod tests {
 
     #[test]
     fn settle_refunds_hold_and_collects_what_is_left() {
-        let store = green_accounting::LockedLedger::new();
-        store.grant("u", Credits::new(100.0));
-        store
+        let mut ledger = Ledger::new();
+        ledger.grant("u", Credits::new(100.0));
+        ledger
             .debit("u", Credits::new(40.0), TimePoint::EPOCH, "hold j")
             .unwrap();
         // Actual cost exceeds the whole grant: collect the 100 available.
         let (charged, shortfall) = settle(
-            &store,
+            &mut ledger,
             "u",
             Credits::new(40.0),
             Credits::new(130.0),
@@ -242,6 +242,6 @@ mod tests {
         );
         assert!((charged.value() - 100.0).abs() < 1e-9);
         assert!((shortfall.value() - 30.0).abs() < 1e-9);
-        assert!((store.balance("u").unwrap().value()).abs() < 1e-9);
+        assert!((ledger.account("u").unwrap().remaining().value()).abs() < 1e-9);
     }
 }

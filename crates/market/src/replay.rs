@@ -1,23 +1,20 @@
-//! Market settlement of a simulated run: the ledger on the hot path.
+//! Market settlement of a simulated run.
 //!
-//! [`settle_run`] replays a run's [`JobOutcome`]s through a
-//! [`CreditStore`] at posted prices, the way the platform settles live
-//! invocations: an admission hold at the arrival-hour price, a release +
-//! `debit_up_to` settlement at the start-hour price, and banking of any
-//! off-peak savings (with the bank's cap and daily decay). The function
-//! is backend-agnostic — feeding the same run through the single-lock
-//! and sharded stores must produce identical snapshots, which the
-//! determinism suite asserts.
+//! [`settle_run`] replays a run's [`JobOutcome`]s through a [`Ledger`]
+//! at posted prices, the way the platform settles live invocations: an
+//! admission hold at the arrival-hour price, a release + `debit_up_to`
+//! settlement at the start-hour price, and banking of any off-peak
+//! savings (with the bank's cap and daily decay).
 //!
 //! [`SettleBook`] is the settlement kernel sweeps run per market cell:
 //! the same operation stream on a dense per-user book, with no owner
 //! names, labels or transaction log. It returns exactly the bits
 //! [`settle_run`] returns, which `tests/settle_book.rs` checks against
-//! both store backends.
+//! the ledger replay.
 
 use std::io::Write as _;
 
-use green_accounting::CreditStore;
+use green_accounting::Ledger;
 use green_batchsim::{JobOutcome, PriceTable};
 use green_units::{Credits, TimePoint};
 
@@ -47,20 +44,20 @@ impl MarketRun {
     };
 }
 
-/// Settles every outcome of a run through `store` at posted prices.
+/// Settles every outcome of a run through `ledger` at posted prices.
 ///
 /// Users are granted equal budgets sized `budget_factor` × the mean
 /// posted demand, so heavy users genuinely exhaust their allocation and
 /// exercise the `debit_up_to` clamp. Savings relative to the base charge
 /// are banked per user; the bank closes a period at every simulated-day
 /// boundary. Outcomes are processed in completion order (ties broken by
-/// job id), so the operation stream — and therefore the final store
-/// snapshot — is a pure function of the run.
+/// job id), so the operation stream — and therefore the final ledger
+/// state — is a pure function of the run.
 pub fn settle_run(
     outcomes: &[JobOutcome],
     method_index: usize,
     prices: &PriceTable,
-    store: &dyn CreditStore,
+    ledger: &mut Ledger,
     bank: &mut CreditBank,
     budget_factor: f64,
 ) -> MarketRun {
@@ -84,7 +81,7 @@ pub fn settle_run(
     let total_posted: f64 = order.iter().map(|o| posted(o, o.start_s)).sum();
     let budget = Credits::new(budget_factor * total_posted / users.len() as f64);
     for user in &users {
-        store.grant(&format!("u{user}"), budget);
+        ledger.grant(&format!("u{user}"), budget);
     }
 
     let mut raw_spent = 0.0;
@@ -108,10 +105,10 @@ pub fn settle_run(
         // Admission: hold what the arrival-hour quote says, capped by the
         // balance (the simulator already admitted the job; the market
         // collects, it does not un-run work).
-        let held = store
-            .debit_up_to(&owner, hold, at, &format!("hold {label}"))
+        let held = ledger
+            .debit_up_to(&owner, hold, at, format!("hold {label}"))
             .unwrap_or(Credits::ZERO);
-        let (_, short) = settle(store, &owner, held, actual, at, &label);
+        let (_, short) = settle(ledger, &owner, held, actual, at, &label);
         raw_spent += raw;
         shortfall += short.value();
 
@@ -127,29 +124,29 @@ pub fn settle_run(
     bank.end_period();
 
     MarketRun {
-        posted_spent: store.total_spent().value(),
+        posted_spent: ledger.total_spent().value(),
         raw_spent,
         banked: bank.total(),
         shortfall,
     }
 }
 
-/// A dense settlement book: [`settle_run`] through a fresh store and a
-/// fresh [`CreditBank`], on plain columns indexed by user slot.
+/// A dense settlement book: [`settle_run`] through a fresh [`Ledger`]
+/// and a fresh [`CreditBank`], on plain columns indexed by user slot.
 ///
 /// A user's slot is its position among the run's sorted distinct user
-/// ids. Each slot has the store account's `spent` and the bank's
+/// ids. Each slot has the ledger account's `spent` and the bank's
 /// balance; every account is granted the same budget once. Every
-/// operation repeats the store's clamps, operand order and float
+/// operation repeats the ledger's clamps, operand order and float
 /// operations, so [`settle`](SettleBook::settle) returns the same
 /// [`MarketRun`] bits:
 ///
 /// - each job runs `debit_up_to(hold)`, `refund(held)` and
 ///   `debit_up_to(actual)`; the hold is taken and released even though
 ///   they cancel, because `spent + h − h` need not equal `spent`;
-/// - a negative amount is rejected and changes nothing, as the stores
-///   reject it;
-/// - the stores sum accounts in owner-name order (`"u10"` before
+/// - a negative amount is rejected and changes nothing, as the ledger
+///   rejects it;
+/// - the ledger sums accounts in owner-name order (`"u10"` before
 ///   `"u2"`), and so does the book;
 /// - the bank total is folded from +0.0, as `CreditBank::total` is, so
 ///   a slot the bank would hold no entry for, whose balance stays
@@ -163,13 +160,13 @@ pub struct SettleBook {
     order: Vec<u32>,
     /// Distinct user ids, sorted: user `users[s]` owns slot `s`.
     users: Vec<u32>,
-    /// Slots in owner-name order, the order the stores sum in.
+    /// Slots in owner-name order, the order the ledger sums in.
     by_owner: Vec<u32>,
     /// The per-slot columns.
     slots: Slots,
 }
 
-/// The store's accounts and the bank's balances, one entry per slot.
+/// The ledger's accounts and the bank's balances, one entry per slot.
 #[derive(Debug, Default)]
 struct Slots {
     /// Credits granted to every account.
@@ -195,7 +192,7 @@ impl Slots {
         self.txns = 0;
     }
 
-    /// `CreditStore::debit_up_to`: charges as much of `amount` as the
+    /// `Ledger::debit_up_to`: charges as much of `amount` as the
     /// balance allows and returns the charge.
     fn debit_up_to(&mut self, slot: usize, amount: f64) -> Option<f64> {
         if amount < 0.0 {
@@ -208,7 +205,7 @@ impl Slots {
         Some(charge)
     }
 
-    /// `CreditStore::refund`: returns up to the outstanding spend.
+    /// `Ledger::refund`: returns up to the outstanding spend.
     fn refund(&mut self, slot: usize, amount: f64) {
         if amount < 0.0 {
             return;
@@ -248,7 +245,7 @@ impl SettleBook {
     }
 
     /// Settles every outcome of a run at posted prices — the result
-    /// [`settle_run`] returns through an empty store and a
+    /// [`settle_run`] returns through an empty ledger and a
     /// `CreditBank::new(banking_cap, bank_decay)`, bit for bit.
     ///
     /// Panics, as `CreditBank::new` does, when the cap is negative or
@@ -344,8 +341,8 @@ impl SettleBook {
         }
     }
 
-    /// Ledger operations the last settlement applied, counted as a
-    /// [`CreditStore`] records them: three per job, less any rejected
+    /// Ledger operations the last settlement applied, counted as the
+    /// [`Ledger`] records them: three per job, less any rejected
     /// negative amount.
     pub fn transaction_count(&self) -> usize {
         self.slots.txns
@@ -370,8 +367,6 @@ impl SettleBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::ShardedLedger;
-    use green_accounting::LockedLedger;
 
     fn outcome(
         job: u32,
@@ -412,9 +407,9 @@ mod tests {
 
     #[test]
     fn settles_at_posted_prices_and_banks_savings() {
-        let store = LockedLedger::new();
+        let mut ledger = Ledger::new();
         let mut bank = CreditBank::new(1_000.0, 0.0);
-        let result = settle_run(&run(), 0, &prices(), &store, &mut bank, 2.0);
+        let result = settle_run(&run(), 0, &prices(), &mut ledger, &mut bank, 2.0);
         assert!((result.raw_spent - 260.0).abs() < 1e-9);
         assert!((result.posted_spent - 280.0).abs() < 1e-9);
         assert!(
@@ -428,24 +423,11 @@ mod tests {
 
     #[test]
     fn tight_budgets_clamp_via_debit_up_to() {
-        let store = LockedLedger::new();
+        let mut ledger = Ledger::new();
         let mut bank = CreditBank::new(0.0, 0.0);
         // budget_factor 0.5: per-user budget 70, total 140 < 280 posted.
-        let result = settle_run(&run(), 0, &prices(), &store, &mut bank, 0.5);
+        let result = settle_run(&run(), 0, &prices(), &mut ledger, &mut bank, 0.5);
         assert!(result.shortfall > 0.0);
         assert!((result.posted_spent + result.shortfall - 280.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn backends_settle_identically() {
-        let locked = LockedLedger::new();
-        let sharded = ShardedLedger::new(8);
-        let mut bank_a = CreditBank::new(100.0, 0.1);
-        let mut bank_b = CreditBank::new(100.0, 0.1);
-        let a = settle_run(&run(), 0, &prices(), &locked, &mut bank_a, 1.2);
-        let b = settle_run(&run(), 0, &prices(), &sharded, &mut bank_b, 1.2);
-        assert_eq!(a, b);
-        assert_eq!(locked.snapshot(), sharded.snapshot());
-        assert_eq!(locked.transactions(), sharded.transactions());
     }
 }

@@ -1,8 +1,8 @@
 //! The settlement kernel against its oracle: [`SettleBook::settle`] must
-//! return exactly what [`settle_run`] returns through either credit
-//! store — every `MarketRun` field, every account's `spent` and every
-//! bank balance compared by `to_bits()` — over random runs built to
-//! reach each rule the kernel has to repeat:
+//! return exactly what [`settle_run`] returns through a [`Ledger`] —
+//! every `MarketRun` field, every account's `spent` and every bank
+//! balance compared by `to_bits()` — over random runs built to reach
+//! each rule the kernel has to repeat:
 //!
 //! - sparse user ids whose owner names sort apart from their numbers
 //!   (`"u10"` before `"u2"`), so a numeric-order sum rounds differently;
@@ -15,9 +15,9 @@
 //! - one-entry price series and machines past the price table;
 //! - empty runs.
 
-use green_accounting::{CreditStore, LockedLedger};
+use green_accounting::Ledger;
 use green_batchsim::{JobOutcome, PriceTable};
-use green_market::{settle_run, CreditBank, MarketRun, SettleBook, ShardedLedger};
+use green_market::{settle_run, CreditBank, MarketRun, SettleBook};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,8 +116,8 @@ fn bits(run: &MarketRun) -> [u64; 4] {
     ]
 }
 
-/// Settles `outcomes` through both stores and on `book`, and checks the
-/// book against each store replay bit for bit.
+/// Settles `outcomes` through a ledger and on `book`, and checks the
+/// book against the ledger replay bit for bit.
 fn check(
     book: &mut SettleBook,
     outcomes: &[JobOutcome],
@@ -126,40 +126,36 @@ fn check(
     (factor, cap, decay): (f64, f64, f64),
 ) {
     let kernel = book.settle(outcomes, method, prices, factor, cap, decay);
-    let locked = LockedLedger::new();
-    let sharded = ShardedLedger::new(8);
-    for store in [&locked as &dyn CreditStore, &sharded] {
-        let mut bank = CreditBank::new(cap, decay);
-        let oracle = settle_run(outcomes, method, prices, store, &mut bank, factor);
+    let mut ledger = Ledger::new();
+    let mut bank = CreditBank::new(cap, decay);
+    let oracle = settle_run(outcomes, method, prices, &mut ledger, &mut bank, factor);
+    assert_eq!(
+        bits(&kernel),
+        bits(&oracle),
+        "kernel {kernel:?} vs ledger replay {oracle:?}"
+    );
+    for account in ledger.accounts() {
+        let user: u32 = account.owner[1..].parse().expect("u{user} owner name");
+        let spent = book.spent(user).expect("every account has a slot");
         assert_eq!(
-            bits(&kernel),
-            bits(&oracle),
-            "kernel {kernel:?} vs store replay {oracle:?}"
+            spent.to_bits(),
+            account.spent.value().to_bits(),
+            "spent of {}",
+            account.owner
         );
-        let snapshot = store.snapshot();
-        for account in &snapshot {
-            let user: u32 = account.owner[1..].parse().expect("u{user} owner name");
-            let spent = book.spent(user).expect("every account has a slot");
-            assert_eq!(
-                spent.to_bits(),
-                account.spent.value().to_bits(),
-                "spent of {}",
-                account.owner
-            );
-            assert_eq!(
-                book.banked(user).to_bits(),
-                bank.balance(&account.owner).to_bits(),
-                "bank balance of {}",
-                account.owner
-            );
-        }
-        let mut users: Vec<u32> = outcomes.iter().map(|o| o.user).collect();
-        users.sort_unstable();
-        users.dedup();
-        assert_eq!(snapshot.len(), users.len());
+        assert_eq!(
+            book.banked(user).to_bits(),
+            bank.balance(&account.owner).to_bits(),
+            "bank balance of {}",
+            account.owner
+        );
     }
-    // The sharded store records every accepted operation.
-    assert_eq!(book.transaction_count(), sharded.transaction_count());
+    let mut users: Vec<u32> = outcomes.iter().map(|o| o.user).collect();
+    users.sort_unstable();
+    users.dedup();
+    assert_eq!(ledger.accounts().count(), users.len());
+    // The ledger records every accepted operation.
+    assert_eq!(book.transaction_count(), ledger.transactions().len());
 }
 
 proptest! {
@@ -168,7 +164,7 @@ proptest! {
     /// Each case settles two runs on one book, so the second also checks
     /// that a reused book starts from nothing.
     #[test]
-    fn settle_book_matches_both_store_replays(
+    fn settle_book_matches_the_ledger_replay(
         seed in 0u64..u64::MAX,
         jobs in 0usize..60,
         pool in 0usize..USER_POOLS.len(),

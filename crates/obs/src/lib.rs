@@ -16,7 +16,7 @@
 //! Three signal kinds, all aggregated (never per-event allocations):
 //!
 //! * [`Counter`] — deterministic work counts (events drained,
-//!   ready-user merges, settlements, ledger CAS retries…). On a
+//!   ready-user merges, settlements, ledger transactions…). On a
 //!   single-threaded run these are pure functions of the workload, so
 //!   `green-perf` gates them like any other work counter.
 //! * [`Phase`] — wall-nanosecond attribution to the pipeline phases
@@ -51,11 +51,11 @@ pub enum Counter {
     SchedulePasses = 2,
     /// Job outcomes settled through the market ledger.
     JobsSettled = 3,
-    /// Transactions appended to the credit store's logs.
+    /// Ledger operations market settlement applied, counted as the
+    /// `Ledger` records them.
     LedgerTxns = 4,
-    /// CAS retries inside the sharded ledger's balance loops (zero
-    /// without contention — a tripwire counter on single-threaded
-    /// benches).
+    /// CAS retries of the retired sharded ledger. Nothing emits it any
+    /// more; perfbench still reads it, as a constant 0.
     LedgerCasRetries = 5,
     /// Sweep cells executed.
     CellsRun = 6,

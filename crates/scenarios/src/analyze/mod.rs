@@ -43,7 +43,7 @@
 //! sweep.policies = vec![PolicySpec::Greedy, PolicySpec::Energy];
 //! sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
 //! sweep.seeds = vec![1, 2];
-//! let results = SweepRunner::new(2).run(&sweep);
+//! let results = SweepRunner::new(2).run(&sweep)?;
 //!
 //! let dir = std::env::temp_dir().join(format!("analyze-doctest-{}", std::process::id()));
 //! std::fs::create_dir_all(&dir).unwrap();
@@ -56,6 +56,7 @@
 //! assert_eq!(report.rows_matched, 4);        // 4 configurations scanned
 //! assert!(report.to_csv_string().starts_with("policy,metric,rows,"));
 //! std::fs::remove_dir_all(&dir).unwrap();
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 pub mod columnar;

@@ -65,10 +65,11 @@
 //! sweep.seeds = vec![1, 2];
 //! assert_eq!(sweep.cell_count(), 8);
 //!
-//! let results = SweepRunner::new(2).run(&sweep);
+//! let results = SweepRunner::new(2).run(&sweep)?;
 //! assert_eq!(results.cells.len(), 4);      // 8 cells / 2 replicates
 //! let csv = results.to_csv_string();
 //! assert!(csv.starts_with("policy,method,"));
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 pub mod agg;

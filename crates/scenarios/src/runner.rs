@@ -814,16 +814,11 @@ impl<'a, R: Recorder, C: Chaos> SweepRunner<'a, R, C> {
 
     /// Runs the sweep end to end: build shared world, execute every cell,
     /// aggregate replicates. Results are in expansion order regardless of
-    /// scheduling.
-    ///
-    /// # Panics
-    ///
-    /// If the sweep is invalid ([`Sweep::validate`]);
-    /// [`run_collect`](SweepRunner::run_collect) returns that as an error.
-    pub fn run(&self, sweep: &Sweep) -> SweepResults {
+    /// scheduling. Fails with `InvalidInput` on an invalid sweep
+    /// ([`Sweep::validate`]).
+    pub fn run(&self, sweep: &Sweep) -> io::Result<SweepResults> {
         self.run_collect(sweep, None, None)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .0
+            .map(|(results, _)| results)
     }
 
     /// Runs the grid configurations whose label (the `/`-joined
@@ -1219,7 +1214,7 @@ mod tests {
         sweep.methods = vec![MethodSpec::Eba];
         sweep.users = vec![24, 96];
         sweep.seeds = vec![1];
-        let results = SweepRunner::new(0).run(&sweep);
+        let results = SweepRunner::new(0).run(&sweep).unwrap();
         assert_eq!(results.cells.len(), 2);
         let (small, large) = (&results.cells[0], &results.cells[1]);
         assert_eq!(small.spec.users, 24);
@@ -1234,7 +1229,7 @@ mod tests {
     #[test]
     fn runner_aggregates_in_expansion_order() {
         let sweep = tiny_sweep();
-        let results = SweepRunner::new(2).run(&sweep);
+        let results = SweepRunner::new(2).run(&sweep).unwrap();
         assert_eq!(results.cells.len(), 2);
         assert_eq!(results.replicates, 2);
         assert_eq!(results.cells[0].spec.policy, PolicySpec::Greedy);
@@ -1251,7 +1246,7 @@ mod tests {
     #[test]
     fn filtered_runs_match_the_full_sweep() {
         let sweep = tiny_sweep();
-        let full = SweepRunner::new(1).run(&sweep);
+        let full = SweepRunner::new(1).run(&sweep).unwrap();
         // Filtering to one policy reproduces that configuration's
         // aggregate bit for bit (the narrowed world builds the same
         // shared artifacts).
@@ -1291,7 +1286,7 @@ mod tests {
         sweep.methods = vec![MethodSpec::Cba];
         sweep.seeds = vec![1];
         sweep.banking_caps = vec![0.0, 50.0];
-        let results = SweepRunner::new(1).run(&sweep);
+        let results = SweepRunner::new(1).run(&sweep).unwrap();
         let (off, on) = (&results.cells[0], &results.cells[1]);
         assert_eq!(off.energy_mwh, on.energy_mwh);
         assert_eq!(off.attr_carbon_kg, on.attr_carbon_kg);
@@ -1312,7 +1307,7 @@ mod tests {
         // seeds must produce spread.
         sweep.methods = vec![MethodSpec::Cba];
         sweep.seeds = vec![1, 2, 3];
-        let results = SweepRunner::new(0).run(&sweep);
+        let results = SweepRunner::new(0).run(&sweep).unwrap();
         let cell = &results.cells[0];
         assert!(cell.credits.stddev > 0.0, "replicates should differ");
         assert!(cell.credits.ci95 > 0.0);
@@ -1321,7 +1316,7 @@ mod tests {
     #[test]
     fn streamed_rows_match_the_in_memory_csv() {
         let sweep = tiny_sweep();
-        let in_memory = SweepRunner::new(1).run(&sweep).to_csv_string();
+        let in_memory = SweepRunner::new(1).run(&sweep).unwrap().to_csv_string();
         for threads in [1, 4] {
             let mut streamed = Vec::new();
             let summary = SweepRunner::new(threads)

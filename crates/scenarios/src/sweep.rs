@@ -72,6 +72,16 @@ impl WorkloadConfig {
         }
     }
 
+    /// The largest workload scale whose jobs `Trace::scaled` can number.
+    /// Copy `c` of the base trace's `n` jobs takes ids from `c·n`, so a
+    /// scaled trace of `t` jobs has ids below `t + n`, which must fit a
+    /// `u32`.
+    fn max_scale(&self) -> f64 {
+        let copies = if self.doubled { 2.0 } else { 1.0 };
+        let n = f64::from(self.trace_config().unique_jobs) * copies;
+        (u32::MAX as f64 + 1.0 - n) / n
+    }
+
     /// Default user population for the preset (used when the grid does not
     /// sweep `users`).
     pub fn default_users(&self) -> u32 {
@@ -92,6 +102,35 @@ impl Default for WorkloadConfig {
             doubled: false,
         }
     }
+}
+
+/// The largest `intensity_jitter` a sweep accepts. The log-normal
+/// factor is bounded for every sigma (see [`max_intensity_scale`]), but
+/// past ~2e307 its exponent `σ·z − σ²/2` becomes `inf − inf`; a sigma
+/// of 10 already spreads one hour's factor over e^±85.
+const MAX_INTENSITY_JITTER: f64 = 10.0;
+
+/// Hours in one realized intensity trace: a year per machine.
+const TRACE_HOURS: f64 = 8_760.0;
+
+/// The largest intensity scale a sweep accepts at jitter `sigma`.
+///
+/// A realized hour is `base × scale × factor`. The factor
+/// `exp(σ·z − σ²/2)` draws `z` by Box–Muller from `u1 ≥ f64::EPSILON`,
+/// so `z ≤ √(−2 ln ε)` and the factor is at most `exp(σ·z_max − σ²/2)`
+/// (never more than 2^52). A non-negative trace's hours sum to its mean
+/// × 8,760, and the largest region mean in the fleet is 502 g/kWh. The
+/// bound keeps that total, times the scale and the largest factor,
+/// within half of `f64::MAX`, so every hour and the trace's prefix sums
+/// stay finite.
+fn max_intensity_scale(sigma: f64) -> f64 {
+    let z_max = (-2.0 * f64::EPSILON.ln()).sqrt();
+    let factor = (sigma * z_max - sigma * sigma / 2.0).exp();
+    let mean = green_machines::simulation_fleet()
+        .iter()
+        .map(|m| m.spec.facility.region.target_mean())
+        .fold(0.0, f64::max);
+    f64::MAX / 2.0 / (mean * TRACE_HOURS * factor)
 }
 
 /// One expanded cell: a grid configuration plus one replicate seed.
@@ -245,28 +284,33 @@ impl Sweep {
                 }
             }
         }
-        if self
+        let max = self.workload.max_scale();
+        if let Some(s) = self
             .workload_scales
             .iter()
-            .any(|s| *s <= 0.0 || !s.is_finite())
+            .find(|s| !(**s > 0.0 && **s <= max))
         {
-            return Err(SpecError(
-                "workload scales must be finite and positive".into(),
-            ));
+            return Err(SpecError(format!(
+                "workload scales must be positive and at most {max:.3e}, past which scaled \
+                 job ids overflow u32; got {s:?}"
+            )));
         }
-        if self
+        let sigma = self.intensity_jitter;
+        if !(0.0..=MAX_INTENSITY_JITTER).contains(&sigma) {
+            return Err(SpecError(format!(
+                "intensity jitter must be in [0, {MAX_INTENSITY_JITTER}]; got {sigma:?}"
+            )));
+        }
+        let max = max_intensity_scale(sigma);
+        if let Some(s) = self
             .intensity_scales
             .iter()
-            .any(|s| *s <= 0.0 || !s.is_finite())
+            .find(|s| !(**s > 0.0 && **s <= max))
         {
-            return Err(SpecError(
-                "intensity scales must be finite and positive".into(),
-            ));
-        }
-        if self.intensity_jitter < 0.0 || !self.intensity_jitter.is_finite() {
-            return Err(SpecError(
-                "intensity jitter must be finite and non-negative".into(),
-            ));
+            return Err(SpecError(format!(
+                "intensity scales must be positive and at most {max:.3e} at jitter {sigma:?}, \
+                 past which a realized trace is not finite; got {s:?}"
+            )));
         }
         if self.elasticities.iter().any(|e| *e < 0.0 || !e.is_finite()) {
             return Err(SpecError(
@@ -716,11 +760,55 @@ fleets = ["all", ["faster", "ic"], [1, 3]]
             ("intensity_scales", "[inf]", "intensity scales"),
             ("intensity_jitter", "nan", "intensity jitter"),
             ("intensity_jitter", "inf", "intensity jitter"),
+            // Finite, but past what a job id or a realized trace holds.
+            ("workload_scales", "[1e300]", "at most 2.863e6, past which"),
+            (
+                "intensity_scales",
+                "[1e307]",
+                "at most 2.044e301 at jitter 0.0",
+            ),
+            ("intensity_jitter", "1e308", "in [0, 10]; got 1e308"),
         ] {
             let toml = format!("[grid]\n{key} = {value}");
             let e = Sweep::from_toml_str(&toml).unwrap_err();
             assert!(e.0.contains(message), "{toml}: {e}");
         }
+    }
+
+    #[test]
+    fn largest_accepted_intensity_corner_realizes_finite_traces() {
+        let fleet = green_machines::simulation_fleet();
+        for sigma in [0.0, MAX_INTENSITY_JITTER] {
+            let scale = max_intensity_scale(sigma);
+            let mut sweep = Sweep::new("corner");
+            sweep.intensity_jitter = sigma;
+            sweep.intensity_scales = vec![scale];
+            assert!(sweep.validate().is_ok(), "sigma {sigma}: scale {scale}");
+            sweep.intensity_scales = vec![scale * (1.0 + 1e-9)];
+            assert!(sweep.validate().is_err(), "sigma {sigma}: past the bound");
+            for seed in [1, 2, 3] {
+                // Realized as `SweepCaches` realizes a cell's traces.
+                for trace in green_batchsim::intensity_for(&fleet, seed) {
+                    let realized = trace.perturbed(scale, sigma, seed);
+                    assert!(realized.values().iter().all(|v| v.is_finite()));
+                    assert!(realized.cumulative().iter().all(|v| v.is_finite()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn workload_scales_stop_where_job_ids_overflow() {
+        let mut sweep = Sweep::new("ids");
+        sweep.workload.doubled = true;
+        let base = 2 * u64::from(sweep.workload.trace_config().unique_jobs);
+        let max = sweep.workload.max_scale();
+        // The largest id a scaled trace can assign is below target + base.
+        assert!((base as f64 * max).round() as u64 + base <= 1 << 32);
+        sweep.workload_scales = vec![max];
+        assert!(sweep.validate().is_ok());
+        sweep.workload_scales = vec![max * (1.0 + 1e-9)];
+        assert!(sweep.validate().is_err());
     }
 
     #[test]

@@ -4,9 +4,15 @@
 //! this module implements the slice of TOML that sweep specs use: bare
 //! tables (`[section]`, one level), `key = value` pairs, quoted strings,
 //! integers, floats, booleans, and (possibly nested, possibly multi-line)
-//! arrays. Comments run from `#` to end of line outside strings.
+//! arrays. Comments run from `#` to end of line outside strings. Arrays
+//! nest at most eight deep.
 
 use std::collections::BTreeMap;
+
+/// How deep arrays may nest. Sweep keys nest two deep (`fleets =
+/// [["faster", "ic"]]`); the cap bounds the value parser's recursion, so
+/// a file of nested brackets is an error rather than a stack overflow.
+const MAX_ARRAY_DEPTH: usize = 8;
 
 /// A TOML value.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,7 +157,7 @@ pub fn parse(input: &str) -> Result<Document, TomlError> {
             value_text.push(' ');
             value_text.push_str(strip_comment(next).trim());
         }
-        let value = parse_value(value_text.trim(), line_no)?;
+        let value = parse_value(value_text.trim(), line_no, 0)?;
         doc.get_mut(&section)
             .expect("section entry exists")
             .insert(key.to_string(), value);
@@ -173,11 +179,18 @@ fn bracket_depth(text: &str) -> i32 {
     depth
 }
 
-fn parse_value(text: &str, line: usize) -> Result<Value, TomlError> {
+/// Parses one value that sits inside `depth` enclosing arrays.
+fn parse_value(text: &str, line: usize, depth: usize) -> Result<Value, TomlError> {
     if text.is_empty() {
         return Err(err(line, "missing value"));
     }
     if let Some(inner) = text.strip_prefix('[') {
+        if depth == MAX_ARRAY_DEPTH {
+            return Err(err(
+                line,
+                format!("arrays nest deeper than {MAX_ARRAY_DEPTH} levels"),
+            ));
+        }
         let inner = inner
             .strip_suffix(']')
             .ok_or_else(|| err(line, "unterminated array"))?;
@@ -185,7 +198,7 @@ fn parse_value(text: &str, line: usize) -> Result<Value, TomlError> {
         for part in split_array(inner, line)? {
             let part = part.trim();
             if !part.is_empty() {
-                items.push(parse_value(part, line)?);
+                items.push(parse_value(part, line, depth + 1)?);
             }
         }
         return Ok(Value::Array(items));
@@ -310,6 +323,19 @@ years = [
         assert!(parse("key = [1, 2").is_err());
         assert!(parse("key = \"open").is_err());
         assert!(parse("key = nope").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = format!("\n\nname = {}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let e = parse(&deep).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("nest deeper than 8"), "{e}");
+        // The cap itself parses; one level more does not.
+        let at_cap = format!("x = {}{}", "[".repeat(8), "]".repeat(8));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("x = {}{}", "[".repeat(9), "]".repeat(9));
+        assert!(parse(&past_cap).is_err());
     }
 
     #[test]

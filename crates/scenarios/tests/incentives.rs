@@ -20,7 +20,7 @@ fn elastic_populations_attribute_less_carbon() {
     sweep.banking_caps = vec![100.0];
     sweep.seeds = vec![1, 2];
 
-    let results = SweepRunner::new(0).run(&sweep);
+    let results = SweepRunner::new(0).run(&sweep).unwrap();
     assert_eq!(results.cells.len(), 2);
     let rigid = &results.cells[0];
     let elastic = &results.cells[1];

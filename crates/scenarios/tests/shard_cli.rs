@@ -134,27 +134,42 @@ fn cli_rejects_bad_shard_and_misaligned_range() {
     }
 }
 
-/// A non-finite sweep value is a sweep error (exit 2) found before the
-/// shard writes anything, not a panic partway through the shard.
+/// A sweep the engine cannot represent — a non-finite value, a finite
+/// scale past its bound, arrays nested past the parser's cap — is a sweep
+/// error (exit 2) found before the shard writes anything, not a panic or
+/// a stack overflow partway through the shard.
 #[test]
 fn cli_rejects_a_nan_intensity_scale_before_writing() {
     let scratch = Scratch::new("nan");
-    let sweep = scratch.path("nan.toml");
-    std::fs::write(&sweep, "[grid]\nintensity_scales = [nan]\n").unwrap();
-    let frag = scratch.arg("frag.csv");
-    let out = scenarios(&[
-        &sweep.to_string_lossy(),
-        "--shard",
-        "0/1",
-        "--out",
-        &frag,
-        "--quiet",
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("intensity scales"), "{stderr}");
-    assert!(!scratch.path("frag.csv").exists(), "no fragment");
-    assert!(!scratch.path("frag.csv.manifest").exists(), "no manifest");
+    let deep = format!("name = {}{}\n", "[".repeat(200_000), "]".repeat(200_000));
+    for (i, (toml, message)) in [
+        ("[grid]\nintensity_scales = [nan]\n", "intensity scales"),
+        ("[grid]\nintensity_scales = [1e307]\n", "intensity scales"),
+        ("[grid]\nintensity_jitter = 1e308\n", "intensity jitter"),
+        ("[grid]\nworkload_scales = [1e300]\n", "workload scales"),
+        (deep.as_str(), "line 1: arrays nest deeper"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let sweep = scratch.path(&format!("sweep-{i}.toml"));
+        std::fs::write(&sweep, toml).unwrap();
+        let frag = scratch.arg("frag.csv");
+        let out = scenarios(&[
+            &sweep.to_string_lossy(),
+            "--shard",
+            "0/1",
+            "--out",
+            &frag,
+            "--quiet",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "input {i}: {stderr}");
+        assert!(stderr.contains(message), "input {i}: {stderr}");
+        for file in ["frag.csv", "frag.csv.manifest", "frag.csv.progress"] {
+            assert!(!scratch.path(file).exists(), "input {i} wrote {file}");
+        }
+    }
 }
 
 /// `--list` resolves cells exactly as a run does, so it refuses the

@@ -395,8 +395,23 @@ fn invalid_sweep_is_an_error_and_writes_no_shard_output() {
     no_seeds.seeds = vec![];
     let mut nan_scale = Sweep::new("nan");
     nan_scale.intensity_scales = vec![f64::NAN];
-    for (sweep, message) in [(&no_seeds, "seeds"), (&nan_scale, "intensity scales")] {
+    // Finite values that no realized trace or job id can represent.
+    let mut huge_scale = Sweep::new("huge-intensity");
+    huge_scale.intensity_scales = vec![1e307];
+    let mut huge_jitter = Sweep::new("huge-jitter");
+    huge_jitter.intensity_jitter = 1e308;
+    let mut huge_workload = Sweep::new("huge-workload");
+    huge_workload.workload_scales = vec![1e300];
+    for (sweep, message) in [
+        (&no_seeds, "seeds"),
+        (&nan_scale, "intensity scales"),
+        (&huge_scale, "intensity scales must be positive"),
+        (&huge_jitter, "intensity jitter"),
+        (&huge_workload, "workload scale"),
+    ] {
         let runner = SweepRunner::new(1);
+        let err = runner.run(sweep).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
         let err = runner.run_collect(sweep, None, None).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
         let mut bytes = Vec::new();

@@ -4,20 +4,20 @@
 //! Builds a small simulated world, compiles a carbon-indexed posted
 //! price schedule from each machine's grid trace, runs the same
 //! population twice — once rigid, once price-elastic — and settles both
-//! runs through the sharded credit ledger with banking. Run it:
+//! runs through the provider's credit ledger with banking. Run it:
 //!
 //! ```text
 //! cargo run --release --example green_market
 //! ```
 
-use green_accounting::CreditStore;
+use green_accounting::Ledger;
 use green_batchsim::{
     intensity_for, run_cell, MarketInputs, PlacementTable, Policy, RunMetrics, SimConfig,
 };
 use green_carbon::HourlyTrace;
 use green_machines::simulation_fleet;
 use green_market::{
-    market_population, price_table, settle_run, CreditBank, ExchangeDesk, PriceSpec, ShardedLedger,
+    market_population, price_table, settle_run, CreditBank, ExchangeDesk, PriceSpec,
 };
 use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
 use green_units::TimeSpan;
@@ -71,19 +71,26 @@ fn main() {
     let rigid = run_with(0.0);
     let elastic = run_with(2.0);
 
-    // 4. Settle both runs through the sharded ledger, banking savings.
+    // 4. Settle both runs through the ledger, banking savings.
     let report = |name: &str, metrics: &RunMetrics| -> f64 {
-        let store = ShardedLedger::new(8);
+        let mut ledger = Ledger::new();
         let mut bank = CreditBank::new(100.0, 0.05);
         let cba = green_batchsim::metrics::cost::CBA;
-        let run = settle_run(&metrics.outcomes, cba, &prices, &store, &mut bank, 1.25);
+        let run = settle_run(
+            &metrics.outcomes,
+            cba,
+            &prices,
+            &mut ledger,
+            &mut bank,
+            1.25,
+        );
         println!(
             "{name:>8}: attributed {:>7.1} kg CO2e | posted spend {:>10.0} | banked {:>6.0} | mean wait {:>5.1} h | {} txns",
             metrics.attributed_carbon_kg(),
             run.posted_spent,
             run.banked,
             metrics.mean_wait_hours(),
-            store.transaction_count(),
+            ledger.transactions().len(),
         );
         metrics.attributed_carbon_kg()
     };
