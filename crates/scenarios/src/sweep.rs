@@ -106,8 +106,8 @@ impl Default for WorkloadConfig {
 
 /// The largest `intensity_jitter` a sweep accepts. The log-normal
 /// factor is bounded for every sigma (see [`max_intensity_scale`]), but
-/// past ~2e307 its exponent `σ·z − σ²/2` becomes `inf − inf`; a sigma
-/// of 10 already spreads one hour's factor over e^±85.
+/// past ~2e307 its exponent `σ·z − σ²/2` becomes `inf − inf`; at a
+/// sigma of 10 the `σ·z` term alone already moves an hour by up to e^85.
 const MAX_INTENSITY_JITTER: f64 = 10.0;
 
 /// Hours in one realized intensity trace: a year per machine.
