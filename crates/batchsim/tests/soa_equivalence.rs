@@ -15,6 +15,11 @@
 //! quoted. They were captured from the tree before the quote kernel
 //! replaced the per-call quote.
 //!
+//! The `tiny-saturated` rows cut every shared cluster to 8 nodes, so
+//! backfill reservations run in every row. They were captured from the
+//! tree before the dense running-slot table replaced the job → slot
+//! map.
+//!
 //! Regenerate (only when an *intentional* output change is being made,
 //! which per the determinism contract should never happen on a perf
 //! refactor) with:
@@ -195,12 +200,17 @@ type GoldenRow = (String, String, u64);
 /// (the sweep-worker shape — recycling is part of what the goldens pin)
 /// and returns `(seed, policy, digest)` rows.
 fn run_preset(preset_name: &str) -> Vec<GoldenRow> {
-    let world = world(preset_name);
+    run_seeds(&world(preset_name), preset(preset_name).users, |_| {})
+}
+
+/// The 8 golden seeds over `world`, each run through one reused arena
+/// and handed to `inspect` before it is digested.
+fn run_seeds(world: &World, users: u32, inspect: impl Fn(&RunMetrics)) -> Vec<GoldenRow> {
     let mut arena = SimArena::new();
     let mut rows = Vec::new();
     for seed in 1..=8u64 {
         let intensity: Vec<HourlyTrace> = intensity_for(&world.fleet, seed);
-        let config = config_for(seed, preset(preset_name).users, world.fleet.len());
+        let config = config_for(seed, users, world.fleet.len());
         let metrics = run_cell_in(
             &world.trace,
             &world.fleet,
@@ -209,10 +219,30 @@ fn run_preset(preset_name: &str) -> Vec<GoldenRow> {
             config,
             &mut arena,
         );
+        inspect(&metrics);
         rows.push((seed.to_string(), metrics.policy.clone(), digest(&metrics)));
         arena.recycle(metrics);
     }
     rows
+}
+
+/// Saturated rows: the tiny preset with every shared cluster cut to 8
+/// nodes, so queues back up for days and the blocked head of a queue
+/// reserves its start on every policy. These are the only rows in which
+/// backfill reservations run — and with them the tie order of the
+/// running-job table, whose slot index breaks equal end times.
+fn run_saturated() -> Vec<GoldenRow> {
+    let mut world = world("tiny");
+    for machine in world.fleet.iter_mut().filter(|m| !m.per_user) {
+        machine.nodes = 8;
+    }
+    run_seeds(&world, preset("tiny").users, |metrics| {
+        assert!(
+            metrics.release_work > 0,
+            "{}: no backfill reservation ran — the row no longer saturates the fleet",
+            metrics.policy
+        );
+    })
 }
 
 /// The two posted schedules of `examples/sweeps/incentives.toml`.
@@ -400,6 +430,11 @@ fn quick_preset_matches_prechange_goldens() {
 #[test]
 fn paper_preset_matches_prechange_goldens() {
     check_preset("paper");
+}
+
+#[test]
+fn tiny_saturated_fleet_matches_prechange_goldens() {
+    check_block("tiny-saturated", &run_saturated());
 }
 
 #[test]
