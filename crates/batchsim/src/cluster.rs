@@ -17,7 +17,7 @@
 use green_units::{TimePoint, TimeSpan};
 use green_workload::UserId;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A job waiting in a cluster queue.
 #[derive(Debug, Clone, Copy)]
@@ -59,6 +59,9 @@ pub const DEFAULT_BACKFILL_DEPTH: usize = 256;
 
 /// Marker for "user not in the ready list".
 const NOT_READY: u32 = u32::MAX;
+
+/// Marker for "job not running here".
+const NOT_RUNNING: u32 = u32::MAX;
 
 /// One cluster's scheduling state.
 #[derive(Debug)]
@@ -105,8 +108,10 @@ pub struct Cluster {
     /// iterated by backfill reservations, so its order must be a pure
     /// function of the event sequence, not of a hash seed.
     running: Vec<RunningJob>,
-    /// Job index → slot in `running`.
-    running_slot: HashMap<usize, usize>,
+    /// Job index → slot in `running` (`NOT_RUNNING` when absent): a
+    /// dense table, since job indices are dense, grown to the largest
+    /// job started here.
+    running_slot: Vec<u32>,
     /// Running-job count per user id (direct index — the scheduler
     /// touches this for every submit, so it must be a load, not a hash).
     users_running: Vec<u32>,
@@ -143,7 +148,7 @@ impl Cluster {
             ready: Vec::new(),
             ready_pos: Vec::new(),
             running: Vec::new(),
-            running_slot: HashMap::new(),
+            running_slot: Vec::new(),
             users_running: Vec::new(),
             queued_core_seconds: 0.0,
             running_ends_cores: 0.0,
@@ -175,8 +180,10 @@ impl Cluster {
         for p in &mut self.ready_pos {
             *p = NOT_READY;
         }
+        for r in &self.running {
+            self.running_slot[r.job] = NOT_RUNNING;
+        }
         self.running.clear();
-        self.running_slot.clear();
         for n in &mut self.users_running {
             *n = 0;
         }
@@ -273,11 +280,13 @@ impl Cluster {
     pub fn finish(&mut self, job: usize) {
         let slot = self
             .running_slot
-            .remove(&job)
-            .expect("finish event for a job not running here");
+            .get_mut(job)
+            .map(|s| std::mem::replace(s, NOT_RUNNING))
+            .filter(|&s| s != NOT_RUNNING)
+            .expect("finish event for a job not running here") as usize;
         let r = self.running.swap_remove(slot);
         if slot < self.running.len() {
-            self.running_slot.insert(self.running[slot].job, slot);
+            self.running_slot[self.running[slot].job] = slot as u32;
         }
         self.free_cores += r.cores as u64;
         self.running_ends_cores -= r.ends.as_secs() * r.cores as f64;
@@ -410,7 +419,10 @@ impl Cluster {
         let ends = now + job.runtime;
         self.running_ends_cores += ends.as_secs() * job.cores as f64;
         self.running_cores += job.cores as f64;
-        self.running_slot.insert(job.job, self.running.len());
+        if job.job >= self.running_slot.len() {
+            self.running_slot.resize(job.job + 1, NOT_RUNNING);
+        }
+        self.running_slot[job.job] = self.running.len() as u32;
         self.running.push(RunningJob {
             job: job.job,
             user: job.user,
@@ -602,6 +614,36 @@ mod tests {
         let started = c.schedule(TimePoint::EPOCH);
         assert_eq!(started.len(), 1, "only 50 cores now: 30 + 30 > 50");
         assert_eq!(started[0].job, 10, "submission order restarted");
+    }
+
+    #[test]
+    fn finishes_in_any_order_free_their_own_cores() {
+        let mut c = Cluster::new(100, 100);
+        // Sparse, unsorted job indices with distinct sizes: a finish that
+        // looked up the wrong slot would free the wrong core count.
+        for (job, user, cores) in [(5, 0, 10), (0, 1, 20), (9, 2, 30), (2, 3, 40)] {
+            c.submit(qj(job, user, cores, 100.0, 0.0));
+        }
+        assert_eq!(c.schedule(TimePoint::EPOCH).len(), 4);
+        // Each finish but the last swap-moves the last slot's job into
+        // the freed one.
+        let mut free = 0;
+        for (job, cores) in [(5, 10), (2, 40), (9, 30), (0, 20)] {
+            c.finish(job);
+            free += cores;
+            assert_eq!(c.free_cores, free, "after finishing job {job}");
+        }
+        assert_eq!(c.running_len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not running here")]
+    fn finishing_a_job_twice_panics() {
+        let mut c = Cluster::new(100, 100);
+        c.submit(qj(3, 0, 10, 100.0, 0.0));
+        c.schedule(TimePoint::EPOCH);
+        c.finish(3);
+        c.finish(3);
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! The paper's three simulation scenarios and their derived figures.
 
-use green_accounting::{ChargeContext, MethodKind};
+use green_accounting::MethodKind;
 use green_carbon::{GridRegion, HourlyTrace, IntensitySource};
 use green_machines::{simulation_fleet, FleetMachine, SIM_YEAR};
+use green_obs::NoopRecorder;
 use green_units::TimePoint;
 use green_workload::Trace;
 use rayon::prelude::*;
 
+use crate::arena::SimArena;
+use crate::cluster::DEFAULT_BACKFILL_DEPTH;
 use crate::metrics::RunMetrics;
 use crate::policy::Policy;
 use crate::profile::PlacementTable;
-use crate::simulator::{SimConfig, Simulator};
+use crate::simulator::{MachineTable, SimConfig, Simulator};
 
 /// A fully specified simulation scenario.
 #[derive(Debug, Clone)]
@@ -91,36 +94,116 @@ impl Scenario {
 
     /// Runs every policy (in parallel) over the workload.
     pub fn run(&self, trace: &Trace, table: &PlacementTable) -> ScenarioResults {
-        let runs: Vec<RunMetrics> = self
-            .policies
+        Scenario::run_all(std::slice::from_ref(self), trace, table)
+            .pop()
+            .expect("one result per scenario")
+    }
+
+    /// Runs every policy of every scenario over the workload, in
+    /// parallel, simulating each schedule once. A policy that reads no
+    /// charge ([`Policy::reads`]) schedules the same jobs at the same
+    /// times under any accounting method, grid or year: its schedule
+    /// depends only on the policy, the clusters' shapes, the user count
+    /// and the backfill depth. Such a schedule is simulated once per
+    /// distinct key and attributed under every scenario that runs the
+    /// policy; a policy that reads a charge is simulated per scenario.
+    /// The results equal one independent [`run_cell`] per (scenario,
+    /// policy), bit for bit (`tests/shared_schedules.rs`).
+    pub fn run_all(
+        scenarios: &[Scenario],
+        trace: &Trace,
+        table: &PlacementTable,
+    ) -> Vec<ScenarioResults> {
+        // One entry per simulated schedule: the (scenario, policy) runs
+        // it serves, the first of which simulates it, and the key of a
+        // schedule that reads no charge.
+        let mut keys: Vec<Option<ScheduleKey>> = Vec::new();
+        let mut schedules: Vec<Vec<(usize, usize)>> = Vec::new();
+        for (s, scenario) in scenarios.iter().enumerate() {
+            for (p, &policy) in scenario.policies.iter().enumerate() {
+                let key = (!policy.reads().cost).then(|| scenario.schedule_key(policy));
+                match keys.iter().position(|other| key.is_some() && *other == key) {
+                    Some(i) => schedules[i].push((s, p)),
+                    None => {
+                        keys.push(key);
+                        schedules.push(vec![(s, p)]);
+                    }
+                }
+            }
+        }
+        let simulator = |(s, p): (usize, usize)| {
+            let scenario = &scenarios[s];
+            Simulator::new(
+                trace,
+                &scenario.fleet,
+                table,
+                &scenario.intensity,
+                scenario.config(scenario.policies[p]),
+            )
+        };
+        let attributed: Vec<Vec<RunMetrics>> = schedules
             .par_iter()
-            .map(|&policy| {
-                Simulator::new(
-                    trace,
-                    &self.fleet,
-                    table,
-                    &self.intensity,
-                    SimConfig {
-                        policy,
-                        decision_method: self.decision,
-                        sim_year: self.sim_year,
-                        users: self.users,
-                        backfill_depth: crate::cluster::DEFAULT_BACKFILL_DEPTH,
-                        market: None,
-                    },
-                )
-                .run()
+            .map(|runs| {
+                let mut arena = SimArena::new();
+                let counters = simulator(runs[0]).schedule_in(&mut arena, &NoopRecorder);
+                runs.iter()
+                    .map(|&run| simulator(run).attribute_in(&mut arena, counters, &NoopRecorder))
+                    .collect()
             })
             .collect();
-        ScenarioResults {
-            scenario: self.name.clone(),
-            runs,
+        let mut results: Vec<Vec<Option<RunMetrics>>> = scenarios
+            .iter()
+            .map(|s| vec![None; s.policies.len()])
+            .collect();
+        for (runs, metrics) in schedules.iter().zip(attributed) {
+            for (&(s, p), m) in runs.iter().zip(metrics) {
+                results[s][p] = Some(m);
+            }
+        }
+        scenarios
+            .iter()
+            .zip(results)
+            .map(|(scenario, runs)| ScenarioResults {
+                scenario: scenario.name.clone(),
+                runs: runs
+                    .into_iter()
+                    .map(|r| r.expect("every run is attributed"))
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// The simulator configuration of `policy` in this scenario.
+    fn config(&self, policy: Policy) -> SimConfig {
+        SimConfig {
+            policy,
+            decision_method: self.decision,
+            sim_year: self.sim_year,
+            users: self.users,
+            backfill_depth: DEFAULT_BACKFILL_DEPTH,
+            market: None,
+        }
+    }
+
+    /// What a charge-blind schedule of `policy` depends on in this
+    /// scenario, beside the trace and the placement table.
+    fn schedule_key(&self, policy: Policy) -> ScheduleKey {
+        ScheduleKey {
+            policy,
+            clusters: self
+                .fleet
+                .iter()
+                .map(|m| (m.spec.cores, m.nodes, m.spec.slice_cores, m.per_user))
+                .collect(),
+            users: self.users,
+            backfill_depth: DEFAULT_BACKFILL_DEPTH,
         }
     }
 
     /// Figure 7c: for each hour of day, the share of jobs whose cheapest
     /// (CBA) machine is each fleet machine, aggregated over `days` days
-    /// and a job sample of `sample` jobs.
+    /// and a job sample of `sample` jobs. Each machine is priced as the
+    /// simulator prices it, facility PUE included.
     #[allow(clippy::needless_range_loop)]
     pub fn cheapest_by_hour(
         &self,
@@ -129,6 +212,7 @@ impl Scenario {
         sample: usize,
         days: usize,
     ) -> Vec<[f64; 4]> {
+        let machines = MachineTable::new(&self.fleet, self.sim_year);
         let step = (trace.jobs.len() / sample.max(1)).max(1);
         let jobs: Vec<usize> = (0..trace.jobs.len()).step_by(step).collect();
         let mut shares = vec![[0.0f64; 4]; 24];
@@ -144,7 +228,9 @@ impl Scenario {
                         if self.fleet[m].per_user && job.cores > self.fleet[m].spec.cores {
                             continue;
                         }
-                        let ctx = self.quote_context(table, job, m, at);
+                        let provisioned = machines.provisioned(m, job.cores);
+                        let mut ctx = machines.charge_basis(table, m, job, provisioned);
+                        ctx.carbon_intensity = self.intensity[m].intensity_at(at);
                         let cost = MethodKind::Cba.charge(&ctx).value();
                         if cost < best_cost {
                             best_cost = cost;
@@ -162,29 +248,6 @@ impl Scenario {
             }
         }
         shares
-    }
-
-    fn quote_context(
-        &self,
-        table: &PlacementTable,
-        job: &green_workload::Job,
-        machine: usize,
-        at: TimePoint,
-    ) -> ChargeContext {
-        let spec = &self.fleet[machine].spec;
-        let slice = spec.slice_cores;
-        let provisioned = job.cores.max(1).div_ceil(slice) * slice;
-        ChargeContext::new(table.energy(job, machine), table.runtime(job, machine))
-            .with_cores(job.cores)
-            .with_provisioned(
-                spec.tdp_per_core() * provisioned as f64,
-                provisioned as f64 / spec.cores as f64,
-            )
-            .with_peak(spec.cpu.peak_per_thread)
-            .with_carbon(
-                self.intensity[machine].intensity_at(at),
-                spec.carbon_rate(self.sim_year),
-            )
     }
 }
 
@@ -245,6 +308,18 @@ pub fn run_cell_in_obs<R: green_obs::Recorder>(
     crate::simulator::Simulator::new(trace, fleet, table, intensity, config).run_in_obs(arena, obs)
 }
 
+/// What a schedule that reads no charge depends on, beside the trace and
+/// the placement table: the policy, each cluster's shape (cores per
+/// node, nodes, slice, per-user flag), the user count and the backfill
+/// depth.
+#[derive(Debug, PartialEq)]
+struct ScheduleKey {
+    policy: Policy,
+    clusters: Vec<(u32, u32, u32, bool)>,
+    users: u32,
+    backfill_depth: usize,
+}
+
 /// All policy runs of one scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResults {
@@ -263,14 +338,15 @@ impl ScenarioResults {
     /// The fixed-allocation work comparison (Figures 5a, 6, 7a): the
     /// allocation is sized so the *Greedy* run completes its entire
     /// workload, and every policy reports the work it finishes within
-    /// that same budget. Returns `(policy, core-hours)` pairs.
+    /// that same budget. Returns `(policy, core-hours)` pairs. The runs
+    /// are folded in parallel.
     pub fn work_with_fixed_allocation(&self, kind: usize) -> Vec<(String, f64)> {
         let allocation = self
             .run("Greedy")
             .map(|g| g.total_cost(kind))
             .unwrap_or(f64::INFINITY);
         self.runs
-            .iter()
+            .par_iter()
             .map(|r| (r.policy.clone(), r.work_within_allocation(allocation, kind)))
             .collect()
     }
@@ -348,6 +424,27 @@ mod tests {
             let total: f64 = row.iter().sum();
             assert!((total - 1.0).abs() < 1e-9, "{row:?}");
         }
+    }
+
+    /// Figure 7c prices each machine as the simulator does, facility PUE
+    /// included: a PUE of 1.5 on the machine most often cheapest must
+    /// cost it some of the hours it wins at PUE 1.
+    #[test]
+    fn cheapest_by_hour_prices_facility_pue() {
+        let mut scenario = Scenario::low_carbon(7, 8);
+        let (trace, table) = setup(&scenario);
+        let wins = |shares: &[[f64; 4]], m: usize| shares.iter().map(|h| h[m]).sum::<f64>();
+        let before = scenario.cheapest_by_hour(&trace, &table, 100, 5);
+        let top = (0..4)
+            .max_by(|&a, &b| wins(&before, a).total_cmp(&wins(&before, b)))
+            .unwrap();
+        scenario.fleet[top].spec.facility.pue = 1.5;
+        let after = scenario.cheapest_by_hour(&trace, &table, 100, 5);
+        assert!(
+            wins(&after, top) < wins(&before, top),
+            "PUE 1.5 left machine {top}'s share at {:.3}",
+            wins(&after, top)
+        );
     }
 
     #[test]

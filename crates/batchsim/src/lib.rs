@@ -24,6 +24,16 @@
 //! near-monotone schedule, and cluster queues are per-user sub-queues
 //! behind a ready-user index (provably the flat scan's decisions).
 //!
+//! A run is an event loop, which places and schedules every job, then an
+//! attribution pass, which prices each completion. Each arrival builds
+//! only the quote fields its policy reads ([`Policy::reads`]), from
+//! machine constants resolved once per run. A policy that reads no
+//! charge therefore schedules alike under every accounting method and
+//! grid, and [`Scenario::run_all`] simulates such a schedule once and
+//! attributes it under each scenario that runs the policy: the paper's
+//! 18 policy runs take 12 simulated schedules, bit-identical to 18
+//! independent runs.
+//!
 //! # Example
 //!
 //! Simulate one cell — a small generated trace, the Table 5 fleet, the
@@ -70,6 +80,6 @@ pub use experiment::{
 };
 pub use market::{MarketAgent, MarketInputs, PriceTable};
 pub use metrics::{JobOutcome, RunMetrics};
-pub use policy::Policy;
+pub use policy::{Policy, Reads};
 pub use profile::PlacementTable;
 pub use simulator::{SimConfig, Simulator};

@@ -52,6 +52,17 @@ impl JobOutcome {
     }
 }
 
+/// An unsigned key that orders as [`f64::total_cmp`] orders: negative
+/// values have every bit flipped, the others only the sign bit.
+fn total_order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 /// The outcome of simulating one policy over the workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunMetrics {
@@ -99,21 +110,34 @@ impl RunMetrics {
 
     /// The fixed-allocation comparison of Figures 5a/6/7a: walk jobs in
     /// arrival order, spend the allocation, and report the work completed
-    /// before it runs out.
+    /// before it runs out. Jobs that arrive together are walked in log
+    /// order.
     pub fn work_within_allocation(&self, allocation: f64, kind: usize) -> f64 {
-        let mut order: Vec<&JobOutcome> = self.outcomes.iter().collect();
-        order.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
+        // Sort packed (arrival key, log position, charge, work) records
+        // rather than references into the outcomes: the key orders as
+        // `f64::total_cmp` does, and the position breaks ties, so an
+        // unstable sort gives exactly a stable sort's order.
+        let mut order: Vec<(u128, f64, f64)> = self
+            .outcomes
+            .iter()
+            .enumerate()
+            .map(|(i, o)| {
+                let key = ((total_order_key(o.arrival_s) as u128) << 64) | i as u128;
+                (key, o.charges[kind], o.work_core_hours)
+            })
+            .collect();
+        order.sort_unstable_by_key(|&(key, _, _)| key);
         let mut spent = 0.0;
         let mut work = 0.0;
         // Relative slack: summation order differs from the total-cost
         // computation, so exact budgets can miss by one ULP-scale error.
         let budget = allocation * (1.0 + 1e-12) + 1e-9;
-        for o in order {
-            if spent + o.charges[kind] > budget {
+        for (_, charge, job_work) in order {
+            if spent + charge > budget {
                 break;
             }
-            spent += o.charges[kind];
-            work += o.work_core_hours;
+            spent += charge;
+            work += job_work;
         }
         work
     }
@@ -166,6 +190,7 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn outcome(job: u32, arrival: f64, end: f64, work: f64, charge: f64) -> JobOutcome {
         JobOutcome {
@@ -215,6 +240,67 @@ mod tests {
         // Full allocation completes everything.
         let work = m.work_within_allocation(1e9, cost::EBA);
         assert!((work - 50.0).abs() < 1e-12);
+    }
+
+    /// The walk the packed sort replaced, kept as its oracle: a stable
+    /// sort of references by arrival, then the same spend.
+    fn work_within_allocation_oracle(m: &RunMetrics, allocation: f64, kind: usize) -> f64 {
+        let mut order: Vec<&JobOutcome> = m.outcomes.iter().collect();
+        order.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
+        let mut spent = 0.0;
+        let mut work = 0.0;
+        let budget = allocation * (1.0 + 1e-12) + 1e-9;
+        for o in order {
+            if spent + o.charges[kind] > budget {
+                break;
+            }
+            spent += o.charges[kind];
+            work += o.work_core_hours;
+        }
+        work
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        /// The packed sort walks jobs in the stable sort's order: arrivals
+        /// drawn from a handful of values (signed zeros included) tie
+        /// often, and charges and work vary per job, so a tie taken out
+        /// of log order moves the result.
+        #[test]
+        fn packed_allocation_walk_matches_the_stable_sort(
+            jobs in prop::collection::vec(
+                (
+                    prop_oneof![
+                        (0u32..6).prop_map(|k| k as f64 * 3600.0),
+                        Just(-0.0f64),
+                        Just(-3600.0f64),
+                        -1.0e7..1.0e7f64,
+                    ],
+                    0.0..100.0f64,
+                    0.0..50.0f64,
+                ),
+                0..200,
+            ),
+            share in 0.0..1.2f64,
+            kind in 0usize..5,
+        ) {
+            let mut m = metrics();
+            m.outcomes = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, &(arrival, charge, work))| {
+                    let mut o = outcome(i as u32, arrival, arrival + 10.0, work, 0.0);
+                    o.charges[kind] = charge;
+                    o
+                })
+                .collect();
+            let allocation = m.total_cost(kind) * share;
+            prop_assert_eq!(
+                m.work_within_allocation(allocation, kind).to_bits(),
+                work_within_allocation_oracle(&m, allocation, kind).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -28,6 +28,23 @@ impl MachineOption {
     }
 }
 
+/// The [`MachineOption`] fields a policy's [`choose`](Policy::choose)
+/// reads beyond eligibility, which every policy reads, and the runtime,
+/// which every submission needs. The simulator builds only these, and a
+/// policy that reads no `cost` schedules the same way under every
+/// accounting method, grid and price.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reads {
+    /// The quoted charge.
+    pub cost: bool,
+    /// The predicted energy.
+    pub energy: bool,
+    /// The estimated queue wait.
+    pub wait: bool,
+    /// `Some(i)`: only machine `i`'s option is read.
+    pub only: Option<usize>,
+}
+
 /// A user machine-selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Policy {
@@ -100,6 +117,42 @@ impl Policy {
                 format!("Greedy+Shift({max_delay_hours}h)")
             }
             Policy::Adaptive => "Adaptive".into(),
+        }
+    }
+
+    /// The option fields [`choose`](Policy::choose) reads. GreedyShift and
+    /// Adaptive also read the cost and the wait in the simulator's delay
+    /// search.
+    pub fn reads(&self) -> Reads {
+        let eligibility = Reads {
+            cost: false,
+            energy: false,
+            wait: false,
+            only: None,
+        };
+        match *self {
+            Policy::Greedy => Reads {
+                cost: true,
+                ..eligibility
+            },
+            Policy::Energy => Reads {
+                energy: true,
+                ..eligibility
+            },
+            Policy::Eft => Reads {
+                wait: true,
+                ..eligibility
+            },
+            Policy::Runtime => eligibility,
+            Policy::Fixed(i) => Reads {
+                only: Some(i),
+                ..eligibility
+            },
+            Policy::Mixed | Policy::GreedyShift { .. } | Policy::Adaptive => Reads {
+                cost: true,
+                wait: true,
+                ..eligibility
+            },
         }
     }
 

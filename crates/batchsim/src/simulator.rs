@@ -4,15 +4,16 @@ use green_accounting::{AffineCharge, ChargeContext, MethodKind};
 use green_carbon::HourlyTrace;
 use green_machines::FleetMachine;
 use green_obs::{Counter, NoopRecorder, Phase, Recorder, Stopwatch};
-use green_units::{CarbonIntensity, Energy, TimePoint, TimeSpan};
+use green_units::{CarbonIntensity, CarbonRate, Energy, Power, TimePoint, TimeSpan};
 use green_workload::{Job, Trace};
+use std::ops::Range;
 
 use crate::arena::SimArena;
 use crate::cluster::{Cluster, QueuedJob};
 use crate::event::EventKind;
 use crate::market::MarketInputs;
 use crate::metrics::{JobOutcome, RunMetrics};
-use crate::policy::{MachineOption, Policy};
+use crate::policy::{MachineOption, Policy, Reads};
 use crate::profile::PlacementTable;
 
 /// Configuration of one simulation run.
@@ -55,12 +56,87 @@ impl SimConfig {
     }
 }
 
+/// One machine's constants for one run: what the quote basis and the
+/// attribution pass read from its spec, resolved once per run instead of
+/// once per arrival and outcome.
+#[derive(Debug, Clone, Copy)]
+struct MachineRow {
+    /// Allocation slice, in cores.
+    slice: u32,
+    /// Thermal design power of one core.
+    tdp_per_core: Power,
+    /// Cores per node.
+    cores: u32,
+    /// Peak-performance score per thread (Peak accounting).
+    peak_per_thread: f64,
+    /// Embodied-carbon rate at the run's year.
+    carbon_rate: CarbonRate,
+    /// Facility power usage effectiveness.
+    pue: f64,
+}
+
+/// The per-run machine table: one [`MachineRow`] per fleet machine,
+/// index-aligned with the fleet.
+#[derive(Debug, Clone)]
+pub(crate) struct MachineTable {
+    rows: Vec<MachineRow>,
+}
+
+impl MachineTable {
+    /// Resolves every machine's constants at `sim_year`.
+    pub(crate) fn new(fleet: &[FleetMachine], sim_year: i32) -> MachineTable {
+        MachineTable {
+            rows: fleet
+                .iter()
+                .map(|m| MachineRow {
+                    slice: m.spec.slice_cores,
+                    tdp_per_core: m.spec.tdp_per_core(),
+                    cores: m.spec.cores,
+                    peak_per_thread: m.spec.cpu.peak_per_thread,
+                    carbon_rate: m.spec.carbon_rate(sim_year),
+                    pue: m.spec.facility.pue,
+                })
+                .collect(),
+        }
+    }
+
+    /// Provisioned cores of a job on a machine: request rounded up to the
+    /// allocation slice (not capped per node — multi-node jobs hold
+    /// multiple slices).
+    pub(crate) fn provisioned(&self, machine: usize, cores: u32) -> u32 {
+        let slice = self.rows[machine].slice;
+        cores.max(1).div_ceil(slice) * slice
+    }
+
+    /// The accounting context of `job` on `machine` holding `provisioned`
+    /// cores, with every term but the grid intensity (left at zero).
+    pub(crate) fn charge_basis(
+        &self,
+        table: &PlacementTable,
+        machine: usize,
+        job: &Job,
+        provisioned: u32,
+    ) -> ChargeContext {
+        let row = &self.rows[machine];
+        ChargeContext::new(table.energy(job, machine), table.runtime(job, machine))
+            .with_cores(job.cores)
+            .with_provisioned(
+                row.tdp_per_core * provisioned as f64,
+                provisioned as f64 / row.cores as f64,
+            )
+            .with_peak(row.peak_per_thread)
+            .with_carbon(CarbonIntensity::ZERO, row.carbon_rate)
+            .with_pue(row.pue)
+    }
+}
+
 /// One arrival's view of one machine: the decision method's charge with
 /// the grid intensity left open, plus the provisioned slice and queue
 /// estimate. Built once per (arrival, machine) at the top of the arrival
 /// arm; the delay search, the policy's options and the submission all
 /// read it, so a quote costs one hour index, one affine charge and one
-/// multiplier.
+/// multiplier. Only the fields the run's policy reads are filled
+/// ([`Policy::reads`]); the others stay zero.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QuoteBasis {
     /// Request rounded up to the machine's allocation slice.
@@ -75,6 +151,15 @@ pub(crate) struct QuoteBasis {
     charge: AffineCharge,
 }
 
+/// What a run's event loop leaves for its attribution pass, beside the
+/// completion log it stages in the arena.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScheduleCounters {
+    rejected: usize,
+    events: usize,
+    release_work: u64,
+}
+
 /// A configured simulator, borrowing the immutable experiment state.
 pub struct Simulator<'a> {
     trace: &'a Trace,
@@ -82,6 +167,11 @@ pub struct Simulator<'a> {
     table: &'a PlacementTable,
     intensity: &'a [HourlyTrace],
     config: SimConfig,
+    /// The fleet's constants at the run's year.
+    machines: MachineTable,
+    /// The option fields the policy reads; `wait` also when a market
+    /// quotes the cost at the expected start.
+    reads: Reads,
 }
 
 impl<'a> Simulator<'a> {
@@ -96,46 +186,34 @@ impl<'a> Simulator<'a> {
     ) -> Self {
         assert_eq!(fleet.len(), intensity.len());
         assert_eq!(fleet.len(), table.machine_count());
+        let mut reads = config.policy.reads();
+        reads.wait |= reads.cost && config.market.is_some();
         Simulator {
             trace,
             fleet,
             table,
             intensity,
+            machines: MachineTable::new(fleet, config.sim_year),
+            reads,
             config,
         }
     }
 
-    /// Provisioned cores of a job on a machine: request rounded up to the
-    /// allocation slice (not capped per node — multi-node jobs hold
-    /// multiple slices).
-    fn provisioned_cores(&self, machine: usize, cores: u32) -> u32 {
-        let slice = self.fleet[machine].spec.slice_cores;
-        cores.max(1).div_ceil(slice) * slice
-    }
-
-    /// The accounting context of a job on a machine holding `provisioned`
-    /// cores, with every term but the grid intensity (left at zero).
-    fn charge_basis(&self, machine: usize, job: &Job, provisioned: u32) -> ChargeContext {
-        let spec = &self.fleet[machine].spec;
-        ChargeContext::new(
-            self.table.energy(job, machine),
-            self.table.runtime(job, machine),
-        )
-        .with_cores(job.cores)
-        .with_provisioned(
-            spec.tdp_per_core() * provisioned as f64,
-            provisioned as f64 / spec.cores as f64,
-        )
-        .with_peak(spec.cpu.peak_per_thread)
-        .with_carbon(
-            CarbonIntensity::ZERO,
-            spec.carbon_rate(self.config.sim_year),
-        )
-        .with_pue(spec.facility.pue)
+    /// The machines whose options the policy reads: `Fixed`'s one (none
+    /// when its index is past the fleet), else the whole fleet.
+    fn candidates(&self) -> Range<usize> {
+        let n = self.fleet.len();
+        match self.reads.only {
+            Some(i) => i.min(n)..(i + 1).min(n),
+            None => 0..n,
+        }
     }
 
     /// One arrival's view of one machine, built once per arrival: every
-    /// quote, option and submission of that arrival reads it.
+    /// quote, option and submission of that arrival reads it. It holds
+    /// the provisioned slice and runtime, the charge and its energy when
+    /// the policy reads the cost, the energy alone when it reads only
+    /// that, and the queue estimate when it reads the wait.
     fn quote_basis(
         &self,
         clusters: &[Cluster],
@@ -143,14 +221,37 @@ impl<'a> Simulator<'a> {
         job: &Job,
         now: TimePoint,
     ) -> QuoteBasis {
-        let provisioned = self.provisioned_cores(machine, job.cores);
-        let ctx = self.charge_basis(machine, job, provisioned);
+        let provisioned = self.machines.provisioned(machine, job.cores);
+        let est_wait = if self.reads.wait {
+            clusters[machine].estimated_wait(provisioned, job.user, now)
+        } else {
+            TimeSpan::ZERO
+        };
+        if self.reads.cost {
+            let ctx = self
+                .machines
+                .charge_basis(self.table, machine, job, provisioned);
+            return QuoteBasis {
+                provisioned,
+                runtime: ctx.duration,
+                energy: ctx.energy,
+                est_wait,
+                charge: self.config.decision_method.affine(&ctx),
+            };
+        }
         QuoteBasis {
             provisioned,
-            runtime: ctx.duration,
-            energy: ctx.energy,
-            est_wait: clusters[machine].estimated_wait(provisioned, job.user, now),
-            charge: self.config.decision_method.affine(&ctx),
+            runtime: self.table.runtime(job, machine),
+            energy: if self.reads.energy {
+                self.table.energy(job, machine)
+            } else {
+                Energy::ZERO
+            },
+            est_wait,
+            charge: AffineCharge {
+                per_intensity: 0.0,
+                fixed: 0.0,
+            },
         }
     }
 
@@ -178,7 +279,7 @@ impl<'a> Simulator<'a> {
     /// and the quote is read at the machine's *expected start* (now +
     /// estimated queue wait): what a job will actually pay and emit is
     /// set by the hour it starts drawing power, not the hour it was
-    /// submitted.
+    /// submitted. A policy that reads no cost gets zero, unquoted.
     fn option(
         &self,
         clusters: &[Cluster],
@@ -186,17 +287,17 @@ impl<'a> Simulator<'a> {
         basis: &QuoteBasis,
         now: TimePoint,
     ) -> MachineOption {
-        let quote_at = if self.config.market.is_some() {
-            now + basis.est_wait
-        } else {
-            now
+        let cost = match (self.reads.cost, &self.config.market) {
+            (false, _) => 0.0,
+            (true, Some(_)) => self.quote(machine, basis, now + basis.est_wait),
+            (true, None) => self.quote(machine, basis, now),
         };
         MachineOption {
             machine,
             eligible: clusters[machine].eligible(basis.provisioned),
             runtime: basis.runtime,
             energy: basis.energy,
-            cost: self.quote(machine, basis, quote_at),
+            cost,
             est_wait: basis.est_wait,
         }
     }
@@ -230,7 +331,8 @@ impl<'a> Simulator<'a> {
     ///
     /// Machine-outer: `cheapest[d]` folds each machine's quote for delay
     /// `d` in fleet order, the same `min` sequence a delay-outer loop
-    /// applies, while one machine's basis and series stay hot.
+    /// applies, while one machine's basis and series stay hot. `bases`
+    /// covers the whole fleet: both shifting policies read every machine.
     fn best_delay(
         &self,
         bases: &[QuoteBasis],
@@ -286,18 +388,35 @@ impl<'a> Simulator<'a> {
         self.run_in_obs(arena, &NoopRecorder)
     }
 
-    /// [`run_in`](Simulator::run_in) with an observability recorder.
-    /// Statically dispatched: with [`NoopRecorder`] (`R::ENABLED =
-    /// false`) every clock read and counter emission compiles away and
-    /// this *is* the uninstrumented loop. With a recording `R`, wall
-    /// time is attributed per event to the `schedule` (arrival handling:
-    /// shift quoting, policy choice, scheduling passes) and `attribute`
-    /// (outcome construction: window-integrated carbon + charges)
-    /// phases, with the loop remainder booked to `events`; the
-    /// deterministic work counters (`events_drained`,
-    /// `ready_user_merges`, `schedule_passes`) are emitted once at the
-    /// end. Results are bit-for-bit identical either way.
+    /// [`run_in`](Simulator::run_in) with an observability recorder: the
+    /// event loop (`schedule_in`) then the attribution pass over its
+    /// completion log (`attribute_in`). Statically
+    /// dispatched: with [`NoopRecorder`] (`R::ENABLED = false`) every
+    /// clock read and counter emission compiles away and this *is* the
+    /// uninstrumented loop. With a recording `R`, wall time is attributed
+    /// per event to the `schedule` (arrival handling: shift quoting,
+    /// policy choice, scheduling passes) and `attribute` (outcome
+    /// construction: window-integrated carbon + charges) phases, with the
+    /// loop remainder booked to `events`; the deterministic work counters
+    /// (`events_drained`, `ready_user_merges`, `schedule_passes`) are
+    /// emitted once at the end of the loop. Results are bit-for-bit
+    /// identical either way.
     pub fn run_in_obs<R: Recorder>(&self, arena: &mut SimArena, obs: &R) -> RunMetrics {
+        let counters = self.schedule_in(arena, obs);
+        self.attribute_in(arena, counters, obs)
+    }
+
+    /// The event loop: places every arrival, runs the clusters' passes
+    /// and stages each completion in the arena's finish log, which stays
+    /// there until the next run's loop. Reads the charges, the grid and
+    /// the prices only through the policy's quotes, so a policy that
+    /// reads no cost stages the same log under every accounting method,
+    /// grid and year.
+    pub(crate) fn schedule_in<R: Recorder>(
+        &self,
+        arena: &mut SimArena,
+        obs: &R,
+    ) -> ScheduleCounters {
         let n_machines = self.fleet.len();
         // Grow-only: after a larger fleet, a smaller one parks the tail
         // clusters (allocations intact) instead of dropping them, so
@@ -345,15 +464,15 @@ impl<'a> Simulator<'a> {
         arena.shifted.resize(jobs, false);
         let shifted = &mut arena.shifted;
         let started = &mut arena.started_buf;
+        let candidates = self.candidates();
 
         // Phase attribution (recording builds only): wall time inside
-        // each arrival arm is `schedule`, outcome construction is
-        // `attribute`, and the loop remainder (event-queue traffic) is
-        // `events`. Laps accumulate in locals — zero atomic traffic on
-        // the ~2.5 M events/s hot path — and flush once after the loop.
+        // each arrival arm is `schedule`, and the loop remainder
+        // (event-queue traffic) is `events`. Laps accumulate in locals —
+        // zero atomic traffic on the ~2.5 M events/s hot path — and
+        // flush once after the loop.
         let loop_watch = Stopwatch::<R>::start();
         let mut schedule_ns = 0u64;
-        let mut attribute_ns = 0u64;
 
         while let Some(event) = events.pop() {
             let now = event.at;
@@ -364,7 +483,11 @@ impl<'a> Simulator<'a> {
                     let job = &self.trace.jobs[job_idx];
                     let bases = &mut arena.bases;
                     bases.clear();
-                    bases.extend((0..n_machines).map(|m| self.quote_basis(clusters, m, job, now)));
+                    bases.extend(
+                        candidates
+                            .clone()
+                            .map(|m| self.quote_basis(clusters, m, job, now)),
+                    );
                     // Temporal shifting: quote every whole-hour submission
                     // moment in the window and postpone if a cleaner hour
                     // is cheaper by enough. GreedyShift applies a uniform
@@ -396,9 +519,9 @@ impl<'a> Simulator<'a> {
                     let options = &mut arena.options_buf;
                     options.clear();
                     options.extend(
-                        bases
-                            .iter()
-                            .enumerate()
+                        candidates
+                            .clone()
+                            .zip(bases.iter())
                             .map(|(m, basis)| self.option(clusters, m, basis, now)),
                     );
                     let Some(machine) = self.config.policy.choose(options) else {
@@ -406,11 +529,12 @@ impl<'a> Simulator<'a> {
                         schedule_ns += arm_watch.elapsed_ns();
                         continue;
                     };
+                    let basis = &bases[machine - candidates.start];
                     clusters[machine].submit(QueuedJob {
                         job: job_idx,
                         user: job.user,
-                        cores: bases[machine].provisioned,
-                        runtime: bases[machine].runtime,
+                        cores: basis.provisioned,
+                        runtime: basis.runtime,
                         submitted: now,
                     });
                     started.clear();
@@ -446,30 +570,11 @@ impl<'a> Simulator<'a> {
             }
         }
 
-        // Materialize the staged completion columns into outcome records
-        // in log (= pop) order: one contiguous attribution pass over the
-        // whole run instead of one cold detour per finish event.
-        let outcome_watch = Stopwatch::<R>::start();
-        let mut outcomes = std::mem::take(&mut arena.outcomes);
-        outcomes.clear();
-        outcomes.reserve(finishes.len());
-        for i in 0..finishes.len() {
-            outcomes.push(self.outcome(
-                finishes.job[i] as usize,
-                finishes.machine[i] as usize,
-                finishes.start_s[i],
-                TimePoint::from_secs(finishes.end_s[i]),
-            ));
-        }
-        attribute_ns += outcome_watch.elapsed_ns();
-
         if R::ENABLED {
-            let total_ns = loop_watch.elapsed_ns();
             obs.phase_ns(Phase::Schedule, schedule_ns);
-            obs.phase_ns(Phase::Attribute, attribute_ns);
             obs.phase_ns(
                 Phase::Events,
-                total_ns.saturating_sub(schedule_ns + attribute_ns),
+                loop_watch.elapsed_ns().saturating_sub(schedule_ns),
             );
             obs.add(Counter::EventsDrained, events_processed as u64);
             obs.add(
@@ -481,6 +586,42 @@ impl<'a> Simulator<'a> {
                 clusters.iter().map(|c| c.schedule_passes).sum(),
             );
         }
+        ScheduleCounters {
+            rejected,
+            events: events_processed,
+            release_work: clusters.iter().map(|c| c.release_work).sum(),
+        }
+    }
+
+    /// The attribution pass: materializes the arena's staged completion
+    /// columns into outcome records in log (= pop) order — one contiguous
+    /// pass over the whole run instead of one cold detour per finish
+    /// event — and prices each under this simulator's fleet, grid and
+    /// year. The log may come from another simulator's
+    /// [`schedule_in`](Simulator::schedule_in) whose schedule this one
+    /// shares.
+    pub(crate) fn attribute_in<R: Recorder>(
+        &self,
+        arena: &mut SimArena,
+        counters: ScheduleCounters,
+        obs: &R,
+    ) -> RunMetrics {
+        let watch = Stopwatch::<R>::start();
+        let finishes = &arena.finishes;
+        let mut outcomes = std::mem::take(&mut arena.outcomes);
+        outcomes.clear();
+        outcomes.reserve(finishes.len());
+        for i in 0..finishes.len() {
+            outcomes.push(self.outcome(
+                finishes.job[i] as usize,
+                finishes.machine[i] as usize,
+                finishes.start_s[i],
+                TimePoint::from_secs(finishes.end_s[i]),
+            ));
+        }
+        if R::ENABLED {
+            obs.phase_ns(Phase::Attribute, watch.elapsed_ns());
+        }
 
         RunMetrics {
             policy: self.config.policy.name(
@@ -491,9 +632,9 @@ impl<'a> Simulator<'a> {
                     .collect::<Vec<_>>(),
             ),
             outcomes,
-            rejected,
-            events: events_processed,
-            release_work: clusters.iter().map(|c| c.release_work).sum(),
+            rejected: counters.rejected,
+            events: counters.events,
+            release_work: counters.release_work,
         }
     }
 
@@ -506,8 +647,10 @@ impl<'a> Simulator<'a> {
         // read the point intensity at the expected start: a scheduler
         // can't know a job's completed window before running it.)
         let start = TimePoint::from_secs(start_s);
-        let provisioned = self.provisioned_cores(machine, job.cores);
-        let mut ctx = self.charge_basis(machine, job, provisioned);
+        let provisioned = self.machines.provisioned(machine, job.cores);
+        let mut ctx = self
+            .machines
+            .charge_basis(self.table, machine, job, provisioned);
         ctx.carbon_intensity = self.intensity[machine].window_mean(start, end);
         let charges = [
             MethodKind::Runtime.charge(&ctx).value(),
@@ -755,7 +898,7 @@ mod tests {
         fn charge_context(&self, machine: usize, job_idx: usize, at: TimePoint) -> ChargeContext {
             let job = &self.trace.jobs[job_idx];
             let spec = &self.fleet[machine].spec;
-            let provisioned = self.provisioned_cores(machine, job.cores);
+            let provisioned = job.cores.max(1).div_ceil(spec.slice_cores) * spec.slice_cores;
             ChargeContext::new(
                 self.table.energy(job, machine),
                 self.table.runtime(job, machine),
@@ -771,6 +914,54 @@ mod tests {
                 spec.carbon_rate(self.config.sim_year),
             )
             .with_pue(spec.facility.pue)
+        }
+
+        /// The full quote basis every arrival built before the trimmed
+        /// one: every field, from the spec, for any policy.
+        fn full_quote_basis(
+            &self,
+            clusters: &[Cluster],
+            machine: usize,
+            job_idx: usize,
+            now: TimePoint,
+        ) -> QuoteBasis {
+            let job = &self.trace.jobs[job_idx];
+            let mut ctx = self.charge_context(machine, job_idx, now);
+            ctx.carbon_intensity = CarbonIntensity::ZERO;
+            let spec = &self.fleet[machine].spec;
+            let provisioned = job.cores.max(1).div_ceil(spec.slice_cores) * spec.slice_cores;
+            QuoteBasis {
+                provisioned,
+                runtime: ctx.duration,
+                energy: ctx.energy,
+                est_wait: clusters[machine].estimated_wait(provisioned, job.user, now),
+                charge: self.config.decision_method.affine(&ctx),
+            }
+        }
+
+        /// Every field of a machine's option, from the full basis and the
+        /// per-call quote.
+        fn full_option(
+            &self,
+            clusters: &[Cluster],
+            machine: usize,
+            job_idx: usize,
+            now: TimePoint,
+        ) -> MachineOption {
+            let basis = self.full_quote_basis(clusters, machine, job_idx, now);
+            let quote_at = if self.config.market.is_some() {
+                now + basis.est_wait
+            } else {
+                now
+            };
+            MachineOption {
+                machine,
+                eligible: clusters[machine].eligible(basis.provisioned),
+                runtime: basis.runtime,
+                energy: basis.energy,
+                cost: self.posted_quote(machine, job_idx, quote_at),
+                est_wait: basis.est_wait,
+            }
         }
 
         fn posted_quote(&self, machine: usize, job_idx: usize, at: TimePoint) -> f64 {
@@ -905,6 +1096,52 @@ mod tests {
             .collect()
     }
 
+    /// Clusters shaped like the fleet with `nodes` nodes per shared
+    /// machine and 24 private Desktops, loaded at `now` with each `(job,
+    /// machine)` of `load` that fits: submitted in order, then one pass
+    /// per machine, so some run, some queue behind them and the users
+    /// with a running job are busy.
+    fn loaded_clusters(
+        sim: &Simulator,
+        nodes: u32,
+        load: &[(usize, usize)],
+        now: TimePoint,
+    ) -> Vec<Cluster> {
+        let mut clusters: Vec<Cluster> = sim
+            .fleet
+            .iter()
+            .map(|m| {
+                let (total, largest) = if m.per_user {
+                    (m.spec.cores as u64 * 24, m.spec.cores)
+                } else {
+                    let cores = m.spec.cores as u64 * nodes as u64;
+                    (cores, cores as u32)
+                };
+                let mut cluster = Cluster::new(total, largest);
+                cluster.min_grain = m.spec.slice_cores;
+                cluster
+            })
+            .collect();
+        for &(job_idx, machine) in load {
+            let job = &sim.trace.jobs[job_idx];
+            let slice = sim.fleet[machine].spec.slice_cores;
+            let cores = job.cores.max(1).div_ceil(slice) * slice;
+            if clusters[machine].eligible(cores) {
+                clusters[machine].submit(QueuedJob {
+                    job: job_idx,
+                    user: job.user,
+                    cores,
+                    runtime: sim.table.runtime(job, machine),
+                    submitted: now,
+                });
+            }
+        }
+        for cluster in &mut clusters {
+            cluster.schedule(now);
+        }
+        clusters
+    }
+
     /// Moments the hour key must get right: before the epoch, exactly
     /// on hour boundaries (inside the series and past them), the first
     /// hours after each series length wraps (24 and 50 for prices, 72
@@ -985,6 +1222,64 @@ mod tests {
                 sim.submission_delay_oracle(job_idx, now, window, required),
                 "greedy-shift: job {} method {} market {} now {}s", job_idx, method, market, now_s
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The trimmed bases and options of every policy choose the
+        /// machine the full ones choose, and submit the same provisioned
+        /// slice and runtime — on loaded clusters, under every method,
+        /// with and without a market.
+        #[test]
+        fn trimmed_options_choose_like_full_options(
+            job_idx in 0usize..1_500,
+            policy in 0usize..8,
+            fixed in 0usize..5,
+            method in 0usize..5,
+            market in 0u32..3,
+            now_s in 0.0..3.2e7f64,
+            nodes in 1u32..6,
+            load in prop::collection::vec((0usize..1_500, 0usize..4), 0..40),
+        ) {
+            let (trace, fleet, table, intensity) = oracle_world();
+            let policy = [
+                Policy::Greedy,
+                Policy::Energy,
+                Policy::Mixed,
+                Policy::Eft,
+                Policy::Runtime,
+                Policy::Fixed(fixed),
+                Policy::GreedyShift { max_delay_hours: 24 },
+                Policy::Adaptive,
+            ][policy];
+            let config = SimConfig { policy, ..oracle_config(method, market) };
+            let sim = Simulator::new(trace, fleet, table, intensity, config);
+            let now = TimePoint::from_secs(now_s);
+            let clusters = loaded_clusters(&sim, nodes, &load, now);
+            let job = &trace.jobs[job_idx];
+            let candidates = sim.candidates();
+            let bases: Vec<QuoteBasis> = candidates
+                .clone()
+                .map(|m| sim.quote_basis(&clusters, m, job, now))
+                .collect();
+            let trimmed: Vec<MachineOption> = candidates
+                .clone()
+                .zip(&bases)
+                .map(|(m, basis)| sim.option(&clusters, m, basis, now))
+                .collect();
+            let full: Vec<MachineOption> = (0..fleet.len())
+                .map(|m| sim.full_option(&clusters, m, job_idx, now))
+                .collect();
+            let chosen = policy.choose(&trimmed);
+            prop_assert_eq!(chosen, policy.choose(&full), "{:?} method {} market {}", policy, method, market);
+            if let Some(m) = chosen {
+                let basis = &bases[m - candidates.start];
+                let oracle = sim.full_quote_basis(&clusters, m, job_idx, now);
+                prop_assert_eq!(basis.provisioned, oracle.provisioned);
+                prop_assert_eq!(basis.runtime.as_secs().to_bits(), oracle.runtime.as_secs().to_bits());
+            }
         }
     }
 

@@ -75,13 +75,18 @@ pub fn run(scale: SimScale, seed: u64) -> SimArtifacts {
     let table = PlacementTable::build(&trace, &fleet, &predictor);
 
     let users = scale.users();
-    let eba_scenario = Scenario::eba(seed, users);
-    let cba_scenario = Scenario::cba(seed, users);
-    let low_scenario = Scenario::low_carbon(seed, users);
-
-    let eba = eba_scenario.run(&trace, &table);
-    let cba = cba_scenario.run(&trace, &table);
-    let low_carbon = low_scenario.run(&trace, &table);
+    let scenarios = [
+        Scenario::eba(seed, users),
+        Scenario::cba(seed, users),
+        Scenario::low_carbon(seed, users),
+    ];
+    // One pool over all three scenarios: their 12 runs that read no
+    // charge share 6 schedules, so the 18 results take 12 simulations.
+    let [eba, cba, low_carbon]: [ScenarioResults; 3] =
+        Scenario::run_all(&scenarios, &trace, &table)
+            .try_into()
+            .expect("one result per scenario");
+    let low_scenario = &scenarios[2];
 
     // Figure 7b: day 10 of each low-carbon grid.
     let fig7b = low_scenario

@@ -7,6 +7,14 @@
 //! parser here means the repository needs no serde engine (the vendored
 //! `serde` is a marker shim) while every consumer reads the same
 //! dialect.
+//!
+//! The parser returns an error on any input, never panics: objects nest
+//! at most [`MAX_DEPTH`] deep (the repository's documents nest four), so
+//! a hostile document cannot overflow the stack, and strings decode as
+//! UTF-8.
+
+/// The deepest object nesting [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 8;
 
 /// A parsed JSON value. Objects preserve key order (the writers emit
 /// stable, diff-friendly order and the readers report it back).
@@ -71,6 +79,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -107,6 +116,8 @@ pub fn fmt_num(v: f64) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -164,12 +175,25 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "objects nest deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let fields = self.fields();
+        self.depth -= 1;
+        fields.map(Json::Object)
+    }
+
+    fn fields(&mut self) -> Result<Vec<(String, Json)>, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.bytes.get(self.pos) == Some(&b'}') {
             self.pos += 1;
-            return Ok(Json::Object(fields));
+            return Ok(fields);
         }
         loop {
             self.skip_ws();
@@ -184,21 +208,25 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Object(fields));
+                    return Ok(fields);
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
         }
     }
 
+    /// A string literal, decoded as UTF-8: the escapes are ASCII, so the
+    /// bytes between them are whole code points of the input.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let mut out = Vec::new();
         loop {
             match self.bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return String::from_utf8(out)
+                        .map_err(|_| format!("string at byte {start} is not UTF-8"));
                 }
                 Some(b'\\') => {
                     let escaped = self
@@ -206,16 +234,16 @@ impl Parser<'_> {
                         .get(self.pos + 1)
                         .ok_or("dangling escape at end of input")?;
                     out.push(match escaped {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'n' => '\n',
-                        b't' => '\t',
+                        b'"' => b'"',
+                        b'\\' => b'\\',
+                        b'n' => b'\n',
+                        b't' => b'\t',
                         other => return Err(format!("unsupported escape `\\{}`", *other as char)),
                     });
                     self.pos += 2;
                 }
                 Some(b) => {
-                    out.push(*b as char);
+                    out.push(*b);
                     self.pos += 1;
                 }
                 None => return Err("unterminated string".into()),
@@ -243,6 +271,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_flat_object_with_all_scalar_kinds() {
@@ -273,6 +302,55 @@ mod tests {
         assert!(Json::parse("{\"a\": }").is_err());
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("{\"a\": \"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let depth = 200_000;
+        let doc = format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        let err = Json::parse(&doc).unwrap_err();
+        let at = MAX_DEPTH * "{\"a\":".len();
+        assert_eq!(
+            err,
+            format!("objects nest deeper than {MAX_DEPTH} levels at byte {at}")
+        );
+        // The deepest accepted document still parses.
+        let doc = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&doc).is_ok());
+    }
+
+    #[test]
+    fn non_ascii_text_reads_back_unchanged() {
+        let text = "café – 2/8";
+        let doc = format!("{{\"sweep\": {}}}", quote(text));
+        assert_eq!(
+            Json::parse(&doc)
+                .unwrap()
+                .get("sweep")
+                .and_then(Json::as_str),
+            Some(text)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// Any string quoted by the writers parses back to itself: code
+        /// points from ASCII (the escaped characters and controls among
+        /// them), the two-byte range and the whole of Unicode.
+        #[test]
+        fn quote_then_parse_roundtrips(
+            code_points in prop::collection::vec(
+                prop_oneof![0u32..0x80, 0x80u32..0x800, 0u32..0x11_0000],
+                0..64,
+            ),
+        ) {
+            let text: String = code_points
+                .iter()
+                .map(|&c| char::from_u32(c).unwrap_or('\u{fffd}'))
+                .collect();
+            prop_assert_eq!(Json::parse(&quote(&text)), Ok(Json::Str(text)));
+        }
     }
 
     #[test]
