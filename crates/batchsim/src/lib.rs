@@ -80,6 +80,6 @@ pub use experiment::{
 };
 pub use market::{MarketAgent, MarketInputs, PriceTable};
 pub use metrics::{JobOutcome, RunMetrics};
-pub use policy::{Policy, Reads};
+pub use policy::Policy;
 pub use profile::PlacementTable;
 pub use simulator::{SimConfig, Simulator};
