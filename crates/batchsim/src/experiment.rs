@@ -146,8 +146,15 @@ impl Scenario {
             .map(|runs| {
                 let mut arena = SimArena::new();
                 let counters = simulator(runs[0]).schedule_in(&mut arena, &NoopRecorder);
+                // Attribution reads only the finish log: free the rest of
+                // the arena first, so the outcome records can take its
+                // memory.
+                let finishes = std::mem::take(&mut arena.finishes);
+                drop(arena);
                 runs.iter()
-                    .map(|&run| simulator(run).attribute_in(&mut arena, counters, &NoopRecorder))
+                    .map(|&run| {
+                        simulator(run).attribute_in(&finishes, Vec::new(), counters, &NoopRecorder)
+                    })
                     .collect()
             })
             .collect();

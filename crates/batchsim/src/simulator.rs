@@ -8,7 +8,7 @@ use green_units::{CarbonIntensity, CarbonRate, Energy, Power, TimePoint, TimeSpa
 use green_workload::{Job, Trace};
 use std::ops::Range;
 
-use crate::arena::SimArena;
+use crate::arena::{FinishLog, SimArena};
 use crate::cluster::{Cluster, QueuedJob};
 use crate::event::EventKind;
 use crate::market::MarketInputs;
@@ -403,7 +403,8 @@ impl<'a> Simulator<'a> {
     /// identical either way.
     pub fn run_in_obs<R: Recorder>(&self, arena: &mut SimArena, obs: &R) -> RunMetrics {
         let counters = self.schedule_in(arena, obs);
-        self.attribute_in(arena, counters, obs)
+        let outcomes = std::mem::take(&mut arena.outcomes);
+        self.attribute_in(&arena.finishes, outcomes, counters, obs)
     }
 
     /// The event loop: places every arrival, runs the clusters' passes
@@ -593,22 +594,21 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// The attribution pass: materializes the arena's staged completion
-    /// columns into outcome records in log (= pop) order — one contiguous
-    /// pass over the whole run instead of one cold detour per finish
-    /// event — and prices each under this simulator's fleet, grid and
-    /// year. The log may come from another simulator's
+    /// The attribution pass: materializes the staged completion columns
+    /// into outcome records, stored in `outcomes`, in log (= pop) order —
+    /// one contiguous pass over the whole run instead of one cold detour
+    /// per finish event — and prices each under this simulator's fleet,
+    /// grid and year. The log may come from another simulator's
     /// [`schedule_in`](Simulator::schedule_in) whose schedule this one
     /// shares.
     pub(crate) fn attribute_in<R: Recorder>(
         &self,
-        arena: &mut SimArena,
+        finishes: &FinishLog,
+        mut outcomes: Vec<JobOutcome>,
         counters: ScheduleCounters,
         obs: &R,
     ) -> RunMetrics {
         let watch = Stopwatch::<R>::start();
-        let finishes = &arena.finishes;
-        let mut outcomes = std::mem::take(&mut arena.outcomes);
         outcomes.clear();
         outcomes.reserve(finishes.len());
         for i in 0..finishes.len() {
