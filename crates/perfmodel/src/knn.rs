@@ -76,15 +76,28 @@ impl KnnRegressor {
     /// Inverse-distance-weighted prediction of the target vector at `x`.
     /// An exact feature match returns that row's target directly.
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
+        let mut dist = self.distances(x);
+        // The k nearest by partial selection: `nearer` is a strict total
+        // order, so its first k are exactly the neighbours, in the same
+        // order, that a stable sort by distance alone puts first.
+        if self.k < dist.len() {
+            dist.select_nth_unstable_by(self.k - 1, nearer);
+            dist.truncate(self.k);
+        }
+        dist.sort_unstable_by(nearer);
+        self.weigh(&dist)
+    }
+
+    /// Squared distance from `x` (normalized here) to every memorized
+    /// point, tagged with the point's index.
+    fn distances(&self, x: &[f64]) -> Vec<(f64, usize)> {
         let q: Vec<f64> = x
             .iter()
             .zip(&self.feat_mean)
             .zip(&self.feat_std)
             .map(|((v, m), s)| (v - m) / s)
             .collect();
-        // Indices of the k nearest (partial selection).
-        let mut dist: Vec<(f64, usize)> = self
-            .points
+        self.points
             .iter()
             .enumerate()
             .map(|(i, p)| {
@@ -96,10 +109,13 @@ impl KnnRegressor {
                     i,
                 )
             })
-            .collect();
-        dist.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let neighbours = &dist[..self.k];
+            .collect()
+    }
 
+    /// The inverse-distance-weighted mean of the `neighbours`' targets,
+    /// nearest first; the nearest's target alone when it is an exact
+    /// match.
+    fn weigh(&self, neighbours: &[(f64, usize)]) -> Vec<f64> {
         if neighbours[0].0 < 1e-18 {
             return self.targets[neighbours[0].1].clone();
         }
@@ -118,11 +134,26 @@ impl KnnRegressor {
         }
         out
     }
+
+    /// [`predict`](KnnRegressor::predict) by a stable sort of every
+    /// distance: the selection's oracle.
+    #[cfg(test)]
+    fn predict_by_full_sort(&self, x: &[f64]) -> Vec<f64> {
+        let mut dist = self.distances(x);
+        dist.sort_by(|a, b| a.0.total_cmp(&b.0));
+        self.weigh(&dist[..self.k])
+    }
+}
+
+/// Nearer first: by distance, then by index.
+fn nearer(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn grid_corpus() -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
         // y0 = x0 + x1, y1 = x0 * 2 over a grid.
@@ -189,5 +220,52 @@ mod tests {
         let y = knn.predict(&[2.5, 5.0]);
         assert!(y[0].is_finite());
         assert!((y[0] - 2.5).abs() < 0.5);
+    }
+
+    /// `predict` and the full-sort oracle give the same bits at `x`.
+    fn check_bits(knn: &KnnRegressor, x: &[f64]) {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(knn.predict(x)),
+            bits(knn.predict_by_full_sort(x)),
+            "query {:?}",
+            x
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        /// Selection against the stable full sort over a corpus where
+        /// distances tie exactly: features on a 5 × 5 grid, each row
+        /// twice with its two targets swapped. Queries hit every
+        /// training point (the exact-match return), midpoints between
+        /// two of them, and points far outside the grid.
+        #[test]
+        fn selection_matches_the_full_sort(
+            rows in prop::collection::vec((0u32..5, 0u32..5, -10.0f64..10.0, -10.0f64..10.0), 1..24),
+            k in 1usize..12,
+            pairs in prop::collection::vec((0usize..1 << 16, 0usize..1 << 16), 0..8),
+            far in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 0..4),
+        ) {
+            let (mut xs, mut ys) = (Vec::new(), Vec::new());
+            for &(a, b, t0, t1) in &rows {
+                for target in [vec![t0, t1], vec![t1, t0]] {
+                    xs.push(vec![a as f64, b as f64]);
+                    ys.push(target);
+                }
+            }
+            let knn = KnnRegressor::fit(&xs, &ys, k).unwrap();
+            for x in &xs {
+                check_bits(&knn, x);
+            }
+            for &(i, j) in &pairs {
+                let (a, b) = (&xs[i % xs.len()], &xs[j % xs.len()]);
+                check_bits(&knn, &[(a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0]);
+            }
+            for &(u, v) in &far {
+                check_bits(&knn, &[1e3 * u, 1e3 * v]);
+            }
+        }
     }
 }

@@ -266,7 +266,10 @@ impl ColsFile {
         let csv_bytes = cursor.take_u64().map_err(|e| bad(&e))?;
         let csv_hash = cursor.take_u64().map_err(|e| bad(&e))?;
         let count = cursor.take_u32().map_err(|e| bad(&e))? as usize;
-        let mut names: Vec<(String, ColumnType)> = Vec::with_capacity(count);
+        // Every capacity below is bounded by what the remaining bytes
+        // can hold, so a header that lies about a length fails as a
+        // truncated sidecar instead of allocating that length.
+        let mut names: Vec<(String, ColumnType)> = Vec::with_capacity(cursor.capacity(count, 5));
         for _ in 0..count {
             let name = cursor.take_str().map_err(|e| bad(&e))?;
             let tag = cursor.take_u8().map_err(|e| bad(&e))?;
@@ -274,16 +277,16 @@ impl ColsFile {
                 .ok_or_else(|| bad(&format!("unknown column type tag {tag}")))?;
             names.push((name, ty));
         }
-        let mut columns: Vec<(String, Column)> = Vec::with_capacity(count);
+        let mut columns: Vec<(String, Column)> = Vec::with_capacity(names.len());
         for (name, ty) in names {
             let column = match ty {
                 ColumnType::Str => {
                     let dict_len = cursor.take_u32().map_err(|e| bad(&e))? as usize;
-                    let mut dict = Vec::with_capacity(dict_len);
+                    let mut dict = Vec::with_capacity(cursor.capacity(dict_len, 4));
                     for _ in 0..dict_len {
                         dict.push(cursor.take_str().map_err(|e| bad(&e))?);
                     }
-                    let mut indices = Vec::with_capacity(rows);
+                    let mut indices = Vec::with_capacity(cursor.capacity(rows, 4));
                     for _ in 0..rows {
                         let index = cursor.take_u32().map_err(|e| bad(&e))?;
                         if index as usize >= dict.len() {
@@ -299,7 +302,7 @@ impl ColsFile {
                     }
                 }
                 ColumnType::F64 => {
-                    let mut values = Vec::with_capacity(rows);
+                    let mut values = Vec::with_capacity(cursor.capacity(rows, 8));
                     for _ in 0..rows {
                         values.push(f64::from_bits(cursor.take_u64().map_err(|e| bad(&e))?));
                     }
@@ -344,6 +347,12 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
+    /// `n` items of at least `each` bytes, capped at what the unread
+    /// bytes can hold.
+    fn capacity(&self, n: usize, each: usize) -> usize {
+        n.min((self.bytes.len() - self.pos) / each)
+    }
+
     fn take(&mut self, n: usize) -> Result<&[u8], String> {
         let end = self
             .pos

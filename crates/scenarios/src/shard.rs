@@ -248,7 +248,8 @@ impl ShardManifest {
             total_cells: usize_of(int("total_cells")?, "total_cells")?,
             replicates: usize_of(int("replicates")?, "replicates")?,
             rows: usize_of(int("rows")?, "rows")?,
-            bytes: int("bytes")? as u64,
+            bytes: u64::try_from(int("bytes")?)
+                .map_err(|_| SpecError("bad manifest: `bytes` negative".into()))?,
             hash,
             complete: root
                 .get("complete")
@@ -631,22 +632,34 @@ fn run_shard_inner<R: Recorder, C: Chaos>(
             )));
         }
         // Verify the checkpointed prefix byte-for-byte, then drop any
-        // torn tail the kill left past the checkpoint.
+        // torn tail the kill left past the checkpoint. The checkpoint's
+        // length is held against the file before anything is read, and
+        // the prefix is hashed through a bounded buffer: a corrupt
+        // `bytes` is an error, never an allocation of that size.
         let mut file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .open(job.csv)?;
-        let mut prefix = vec![0u8; manifest.bytes as usize];
-        file.read_exact(&mut prefix).map_err(|_| {
+        let shorter = || {
             invalid(format!(
                 "{}: shorter than its checkpoint ({} bytes) — the output was modified; \
                  delete it to start over",
                 job.csv.display(),
                 manifest.bytes
             ))
-        })?;
+        };
+        if file.metadata()?.len() < manifest.bytes {
+            return Err(shorter());
+        }
         let mut running = Fnv1a::default();
-        running.update(&prefix);
+        let mut buf = vec![0u8; 1 << 16];
+        let mut left = manifest.bytes;
+        while left > 0 {
+            let n = left.min(buf.len() as u64) as usize;
+            file.read_exact(&mut buf[..n]).map_err(|_| shorter())?;
+            running.update(&buf[..n]);
+            left -= n as u64;
+        }
         if running.0 != manifest.hash {
             return Err(invalid(format!(
                 "{}: checkpointed prefix hash mismatch — the output was modified; \

@@ -305,6 +305,35 @@ fn stale_columnar_sidecar_falls_back_to_the_csv() {
     assert_eq!(report.to_csv_string(), reference);
 }
 
+/// A sidecar whose header claims 2^40 or 2^60 rows, or four billion
+/// columns, fails to load instead of allocating that many, and the
+/// analysis falls back to the CSV.
+#[test]
+fn lying_sidecar_header_falls_back_to_the_csv() {
+    let sweep = grid();
+    let query = AnalyzeQuery::new(None, None, None).unwrap();
+    let (scratch, shards) = shard_out(&sweep, 1, "lying", true);
+    let reference = analyze_dir(&scratch.0, &query, false)
+        .expect("analyze")
+        .to_csv_string();
+    let sidecar = green_scenarios::analyze::cols_path(&shards[0]);
+    let real = std::fs::read(&sidecar).unwrap();
+    // The row count is the u64 at byte 16, the column count the u32 at
+    // byte 40 (after the 16-byte schema tag and three u64 fields).
+    let lies: [(usize, &[u8]); 3] = [
+        (16, &(1u64 << 40).to_le_bytes()),
+        (16, &(1u64 << 60).to_le_bytes()),
+        (40, &4_000_000_000u32.to_le_bytes()),
+    ];
+    for (at, value) in lies {
+        let mut bytes = real.clone();
+        bytes[at..at + value.len()].copy_from_slice(value);
+        std::fs::write(&sidecar, &bytes).unwrap();
+        let report = analyze_dir(&scratch.0, &query, false).expect("fallback analyze");
+        assert_eq!(report.to_csv_string(), reference, "lie at byte {at}");
+    }
+}
+
 /// `--partial` over a contiguous sub-span matches analyzing the partial
 /// merge of the same shards.
 #[test]

@@ -37,6 +37,33 @@ fn grid() -> Sweep {
     sweep
 }
 
+/// An 8-configuration × 2-replicate market grid: everything a shard's
+/// prepare stage builds concurrently — two populations (world chains),
+/// two realizations with two price tables each, and four agent
+/// populations — so the order workers finish them in varies with the
+/// thread count.
+fn market_grid() -> Sweep {
+    Sweep::from_toml_str(
+        r#"
+name = "parallel-golden-market"
+
+[workload]
+preset = "tiny"
+seed = 31
+
+[grid]
+policies = ["adaptive"]
+methods = ["cba"]
+workload_scales = [0.25]
+elasticities = [0.5, 2.0]
+price_schedules = ["carbon:1.500", "tou:0.250"]
+users = [24, 48]
+seeds = [1, 2]
+"#,
+    )
+    .expect("the market grid parses")
+}
+
 fn job<'a>(
     sweep: &'a Sweep,
     csv: &'a Path,
@@ -78,14 +105,17 @@ fn progress_projection(csv: &Path) -> Vec<ProgressProjection> {
         .collect()
 }
 
-/// Runs the full 18-cell grid as two fragments on `threads` workers
-/// into `scratch`, returning the two fragment paths.
+/// Runs the whole grid as two fragments, split at the middle
+/// configuration, on `threads` workers into `scratch`, returning the two
+/// fragment paths.
 fn run_fragments(sweep: &Sweep, scratch: &Scratch, threads: usize) -> [PathBuf; 2] {
     let runner = SweepRunner::new(threads);
+    let (cells, replicates) = (sweep.cell_count(), sweep.seeds.len());
+    let mid = cells / replicates / 2 * replicates;
     let frag0 = scratch.path("frag0.csv");
     let frag1 = scratch.path("frag1.csv");
-    run_shard(&runner, &job(sweep, &frag0, 0..9, false), None).expect("fragment 0");
-    run_shard(&runner, &job(sweep, &frag1, 9..18, false), None).expect("fragment 1");
+    run_shard(&runner, &job(sweep, &frag0, 0..mid, false), None).expect("fragment 0");
+    run_shard(&runner, &job(sweep, &frag1, mid..cells, false), None).expect("fragment 1");
     [frag0, frag1]
 }
 
@@ -95,9 +125,19 @@ fn run_fragments(sweep: &Sweep, scratch: &Scratch, threads: usize) -> [PathBuf; 
 /// count.
 #[test]
 fn every_thread_count_leaves_identical_artifacts() {
-    let sweep = grid();
+    assert_identical_artifacts(&grid());
+}
+
+/// The same for market cells, whose price tables, agent populations and
+/// second population are built beside each other in the prepare stage.
+#[test]
+fn market_cells_leave_identical_artifacts_at_every_thread_count() {
+    assert_identical_artifacts(&market_grid());
+}
+
+fn assert_identical_artifacts(sweep: &Sweep) {
     let serial = Scratch::new("serial");
-    let golden = run_fragments(&sweep, &serial, 1);
+    let golden = run_fragments(sweep, &serial, 1);
     let golden_bytes: Vec<Vec<u8>> = golden
         .iter()
         .map(|p| std::fs::read(p).expect("fragment"))
@@ -115,7 +155,7 @@ fn every_thread_count_leaves_identical_artifacts() {
 
     for threads in THREADS {
         let scratch = Scratch::new(&format!("t{threads}"));
-        let fragments = run_fragments(&sweep, &scratch, threads);
+        let fragments = run_fragments(sweep, &scratch, threads);
         for (i, path) in fragments.iter().enumerate() {
             assert_eq!(
                 std::fs::read(path).expect("fragment"),
@@ -141,22 +181,33 @@ fn every_thread_count_leaves_identical_artifacts() {
 /// the whole artifact pipeline.
 #[test]
 fn merged_output_is_identical_across_thread_counts() {
-    let sweep = grid();
+    assert_identical_merges(&grid(), &[8]);
+}
+
+/// The market grid's merges on 2 and 8 workers equal its serial merge.
+#[test]
+fn merged_market_output_is_identical_across_thread_counts() {
+    assert_identical_merges(&market_grid(), &[2, 8]);
+}
+
+fn assert_identical_merges(sweep: &Sweep, thread_counts: &[usize]) {
     let serial = Scratch::new("merge-serial");
-    let golden_frags = run_fragments(&sweep, &serial, 1);
+    let golden_frags = run_fragments(sweep, &serial, 1);
     let golden_out = serial.path("merged.csv");
     merge_shards(&golden_frags, &golden_out, false).expect("serial merge");
     let golden = std::fs::read(&golden_out).expect("merged bytes");
 
-    let parallel = Scratch::new("merge-t8");
-    let frags = run_fragments(&sweep, &parallel, 8);
-    let out = parallel.path("merged.csv");
-    merge_shards(&frags, &out, false).expect("parallel merge");
-    assert_eq!(
-        std::fs::read(&out).expect("merged bytes"),
-        golden,
-        "merge over 8-thread fragments diverged from the serial merge"
-    );
+    for &threads in thread_counts {
+        let parallel = Scratch::new(&format!("merge-t{threads}"));
+        let frags = run_fragments(sweep, &parallel, threads);
+        let out = parallel.path("merged.csv");
+        merge_shards(&frags, &out, false).expect("parallel merge");
+        assert_eq!(
+            std::fs::read(&out).expect("merged bytes"),
+            golden,
+            "merge over {threads}-thread fragments diverged from the serial merge"
+        );
+    }
 }
 
 /// Crashes a shard run on `threads` workers with `spec` armed and

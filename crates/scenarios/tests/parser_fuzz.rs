@@ -2,12 +2,22 @@
 //! and never panic. Inputs are arbitrary strings over a mixed alphabet,
 //! random truncations and cuts of real documents (the example sweep
 //! files; a `.progress` line and the committed perf baseline for the
-//! JSON reader), and soup built from each grammar's brackets, quotes and
-//! keys.
+//! JSON reader; a shard manifest; a `.cols` sidecar; chaos specs), soup
+//! built from each grammar's brackets, quotes and keys, and length
+//! fields set to huge values.
+
+use std::sync::OnceLock;
 
 use green_bench::json::Json;
-use green_scenarios::{toml, ProgressRecord, Sweep};
+use green_chaos::ChaosRegistry;
+use green_scenarios::analyze::{cols_path, write_sidecar, ColsFile};
+use green_scenarios::{
+    toml, PolicySpec, ProgressRecord, ShardManifest, Sweep, SweepRunner, CSV_HEADERS,
+};
 use proptest::prelude::*;
+
+mod common;
+use common::Scratch;
 
 /// The five example sweeps, the realistic starting point for cuts.
 const EXAMPLES: [&str; 5] = [
@@ -30,10 +40,12 @@ const CHARS: [char; 32] = [
 /// separated by spaces; a space and a newline are pieces too.
 const SOUP: &str = r#"[ ] [[ ]] " , = # x 1 -1 1e308 1e-320 nan inf 9223372036854775808 [grid] [workload] name fleets seeds policies intensity_scales intensity_jitter workload_scales "all" "greedy" "carbon:1.5""#;
 
-/// Both parsers return on `input`; neither panics.
+/// The TOML reader, the sweep parser and the manifest parser (a flat
+/// TOML document) return on `input`; none panics.
 fn check(input: &str) {
     let _ = toml::parse(input);
     let _ = Sweep::from_toml_str(input);
+    check_manifest(input);
 }
 
 /// The committed perf baseline, the largest JSON document the reader
@@ -87,6 +99,153 @@ fn cuts(text: &str, a: f64, b: f64) -> [String; 2] {
         text[..end].to_string(),
         format!("{}{}", &text[..start], &text[end..]),
     ]
+}
+
+/// A checkpoint as a shard worker writes it.
+fn manifest_text() -> String {
+    ShardManifest {
+        sweep: "café – incentives".into(),
+        shard: "1/2".into(),
+        spec_hash: 0x0123_4567_89ab_cdef,
+        cells: 8..16,
+        total_cells: 16,
+        replicates: 2,
+        rows: 4,
+        bytes: 1234,
+        hash: 0xfedc_ba98_7654_3210,
+        complete: false,
+    }
+    .to_string()
+}
+
+/// Values that overflow, wrap or underflow a count or a range bound.
+const HUGE: [&str; 8] = [
+    "-1",
+    "-9223372036854775808",
+    "9223372036854775807",
+    "18446744073709551615",
+    "100000000000000",
+    "99999999999999999999",
+    "1e300",
+    "nan",
+];
+
+/// The manifest parser returns on `input`, and never accepts a negative
+/// count.
+fn check_manifest(input: &str) {
+    if let Ok(manifest) = ShardManifest::parse(input) {
+        assert!(
+            !input.contains("= -"),
+            "a negative count parsed: {manifest:?}"
+        );
+    }
+}
+
+/// Real chaos specs, the starting point for cuts.
+const CHAOS_SPECS: [&str; 3] = [
+    "parallel_commit=torn:13@hit:2",
+    "manifest_rewrite=delay:5@p:0.5:42; fragment_row=enospc@hit:1",
+    "progress_rewrite=err@p:1; columnar_sidecar=writezero@hit:3; merge_write=panic@hit:1",
+];
+
+/// Pieces of the chaos-spec grammar that soup is built from, separated
+/// by spaces; a space is a piece too.
+const CHAOS_SOUP: &str = "= @ : ; _ hit p torn delay err writezero enospc panic 0 1 0.5 -1 1e309 NaN 18446744073709551616 é parallel_commit manifest_rewrite fragment_row";
+
+/// The `.cols` sidecar of a real sweep's aggregate CSV (two rows of the
+/// tiny preset), built once per test binary.
+fn real_sidecar() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let mut sweep = Sweep::new("parser-fuzz");
+        sweep.policies = vec![PolicySpec::Greedy, PolicySpec::Eft];
+        sweep.seeds = vec![1];
+        let mut csv_bytes = Vec::new();
+        SweepRunner::new(1)
+            .run_streamed_range(&sweep, None, None, true, None, &mut csv_bytes)
+            .expect("streaming to a Vec cannot fail");
+        let scratch = Scratch::new("real-sidecar");
+        let csv = scratch.path("sweep.csv");
+        std::fs::write(&csv, csv_bytes).unwrap();
+        write_sidecar(&csv).unwrap();
+        std::fs::read(cols_path(&csv)).unwrap()
+    })
+}
+
+/// Lengths far past any sidecar; a u32 field keeps the low four bytes.
+const HUGE_LENGTHS: [u64; 6] = [
+    u64::MAX,
+    1 << 60,
+    1 << 40,
+    4_000_000_000,
+    u32::MAX as u64,
+    1 << 31,
+];
+
+/// `bytes` with the little-endian field of `width` bytes at `at` set to
+/// `value`.
+fn with_field(bytes: &[u8], at: usize, width: usize, value: u64) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+    out
+}
+
+/// `ColsFile::load` returns on `bytes`, written to a file of `scratch`,
+/// and says whether it loaded.
+fn load_cols(scratch: &Scratch, bytes: &[u8]) -> bool {
+    let path = scratch.path("input.cols");
+    std::fs::write(&path, bytes).unwrap();
+    ColsFile::load(&path).is_ok()
+}
+
+#[test]
+fn real_manifest_sidecar_and_chaos_specs_parse() {
+    let text = manifest_text();
+    assert_eq!(ShardManifest::parse(&text).unwrap().to_string(), text);
+    assert!(load_cols(&Scratch::new("real-cols"), real_sidecar()));
+    for spec in CHAOS_SPECS {
+        assert!(ChaosRegistry::from_spec(spec).is_ok(), "{spec}");
+    }
+}
+
+/// Every value of a manifest, and each bound of its cell range, set to
+/// each huge value.
+#[test]
+fn manifest_with_huge_values_returns() {
+    let text = manifest_text();
+    for line in text.lines() {
+        if let Some((key, _)) = line.split_once(" = ") {
+            for value in HUGE {
+                check_manifest(&text.replace(line, &format!("{key} = {value}")));
+            }
+        }
+    }
+    let cells = "cells = \"8..16\"";
+    assert!(text.contains(cells));
+    for value in HUGE {
+        for range in [format!("{value}..16"), format!("8..{value}")] {
+            check_manifest(&text.replace(cells, &format!("cells = \"{range}\"")));
+        }
+    }
+}
+
+/// A sidecar whose header lies about a length — the schema string's,
+/// the row count, the column count, the first column name's or the
+/// first dictionary's — is an error, never an allocation of that
+/// length, so `analyze` falls back to the CSV.
+#[test]
+fn sidecar_with_huge_lengths_is_an_error() {
+    let names: usize = CSV_HEADERS.iter().map(|name| 4 + name.len() + 1).sum();
+    let lengths = [(0, 4), (16, 8), (40, 4), (44, 4), (44 + names, 4)];
+    let scratch = Scratch::new("huge-cols");
+    for (at, width) in lengths {
+        for value in HUGE_LENGTHS {
+            assert!(
+                !load_cols(&scratch, &with_field(real_sidecar(), at, width, value)),
+                "length {value} at byte {at} loaded"
+            );
+        }
+    }
 }
 
 #[test]
@@ -166,5 +325,60 @@ proptest! {
         let pieces: Vec<&str> = JSON_SOUP.split(' ').chain([" ", "\n"]).collect();
         let input: String = picks.iter().map(|&i| pieces[i % pieces.len()]).collect();
         check_json(&input);
+    }
+
+    /// A prefix of a manifest, and the manifest with one span cut out.
+    #[test]
+    fn truncated_manifests_never_panic(a in 0.0f64..1.0, b in 0.0f64..1.0) {
+        for cut in cuts(&manifest_text(), a, b) {
+            check_manifest(&cut);
+        }
+    }
+
+    /// Cuts of a real chaos spec, and soup of the grammar's pieces.
+    #[test]
+    fn chaos_specs_never_panic(
+        spec in 0usize..CHAOS_SPECS.len(),
+        a in 0.0f64..1.0,
+        b in 0.0f64..1.0,
+        picks in prop::collection::vec(0usize..1 << 16, 0..64),
+    ) {
+        for cut in cuts(CHAOS_SPECS[spec], a, b) {
+            let _ = ChaosRegistry::from_spec(&cut);
+        }
+        let pieces: Vec<&str> = CHAOS_SOUP.split(' ').chain([" "]).collect();
+        let input: String = picks.iter().map(|&i| pieces[i % pieces.len()]).collect();
+        let _ = ChaosRegistry::from_spec(&input);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// Arbitrary bytes, alone and behind a real sidecar's schema tag; a
+    /// prefix of a real sidecar; the sidecar with one span cut out; and
+    /// the sidecar with four or eight bytes anywhere set to a huge
+    /// length.
+    #[test]
+    fn garbage_truncated_and_lying_sidecars_never_panic(
+        garbage in prop::collection::vec(0u32..256, 0..256),
+        a in 0.0f64..1.0,
+        b in 0.0f64..1.0,
+        at in 0.0f64..1.0,
+        wide in 0usize..2,
+        value in 0usize..HUGE_LENGTHS.len(),
+    ) {
+        let scratch = Scratch::new("fuzz-cols");
+        let real = real_sidecar();
+        let garbage: Vec<u8> = garbage.into_iter().map(|b| b as u8).collect();
+        load_cols(&scratch, &garbage);
+        load_cols(&scratch, &[&real[..16], &garbage].concat());
+        let at_fraction = |f: f64| (f * real.len() as f64) as usize;
+        let (start, end) = (at_fraction(a.min(b)), at_fraction(a.max(b)));
+        load_cols(&scratch, &real[..end]);
+        load_cols(&scratch, &[&real[..start], &real[end..]].concat());
+        let width = if wide == 1 { 8 } else { 4 };
+        let at = at_fraction(at).min(real.len() - width);
+        load_cols(&scratch, &with_field(real, at, width, HUGE_LENGTHS[value]));
     }
 }

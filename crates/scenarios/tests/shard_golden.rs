@@ -216,6 +216,40 @@ fn resume_refuses_a_tampered_prefix_and_a_foreign_checkpoint() {
     assert!(err.to_string().contains("preset/filter"), "{err}");
 }
 
+/// A checkpoint whose `bytes` is corrupt — negative, or far past the
+/// fragment's length — fails the resume with an error naming the
+/// file, before any buffer of that size is allocated.
+#[test]
+fn resume_refuses_a_corrupt_checkpoint_length() {
+    let sweep = grid();
+    let scratch = Scratch::new("corrupt-length");
+    let csv = scratch.path("shard.csv");
+    run_one_shard(&sweep, Shard { index: 0, of: 2 }, &csv, false);
+    let mut manifest = ShardManifest::load(&csv).unwrap();
+    manifest.complete = false;
+    let text = manifest.to_string();
+    let line = format!("bytes = {}\n", manifest.bytes);
+    assert!(text.contains(&line));
+    let job = ShardJob {
+        sweep: &sweep,
+        filter: None,
+        assignment: ShardAssignment::Shard(Shard { index: 0, of: 2 }),
+        csv: &csv,
+        resume: true,
+        checkpoint_every: 1,
+        columnar: false,
+    };
+    for bytes in ["-1", "100000000000000"] {
+        let corrupt = text.replace(&line, &format!("bytes = {bytes}\n"));
+        std::fs::write(manifest_path(&csv), corrupt).unwrap();
+        let err = run_shard(&SweepRunner::new(1), &job, None).unwrap_err();
+        assert!(
+            err.to_string().contains("shard.csv"),
+            "bytes = {bytes}: {err}"
+        );
+    }
+}
+
 #[test]
 fn merge_rejects_gaps_incomplete_shards_and_stale_content() {
     let sweep = grid();
