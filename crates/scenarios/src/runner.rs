@@ -489,10 +489,11 @@ impl SweepCaches {
 /// runs them all in that order.
 ///
 /// One worker runs on the calling thread. Several run on scoped threads
-/// while the caller waits, as the cell workers do, so what a task frees
-/// stays in an allocator arena that the cell workers go on to reuse.
-/// With the caller as one of the workers, peak RSS of the `market`
-/// benchmark rose from 39.5 to 43.8 MB on a 2-vCPU VM.
+/// while the caller waits, as the cell workers do. With the caller as
+/// one of the workers, peak RSS of the `market` benchmark rose from 39.5
+/// to 43.8 MB on a 2-vCPU VM, most likely because what the world build
+/// freed stayed in the caller's allocator arena, which no cell worker
+/// reuses.
 fn claim_each(threads: usize, n: usize, task: impl Fn(usize) + Sync) {
     let next = AtomicUsize::new(0);
     let work = || loop {
