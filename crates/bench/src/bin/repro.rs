@@ -10,7 +10,12 @@
 //!                       fig10 (default: all)
 //!   --export <dir>      additionally write the artifacts as CSV files
 //! ```
+//!
+//! After the artifacts it prints the paper's claims about the
+//! experiments it ran, each checked against this run, and exits 1 if
+//! one fails.
 
+use green_bench::claims;
 use green_bench::experiments::{embodied, gpu, platform, simulation, study, surveyfig};
 use green_bench::render;
 use green_bench::SimScale;
@@ -32,6 +37,7 @@ fn main() {
     };
 
     let want = |id: &str| experiment == "all" || experiment == id;
+    let mut checked: Vec<claims::Claim> = Vec::new();
 
     if want("fig1") || want("fig2") {
         let (f1, f2) = surveyfig::figures(7);
@@ -76,11 +82,13 @@ fn main() {
                     &rows,
                 )
             );
+            checked.extend(claims::figure2(&f2));
         }
     }
 
     if want("fig4") {
-        let rows: Vec<Vec<String>> = platform::figure4()
+        let fig4 = platform::figure4();
+        let rows: Vec<Vec<String>> = fig4
             .iter()
             .map(|r| {
                 vec![
@@ -99,10 +107,12 @@ fn main() {
                 &rows,
             )
         );
+        checked.extend(claims::figure4(&fig4));
     }
 
     if want("table1") {
-        let rows: Vec<Vec<String>> = platform::table1()
+        let table1 = platform::table1();
+        let rows: Vec<Vec<String>> = table1
             .iter()
             .map(|r| {
                 vec![
@@ -123,10 +133,12 @@ fn main() {
                 &rows,
             )
         );
+        checked.extend(claims::table1(&table1));
     }
 
     if want("table2") {
-        let rows: Vec<Vec<String>> = gpu::table2()
+        let table2 = gpu::table2();
+        let rows: Vec<Vec<String>> = table2
             .iter()
             .map(|r| {
                 vec![
@@ -147,10 +159,12 @@ fn main() {
                 &rows,
             )
         );
+        checked.extend(claims::table2(&table2));
     }
 
     if want("table3") {
-        let rows: Vec<Vec<String>> = gpu::table3()
+        let table3 = gpu::table3();
+        let rows: Vec<Vec<String>> = table3
             .iter()
             .map(|r| {
                 vec![
@@ -180,10 +194,12 @@ fn main() {
                 &rows,
             )
         );
+        checked.extend(claims::table3(&table3));
     }
 
     if want("table4") {
-        let rows: Vec<Vec<String>> = embodied::table4()
+        let table4 = embodied::table4();
+        let rows: Vec<Vec<String>> = table4
             .iter()
             .map(|r| {
                 vec![
@@ -203,10 +219,12 @@ fn main() {
                 &rows,
             )
         );
+        checked.extend(claims::table4(&table4));
     }
 
     if want("table5") {
-        let rows: Vec<Vec<String>> = embodied::table5()
+        let table5 = embodied::table5();
+        let rows: Vec<Vec<String>> = table5
             .iter()
             .map(|r| {
                 vec![
@@ -238,6 +256,7 @@ fn main() {
                 &rows,
             )
         );
+        checked.extend(claims::table5(&table5));
     }
 
     let export_dir = args
@@ -309,6 +328,7 @@ fn main() {
                     &rows,
                 )
             );
+            checked.extend(claims::figure5(&artifacts));
         }
         if want("table6") {
             let rows: Vec<Vec<String>> = artifacts
@@ -336,6 +356,7 @@ fn main() {
                     &rows,
                 )
             );
+            checked.extend(claims::table6(&artifacts));
         }
         if want("fig6") {
             print!(
@@ -350,6 +371,7 @@ fn main() {
                     "M core-h",
                 )
             );
+            checked.extend(claims::figure6(&artifacts));
         }
         if let Some(dir) = &export_dir {
             match green_bench::export::export_all(dir, &artifacts) {
@@ -400,6 +422,7 @@ fn main() {
                     &rows,
                 )
             );
+            checked.extend(claims::figure7(&artifacts));
         }
     }
 
@@ -464,6 +487,7 @@ fn main() {
                     &rows,
                 )
             );
+            checked.extend(claims::figure9(&analysis));
         }
         if want("fig10") {
             let rows: Vec<Vec<String>> = analysis
@@ -485,6 +509,16 @@ fn main() {
                     &rows,
                 )
             );
+            checked.extend(claims::figure10(&analysis));
         }
+    }
+
+    if !checked.is_empty() {
+        print!("{}", claims::render(&checked));
+    }
+    let failed = checked.iter().filter(|c| !c.holds).count();
+    if failed > 0 {
+        eprintln!("{failed} of {} claims fail", checked.len());
+        std::process::exit(1);
     }
 }

@@ -85,37 +85,3 @@ pub fn table5() -> Vec<Table5Row> {
         })
         .collect()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table4_crossover_shape() {
-        let rows = table4();
-        let get = |m: TestbedMachine| rows.iter().find(|r| r.machine == m).unwrap().clone();
-        // Old machines pay less under accelerated depreciation…
-        let cl = get(TestbedMachine::CascadeLake);
-        assert!(cl.accelerated_mg < cl.linear_mg);
-        let desktop = get(TestbedMachine::Desktop);
-        assert!(desktop.accelerated_mg < desktop.linear_mg);
-        // …the newest pays more.
-        let zen = get(TestbedMachine::Zen3);
-        assert!(zen.accelerated_mg > zen.linear_mg);
-        // Cascade Lake has the most operational carbon.
-        for r in &rows {
-            if r.machine != TestbedMachine::CascadeLake {
-                assert!(cl.operational_mg > r.operational_mg);
-            }
-        }
-    }
-
-    #[test]
-    fn table5_rates_match() {
-        let rows = table5();
-        let expect = [105.2, 12.2, 16.7, 2.0];
-        for (row, e) in rows.iter().zip(expect) {
-            assert!((row.carbon_rate - e).abs() / e < 0.01, "{}", row.name);
-        }
-    }
-}

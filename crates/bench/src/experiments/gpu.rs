@@ -72,33 +72,9 @@ pub fn table3() -> Vec<Table3Row> {
 mod tests {
     use super::*;
 
+    /// The paper's rates are claims rows (`claims::table2`).
     #[test]
     fn table2_matches_paper_rates() {
-        let rows = table2();
-        assert_eq!(rows.len(), 10);
-        let find = |gpu: &str, count: u32| {
-            rows.iter()
-                .find(|r| r.gpu == gpu && r.count == count)
-                .unwrap()
-                .carbon_rate
-        };
-        assert!((find("P100", 1) - 8.5).abs() / 8.5 < 0.08);
-        assert!((find("A100", 8) - 131.0).abs() / 131.0 < 0.08);
-    }
-
-    #[test]
-    fn table3_p100_pair_cheapest() {
-        let rows = table3();
-        let p2 = rows
-            .iter()
-            .find(|r| r.outcome.gpu == "P100" && r.outcome.count == 2)
-            .unwrap();
-        assert!((p2.eba - 1.0).abs() < 0.03);
-        assert!((p2.cba - 1.0).abs() < 0.03);
-        let p1 = rows
-            .iter()
-            .find(|r| r.outcome.gpu == "P100" && r.outcome.count == 1)
-            .unwrap();
-        assert!((p1.perf - 1.0).abs() < 1e-9, "one P100 wins under Perf");
+        assert_eq!(table2().len(), 10);
     }
 }

@@ -7,7 +7,7 @@ use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
 use green_workload::{Trace, TraceConfig};
 
 /// Simulation scale: the paper's full workload or reduced versions for
-/// benches and smoke tests.
+/// `repro`'s default and the tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimScale {
     /// 142,380 jobs, 250 users, 60 days — the paper's workload.
@@ -175,29 +175,11 @@ impl SimArtifacts {
 mod tests {
     use super::*;
 
+    /// The paper's orderings are claims rows (`claims::figure5`,
+    /// `claims::table6`).
     #[test]
     fn tiny_scale_reproduces_headline_shapes() {
         let artifacts = run(SimScale::Tiny, 31);
-        let fig5a = artifacts.fig5a();
-        let get = |name: &str| {
-            fig5a
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, w)| *w)
-                .unwrap()
-        };
-        // Greedy completes the most work; Theta-only the least of the
-        // fixed policies; EFT below Greedy.
-        assert!(get("Greedy") >= get("EFT"));
-        assert!(get("Greedy") >= get("ALCF Theta"));
-        assert!(get("Institutional Cluster") > get("ALCF Theta"));
-
-        // Table 6 shape: Energy-policy energy ≤ Runtime-policy energy.
-        let t6 = artifacts.table6();
-        let energy = t6.iter().find(|r| r.0 == "Energy").unwrap().1;
-        let runtime = t6.iter().find(|r| r.0 == "Runtime").unwrap().1;
-        assert!(energy < runtime);
-
         // Fig 7c: shares sum to 1 per hour.
         for row in &artifacts.fig7c {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);

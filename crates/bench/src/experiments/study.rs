@@ -9,7 +9,7 @@ pub fn run_full() -> (Study, StudyAnalysis) {
     (study, analysis)
 }
 
-/// Runs a reduced study (for benches).
+/// Runs a reduced study (for smoke tests).
 pub fn run_small(participants: usize, seed: u64) -> (Study, StudyAnalysis) {
     let study = Study::run(StudyConfig {
         participants,
@@ -24,21 +24,11 @@ pub fn run_small(participants: usize, seed: u64) -> (Study, StudyAnalysis) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use green_userstudy::Version;
 
+    /// The effects are claims rows (`claims::figure9`).
     #[test]
     fn full_study_shows_paper_effects() {
-        let (study, analysis) = run_full();
+        let (study, _) = run_full();
         assert!(study.records.len() > 100);
-        let v1 = analysis.summary(Version::V1);
-        let v2 = analysis.summary(Version::V2);
-        let v3 = analysis.summary(Version::V3);
-        // V3 < V1 energy, significantly; V2 ≈ V1.
-        assert!(v3.mean_energy_kwh < v1.mean_energy_kwh * 0.85);
-        assert!((v2.mean_energy_kwh - v1.mean_energy_kwh).abs() / v1.mean_energy_kwh < 0.15);
-        assert!(analysis.p_v3_vs_v1 < 0.01);
-        assert!(analysis.p_v2_vs_v1 > 0.05);
-        // V3 completes fewer jobs.
-        assert!(v3.mean_jobs < v1.mean_jobs);
     }
 }

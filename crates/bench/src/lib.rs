@@ -1,11 +1,10 @@
 //! Experiment drivers and rendering for the paper's tables and figures.
 //!
 //! Every table and figure in the evaluation has a driver here that
-//! produces its rows; the `repro` binary prints them and the Criterion
-//! benches in `benches/` time the underlying computations while asserting
-//! the paper's qualitative invariants. EXPERIMENTS.md records
-//! paper-vs-measured for each artifact.
+//! produces its rows; the `repro` binary prints them, and [`claims`]
+//! checks the paper's results against them.
 
+pub mod claims;
 pub mod experiments;
 pub mod export;
 pub mod json;

@@ -1,7 +1,8 @@
 //! Integration checks: the accounting methods, fed the calibrated machine
 //! catalog and Cholesky profiles, reproduce the qualitative shape of
-//! Tables 1 and 4. (The benches regenerate the full tables; these tests
-//! pin the orderings so a calibration regression fails fast.)
+//! Tables 1 and 4. (`repro` regenerates the full tables and checks the
+//! paper's claims about them; these tests pin the orderings at the
+//! accounting layer, so a calibration regression fails fast.)
 
 use green_accounting::{ChargeContext, MethodKind};
 use green_carbon::GridRegion;

@@ -4,8 +4,8 @@
 //! depreciation schedule reproduces the paper's published carbon rates
 //! (Tables 2 and 5) at the experiment snapshot years; allocation
 //! granularities (`slice_cores`) are calibrated so Eq. (1) lands near
-//! Table 1's normalized EBA costs. Both calibrations are documented in
-//! DESIGN.md and verified by tests here and in `green-bench`.
+//! Table 1's normalized EBA costs. The tests below and `green-bench`'s
+//! claims rows for Tables 1, 2 and 5 check both calibrations.
 
 use green_carbon::GridRegion;
 use green_units::CarbonMass;
@@ -288,7 +288,7 @@ mod tests {
     }
 
     /// The calibrated slice granularities that make Eq. (1) land near
-    /// Table 1 (see DESIGN.md).
+    /// Table 1 (`green_bench::claims::table1` checks the costs).
     #[test]
     fn testbed_slice_tdps() {
         let expect = [

@@ -12,7 +12,8 @@
 //! [`catalog`] reconstructs all three with the paper's published
 //! specifications; where the paper derived a value from manufacturer
 //! datasheets (embodied carbon) the catalog carries an explicit calibrated
-//! override, and DESIGN.md documents the calibration.
+//! override. The tests in [`catalog`] and `green-bench`'s claims rows for
+//! Tables 1, 2 and 5 hold the calibration to the paper's values.
 //!
 //! The crate also hosts the reference [application profiles](apps) used by
 //! Figure 4 and by the telemetry/prediction substrates.

@@ -239,13 +239,20 @@ impl ShardManifest {
             u64::from_str_radix(&string(key)?, 16)
                 .map_err(|_| SpecError(format!("bad manifest: `{key}` must be hex")))
         };
+        let total_cells = usize_of(int("total_cells")?, "total_cells")?;
+        if range.start > range.end || range.end > total_cells {
+            return Err(SpecError(format!(
+                "bad manifest: `cells` {}..{} is not a range within the grid's {total_cells} cells",
+                range.start, range.end
+            )));
+        }
         let hash = hex("hash")?;
         Ok(ShardManifest {
             sweep: string("sweep")?,
             shard: string("shard")?,
             spec_hash: hex("spec_hash")?,
             cells: range,
-            total_cells: usize_of(int("total_cells")?, "total_cells")?,
+            total_cells,
             replicates: usize_of(int("replicates")?, "replicates")?,
             rows: usize_of(int("rows")?, "rows")?,
             bytes: u64::try_from(int("bytes")?)

@@ -1,18 +1,19 @@
 //! The hand-rolled parsers fed garbage: each must return, `Ok` or `Err`,
 //! and never panic. Inputs are arbitrary strings over a mixed alphabet,
 //! random truncations and cuts of real documents (the example sweep
-//! files; a `.progress` line and the committed perf baseline for the
-//! JSON reader; a shard manifest; a `.cols` sidecar; chaos specs), soup
-//! built from each grammar's brackets, quotes and keys, and length
-//! fields set to huge values.
+//! files; a `.progress` line, an `orchestrate.jsonl` log and the
+//! committed perf baseline for the JSON readers; a shard manifest; a
+//! `.cols` sidecar; chaos specs), soup built from each grammar's
+//! brackets, quotes and keys, and length fields set to huge values.
 
 use std::sync::OnceLock;
 
 use green_bench::json::Json;
-use green_chaos::ChaosRegistry;
+use green_chaos::{ChaosRegistry, NoopChaos};
 use green_scenarios::analyze::{cols_path, write_sidecar, ColsFile};
 use green_scenarios::{
-    toml, PolicySpec, ProgressRecord, ShardManifest, Sweep, SweepRunner, CSV_HEADERS,
+    orchestrate_log_path, toml, EventKind, OrchestrateEvent, PolicySpec, ProgressRecord,
+    ShardManifest, Sweep, SweepRunner, CSV_HEADERS,
 };
 use proptest::prelude::*;
 
@@ -62,7 +63,7 @@ const JSON_CHARS: [char; 32] = [
 
 /// Pieces of the JSON dialect that brace/quote soup is built from,
 /// separated by spaces; a space and a newline are pieces too.
-const JSON_SOUP: &str = r#"{ } { } " " : , \" \\ \n \u true false null 1 -0 1e308 -1e-320 "schema" "green-progress/1" "phases_ms" "rows" "sweep" "café""#;
+const JSON_SOUP: &str = r#"{ } { } " " : , \" \\ \n \u true false null 1 -0 1e308 -1e-320 "schema" "green-progress/1" "phases_ms" "rows" "sweep" "café" "green-orchestrate/1" "event" "steal" "task" "cells" "18..0" "..""#;
 
 /// A heartbeat as a shard worker writes it, with a non-ASCII sweep name.
 fn progress_line() -> String {
@@ -83,11 +84,42 @@ fn progress_line() -> String {
     .to_json_line()
 }
 
-/// The JSON reader and the progress parser return on `input`; neither
-/// panics.
+/// The JSON reader, the progress parser and the `orchestrate.jsonl`
+/// readers return on `input`; none panics.
 fn check_json(input: &str) {
     let _ = Json::parse(input);
     let _ = ProgressRecord::parse(input);
+    let _ = OrchestrateEvent::parse(input);
+    let _ = OrchestrateEvent::parse_log_tolerant(input);
+}
+
+/// An `orchestrate.jsonl` log as the supervisor appends it: run-level
+/// and task-level records, one with a non-ASCII detail. Written once
+/// per test binary.
+fn orchestrate_log() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let task = |kind, attempt, detail: &str| OrchestrateEvent {
+            kind,
+            task: Some(2),
+            csv: Some("frag-0002.csv".into()),
+            cells: Some(40..100),
+            attempt,
+            detail: Some(detail.into()),
+        };
+        let scratch = Scratch::new("orchestrate-log");
+        for event in [
+            OrchestrateEvent::run_level(EventKind::Plan, "tasks=3 workers=2"),
+            task(EventKind::Spawn, Some(1), "pid 4242"),
+            task(EventKind::Steal, None, "split at 70 -> task 5 – café"),
+            task(EventKind::Exit, Some(1), "complete"),
+            OrchestrateEvent::run_level(EventKind::Merge, "rows=50 bytes=9000"),
+            OrchestrateEvent::run_level(EventKind::Complete, "ok"),
+        ] {
+            event.log(&scratch.0, &NoopChaos).unwrap();
+        }
+        std::fs::read_to_string(orchestrate_log_path(&scratch.0)).unwrap()
+    })
 }
 
 /// `text` cut at two fractions: its prefix up to the later one, and the
@@ -131,12 +163,17 @@ const HUGE: [&str; 8] = [
 ];
 
 /// The manifest parser returns on `input`, and never accepts a negative
-/// count.
+/// count or a cell range that runs backwards or past the grid.
 fn check_manifest(input: &str) {
     if let Ok(manifest) = ShardManifest::parse(input) {
         assert!(
             !input.contains("= -"),
             "a negative count parsed: {manifest:?}"
+        );
+        assert!(
+            manifest.cells.start <= manifest.cells.end
+                && manifest.cells.end <= manifest.total_cells,
+            "a bad cell range parsed: {manifest:?}"
         );
     }
 }
@@ -227,6 +264,13 @@ fn manifest_with_huge_values_returns() {
             check_manifest(&text.replace(cells, &format!("cells = \"{range}\"")));
         }
     }
+    for range in ["18..0", "0..99999"] {
+        let bad = text.replace(cells, &format!("cells = \"{range}\""));
+        assert!(
+            ShardManifest::parse(&bad).is_err(),
+            "cells = {range} parsed"
+        );
+    }
 }
 
 /// A sidecar whose header lies about a length — the schema string's,
@@ -255,6 +299,8 @@ fn real_json_documents_parse() {
     assert_eq!(record.sweep, "café – incentives");
     assert_eq!(record.to_json_line(), line);
     assert!(Json::parse(BASELINE).is_ok());
+    let (events, torn) = OrchestrateEvent::parse_log_tolerant(orchestrate_log());
+    assert_eq!((events.len(), torn.len()), (6, 0));
 }
 
 /// The largest char boundary of `text` at or below `at`.
@@ -305,14 +351,19 @@ proptest! {
         check_json(&input);
     }
 
-    /// Cuts of a heartbeat line and of the perf baseline.
+    /// Cuts of a heartbeat line, of an orchestrator log and of the perf
+    /// baseline.
     #[test]
     fn truncated_json_documents_never_panic(
-        doc in 0usize..2,
+        doc in 0usize..3,
         a in 0.0f64..1.0,
         b in 0.0f64..1.0,
     ) {
-        let text = if doc == 0 { progress_line() } else { BASELINE.to_string() };
+        let text = match doc {
+            0 => progress_line(),
+            1 => orchestrate_log().to_string(),
+            _ => BASELINE.to_string(),
+        };
         for cut in cuts(&text, a, b) {
             check_json(&cut);
         }

@@ -285,6 +285,19 @@ fn merge_rejects_gaps_incomplete_shards_and_stale_content() {
     manifest.complete = true;
     manifest.store(&shards[1], &NoopChaos).unwrap();
 
+    // A cell range that runs backwards or past the grid is refused,
+    // even by a partial merge.
+    let text = ShardManifest::load(&shards[0]).unwrap().to_string();
+    let cells = "cells = \"0..4\"";
+    assert!(text.contains(cells));
+    for range in ["18..0", "0..99999"] {
+        let bad = text.replace(cells, &format!("cells = \"{range}\""));
+        std::fs::write(manifest_path(&shards[0]), bad).unwrap();
+        let err = merge_shards(&shards[..1], &merged, true).unwrap_err();
+        assert!(err.to_string().contains("s0.csv.manifest"), "{err}");
+    }
+    std::fs::write(manifest_path(&shards[0]), text).unwrap();
+
     // Content drifting from its manifest (stale or edited CSV) is
     // refused by the hash check.
     let mut bytes = std::fs::read(&shards[1]).unwrap();

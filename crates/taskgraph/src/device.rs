@@ -12,8 +12,9 @@ use serde::{Deserialize, Serialize};
 /// streaming stalls); `host_link_gbs` is the *effective contended*
 /// host-to-device bandwidth shared by all devices of the node (pageable
 /// transfers, bidirectional interference). Both are calibrated against
-/// Table 3's single-GPU runtimes and multi-GPU plateaus; see DESIGN.md
-/// and EXPERIMENTS.md.
+/// Table 3's single-GPU runtimes and multi-GPU plateaus; the
+/// `table3_runtimes` and `table3_energies` tests in `cholesky` hold them
+/// there.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GenerationCalibration {
     /// Fraction of peak GFlop/s the kernels achieve.

@@ -174,6 +174,17 @@ for t in $scaling_threads; do
     done
 done
 
+# 11. Rust sources name only documents that exist: an upper-case file
+#     at the repository root (README.md, ROADMAP.md, ...) or a docs/
+#     page. A token preceded by `<` is a placeholder, not a file.
+md_token='(docs/[A-Za-z0-9_-]+|[A-Z][A-Z0-9_]*)\.md'
+md_refs=$(grep -rnoE --include='*.rs' "(^|[^A-Za-z0-9_/.<-])$md_token" crates \
+    | sed -E "s#^([^:]+:[0-9]+:)[^A-Za-z0-9_/.<-]?$md_token\$#\1\2.md#" | sort -u)
+[ -n "$md_refs" ] || fail "could not extract document references from crates/"
+while IFS=: read -r file line doc; do
+    [ -e "$doc" ] || fail "$file:$line names a missing document: $doc"
+done <<< "$md_refs"
+
 # 5. Workload presets stay in sync between parser and docs.
 for preset in micro tiny quick paper; do
     if ! grep -q "\`$preset\`" docs/sweep-format.md; then
