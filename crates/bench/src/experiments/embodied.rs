@@ -85,3 +85,27 @@ pub fn table5() -> Vec<Table5Row> {
         })
         .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::claims;
+
+    /// Accelerated depreciation charges the old machines less and the
+    /// newest more; Cascade Lake emits the most: the Table 4 rows.
+    #[test]
+    fn table4_crossover_shape() {
+        let rows = claims::table4(&table4());
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().all(|c| c.holds), "{}", claims::render(&rows));
+    }
+
+    /// The four fleet carbon rates within 1 % of the paper's: the Table 5
+    /// rows.
+    #[test]
+    fn table5_rates_match() {
+        let rows = claims::table5(&table5());
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().all(|c| c.holds), "{}", claims::render(&rows));
+    }
+}

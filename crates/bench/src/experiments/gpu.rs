@@ -71,10 +71,20 @@ pub fn table3() -> Vec<Table3Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims;
 
     /// The paper's rates are claims rows (`claims::table2`).
     #[test]
     fn table2_matches_paper_rates() {
         assert_eq!(table2().len(), 10);
+    }
+
+    /// Two P100s cheapest under EBA and CBA, one under Perf: the Table 3
+    /// rows.
+    #[test]
+    fn table3_p100_pair_cheapest() {
+        let rows = claims::table3(&table3());
+        assert_eq!(rows.len(), 3);
+        assert!(rows.iter().all(|c| c.holds), "{}", claims::render(&rows));
     }
 }

@@ -108,6 +108,16 @@ pub fn table1() -> Vec<Table1Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims;
+
+    /// Desktop cheapest and Cascade Lake about 1.9x under EBA, Zen3
+    /// slightly above, Cascade Lake cheapest under Peak: the Table 1 rows.
+    #[test]
+    fn table1_shape_matches_paper() {
+        let rows = claims::table1(&table1());
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().all(|c| c.holds), "{}", claims::render(&rows));
+    }
 
     #[test]
     fn figure4_measures_through_platform() {
