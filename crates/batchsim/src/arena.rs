@@ -82,9 +82,19 @@ pub struct SimArena {
     pub(crate) options_buf: Vec<MachineOption>,
     /// Scratch: one arrival's quote basis per machine.
     pub(crate) bases: Vec<QuoteBasis>,
-    /// Scratch: the cheapest posted quote per submission delay
-    /// (GreedyShift/Adaptive delay search).
-    pub(crate) delay_quotes: Vec<f64>,
+    /// Scratch: the GreedyShift/Adaptive delay search's hour row and
+    /// cheapest posted quote per submission delay.
+    pub(crate) delay: DelayScratch,
+}
+
+/// The delay search's two per-delay buffers, reused by every search of a
+/// run (see `Simulator::best_delay`).
+#[derive(Default)]
+pub(crate) struct DelayScratch {
+    /// The hour row: `hours[d]` is the hour index of `now + d` hours.
+    pub(crate) hours: Vec<usize>,
+    /// `quotes[d]`: the cheapest posted quote for a delay of `d` hours.
+    pub(crate) quotes: Vec<f64>,
 }
 
 impl SimArena {

@@ -4,11 +4,11 @@ use green_accounting::{AffineCharge, ChargeContext, MethodKind};
 use green_carbon::HourlyTrace;
 use green_machines::FleetMachine;
 use green_obs::{Counter, NoopRecorder, Phase, Recorder, Stopwatch};
-use green_units::{CarbonIntensity, CarbonRate, Energy, Power, TimePoint, TimeSpan};
+use green_units::{wrap_hour, CarbonIntensity, CarbonRate, Energy, Power, TimePoint, TimeSpan};
 use green_workload::{Job, Trace};
 use std::ops::Range;
 
-use crate::arena::{FinishLog, SimArena};
+use crate::arena::{DelayScratch, FinishLog, SimArena};
 use crate::cluster::{Cluster, QueuedJob};
 use crate::event::EventKind;
 use crate::market::MarketInputs;
@@ -327,16 +327,26 @@ impl<'a> Simulator<'a> {
     /// the delay, so in a congested system a delay mostly re-times the
     /// start only once it exceeds the backlog. GreedyShift quotes the
     /// submission moment itself, which is the same search with every
-    /// wait taken as zero (`d + max(0, 0 − d)` is exactly `d`).
+    /// wait taken as zero.
     ///
-    /// Machine-outer: `cheapest[d]` folds each machine's quote for delay
-    /// `d` in fleet order, the same `min` sequence a delay-outer loop
-    /// applies, while one machine's basis and series stay hot. `bases`
-    /// covers the whole fleet: both shifting policies read every machine.
+    /// The search first fills one hour row, `hours[d]` = the hour index
+    /// of `now + d` hours, shared by every machine. Once `d` covers a
+    /// machine's wait (`d·3600 < wait` is false, a NaN wait included),
+    /// `max(wait − d, 0)` is `+0.0`, so the expected start is exactly
+    /// `now + d` and its hour is `hours[d]`; the delays still inside the
+    /// wait keep the full expression. The row is not always `hours[0] +
+    /// d`: just below a power of two, `now + d` can round up across an
+    /// hour boundary. Each machine's intensity series, price series and
+    /// affine charge are read once, outside its delay loop. Every quote
+    /// keeps `quote`'s operands and rounding order, and `quotes[d]` folds
+    /// them with `min` in fleet order, so the search picks what the
+    /// per-call search picked (`delay_search_matches_per_call_search`).
+    /// `bases` covers the whole fleet: both shifting policies read every
+    /// machine.
     fn best_delay(
         &self,
         bases: &[QuoteBasis],
-        cheapest: &mut Vec<f64>,
+        scratch: &mut DelayScratch,
         now: TimePoint,
         window: u32,
         required_saving: f64,
@@ -345,23 +355,55 @@ impl<'a> Simulator<'a> {
         if window == 0 {
             return None;
         }
-        cheapest.clear();
-        cheapest.resize(window as usize + 1, f64::INFINITY);
+        let DelayScratch { hours, quotes } = scratch;
+        hours.clear();
+        hours.extend(
+            (0..=window).map(|d| (now + TimeSpan::from_secs(d as f64 * 3600.0)).hour_index()),
+        );
+        quotes.clear();
+        quotes.resize(window as usize + 1, f64::INFINITY);
         for (machine, basis) in bases.iter().enumerate() {
+            let series = self.intensity[machine].values();
+            let prices = self.config.market.as_ref().map(|market| {
+                // A machine past the table prices flat, as
+                // `PriceTable::multiplier_at_hour` does.
+                if machine < market.prices.machine_count() {
+                    market.prices.series(machine)
+                } else {
+                    &[1.0]
+                }
+            });
+            let charge = basis.charge;
+            let quote_at_hour = |hour: usize| {
+                let cost = charge.at(CarbonIntensity::from_g_per_kwh(
+                    series[wrap_hour(hour, series.len())],
+                ));
+                match prices {
+                    Some(prices) => cost * prices[wrap_hour(hour, prices.len())],
+                    None => cost,
+                }
+            };
             let wait_s = if with_waits {
                 basis.est_wait.as_secs()
             } else {
                 0.0
             };
-            for (delay, slot) in cheapest.iter_mut().enumerate() {
+            let inside = (0..=window)
+                .take_while(|&d| (d as f64 * 3600.0) < wait_s)
+                .count();
+            let (waiting, covered) = quotes.split_at_mut(inside);
+            for (delay, slot) in waiting.iter_mut().enumerate() {
                 let delay_s = delay as f64 * 3600.0;
                 let start = now + TimeSpan::from_secs(delay_s + (wait_s - delay_s).max(0.0));
-                *slot = slot.min(self.quote(machine, basis, start));
+                *slot = slot.min(quote_at_hour(start.hour_index()));
+            }
+            for (slot, &hour) in covered.iter_mut().zip(&hours[inside..]) {
+                *slot = slot.min(quote_at_hour(hour));
             }
         }
-        let now_cost = cheapest[0];
+        let now_cost = quotes[0];
         let mut best: Option<(u32, f64)> = None;
-        for (delay, &cost) in cheapest.iter().enumerate().skip(1) {
+        for (delay, &cost) in quotes.iter().enumerate().skip(1) {
             if cost < best.map_or(now_cost, |(_, c)| c) {
                 best = Some((delay as u32, cost));
             }
@@ -504,8 +546,8 @@ impl<'a> Simulator<'a> {
                         };
                         let with_waits = self.config.policy == Policy::Adaptive;
                         let delay = search.and_then(|(window, saving)| {
-                            let cheapest = &mut arena.delay_quotes;
-                            self.best_delay(bases, cheapest, now, window, saving, with_waits)
+                            let scratch = &mut arena.delay;
+                            self.best_delay(bases, scratch, now, window, saving, with_waits)
                         });
                         if let Some(delay_h) = delay {
                             shifted[job_idx] = true;
@@ -1160,6 +1202,38 @@ mod tests {
         ]
     }
 
+    /// Moments one ulp below an hour boundary just under a power of two
+    /// (hours 2330, 4660, 9320 and 18641): adding whole hours rounds up
+    /// across the next boundary, so the hour row skips an hour — from
+    /// 33,551,999.999999996 s it reads 9319, 9321, 9322.
+    const ROUND_UP_MOMENTS: [f64; 4] = [
+        8_387_999.999_999_999,
+        16_775_999.999_999_998,
+        33_551_999.999_999_996,
+        67_107_599.999_999_99,
+    ];
+
+    /// Where a delay search can start: `moment()`'s pre-epoch, boundary,
+    /// wrap and long-run times, and the round-up moments.
+    fn search_moment() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            moment(),
+            (0usize..ROUND_UP_MOMENTS.len()).prop_map(|i| ROUND_UP_MOMENTS[i]),
+        ]
+    }
+
+    /// A machine's queue wait: none, under a few days, an exact number
+    /// of hours (the delay that covers it lands on the wait itself), or
+    /// several days (every delay of an agent's window inside it).
+    fn queue_wait() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0f64),
+            0.0..2.0e5f64,
+            (1u32..60).prop_map(|h| h as f64 * 3600.0),
+            2.0e5..1.0e6f64,
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -1188,17 +1262,20 @@ mod tests {
             );
         }
 
-        /// The machine-outer delay search picks the delay the per-call
+        /// The hour-row delay search picks the delay the per-call
         /// delay-outer searches picked: Adaptive's with each machine's
-        /// wait, and GreedyShift's with every wait taken as zero.
+        /// wait, and GreedyShift's with every wait taken as zero. Windows
+        /// reach an agent's 48-hour slack and a few hundred hours of a
+        /// GreedyShift budget, so rows run past the 72-hour intensity
+        /// series and the 24- and 50-hour price series.
         #[test]
         fn delay_search_matches_per_call_search(
             job_idx in 0usize..1_500,
             method in 0usize..5,
             market in 0u32..3,
-            now_s in 0.0..3.2e7f64,
-            waits in prop::collection::vec(prop_oneof![Just(0.0f64), 0.0..2.0e5f64], 4..5),
-            window in 0u32..30,
+            now_s in search_moment(),
+            waits in prop::collection::vec(queue_wait(), 4..5),
+            window in prop_oneof![0u32..49, 49u32..400],
             required in 0.0..0.2f64,
         ) {
             let (trace, fleet, table, intensity) = oracle_world();
@@ -1211,14 +1288,14 @@ mod tests {
             for (basis, wait) in bases.iter_mut().zip(&waits) {
                 basis.est_wait = TimeSpan::from_secs(*wait);
             }
-            let mut cheapest = Vec::new();
+            let mut scratch = DelayScratch::default();
             prop_assert_eq!(
-                sim.best_delay(&bases, &mut cheapest, now, window, required, true),
+                sim.best_delay(&bases, &mut scratch, now, window, required, true),
                 sim.adaptive_delay_oracle(job_idx, now, &waits, window, required),
                 "adaptive: job {} method {} market {} now {}s", job_idx, method, market, now_s
             );
             prop_assert_eq!(
-                sim.best_delay(&bases, &mut cheapest, now, window, required, false),
+                sim.best_delay(&bases, &mut scratch, now, window, required, false),
                 sim.submission_delay_oracle(job_idx, now, window, required),
                 "greedy-shift: job {} method {} market {} now {}s", job_idx, method, market, now_s
             );

@@ -1,12 +1,18 @@
 //! Plain-text table rendering for experiment output.
 
+/// The width of `text` as `{:<w$}` pads it: in chars, not bytes, so a
+/// cell holding `±` or `−` is as wide as it prints.
+fn width(text: &str) -> usize {
+    text.chars().count()
+}
+
 /// Renders a fixed-width table.
 pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| width(h)).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(width(cell));
             }
         }
     }
@@ -36,7 +42,7 @@ pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Renders an ASCII bar chart for `(label, value)` series.
 pub fn bars(title: &str, series: &[(String, f64)], unit: &str) -> String {
     let max = series.iter().map(|(_, v)| *v).fold(f64::MIN, f64::max);
-    let label_w = series.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
+    let label_w = series.iter().map(|(l, _)| width(l)).max().unwrap_or(0);
     let mut out = String::new();
     out.push_str(&format!("\n== {title} ==\n"));
     for (label, value) in series {
@@ -69,6 +75,34 @@ mod tests {
         assert!(out.contains("long-header"));
         let lines: Vec<&str> = out.lines().filter(|l| !l.is_empty()).collect();
         assert_eq!(lines.len(), 5);
+    }
+
+    #[test]
+    fn multi_byte_cells_pad_to_their_printed_width() {
+        let out = table(
+            "T",
+            &["Paper", "n"],
+            &[
+                vec!["+23 % vs −22 %".into(), "1".into()],
+                vec!["4.1 ± 0.2".into(), "22".into()],
+                vec!["a → b …".into(), "333".into()],
+            ],
+        );
+        let lines: Vec<&str> = out
+            .lines()
+            .skip(2)
+            .filter(|l| !l.starts_with('-'))
+            .collect();
+        assert_eq!(lines.len(), 4);
+        for line in &lines {
+            assert_eq!(line.chars().count(), 14 + 2 + 3, "{line:?}");
+        }
+        let out = bars("B", &[("±σ".into(), 1.0), ("ab".into(), 2.0)], "u");
+        let starts: Vec<usize> = out
+            .lines()
+            .filter_map(|l| l.find('#').map(|at| l[..at].chars().count()))
+            .collect();
+        assert_eq!(starts, [4, 4]);
     }
 
     #[test]

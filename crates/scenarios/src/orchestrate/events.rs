@@ -28,6 +28,10 @@ use crate::spec::SpecError;
 /// Schema tag carried by every event record (first key).
 pub const ORCHESTRATE_SCHEMA: &str = "green-orchestrate/1";
 
+/// The largest whole number a JSON number (an `f64`) holds exactly,
+/// 2^53 − 1: the bound of a parsed `task`.
+const MAX_EXACT_JSON_INT: f64 = 9_007_199_254_740_991.0;
+
 /// The event log path inside an orchestration output directory.
 pub fn orchestrate_log_path(dir: &Path) -> PathBuf {
     dir.join("orchestrate.jsonl")
@@ -197,17 +201,26 @@ impl OrchestrateEvent {
                     .and_then(|(a, b)| {
                         let start: usize = a.parse().ok()?;
                         let end: usize = b.parse().ok()?;
-                        Some(start..end)
+                        (start <= end).then_some(start..end)
                     })
                     .ok_or_else(|| bad(&format!("bad `cells` range `{text}`")))?,
             ),
         };
+        // A count must be a whole number in range: a cast would read -5
+        // as 0 and 1e20 as `u32::MAX`.
+        let count = |key: &str, max: f64| match v.get(key).and_then(Json::as_number) {
+            None => Ok(None),
+            Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= max => Ok(Some(n)),
+            Some(n) => Err(bad(&format!(
+                "`{key}` {n} is not a whole number in 0..={max}"
+            ))),
+        };
         Ok(OrchestrateEvent {
             kind,
-            task: v.get("task").and_then(Json::as_number).map(|n| n as usize),
+            task: count("task", MAX_EXACT_JSON_INT)?.map(|n| n as usize),
             csv: v.get("csv").and_then(Json::as_str).map(str::to_string),
             cells,
-            attempt: v.get("attempt").and_then(Json::as_number).map(|n| n as u32),
+            attempt: count("attempt", u32::MAX as f64)?.map(|n| n as u32),
             detail: v.get("detail").and_then(Json::as_str).map(str::to_string),
         })
     }

@@ -18,6 +18,13 @@ impl core::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// The longest `greedy-shift:<hours>` budget: one year. Every intensity
+/// realization a sweep builds, and every price table compiled from one,
+/// repeats after a year, so a longer window would only re-quote hours it
+/// already quoted; the delay search holds one buffer entry per hour of
+/// the budget.
+const MAX_SHIFT_BUDGET_HOURS: u32 = 8_760;
+
 /// A machine-selection policy, in sweep-file spelling.
 ///
 /// `fixed:<machine>` pins every job to one fleet machine (sub-fleet
@@ -61,6 +68,11 @@ impl PolicySpec {
                 .map_err(|_| SpecError(format!("bad shift budget in `{token}`")))?;
             if hours == 0 {
                 return Err(SpecError(format!("shift budget must be ≥ 1 in `{token}`")));
+            }
+            if hours > MAX_SHIFT_BUDGET_HOURS {
+                return Err(SpecError(format!(
+                    "shift budget must be ≤ {MAX_SHIFT_BUDGET_HOURS} h (one year) in `{token}`"
+                )));
             }
             return Ok(PolicySpec::GreedyShift(hours));
         }
@@ -364,6 +376,18 @@ mod tests {
         assert!(PolicySpec::parse("cheapest").is_err());
         assert!(PolicySpec::parse("fixed:x").is_err());
         assert!(PolicySpec::parse("greedy-shift:0").is_err());
+    }
+
+    #[test]
+    fn shift_budget_is_at_most_one_year() {
+        assert_eq!(
+            PolicySpec::parse("greedy-shift:8760").unwrap(),
+            PolicySpec::GreedyShift(8_760)
+        );
+        for token in ["greedy-shift:8761", "greedy-shift:4294967295"] {
+            let err = PolicySpec::parse(token).unwrap_err();
+            assert!(err.0.contains("8760"), "{token}: {err}");
+        }
     }
 
     #[test]

@@ -20,14 +20,18 @@ use proptest::prelude::*;
 mod common;
 use common::Scratch;
 
-/// The five example sweeps, the realistic starting point for cuts.
-const EXAMPLES: [&str; 5] = [
+/// The six example sweeps, the realistic starting point for cuts.
+const EXAMPLES: [&str; 6] = [
     include_str!("../../../examples/sweeps/fleet_composition.toml"),
     include_str!("../../../examples/sweeps/incentives.toml"),
     include_str!("../../../examples/sweeps/mega_grid.toml"),
     include_str!("../../../examples/sweeps/paper_grid.toml"),
     include_str!("../../../examples/sweeps/sensitivity.toml"),
+    TEMPORAL_SHIFT,
 ];
+
+/// The example sweep that runs `greedy-shift` budgets.
+const TEMPORAL_SHIFT: &str = include_str!("../../../examples/sweeps/temporal_shift.toml");
 
 /// Characters arbitrary strings draw from: TOML syntax, digits and
 /// letters, whitespace and control characters, and multi-byte code
@@ -85,12 +89,20 @@ fn progress_line() -> String {
 }
 
 /// The JSON reader, the progress parser and the `orchestrate.jsonl`
-/// readers return on `input`; none panics.
+/// readers return on `input`; none panics, and no event they parse has
+/// a cell range that runs backwards.
 fn check_json(input: &str) {
     let _ = Json::parse(input);
     let _ = ProgressRecord::parse(input);
-    let _ = OrchestrateEvent::parse(input);
-    let _ = OrchestrateEvent::parse_log_tolerant(input);
+    let (events, _) = OrchestrateEvent::parse_log_tolerant(input);
+    for event in OrchestrateEvent::parse(input).into_iter().chain(events) {
+        if let Some(cells) = &event.cells {
+            assert!(
+                cells.start <= cells.end,
+                "a backwards range parsed: {event:?}"
+            );
+        }
+    }
 }
 
 /// An `orchestrate.jsonl` log as the supervisor appends it: run-level
@@ -301,6 +313,62 @@ fn real_json_documents_parse() {
     assert!(Json::parse(BASELINE).is_ok());
     let (events, torn) = OrchestrateEvent::parse_log_tolerant(orchestrate_log());
     assert_eq!((events.len(), torn.len()), (6, 0));
+}
+
+/// An event whose `task` is negative, whose `attempt` overflows a u32
+/// and whose `cells` run backwards is an error, and so is each of those
+/// alone, a fractional count included; the same event with sound
+/// values parses.
+#[test]
+fn orchestrate_event_with_bad_counts_is_an_error() {
+    let line = r#"{"schema": "green-orchestrate/1", "event": "spawn", "task": -5, "csv": "f.csv", "cells": "18..0", "attempt": 1e20, "detail": null}"#;
+    assert!(OrchestrateEvent::parse(line).is_err(), "{line}");
+    let sound = line
+        .replace("-5", "5")
+        .replace("18..0", "0..18")
+        .replace("1e20", "2");
+    let event = OrchestrateEvent::parse(&sound).expect("sound values parse");
+    assert_eq!(
+        (event.task, event.cells, event.attempt),
+        (Some(5), Some(0..18), Some(2))
+    );
+    for (good, bad) in [
+        ("\"task\": 5", "\"task\": -5"),
+        ("\"task\": 5", "\"task\": 2.5"),
+        ("\"task\": 5", "\"task\": 1e300"),
+        ("0..18", "18..0"),
+        ("\"attempt\": 2", "\"attempt\": 1e20"),
+        ("\"attempt\": 2", "\"attempt\": 4294967296"),
+        ("\"attempt\": 2", "\"attempt\": 0.5"),
+        ("\"attempt\": 2", "\"attempt\": -1"),
+    ] {
+        let one = sound.replace(good, bad);
+        assert_ne!(one, sound);
+        assert!(OrchestrateEvent::parse(&one).is_err(), "{one}");
+    }
+}
+
+/// A `greedy-shift` budget past one year is an error naming the limit,
+/// never a delay search over that many hours.
+#[test]
+fn shift_budget_past_a_year_is_an_error() {
+    let budget = "\"greedy-shift:24\"";
+    assert!(TEMPORAL_SHIFT.contains(budget));
+    assert!(Sweep::from_toml_str(TEMPORAL_SHIFT).is_ok());
+    let year = TEMPORAL_SHIFT.replace(budget, "\"greedy-shift:8760\"");
+    assert!(Sweep::from_toml_str(&year).is_ok());
+    for value in ["8761", "4294967295"] {
+        let bad = TEMPORAL_SHIFT.replace(budget, &format!("\"greedy-shift:{value}\""));
+        let err = Sweep::from_toml_str(&bad).expect_err(value);
+        assert!(err.to_string().contains("8760"), "{value}: {err}");
+    }
+    for value in HUGE {
+        let bad = TEMPORAL_SHIFT.replace(budget, &format!("\"greedy-shift:{value}\""));
+        assert!(
+            Sweep::from_toml_str(&bad).is_err(),
+            "greedy-shift:{value} parsed"
+        );
+    }
 }
 
 /// The largest char boundary of `text` at or below `at`.
