@@ -6,7 +6,6 @@ use green_machines::{simulation_fleet, FleetMachine, SIM_YEAR};
 use green_obs::NoopRecorder;
 use green_units::TimePoint;
 use green_workload::Trace;
-use rayon::prelude::*;
 
 use crate::arena::SimArena;
 use crate::cluster::DEFAULT_BACKFILL_DEPTH;
@@ -141,23 +140,20 @@ impl Scenario {
                 scenario.config(scenario.policies[p]),
             )
         };
-        let attributed: Vec<Vec<RunMetrics>> = schedules
-            .par_iter()
-            .map(|runs| {
-                let mut arena = SimArena::new();
-                let counters = simulator(runs[0]).schedule_in(&mut arena, &NoopRecorder);
-                // Attribution reads only the finish log: free the rest of
-                // the arena first, so the outcome records can take its
-                // memory.
-                let finishes = std::mem::take(&mut arena.finishes);
-                drop(arena);
-                runs.iter()
-                    .map(|&run| {
-                        simulator(run).attribute_in(&finishes, Vec::new(), counters, &NoopRecorder)
-                    })
-                    .collect()
-            })
-            .collect();
+        let attributed: Vec<Vec<RunMetrics>> = green_pool::map(&schedules, |_, runs| {
+            let mut arena = SimArena::new();
+            let counters = simulator(runs[0]).schedule_in(&mut arena, &NoopRecorder);
+            // Attribution reads only the finish log: free the rest of
+            // the arena first, so the outcome records can take its
+            // memory.
+            let finishes = std::mem::take(&mut arena.finishes);
+            drop(arena);
+            runs.iter()
+                .map(|&run| {
+                    simulator(run).attribute_in(&finishes, Vec::new(), counters, &NoopRecorder)
+                })
+                .collect()
+        });
         let mut results: Vec<Vec<Option<RunMetrics>>> = scenarios
             .iter()
             .map(|s| vec![None; s.policies.len()])
@@ -352,10 +348,9 @@ impl ScenarioResults {
             .run("Greedy")
             .map(|g| g.total_cost(kind))
             .unwrap_or(f64::INFINITY);
-        self.runs
-            .par_iter()
-            .map(|r| (r.policy.clone(), r.work_within_allocation(allocation, kind)))
-            .collect()
+        green_pool::map(&self.runs, |_, r| {
+            (r.policy.clone(), r.work_within_allocation(allocation, kind))
+        })
     }
 }
 

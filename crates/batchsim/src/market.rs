@@ -9,14 +9,13 @@
 //! within.
 
 use green_units::{wrap_hour, TimePoint};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Hourly posted-price multipliers, one series per fleet machine
 /// (index-aligned). A multiplier of 1.0 is the method's base charge;
 /// lookups use the enclosing hour and wrap, exactly like
 /// `green_carbon::HourlyTrace`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriceTable {
     per_machine: Vec<Vec<f64>>,
 }
@@ -72,7 +71,7 @@ impl PriceTable {
 }
 
 /// One simulated user's market posture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarketAgent {
     /// Price elasticity: how readily the user re-times or re-places work
     /// in response to posted prices. `0.0` ignores prices entirely; the
@@ -98,7 +97,7 @@ impl MarketAgent {
 /// agent population are built once per distinct configuration and handed
 /// to every simulation cell that uses them by reference count, never by
 /// deep copy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarketInputs {
     /// Posted price multipliers per machine.
     pub prices: Arc<PriceTable>,

@@ -1,7 +1,5 @@
 //! Per-run metrics: everything Figures 5–7 and Table 6 are built from.
 
-use serde::{Deserialize, Serialize};
-
 /// Index into [`JobOutcome::charges`], matching `MethodKind::ALL` order.
 pub mod cost {
     /// Runtime (core-seconds).
@@ -17,7 +15,7 @@ pub mod cost {
 }
 
 /// The record of one completed job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {
     /// Job id.
     pub job: u32,
@@ -64,7 +62,7 @@ fn total_order_key(v: f64) -> u64 {
 }
 
 /// The outcome of simulating one policy over the workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunMetrics {
     /// Policy display name.
     pub policy: String,

@@ -1,7 +1,6 @@
 //! The eight machine-selection policies of Section 5.3.
 
 use green_units::{Energy, TimeSpan};
-use serde::{Deserialize, Serialize};
 
 /// What a policy sees for one candidate machine at submission time: the
 /// prediction-service quote plus the current queue estimate.
@@ -46,7 +45,7 @@ pub struct Reads {
 }
 
 /// A user machine-selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// Minimize allocation cost under the active accounting method.
     Greedy,

@@ -17,7 +17,6 @@ use green_batchsim::{run_cell, JobOutcome, PlacementTable, RunMetrics, Scenario,
 use green_machines::simulation_fleet;
 use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
 use green_workload::{Trace, TraceConfig};
-use rayon::prelude::*;
 
 /// The doubled trace and placement table `repro` builds for `config`.
 fn world(config: &TraceConfig) -> (Trace, PlacementTable) {
@@ -99,21 +98,18 @@ fn check(config: TraceConfig, users: u32) {
         .enumerate()
         .flat_map(|(s, scenario)| (0..scenario.policies.len()).map(move |p| (s, p)))
         .collect();
-    let alone: Vec<RunMetrics> = runs
-        .par_iter()
-        .map(|&(s, p)| {
-            let scenario = &scenarios[s];
-            let config = SimConfig {
-                policy: scenario.policies[p],
-                decision_method: scenario.decision,
-                sim_year: scenario.sim_year,
-                users: scenario.users,
-                backfill_depth: DEFAULT_BACKFILL_DEPTH,
-                market: None,
-            };
-            run_cell(&trace, &scenario.fleet, &table, &scenario.intensity, config)
-        })
-        .collect();
+    let alone: Vec<RunMetrics> = green_pool::map(&runs, |_, &(s, p)| {
+        let scenario = &scenarios[s];
+        let config = SimConfig {
+            policy: scenario.policies[p],
+            decision_method: scenario.decision,
+            sim_year: scenario.sim_year,
+            users: scenario.users,
+            backfill_depth: DEFAULT_BACKFILL_DEPTH,
+            market: None,
+        };
+        run_cell(&trace, &scenario.fleet, &table, &scenario.intensity, config)
+    });
     for (&(s, p), alone) in runs.iter().zip(&alone) {
         let results = &shared[s];
         assert_eq!(results.scenario, scenarios[s].name);

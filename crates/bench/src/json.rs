@@ -4,9 +4,8 @@
 //! observability progress sidecars (`green-scenarios`): flat objects of
 //! strings, numbers, booleans and nulls — no arrays, no unicode
 //! escapes — which is exactly what those schemas emit. Keeping the
-//! parser here means the repository needs no serde engine (the vendored
-//! `serde` is a marker shim) while every consumer reads the same
-//! dialect.
+//! parser here means the repository needs no serialization crate while
+//! every consumer reads the same dialect.
 //!
 //! The parser returns an error on any input, never panics: objects nest
 //! at most [`MAX_DEPTH`] deep (the repository's documents nest four), so

@@ -15,8 +15,7 @@
 //!   2× slower for reasons that have nothing to do with the diff.
 //!
 //! The JSON codec is deliberately minimal (flat schema, no escapes
-//! beyond the basics) so the repository needs no serde engine: the
-//! vendored `serde` is a marker shim.
+//! beyond the basics), so the repository needs no serialization crate.
 
 use std::fmt::Write as _;
 

@@ -6,6 +6,17 @@ fn width(text: &str) -> usize {
     text.chars().count()
 }
 
+/// Joins `cells` two spaces apart, each padded to its column's width,
+/// with no trailing space after the last.
+fn line<'a>(cells: impl IntoIterator<Item = &'a str>, widths: &[usize]) -> String {
+    let cells: Vec<String> = cells
+        .into_iter()
+        .zip(widths)
+        .map(|(c, w)| format!("{c:<w$}"))
+        .collect();
+    cells.join("  ").trim_end().to_string()
+}
+
 /// Renders a fixed-width table.
 pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| width(h)).collect();
@@ -18,22 +29,13 @@ pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     }
     let mut out = String::new();
     out.push_str(&format!("\n== {title} ==\n"));
-    let header_line: Vec<String> = headers
-        .iter()
-        .zip(&widths)
-        .map(|(h, w)| format!("{h:<w$}"))
-        .collect();
-    out.push_str(&header_line.join("  "));
+    out.push_str(&line(headers.iter().copied(), &widths));
     out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+    let gaps = 2 * widths.len().saturating_sub(1);
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + gaps));
     out.push('\n');
     for row in rows {
-        let line: Vec<String> = row
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:<w$}"))
-            .collect();
-        out.push_str(&line.join("  "));
+        out.push_str(&line(row.iter().map(String::as_str), &widths));
         out.push('\n');
     }
     out
@@ -75,6 +77,16 @@ mod tests {
         assert!(out.contains("long-header"));
         let lines: Vec<&str> = out.lines().filter(|l| !l.is_empty()).collect();
         assert_eq!(lines.len(), 5);
+        let longest = lines.iter().map(|l| l.chars().count()).max();
+        assert_eq!(Some(lines[2].len()), longest, "separator {:?}", lines[2]);
+        assert_eq!(lines[2].len(), 2 + 2 + 11);
+        for line in &lines {
+            assert!(!line.ends_with(' '), "trailing space in {line:?}");
+        }
+        assert!(
+            table("T", &[], &[]).ends_with("\n\n"),
+            "no columns, no dashes"
+        );
     }
 
     #[test]
@@ -88,15 +100,13 @@ mod tests {
                 vec!["a → b …".into(), "333".into()],
             ],
         );
-        let lines: Vec<&str> = out
+        let second: Vec<String> = out
             .lines()
             .skip(2)
             .filter(|l| !l.starts_with('-'))
+            .map(|l| l.chars().skip(14 + 2).collect())
             .collect();
-        assert_eq!(lines.len(), 4);
-        for line in &lines {
-            assert_eq!(line.chars().count(), 14 + 2 + 3, "{line:?}");
-        }
+        assert_eq!(second, ["n", "1", "22", "333"]);
         let out = bars("B", &[("±σ".into(), 1.0), ("ab".into(), 2.0)], "u");
         let starts: Vec<usize> = out
             .lines()

@@ -11,10 +11,9 @@
 //! scaled by the share of the machine the job actually occupied.
 
 use green_units::{CarbonIntensity, CarbonMass, CarbonRate, Energy, TimeSpan};
-use serde::{Deserialize, Serialize};
 
 /// The two components of a job's attributed carbon footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JobCarbonFootprint {
     /// Carbon emitted generating the electricity the job consumed.
     pub operational: CarbonMass,

@@ -8,7 +8,6 @@
 //! life, rewarding users who keep older hardware productive.
 
 use green_units::{CarbonMass, CarbonRate, HOURS_PER_YEAR};
-use serde::{Deserialize, Serialize};
 
 /// A rule for spreading a machine's total embodied carbon `C_f` over its
 /// service years.
@@ -30,7 +29,7 @@ pub trait DepreciationSchedule: Send + Sync {
 
 /// Straight-line depreciation: `C_f / lifetime` per year, zero afterwards.
 /// This is the "standard practice" baseline (SCI-style linear attribution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinearDepreciation {
     /// Service lifetime in years.
     pub lifetime_years: u32,
@@ -69,7 +68,7 @@ impl DepreciationSchedule for LinearDepreciation {
 /// practice, the paper does not switch to straight-line at the crossover nor
 /// stop at the lifetime — old machines keep a small, ever-declining rate,
 /// which is exactly the incentive the authors want.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DoubleDecliningBalance {
     /// Service lifetime in years; the annual rate is `2 / lifetime_years`.
     pub lifetime_years: u32,

@@ -10,14 +10,13 @@
 //! calibration targets).
 
 use green_units::CarbonMass;
-use serde::{Deserialize, Serialize};
 
 /// The hardware attributes the embodied model consumes.
 ///
 /// This struct lives here (rather than in `green-machines`) so the carbon
 /// crate stays leaf-level; the machine catalog converts its richer node
 /// specs into `HardwareSpec`s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareSpec {
     /// Number of CPU sockets.
     pub cpu_sockets: u32,
@@ -72,7 +71,7 @@ impl HardwareSpec {
 
 /// Accelerator embodied-carbon class, keyed by die size / HBM capacity
 /// generation rather than by vendor SKU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GpuClass {
     /// No accelerator.
     None,
@@ -100,7 +99,7 @@ impl GpuClass {
 }
 
 /// Chassis/form-factor base footprint class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChassisClass {
     /// Consumer desktop tower.
     Desktop,
@@ -125,7 +124,7 @@ impl ChassisClass {
 ///
 /// `embodied = chassis_base + sockets·per_socket + cores·per_core +
 /// dram_gib·per_gib + ssd_tb·per_tb + gpus·per_device`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbodiedCarbonModel {
     /// Per-socket packaging/substrate footprint (gCO2e).
     pub per_socket: CarbonMass,

@@ -14,12 +14,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::intensity::HourlyTrace;
 
 /// The electricity-grid regions used across the paper's experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GridRegion {
     /// ERCOT (Texas) — hosts TAMU FASTER in the main simulation.
     UsTexas,
@@ -193,7 +192,7 @@ impl core::fmt::Display for GridRegion {
 
 /// A parametric synthetic grid: deterministic daily/seasonal shape plus an
 /// Ornstein-Uhlenbeck wind term and white measurement noise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridModel {
     /// Region this model describes.
     pub region: GridRegion,

@@ -1,7 +1,6 @@
 //! Carbon-intensity sources: `I_f(t)` in gCO2e/kWh as a function of time.
 
 use green_units::{wrap_hour, CarbonIntensity, TimePoint, TimeSpan, SECS_PER_HOUR};
-use serde::{Deserialize, Serialize};
 
 /// Anything that can report the grid carbon intensity at a point in virtual
 /// time. The paper retrieves hourly data "assuming the simulation starts in
@@ -28,7 +27,7 @@ pub trait IntensitySource: Send + Sync {
 
 /// A flat intensity, e.g. the 53 gCO2e/kWh average the paper uses for the
 /// GPU experiments (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstantIntensity(pub CarbonIntensity);
 
 impl ConstantIntensity {
@@ -54,7 +53,7 @@ impl IntensitySource for ConstantIntensity {
 /// values, so any window average or integral — the quantity per-job
 /// carbon attribution needs for every single job — is an O(1) lookup
 /// instead of an O(window) loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HourlyTrace {
     values: Vec<f64>,
     /// `cumulative[i]` = sum of `values[..i]` (so `cumulative[0] == 0.0`

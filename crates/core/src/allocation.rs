@@ -6,11 +6,10 @@
 //! keeps an auditable transaction history.
 
 use green_units::{Credits, TimePoint};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Errors surfaced by allocation operations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AllocationError {
     /// The account does not exist.
     UnknownAccount(String),
@@ -47,7 +46,7 @@ impl core::fmt::Display for AllocationError {
 impl std::error::Error for AllocationError {}
 
 /// One account's allocation state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// Account owner.
     pub owner: String,
@@ -79,7 +78,7 @@ impl Allocation {
 }
 
 /// A ledger entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transaction {
     /// Charged account.
     pub account: String,
@@ -92,7 +91,7 @@ pub struct Transaction {
 }
 
 /// The provider's book of accounts.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Ledger {
     accounts: HashMap<String, Allocation>,
     transactions: Vec<Transaction>,

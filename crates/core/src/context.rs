@@ -1,14 +1,13 @@
 //! The measured context an accounting method prices.
 
 use green_units::{CarbonIntensity, CarbonRate, Energy, Power, TimeSpan};
-use serde::{Deserialize, Serialize};
 
 /// Everything the five accounting methods need to price one job.
 ///
 /// Platforms and simulators construct contexts; methods only read them.
 /// For CPU jobs the provisioned resource is a core slice (TDP and share
 /// from [`green_machines::NodeSpec`]); for GPU jobs it is whole devices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChargeContext {
     /// Measured (attributed) task energy `e_j`.
     pub energy: Energy,

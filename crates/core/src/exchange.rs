@@ -7,13 +7,12 @@
 //! sample under both methods and take the ratio of totals.
 
 use green_units::Credits;
-use serde::{Deserialize, Serialize};
 
 use crate::context::ChargeContext;
 use crate::methods::MethodKind;
 
 /// An empirical conversion factor from one method's credits to another's.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExchangeRate {
     /// Source method.
     pub from: MethodKind,

@@ -1,7 +1,6 @@
 //! The five accounting methods.
 
 use green_units::{CarbonIntensity, Credits};
-use serde::{Deserialize, Serialize};
 
 use crate::context::ChargeContext;
 
@@ -20,7 +19,7 @@ pub trait AccountingMethod: Send + Sync {
 }
 
 /// The method taxonomy of Section 4.2, with the paper's defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MethodKind {
     /// Core-time only (Chameleon-style node/core-hours).
     Runtime,

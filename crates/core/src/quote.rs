@@ -7,14 +7,13 @@
 
 use green_machines::MachineId;
 use green_units::Credits;
-use serde::{Deserialize, Serialize};
 
 use crate::context::ChargeContext;
 use crate::methods::MethodKind;
 use crate::normalize::normalize_min;
 
 /// One machine's quoted price.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineQuote {
     /// The quoted machine.
     pub machine: MachineId,
@@ -25,7 +24,7 @@ pub struct MachineQuote {
 }
 
 /// Quotes for one job across machines under one accounting method.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuoteSet {
     /// The pricing method.
     pub method: MethodKind,

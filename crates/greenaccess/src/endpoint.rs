@@ -6,10 +6,10 @@
 //! [`green_telemetry::NodeSampler`] and publishing them to the platform
 //! bus, followed by a completion marker.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use green_machines::{AppId, AppProfile, NodeSpec, TestbedMachine};
 use green_telemetry::{Bus, NodeSampler, RunningTask, TaskId};
 use green_units::TimeSpan;
+use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 
 use crate::PlatformMessage;
@@ -50,7 +50,7 @@ impl EndpointHandle {
     ) -> EndpointHandle {
         let spec = machine.spec();
         let idle = spec.idle_power;
-        let (sender, receiver): (Sender<ExecuteRequest>, Receiver<ExecuteRequest>) = unbounded();
+        let (sender, receiver) = channel::<ExecuteRequest>();
         let thread = std::thread::Builder::new()
             .name(format!("endpoint-{index}"))
             .spawn(move || {

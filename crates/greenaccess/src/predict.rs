@@ -9,10 +9,9 @@
 use green_accounting::{ChargeContext, MethodKind};
 use green_machines::{AppId, AppProfile, NodeSpec, TestbedMachine, TESTBED_YEAR};
 use green_units::{CarbonIntensity, Credits, Energy, TimeSpan};
-use serde::{Deserialize, Serialize};
 
 /// A predicted execution on one machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// Machine index in the platform's endpoint list.
     pub machine: usize,

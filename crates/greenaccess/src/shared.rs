@@ -6,11 +6,10 @@
 //! concurrently, and the endpoint/monitor threads still overlap the
 //! execution and attribution work between settlements.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use green_machines::AppId;
 use green_units::Credits;
-use parking_lot::Mutex;
 
 use crate::auth::Token;
 use crate::error::PlatformError;
@@ -31,14 +30,20 @@ impl SharedPlatform {
         }
     }
 
+    /// Locks the platform. A client that panicked while holding the lock
+    /// leaves it poisoned; the next client takes the guard anyway.
+    fn platform(&self) -> MutexGuard<'_, GreenAccess> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a user (serialized on the platform lock).
     pub fn register_user(&self, name: &str, grant: Credits) -> Token {
-        self.inner.lock().register_user(name, grant)
+        self.platform().register_user(name, grant)
     }
 
     /// Remaining balance of a user.
     pub fn balance(&self, user: &str) -> Option<Credits> {
-        self.inner.lock().balance(user)
+        self.platform().balance(user)
     }
 
     /// Invokes a function. The platform lock is held across the
@@ -51,12 +56,12 @@ impl SharedPlatform {
         scale: f64,
         placement: Placement,
     ) -> Result<Receipt, PlatformError> {
-        self.inner.lock().invoke(token, app, scale, placement)
+        self.platform().invoke(token, app, scale, placement)
     }
 
     /// Total credits spent across all accounts.
     pub fn total_spent(&self) -> Credits {
-        self.inner.lock().ledger().total_spent()
+        self.platform().ledger().total_spent()
     }
 }
 

@@ -12,12 +12,11 @@
 //! the GMM/KNN prediction pipeline trains on.
 
 use green_units::{Energy, Power, TimeSpan};
-use serde::{Deserialize, Serialize};
 
 use crate::catalog::TestbedMachine;
 
 /// The seven reference applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AppId {
     /// Dense Cholesky decomposition (the paper's running example).
     Cholesky,
@@ -102,7 +101,7 @@ impl core::fmt::Display for AppId {
 }
 
 /// Measured behaviour of one app on one machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineProfile {
     /// Wall-clock runtime of one invocation.
     pub runtime: TimeSpan,
@@ -131,7 +130,7 @@ impl MachineProfile {
 }
 
 /// The full profile of one application across the testbed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     /// Which application.
     pub id: AppId,

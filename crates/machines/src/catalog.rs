@@ -10,7 +10,6 @@
 use green_carbon::GridRegion;
 use green_units::CarbonMass;
 use green_units::Power;
-use serde::{Deserialize, Serialize};
 
 use crate::cpu::CpuModel;
 use crate::facility::Facility;
@@ -24,7 +23,7 @@ pub const SIM_YEAR: i32 = 2023;
 
 /// The four CPU testbed machines of Section 4.2.1, in the index order used
 /// by [`crate::apps::AppProfile`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TestbedMachine {
     /// Consumer desktop with an i7-10700.
     Desktop,
@@ -141,7 +140,7 @@ pub fn cpu_testbed() -> Vec<NodeSpec> {
 }
 
 /// One machine of the Table 5 simulation fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetMachine {
     /// Stable identifier (index into the fleet).
     pub id: MachineId,
@@ -252,21 +251,6 @@ pub fn gpu_nodes() -> Vec<GpuNode> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Table 5's carbon rates at the January-2023 start.
-    #[test]
-    fn table5_carbon_rates() {
-        let fleet = simulation_fleet();
-        let expect = [105.2, 12.2, 16.7, 2.0];
-        for (machine, expect) in fleet.iter().zip(expect) {
-            let rate = machine.spec.carbon_rate(SIM_YEAR).as_g_per_hour();
-            assert!(
-                (rate - expect).abs() / expect < 0.01,
-                "{}: {rate:.2} vs Table 5 {expect}",
-                machine.spec.name
-            );
-        }
-    }
 
     /// Table 5's grid averages.
     #[test]

@@ -1,10 +1,9 @@
 //! CPU models: the processor-level attributes accounting cares about.
 
 use green_units::Power;
-use serde::{Deserialize, Serialize};
 
 /// A CPU SKU as it appears in a node specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {
     /// Marketing name, e.g. `"Intel Xeon 6248R"`.
     pub name: String,

@@ -2,10 +2,9 @@
 //! overhead.
 
 use green_carbon::GridRegion;
-use serde::{Deserialize, Serialize};
 
 /// A hosting facility.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Facility {
     /// Human-readable site name.
     pub name: String,

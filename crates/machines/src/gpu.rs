@@ -3,10 +3,9 @@
 use green_carbon::{DepreciationSchedule, DoubleDecliningBalance, GpuClass};
 use green_units::CarbonMass;
 use green_units::{CarbonRate, Power};
-use serde::{Deserialize, Serialize};
 
 /// A data-center GPU generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuModel {
     /// Marketing name, e.g. `"V100"`.
     pub name: String,
@@ -72,7 +71,7 @@ impl GpuModel {
 }
 
 /// A host node carrying `count` identical GPUs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuNode {
     /// The GPU generation installed.
     pub gpu: GpuModel,

@@ -3,14 +3,13 @@
 use green_carbon::{DepreciationSchedule, DoubleDecliningBalance, HardwareSpec};
 use green_units::CarbonMass;
 use green_units::{CarbonRate, Power};
-use serde::{Deserialize, Serialize};
 
 use crate::cpu::CpuModel;
 use crate::facility::Facility;
 
 /// Identifies a machine (a homogeneous partition of nodes) within a catalog
 /// or simulation. Plain index; names live on the [`NodeSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MachineId(pub u32);
 
 impl MachineId {
@@ -27,7 +26,7 @@ impl core::fmt::Display for MachineId {
 }
 
 /// The full specification of one node type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Machine name, e.g. `"TAMU FASTER"`.
     pub name: String,

@@ -8,10 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One mixture component: weight, per-dimension mean and variance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Mixing proportion (sums to 1 across components).
     pub weight: f64,
@@ -22,7 +21,7 @@ pub struct Component {
 }
 
 /// A fitted mixture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianMixture {
     /// Fitted components.
     pub components: Vec<Component>,

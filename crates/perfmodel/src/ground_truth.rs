@@ -20,7 +20,6 @@
 
 use green_machines::NodeSpec;
 use green_units::Power;
-use serde::{Deserialize, Serialize};
 
 /// Compute intensity from counter rates: misses-per-kiloinstruction mapped
 /// through `χ = 1 / (1 + mpki/4)`.
@@ -36,7 +35,7 @@ pub fn compute_intensity(ips: f64, llc_mps: f64) -> f64 {
 }
 
 /// Cross-machine behaviour of one machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineBehavior {
     /// Machine name (matches the catalog's `NodeSpec::name`).
     pub name: String,

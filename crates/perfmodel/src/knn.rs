@@ -1,10 +1,8 @@
 //! Distance-weighted K-nearest-neighbour regression with multi-output
 //! targets, stage two of the cross-machine pipeline.
 
-use serde::{Deserialize, Serialize};
-
 /// A KNN regressor over z-score-normalized features.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnnRegressor {
     k: usize,
     feat_mean: Vec<f64>,

@@ -15,14 +15,13 @@ use green_machines::AppId;
 use green_units::Power;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::gmm::GaussianMixture;
 use crate::ground_truth::{compute_intensity, MachineBehavior};
 use crate::knn::KnnRegressor;
 
 /// A job's counter signature in log space (the GMM/KNN feature space).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobCounters {
     /// ln(instructions per second).
     pub log_ips: f64,
@@ -61,7 +60,7 @@ impl JobCounters {
 }
 
 /// Predicted behaviour of a job on one machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachinePrediction {
     /// Wall-clock runtime relative to the reference machine (IC).
     pub runtime_ratio: f64,

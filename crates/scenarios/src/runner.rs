@@ -42,6 +42,7 @@ use green_machines::{simulation_fleet, FleetMachine};
 use green_market::{market_population, price_table, PriceSpec, SettleBook};
 use green_obs::{Counter, NoopRecorder, Phase, Recorder, SpanKind, Stopwatch};
 use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+use green_pool::claim_each;
 use green_workload::Trace;
 
 use crate::agg::{CellSummary, SweepResults, CSV_HEADERS};
@@ -482,36 +483,6 @@ impl SweepCaches {
     pub fn artifact_count(&self) -> usize {
         self.realizations.len() + self.prices.len() + self.agents.len()
     }
-}
-
-/// Runs tasks `0..n` on up to `threads` workers. Each worker claims the
-/// next unclaimed index, so tasks start in index order, and one worker
-/// runs them all in that order.
-///
-/// One worker runs on the calling thread. Several run on scoped threads
-/// while the caller waits, as the cell workers do. With the caller as
-/// one of the workers, peak RSS of the `market` benchmark rose from 39.5
-/// to 43.8 MB on a 2-vCPU VM, most likely because what the world build
-/// freed stayed in the caller's allocator arena, which no cell worker
-/// reuses.
-fn claim_each(threads: usize, n: usize, task: impl Fn(usize) + Sync) {
-    let next = AtomicUsize::new(0);
-    let work = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        task(i);
-    };
-    let workers = threads.min(n);
-    if workers <= 1 {
-        return work();
-    }
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(work);
-        }
-    });
 }
 
 /// The cache artifacts a set of cells reaches, deduplicated in

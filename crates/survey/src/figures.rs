@@ -1,12 +1,10 @@
 //! Regeneration of Figures 1 and 2 from respondent-level data.
 
-use serde::{Deserialize, Serialize};
-
 use crate::questions::{DecisionFactor, SustainabilityMetric};
 use crate::synth::{factor_counts, metric_counts, Respondent};
 
 /// One bar group of Figure 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure1Row {
     /// The metric.
     pub metric: SustainabilityMetric,
@@ -19,7 +17,7 @@ pub struct Figure1Row {
 }
 
 /// One bar group of Figure 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure2Row {
     /// The machine-choice factor.
     pub factor: DecisionFactor,

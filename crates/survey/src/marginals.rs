@@ -6,12 +6,10 @@
 //! respondents know their machine's Green500 standing; 25 rate energy
 //! efficiency very important; 83 rate performance very important).
 
-use serde::{Deserialize, Serialize};
-
 use crate::questions::{DecisionFactor, SustainabilityMetric};
 
 /// Everything Section 2.2 reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurveyMarginals {
     /// Total responses received.
     pub responses: usize,

@@ -1,9 +1,7 @@
 //! The survey's question vocabulary.
 
-use serde::{Deserialize, Serialize};
-
 /// Respondent location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Europe.
     Europe,
@@ -18,7 +16,7 @@ pub enum Region {
 }
 
 /// Respondent career stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CareerStage {
     /// Graduate student.
     GradStudent,
@@ -32,7 +30,7 @@ pub enum CareerStage {
 
 /// The sustainability metrics of Figure 1 ("are you aware of how the HPC
 /// resources you use perform on the following metrics?").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SustainabilityMetric {
     /// The Green500 ranking.
     Green500,
@@ -65,7 +63,7 @@ impl SustainabilityMetric {
 }
 
 /// Answer to the Figure 1 question.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricAwareness {
     /// Knows how their machines perform on the metric.
     Yes,
@@ -76,7 +74,7 @@ pub enum MetricAwareness {
 }
 
 /// The machine-choice factors of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecisionFactor {
     /// Hardware availability (accelerators, memory).
     Hardware,
@@ -125,7 +123,7 @@ impl DecisionFactor {
 }
 
 /// Three-point importance scale of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Importance {
     /// "1 (Not Important)".
     NotImportant,

@@ -11,7 +11,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::marginals::SurveyMarginals;
 use crate::questions::{
@@ -19,7 +18,7 @@ use crate::questions::{
 };
 
 /// One synthesized respondent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Respondent {
     /// Anonymous id.
     pub id: usize,

@@ -4,7 +4,6 @@
 use green_accounting::{ChargeContext, MethodKind};
 use green_machines::GpuNode;
 use green_units::{CarbonIntensity, Energy, TimeSpan};
-use serde::{Deserialize, Serialize};
 
 use crate::dag::CholeskyDag;
 use crate::device::DeviceFarm;
@@ -16,7 +15,7 @@ pub const GPU_EXPERIMENT_YEAR: i32 = 2023;
 pub const GPU_GRID_INTENSITY: f64 = 53.0;
 
 /// Measured outcome of one (generation, #GPUs) run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CholeskyOutcome {
     /// GPU generation name.
     pub gpu: String,

@@ -9,14 +9,12 @@
 //! * `SYRK(i, k)` for `i > k` — symmetric rank-k update of diagonal tiles;
 //! * `GEMM(i, j, k)` for `i > j > k` — trailing-matrix updates.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a task within its DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u32);
 
 /// The four Cholesky kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// Diagonal-tile factorization.
     Potrf,
@@ -63,7 +61,7 @@ impl KernelKind {
 }
 
 /// One node of the DAG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Task id (index).
     pub id: TaskId,
@@ -76,7 +74,7 @@ pub struct Task {
 }
 
 /// A generated tiled-Cholesky DAG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CholeskyDag {
     /// Tile grid dimension `T`.
     pub tiles: u32,

@@ -3,7 +3,6 @@
 use green_carbon::GpuClass;
 use green_machines::GpuNode;
 use green_units::Power;
-use serde::{Deserialize, Serialize};
 
 /// Per-generation calibration of the execution model.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Table 3's single-GPU runtimes and multi-GPU plateaus; the
 /// `table3_runtimes` and `table3_energies` tests in `cholesky` hold them
 /// there.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationCalibration {
     /// Fraction of peak GFlop/s the kernels achieve.
     pub kernel_efficiency: f64,

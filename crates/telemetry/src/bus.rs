@@ -2,16 +2,14 @@
 //!
 //! green-ACCESS ships telemetry from endpoints to the central monitor over
 //! Kafka. Here, endpoints and monitors live in one process, so the bus is a
-//! map from topic name to a fan-out list of unbounded crossbeam channels.
-//! Semantics mirror what the platform relies on from Kafka: per-topic
-//! ordering, multiple independent consumers, and decoupled producer/consumer
-//! lifetimes.
+//! map from topic name to a fan-out list of unbounded `std::sync::mpsc`
+//! channels. Semantics mirror what the platform relies on from Kafka:
+//! per-topic ordering, multiple independent consumers, and decoupled
+//! producer/consumer lifetimes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::RwLock;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A topic-based publish/subscribe bus carrying messages of type `M`.
 ///
@@ -39,9 +37,10 @@ impl<M: Clone + Send + 'static> Bus<M> {
     /// call. Each subscription gets its own queue (Kafka consumer-group of
     /// one).
     pub fn subscribe(&self, topic: &str) -> Subscription<M> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.topics
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(topic.to_string())
             .or_default()
             .push(tx);
@@ -52,7 +51,7 @@ impl<M: Clone + Send + 'static> Bus<M> {
     /// subscribers are pruned lazily. Returns the number of live consumers
     /// that received the message.
     pub fn publish(&self, topic: &str, message: M) -> usize {
-        let mut guard = self.topics.write();
+        let mut guard = self.topics.write().unwrap_or_else(PoisonError::into_inner);
         let Some(senders) = guard.get_mut(topic) else {
             return 0;
         };
@@ -62,7 +61,12 @@ impl<M: Clone + Send + 'static> Bus<M> {
 
     /// Number of live subscribers on a topic.
     pub fn subscriber_count(&self, topic: &str) -> usize {
-        self.topics.read().get(topic).map(|s| s.len()).unwrap_or(0)
+        self.topics
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(topic)
+            .map(|s| s.len())
+            .unwrap_or(0)
     }
 }
 
@@ -77,12 +81,9 @@ impl<M> Subscription<M> {
         self.rx.recv().ok()
     }
 
-    /// Non-blocking poll.
+    /// Non-blocking poll: `None` when nothing is queued.
     pub fn try_recv(&self) -> Option<M> {
-        match self.rx.try_recv() {
-            Ok(m) => Some(m),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
+        self.rx.try_recv().ok()
     }
 
     /// Drains everything currently queued.
@@ -92,16 +93,6 @@ impl<M> Subscription<M> {
             out.push(m);
         }
         out
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// True when no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
     }
 }
 

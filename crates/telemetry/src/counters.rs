@@ -1,10 +1,9 @@
 //! Per-process hardware performance counter samples.
 
 use green_units::{TimePoint, TimeSpan};
-use serde::{Deserialize, Serialize};
 
 /// Identifies a task (function invocation / job) across the platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
 
 impl core::fmt::Display for TaskId {
@@ -17,7 +16,7 @@ impl core::fmt::Display for TaskId {
 ///
 /// Counts are totals over the window (the monitor divides by the window
 /// length to get rates, mirroring `perf stat` deltas).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CounterSample {
     /// The task the process belongs to.
     pub task: TaskId,

@@ -12,7 +12,8 @@
 //! * [`sampler`] plays the role of the hardware: given the tasks running on
 //!   a node it emits RAPL readings (with the real counter's 32-bit µJ wrap)
 //!   and per-process counter samples, with measurement noise;
-//! * [`bus`] is the in-process Kafka stand-in (crossbeam channels, topics);
+//! * [`bus`] is the in-process Kafka stand-in (`std::sync::mpsc`
+//!   channels, topics);
 //! * [`power_model`] fits `power ≈ w·[ips, llc_misses/s] + intercept` by
 //!   ridge-regularized least squares;
 //! * [`monitor`] is the streaming consumer: it ingests windows, maintains

@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 
 use green_units::{Energy, Power, TimePoint, TimeSpan};
-use serde::{Deserialize, Serialize};
 
 use crate::counters::{CounterSample, TaskId};
 use crate::power_model::{PowerModel, PowerModelFitter};
@@ -19,7 +18,7 @@ use crate::rapl::RaplReading;
 
 /// One telemetry window shipped from an endpoint: the RAPL reading at the
 /// window end plus a counter sample per running task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryWindow {
     /// Window end time.
     pub t: TimePoint,
@@ -32,7 +31,7 @@ pub struct TelemetryWindow {
 }
 
 /// The monitor's verdict on a finished task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskEnergyReport {
     /// The finished task.
     pub task: TaskId,

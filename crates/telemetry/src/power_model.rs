@@ -5,12 +5,11 @@
 //! energy across tasks — the SmartWatts/green-ACCESS approach.
 
 use green_units::Power;
-use serde::{Deserialize, Serialize};
 
 use crate::linalg::ridge_regression;
 
 /// A fitted linear power model over the counter features `[ips, llc/s]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     /// Static/uncaptured dynamic power (W).
     pub intercept: f64,

@@ -8,13 +8,12 @@
 use green_units::{Energy, Power, TimePoint, TimeSpan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The wrap modulus of the RAPL energy counter: 2^32 µJ.
 pub const RAPL_WRAP_UJ: u64 = 1 << 32;
 
 /// A cumulative package-energy reading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaplReading {
     /// Cumulative energy in µJ, modulo [`RAPL_WRAP_UJ`].
     pub cumulative_uj: u64,

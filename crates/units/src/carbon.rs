@@ -1,11 +1,9 @@
 //! Carbon quantities: emitted mass, grid intensity and per-hour rates.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{impl_quantity, TimeSpan};
 
 /// A mass of emitted carbon-dioxide equivalent. Canonical unit: grams CO2e.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CarbonMass(pub(crate) f64);
 
 impl CarbonMass {
@@ -62,7 +60,7 @@ impl_quantity!(CarbonMass, "gCO2e");
 
 /// Grid carbon intensity: carbon emitted per unit of electricity generated.
 /// Canonical unit: grams CO2e per kilowatt-hour.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CarbonIntensity(pub(crate) f64);
 
 impl CarbonIntensity {
@@ -83,7 +81,7 @@ impl_quantity!(CarbonIntensity, "gCO2e/kWh");
 
 /// A carbon flow rate, e.g. the embodied-carbon charge rate of a machine.
 /// Canonical unit: grams CO2e per hour.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CarbonRate(pub(crate) f64);
 
 impl CarbonRate {

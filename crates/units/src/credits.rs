@@ -5,12 +5,10 @@
 //! deliberately opaque — the accounting method defines its meaning — which is
 //! exactly the property that makes allocations fungible across machines.
 
-use serde::{Deserialize, Serialize};
-
 use crate::impl_quantity;
 
 /// An amount of allocation credit.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Credits(pub(crate) f64);
 
 impl Credits {

@@ -1,7 +1,5 @@
 //! Energy quantities, canonically stored in joules.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{impl_quantity, CarbonIntensity, CarbonMass, Power, TimeSpan};
 
 /// An amount of energy. Canonical unit: joules.
@@ -9,7 +7,7 @@ use crate::{impl_quantity, CarbonIntensity, CarbonMass, Power, TimeSpan};
 /// Constructed from joules, watt-hours or kilowatt-hours; the accounting
 /// layer mostly reports kWh (grid scale) while the telemetry layer works in
 /// joules (RAPL scale).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(pub(crate) f64);
 
 const JOULES_PER_WH: f64 = 3_600.0;

@@ -1,11 +1,9 @@
 //! Power quantities, canonically stored in watts.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{impl_quantity, Energy, TimeSpan};
 
 /// An instantaneous power draw. Canonical unit: watts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Power(pub(crate) f64);
 
 impl Power {

@@ -4,8 +4,6 @@
 //! task-graph runtime and user-study game alike — so both types are plain
 //! `f64` seconds with explicit conversions, not `std::time` types.
 
-use serde::{Deserialize, Serialize};
-
 use crate::impl_quantity;
 
 /// Seconds per hour.
@@ -19,7 +17,7 @@ pub const HOURS_PER_YEAR: f64 = 8_760.0;
 pub const SECS_PER_YEAR: f64 = SECS_PER_DAY * 365.0;
 
 /// A duration on the virtual clock. Canonical unit: seconds.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct TimeSpan(pub(crate) f64);
 
 impl TimeSpan {
@@ -89,7 +87,7 @@ impl_quantity!(TimeSpan, "s");
 /// A point on the virtual clock, measured in seconds since the simulation
 /// epoch. Points support differencing (yielding a [`TimeSpan`]) and
 /// offsetting by spans, but not point + point.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct TimePoint(f64);
 
 impl TimePoint {

@@ -4,12 +4,10 @@
 //! requires across all machines, which weights large and long jobs more
 //! heavily without favouring any single machine.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{impl_quantity, TimeSpan};
 
 /// An amount of computational work, in core-hours.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CoreHours(pub(crate) f64);
 
 impl CoreHours {

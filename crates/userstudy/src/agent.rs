@@ -7,12 +7,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::game::{Game, GameError};
 
 /// One participant's decision parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentProfile {
     /// Weight on (normalized) cost in machine choice.
     pub cost_sensitivity: f64,

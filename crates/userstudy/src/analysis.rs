@@ -1,13 +1,12 @@
 //! Analysis of the study: Figures 9a–9c and 10.
 
 use green_perfmodel::stats::{mean, pearson, welch_t_test};
-use serde::{Deserialize, Serialize};
 
 use crate::game::{Game, Version};
 use crate::study::Study;
 
 /// Aggregates for one treatment arm (one bar of Figure 9a/9b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VersionSummary {
     /// The arm.
     pub version: Version,
@@ -20,7 +19,7 @@ pub struct VersionSummary {
 }
 
 /// The full analysis bundle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::type_complexity)]
 pub struct StudyAnalysis {
     /// Per-arm aggregates (Figures 9a and 9b).

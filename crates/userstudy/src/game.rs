@@ -10,12 +10,11 @@ use green_accounting::{ChargeContext, MethodKind};
 use green_machines::{simulation_fleet, FleetMachine, SIM_YEAR};
 use green_perfmodel::MachineBehavior;
 use green_units::{CarbonIntensity, Energy, TimeSpan};
-use serde::{Deserialize, Serialize};
 
 use crate::jobs::{standard_script, GameJob};
 
 /// The three experiment arms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Version {
     /// Runtime-based cost, energy hidden.
     V1,
@@ -54,7 +53,7 @@ impl core::fmt::Display for Version {
 }
 
 /// What the UI shows for one (job, machine) pairing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobView {
     /// Machine index.
     pub machine: usize,

@@ -5,10 +5,8 @@
 //! a placebo priority. Job resource profiles are expressed through the
 //! same machine-behaviour model the batch simulation uses.
 
-use serde::{Deserialize, Serialize};
-
 /// Placebo priority label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
     /// "Low".
     Low,
@@ -39,7 +37,7 @@ impl Priority {
 }
 
 /// One job of the script.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GameJob {
     /// Stable id (index in the script).
     pub id: usize,

@@ -3,14 +3,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::agent::AgentProfile;
 use crate::game::{Game, Version};
 
 /// Study parameters (defaults reproduce the paper's population).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyConfig {
     /// Unique participants (the paper: 90).
     pub participants: usize,
@@ -37,7 +35,7 @@ impl Default for StudyConfig {
 }
 
 /// One retained game instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GameRecord {
     /// Participant index.
     pub user: usize,
@@ -56,7 +54,7 @@ pub struct GameRecord {
 }
 
 /// The executed study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Study {
     /// Retained instances (familiarization plays and too-fast plays
     /// discarded).
@@ -74,10 +72,8 @@ impl Study {
     /// sub-minute instances.
     pub fn run(config: StudyConfig) -> Study {
         let population = AgentProfile::population(config.participants, config.seed);
-        let results: Vec<(Vec<GameRecord>, usize)> = population
-            .par_iter()
-            .enumerate()
-            .map(|(user, profile)| {
+        let results: Vec<(Vec<GameRecord>, usize)> =
+            green_pool::map(&population, |user, profile| {
                 let mut rng = StdRng::seed_from_u64(
                     config.seed ^ (user as u64).wrapping_mul(0x9E3779B97F4A7C15),
                 );
@@ -126,8 +122,7 @@ impl Study {
                     });
                 }
                 (records, discarded)
-            })
-            .collect();
+            });
 
         let mut records = Vec::new();
         let mut discarded_fast = 0;

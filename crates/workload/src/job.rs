@@ -2,14 +2,13 @@
 
 use green_perfmodel::JobCounters;
 use green_units::{Energy, TimePoint, TimeSpan};
-use serde::{Deserialize, Serialize};
 
 /// Identifies a job within a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u32);
 
 /// Identifies a user within a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UserId(pub u32);
 
 /// One job of the simulation workload.
@@ -17,7 +16,7 @@ pub struct UserId(pub u32);
 /// `ref_runtime` and `ref_energy` are the values "measured" on the
 /// reference cluster (IC); behaviour on other machines is predicted through
 /// the job's counter signature by the two-stage pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Job identity (unique within the trace, including repeats).
     pub id: JobId,

@@ -1,12 +1,11 @@
 //! Workload summary statistics.
 
 use green_perfmodel::stats::{mean, median, quantile};
-use serde::{Deserialize, Serialize};
 
 use crate::trace::Trace;
 
 /// Descriptive statistics of a trace, for reporting and sanity checks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Total jobs (after any doubling).
     pub jobs: usize,

@@ -4,12 +4,11 @@ use green_perfmodel::{CrossMachinePredictor, JobCounters};
 use green_units::{TimePoint, TimeSpan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::job::{Job, JobId, UserId};
 
 /// Configuration of the synthetic trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Number of distinct users.
     pub users: u32,
@@ -49,7 +48,7 @@ impl TraceConfig {
 }
 
 /// A generated workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Jobs ordered by arrival time.
     pub jobs: Vec<Job>,

@@ -141,5 +141,5 @@ fn scenario_results_deterministic_across_parallel_runs() {
     let scenario = Scenario::eba(61, 24);
     let a = scenario.run(&w.trace, &w.table);
     let b = scenario.run(&w.trace, &w.table);
-    assert_eq!(a, b, "rayon parallelism must not leak nondeterminism");
+    assert_eq!(a, b, "parallel runs must not leak nondeterminism");
 }
