@@ -3,7 +3,7 @@
 //! A [`SimArena`] owns every growable buffer one simulation run needs —
 //! cluster scheduling state (per-user sub-queues, ready index, running
 //! tables), the calendar event queue, the per-job state tables, and the
-//! outcome records. [`Simulator::run_in`](crate::Simulator::run_in)
+//! outcome records. [`Simulator::run`](crate::Simulator::run)
 //! borrows the arena instead of allocating, so a sweep worker that
 //! simulates thousands of cells allocates once per sweep rather than
 //! once per cell: after the first cell, steady-state allocation traffic

@@ -90,9 +90,6 @@ pub struct Cluster {
     /// off the ready-user merge heap) — the scheduler's unit of queue
     /// work, reported as the `ready_user_merges` observability counter.
     pub merge_work: u64,
-    /// Scheduling passes that got past the O(1) early exits (i.e.
-    /// actually merged sub-queues) — the `schedule_passes` counter.
-    pub schedule_passes: u64,
     /// Per-user FIFO sub-queues, indexed by user id.
     queues: Vec<VecDeque<Entry>>,
     /// Total queued jobs across all sub-queues.
@@ -141,7 +138,6 @@ impl Cluster {
             min_grain: 1,
             release_work: 0,
             merge_work: 0,
-            schedule_passes: 0,
             queues: Vec::new(),
             queue_len: 0,
             next_seq: 0,
@@ -170,7 +166,6 @@ impl Cluster {
         self.min_grain = 1;
         self.release_work = 0;
         self.merge_work = 0;
-        self.schedule_passes = 0;
         for q in &mut self.queues {
             q.clear();
         }
@@ -319,7 +314,6 @@ impl Cluster {
         if self.queue_len == 0 || self.free_cores < grain || self.ready.is_empty() {
             return;
         }
-        self.schedule_passes += 1;
         // Seed the merge frontier with every ready user's front entry.
         self.merge.clear();
         for &user in &self.ready {

@@ -38,7 +38,7 @@ impl Scenario {
     /// Section 5.4: EBA over the Table 5 fleet, all eight policies.
     pub fn eba(seed: u64, users: u32) -> Scenario {
         let fleet = simulation_fleet();
-        let intensity = default_intensity(&fleet, seed);
+        let intensity = intensity_for(&fleet, seed);
         Scenario {
             name: "EBA".into(),
             decision: MethodKind::eba(),
@@ -53,7 +53,7 @@ impl Scenario {
     /// Section 5.5: CBA over the same fleet, multi-machine policies.
     pub fn cba(seed: u64, users: u32) -> Scenario {
         let fleet = simulation_fleet();
-        let intensity = default_intensity(&fleet, seed);
+        let intensity = intensity_for(&fleet, seed);
         Scenario {
             name: "CBA".into(),
             decision: MethodKind::Cba,
@@ -79,7 +79,7 @@ impl Scenario {
         for (machine, region) in fleet.iter_mut().zip(regions) {
             machine.spec.facility.region = region;
         }
-        let intensity = default_intensity(&fleet, seed);
+        let intensity = intensity_for(&fleet, seed);
         Scenario {
             name: "CBA low-carbon".into(),
             decision: MethodKind::Cba,
@@ -106,8 +106,8 @@ impl Scenario {
     /// and the backfill depth. Such a schedule is simulated once per
     /// distinct key and attributed under every scenario that runs the
     /// policy; a policy that reads a charge is simulated per scenario.
-    /// The results equal one independent [`run_cell`] per (scenario,
-    /// policy), bit for bit (`tests/shared_schedules.rs`).
+    /// The results equal one independent [`run_cell_in_obs`] per
+    /// (scenario, policy), bit for bit (`tests/shared_schedules.rs`).
     pub fn run_all(
         scenarios: &[Scenario],
         trace: &Trace,
@@ -254,61 +254,32 @@ impl Scenario {
     }
 }
 
-fn default_intensity(fleet: &[FleetMachine], seed: u64) -> Vec<HourlyTrace> {
+/// One year of per-machine hourly grid intensity for `fleet`, derived
+/// deterministically from `seed` — the per-replicate state external sweep
+/// drivers (the `green-scenarios` engine) re-derive per cell while
+/// sharing the trace and placement table by reference.
+pub fn intensity_for(fleet: &[FleetMachine], seed: u64) -> Vec<HourlyTrace> {
     fleet
         .iter()
         .map(|m| m.spec.facility.region.trace(seed, 365))
         .collect()
 }
 
-/// One year of per-machine hourly grid intensity for `fleet`, derived
-/// deterministically from `seed` — the per-replicate state external sweep
-/// drivers (the `green-scenarios` engine) re-derive per cell while
-/// sharing the trace and placement table by reference.
-pub fn intensity_for(fleet: &[FleetMachine], seed: u64) -> Vec<HourlyTrace> {
-    default_intensity(fleet, seed)
-}
-
-/// Reusable single-cell run entry: simulates one policy/method
-/// configuration against shared, borrowed experiment state, without
-/// re-deriving the trace or placement table.
-pub fn run_cell(
-    trace: &Trace,
-    fleet: &[FleetMachine],
-    table: &PlacementTable,
-    intensity: &[HourlyTrace],
-    config: crate::simulator::SimConfig,
-) -> RunMetrics {
-    crate::simulator::Simulator::new(trace, fleet, table, intensity, config).run()
-}
-
-/// [`run_cell`] against a reusable [`crate::SimArena`] — the sweep-worker
-/// form that amortizes all simulation allocations across cells.
-pub fn run_cell_in(
-    trace: &Trace,
-    fleet: &[FleetMachine],
-    table: &PlacementTable,
-    intensity: &[HourlyTrace],
-    config: crate::simulator::SimConfig,
-    arena: &mut crate::SimArena,
-) -> RunMetrics {
-    crate::simulator::Simulator::new(trace, fleet, table, intensity, config).run_in(arena)
-}
-
-/// [`run_cell_in`] with an observability recorder — see
-/// [`Simulator::run_in_obs`](crate::simulator::Simulator::run_in_obs)
-/// for the phase/counter taxonomy. Bit-identical results regardless of
-/// the recorder.
+/// Simulates one policy/method configuration against shared, borrowed
+/// experiment state, without re-deriving the trace or placement table,
+/// on a reusable [`SimArena`] that amortizes all simulation allocations
+/// across cells. See [`Simulator::run`] for the phase/counter taxonomy;
+/// results are bit-identical regardless of the recorder.
 pub fn run_cell_in_obs<R: green_obs::Recorder>(
     trace: &Trace,
     fleet: &[FleetMachine],
     table: &PlacementTable,
     intensity: &[HourlyTrace],
-    config: crate::simulator::SimConfig,
-    arena: &mut crate::SimArena,
+    config: SimConfig,
+    arena: &mut SimArena,
     obs: &R,
 ) -> RunMetrics {
-    crate::simulator::Simulator::new(trace, fleet, table, intensity, config).run_in_obs(arena, obs)
+    Simulator::new(trace, fleet, table, intensity, config).run(arena, obs)
 }
 
 /// What a schedule that reads no charge depends on, beside the trace and
@@ -358,16 +329,11 @@ impl ScenarioResults {
 mod tests {
     use super::*;
     use crate::metrics::cost;
-    use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+    use green_perfmodel::CrossMachinePredictor;
     use green_workload::TraceConfig;
 
     fn setup(scenario: &Scenario) -> (Trace, PlacementTable) {
-        let behaviors: Vec<MachineBehavior> = scenario
-            .fleet
-            .iter()
-            .map(|m| MachineBehavior::for_spec(&m.spec))
-            .collect();
-        let predictor = CrossMachinePredictor::train(behaviors, 2, 31);
+        let predictor = CrossMachinePredictor::for_fleet(&scenario.fleet, 31);
         let trace = Trace::generate(&TraceConfig::small(31), &predictor);
         let table = PlacementTable::build(&trace, &scenario.fleet, &predictor);
         (trace, table)

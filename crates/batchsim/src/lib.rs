@@ -41,23 +41,21 @@
 //! aggregate metrics:
 //!
 //! ```
-//! use green_batchsim::{intensity_for, run_cell, PlacementTable, Policy, SimConfig};
+//! use green_batchsim::{intensity_for, PlacementTable, Policy, SimArena, SimConfig, Simulator};
 //! use green_machines::simulation_fleet;
-//! use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+//! use green_obs::NoopRecorder;
+//! use green_perfmodel::CrossMachinePredictor;
 //! use green_workload::{Trace, TraceConfig};
 //!
 //! let fleet = simulation_fleet();
-//! let behaviors: Vec<MachineBehavior> = fleet
-//!     .iter()
-//!     .map(|m| MachineBehavior::for_spec(&m.spec))
-//!     .collect();
-//! let predictor = CrossMachinePredictor::train(behaviors, 2, 7);
+//! let predictor = CrossMachinePredictor::for_fleet(&fleet, 7);
 //! let trace = Trace::generate(&TraceConfig::small(7), &predictor);
 //! let table = PlacementTable::build(&trace, &fleet, &predictor);
 //! let intensity = intensity_for(&fleet, 7);
 //!
 //! let config = SimConfig::new(Policy::Greedy, green_accounting::MethodKind::eba(), 24);
-//! let metrics = run_cell(&trace, &fleet, &table, &intensity, config);
+//! let simulator = Simulator::new(&trace, &fleet, &table, &intensity, config);
+//! let metrics = simulator.run(&mut SimArena::new(), &NoopRecorder);
 //! // Every job either completed on some machine or was rejected.
 //! assert_eq!(metrics.outcomes.len() + metrics.rejected, trace.jobs.len());
 //! assert!(metrics.total_energy_mwh() > 0.0);
@@ -75,11 +73,9 @@ pub mod profile;
 pub mod simulator;
 
 pub use arena::SimArena;
-pub use experiment::{
-    intensity_for, run_cell, run_cell_in, run_cell_in_obs, Scenario, ScenarioResults,
-};
+pub use experiment::{intensity_for, run_cell_in_obs, Scenario, ScenarioResults};
 pub use market::{MarketAgent, MarketInputs, PriceTable};
 pub use metrics::{JobOutcome, RunMetrics};
 pub use policy::Policy;
 pub use profile::PlacementTable;
-pub use simulator::{SimConfig, Simulator};
+pub use simulator::{SimConfig, Simulator, MAX_SHIFT_BUDGET_HOURS};

@@ -126,16 +126,11 @@ impl PlacementTable {
 mod tests {
     use super::*;
     use green_machines::simulation_fleet;
-    use green_perfmodel::MachineBehavior;
     use green_workload::TraceConfig;
 
     fn setup() -> (Trace, Vec<FleetMachine>, CrossMachinePredictor) {
         let fleet = simulation_fleet();
-        let behaviors: Vec<MachineBehavior> = fleet
-            .iter()
-            .map(|m| MachineBehavior::for_spec(&m.spec))
-            .collect();
-        let predictor = CrossMachinePredictor::train(behaviors, 2, 17);
+        let predictor = CrossMachinePredictor::for_fleet(&fleet, 17);
         let trace = Trace::generate(&TraceConfig::small(17), &predictor);
         (trace, fleet, predictor)
     }

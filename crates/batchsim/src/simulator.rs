@@ -3,7 +3,7 @@
 use green_accounting::{AffineCharge, ChargeContext, MethodKind};
 use green_carbon::HourlyTrace;
 use green_machines::FleetMachine;
-use green_obs::{Counter, NoopRecorder, Phase, Recorder, Stopwatch};
+use green_obs::{Counter, Phase, Recorder, Stopwatch};
 use green_units::{wrap_hour, CarbonIntensity, CarbonRate, Energy, Power, TimePoint, TimeSpan};
 use green_workload::{Job, Trace};
 use std::ops::Range;
@@ -160,6 +160,12 @@ pub(crate) struct ScheduleCounters {
     release_work: u64,
 }
 
+/// The longest delay budget a run accepts, in hours: one year. Every
+/// intensity realization and price table repeats after a year, so a
+/// longer window would only re-quote hours it already quoted, and the
+/// delay search holds one buffer entry per hour of the budget.
+pub const MAX_SHIFT_BUDGET_HOURS: u32 = 8_760;
+
 /// A configured simulator, borrowing the immutable experiment state.
 pub struct Simulator<'a> {
     trace: &'a Trace,
@@ -177,6 +183,13 @@ pub struct Simulator<'a> {
 impl<'a> Simulator<'a> {
     /// Builds a simulator. `intensity` is one trace per fleet machine,
     /// index-aligned.
+    ///
+    /// # Panics
+    ///
+    /// When `intensity` or `table` does not cover the fleet, or when a
+    /// delay budget (`Policy::GreedyShift`'s `max_delay_hours` or
+    /// `MarketInputs::max_delay_hours`) exceeds
+    /// [`MAX_SHIFT_BUDGET_HOURS`].
     pub fn new(
         trace: &'a Trace,
         fleet: &'a [FleetMachine],
@@ -186,6 +199,18 @@ impl<'a> Simulator<'a> {
     ) -> Self {
         assert_eq!(fleet.len(), intensity.len());
         assert_eq!(fleet.len(), table.machine_count());
+        let bounded = |field: &str, hours: u32| {
+            assert!(
+                hours <= MAX_SHIFT_BUDGET_HOURS,
+                "{field} is {hours} h, above the {MAX_SHIFT_BUDGET_HOURS} h limit"
+            );
+        };
+        if let Policy::GreedyShift { max_delay_hours } = config.policy {
+            bounded("Policy::GreedyShift max_delay_hours", max_delay_hours);
+        }
+        if let Some(market) = &config.market {
+            bounded("MarketInputs::max_delay_hours", market.max_delay_hours);
+        }
         let mut reads = config.policy.reads();
         reads.wait |= reads.cost && config.market.is_some();
         Simulator {
@@ -414,36 +439,24 @@ impl<'a> Simulator<'a> {
             .map(|(d, _)| d)
     }
 
-    /// Runs the full workload to completion and collects metrics,
-    /// allocating fresh state — the one-shot convenience form of
-    /// [`run_in`](Simulator::run_in).
-    pub fn run(&self) -> RunMetrics {
-        self.run_in(&mut SimArena::new())
-    }
-
-    /// Runs the full workload to completion against `arena`-owned state.
-    /// All simulation buffers (cluster queues, event calendar, job
-    /// tables, outcome storage) are borrowed from the arena, so a caller
-    /// sweeping many cells allocates once, not once per cell. Results
-    /// are bit-for-bit identical to a fresh-state [`run`](Simulator::run).
-    pub fn run_in(&self, arena: &mut SimArena) -> RunMetrics {
-        self.run_in_obs(arena, &NoopRecorder)
-    }
-
-    /// [`run_in`](Simulator::run_in) with an observability recorder: the
-    /// event loop (`schedule_in`) then the attribution pass over its
-    /// completion log (`attribute_in`). Statically
-    /// dispatched: with [`NoopRecorder`] (`R::ENABLED = false`) every
-    /// clock read and counter emission compiles away and this *is* the
-    /// uninstrumented loop. With a recording `R`, wall time is attributed
-    /// per event to the `schedule` (arrival handling: shift quoting,
-    /// policy choice, scheduling passes) and `attribute` (outcome
-    /// construction: window-integrated carbon + charges) phases, with the
-    /// loop remainder booked to `events`; the deterministic work counters
-    /// (`events_drained`, `ready_user_merges`, `schedule_passes`) are
-    /// emitted once at the end of the loop. Results are bit-for-bit
+    /// Runs the full workload to completion against `arena`-owned state
+    /// and collects metrics: the event loop (`schedule_in`), then the
+    /// attribution pass over its completion log (`attribute_in`). All
+    /// simulation buffers (cluster queues, event calendar, job tables,
+    /// outcome storage) are borrowed from the arena, so a caller sweeping
+    /// many cells allocates once, not once per cell; a fresh arena gives
+    /// the same bits as a reused one.
+    ///
+    /// `obs` is statically dispatched: with [`green_obs::NoopRecorder`]
+    /// (`R::ENABLED = false`) every clock read and counter emission
+    /// compiles away. With a recording `R`, wall time is attributed per
+    /// event to the `schedule` (arrival handling: shift quoting, policy
+    /// choice, scheduling passes) and `attribute` (outcome construction:
+    /// window-integrated carbon + charges) phases, with the loop
+    /// remainder booked to `events`; the `ready_user_merges` work counter
+    /// is emitted once at the end of the loop. Results are bit-for-bit
     /// identical either way.
-    pub fn run_in_obs<R: Recorder>(&self, arena: &mut SimArena, obs: &R) -> RunMetrics {
+    pub fn run<R: Recorder>(&self, arena: &mut SimArena, obs: &R) -> RunMetrics {
         let counters = self.schedule_in(arena, obs);
         let outcomes = std::mem::take(&mut arena.outcomes);
         self.attribute_in(&arena.finishes, outcomes, counters, obs)
@@ -619,14 +632,9 @@ impl<'a> Simulator<'a> {
                 Phase::Events,
                 loop_watch.elapsed_ns().saturating_sub(schedule_ns),
             );
-            obs.add(Counter::EventsDrained, events_processed as u64);
             obs.add(
                 Counter::ReadyUserMerges,
                 clusters.iter().map(|c| c.merge_work).sum(),
-            );
-            obs.add(
-                Counter::SchedulePasses,
-                clusters.iter().map(|c| c.schedule_passes).sum(),
             );
         }
         ScheduleCounters {
@@ -730,17 +738,14 @@ mod tests {
     use super::*;
     use crate::market::MarketInputs;
     use green_machines::simulation_fleet;
-    use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+    use green_obs::NoopRecorder;
+    use green_perfmodel::CrossMachinePredictor;
     use green_workload::TraceConfig;
     use proptest::prelude::*;
 
     fn setup() -> (Trace, Vec<FleetMachine>, PlacementTable, Vec<HourlyTrace>) {
         let fleet = simulation_fleet();
-        let behaviors: Vec<MachineBehavior> = fleet
-            .iter()
-            .map(|m| MachineBehavior::for_spec(&m.spec))
-            .collect();
-        let predictor = CrossMachinePredictor::train(behaviors, 2, 23);
+        let predictor = CrossMachinePredictor::for_fleet(&fleet, 23);
         let trace = Trace::generate(&TraceConfig::small(23), &predictor);
         let table = PlacementTable::build(&trace, &fleet, &predictor);
         let intensity: Vec<HourlyTrace> = fleet
@@ -759,7 +764,7 @@ mod tests {
             &intensity,
             SimConfig::new(policy, MethodKind::eba(), 24),
         );
-        sim.run()
+        sim.run(&mut SimArena::new(), &NoopRecorder)
     }
 
     #[test]
@@ -828,7 +833,7 @@ mod tests {
             &intensity,
             SimConfig::new(Policy::Adaptive, MethodKind::eba(), 24),
         )
-        .run();
+        .run(&mut SimArena::new(), &NoopRecorder);
         let with_market = Simulator::new(
             &trace,
             &fleet,
@@ -837,7 +842,7 @@ mod tests {
             SimConfig::new(Policy::Adaptive, MethodKind::eba(), 24)
                 .with_market(crate::market::MarketInputs::identity(4)),
         )
-        .run();
+        .run(&mut SimArena::new(), &NoopRecorder);
         // Flat prices + inelastic agents under EBA (time-invariant
         // charges, so expected-start quote anchoring is a no-op):
         // Adaptive must equal Greedy placements and outcomes bit for
@@ -855,11 +860,7 @@ mod tests {
         // slack — on a saturated fleet jobs run back-to-back whatever
         // their submission hour.
         let fleet = simulation_fleet();
-        let behaviors: Vec<MachineBehavior> = fleet
-            .iter()
-            .map(|m| MachineBehavior::for_spec(&m.spec))
-            .collect();
-        let predictor = CrossMachinePredictor::train(behaviors, 2, 23);
+        let predictor = CrossMachinePredictor::for_fleet(&fleet, 23);
         let trace = Trace::generate(
             &TraceConfig {
                 users: 24,
@@ -897,7 +898,7 @@ mod tests {
                 SimConfig::new(Policy::Adaptive, MethodKind::eba(), 24)
                     .with_market(market(elasticity)),
             )
-            .run()
+            .run(&mut SimArena::new(), &NoopRecorder)
         };
         let rigid = run_with(0.0);
         let elastic = run_with(2.0);
@@ -1370,11 +1371,82 @@ mod tests {
             &intensity,
             SimConfig::new(Policy::Fixed(1), MethodKind::eba(), 24),
         );
-        let m = sim.run();
+        let m = sim.run(&mut SimArena::new(), &NoopRecorder);
         // Only Desktop-sized jobs complete; larger ones are rejected.
         let over = trace.jobs.iter().filter(|j| j.cores > 16).count();
         assert_eq!(m.rejected, over);
         let dist = m.machine_distribution(4);
         assert_eq!(dist[1], trace.len() - over);
+    }
+
+    /// A run with delay budget `hours` on one input: `GreedyShift`'s own
+    /// budget, or the market's cap under Adaptive with agents whose slack
+    /// reaches it.
+    fn budget_run(hours: u32, market: bool) -> RunMetrics {
+        use crate::market::{MarketAgent, PriceTable};
+        let fleet = simulation_fleet();
+        let predictor = CrossMachinePredictor::for_fleet(&fleet, 23);
+        let trace = Trace::generate(
+            &TraceConfig {
+                users: 4,
+                unique_jobs: 12,
+                duration: green_units::TimeSpan::from_days(2.0),
+                max_runtime: green_units::TimeSpan::from_hours(4.0),
+                seed: 23,
+            },
+            &predictor,
+        );
+        let table = PlacementTable::build(&trace, &fleet, &predictor);
+        let intensity: Vec<HourlyTrace> = fleet
+            .iter()
+            .map(|m| m.spec.facility.region.trace(23, 30))
+            .collect();
+        let config = if market {
+            SimConfig::new(Policy::Adaptive, MethodKind::Cba, 4).with_market(MarketInputs {
+                prices: std::sync::Arc::new(PriceTable::flat(4)),
+                agents: std::sync::Arc::new(vec![MarketAgent {
+                    elasticity: 1.0,
+                    slack_hours: u32::MAX,
+                }]),
+                max_delay_hours: hours,
+                shift_threshold: 0.02,
+            })
+        } else {
+            SimConfig::new(
+                Policy::GreedyShift {
+                    max_delay_hours: hours,
+                },
+                MethodKind::Cba,
+                4,
+            )
+        };
+        Simulator::new(&trace, &fleet, &table, &intensity, config)
+            .run(&mut SimArena::new(), &NoopRecorder)
+    }
+
+    #[test]
+    fn a_year_long_delay_budget_runs() {
+        for market in [false, true] {
+            let m = budget_run(MAX_SHIFT_BUDGET_HOURS, market);
+            assert!(!m.outcomes.is_empty(), "market {market}");
+        }
+    }
+
+    #[test]
+    fn delay_budgets_past_a_year_panic() {
+        for market in [false, true] {
+            for hours in [MAX_SHIFT_BUDGET_HOURS + 1, u32::MAX] {
+                let panic = std::panic::catch_unwind(|| budget_run(hours, market))
+                    .expect_err("the budget is rejected");
+                let message = panic.downcast_ref::<String>().expect("a formatted message");
+                let field = if market {
+                    "MarketInputs::max_delay_hours"
+                } else {
+                    "Policy::GreedyShift max_delay_hours"
+                };
+                assert!(message.contains(field), "{message}");
+                assert!(message.contains("8760 h limit"), "{message}");
+            }
+        }
     }
 }

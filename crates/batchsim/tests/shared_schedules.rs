@@ -2,8 +2,8 @@
 //! policy that reads no charge once per schedule key and attributes that
 //! one schedule under every scenario that runs the policy. This battery
 //! runs the paper's three scenarios through it and compares every result
-//! with one independent `run_cell` per (scenario, policy), every field
-//! of every outcome bit for bit.
+//! with one independent `Simulator::run` per (scenario, policy), every
+//! field of every outcome bit for bit.
 //!
 //! The tiny case runs in tier-1. The paper-scale case (142,380 jobs, 18
 //! runs each way) is ignored by default; CI runs it in release with
@@ -13,19 +13,18 @@
 //! ```
 
 use green_batchsim::cluster::DEFAULT_BACKFILL_DEPTH;
-use green_batchsim::{run_cell, JobOutcome, PlacementTable, RunMetrics, Scenario, SimConfig};
+use green_batchsim::{
+    JobOutcome, PlacementTable, RunMetrics, Scenario, SimArena, SimConfig, Simulator,
+};
 use green_machines::simulation_fleet;
-use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+use green_obs::NoopRecorder;
+use green_perfmodel::CrossMachinePredictor;
 use green_workload::{Trace, TraceConfig};
 
 /// The doubled trace and placement table `repro` builds for `config`.
 fn world(config: &TraceConfig) -> (Trace, PlacementTable) {
     let fleet = simulation_fleet();
-    let behaviors: Vec<MachineBehavior> = fleet
-        .iter()
-        .map(|m| MachineBehavior::for_spec(&m.spec))
-        .collect();
-    let predictor = CrossMachinePredictor::train(behaviors, 2, config.seed);
+    let predictor = CrossMachinePredictor::for_fleet(&fleet, config.seed);
     let trace = Trace::generate(config, &predictor).doubled();
     let table = PlacementTable::build(&trace, &fleet, &predictor);
     (trace, table)
@@ -108,7 +107,8 @@ fn check(config: TraceConfig, users: u32) {
             backfill_depth: DEFAULT_BACKFILL_DEPTH,
             market: None,
         };
-        run_cell(&trace, &scenario.fleet, &table, &scenario.intensity, config)
+        Simulator::new(&trace, &scenario.fleet, &table, &scenario.intensity, config)
+            .run(&mut SimArena::new(), &NoopRecorder)
     });
     for (&(s, p), alone) in runs.iter().zip(&alone) {
         let results = &shared[s];

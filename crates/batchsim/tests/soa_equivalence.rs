@@ -32,12 +32,13 @@ use std::sync::Arc;
 
 use green_accounting::MethodKind;
 use green_batchsim::{
-    intensity_for, run_cell, run_cell_in, JobOutcome, MarketAgent, MarketInputs, PlacementTable,
-    Policy, PriceTable, RunMetrics, SimArena, SimConfig,
+    intensity_for, run_cell_in_obs, JobOutcome, MarketAgent, MarketInputs, PlacementTable, Policy,
+    PriceTable, RunMetrics, SimArena, SimConfig,
 };
 use green_carbon::HourlyTrace;
 use green_machines::{simulation_fleet, FleetMachine};
-use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+use green_obs::NoopRecorder;
+use green_perfmodel::CrossMachinePredictor;
 use green_units::TimeSpan;
 use green_workload::{Trace, TraceConfig};
 
@@ -175,11 +176,7 @@ fn world(preset_name: &str) -> World {
 /// scaled with the trace seed as a sweep's `workload_scales` axis does.
 fn world_at(preset_name: &str, volume: f64) -> World {
     let fleet = simulation_fleet();
-    let behaviors: Vec<MachineBehavior> = fleet
-        .iter()
-        .map(|m| MachineBehavior::for_spec(&m.spec))
-        .collect();
-    let predictor = CrossMachinePredictor::train(behaviors, 2, 23);
+    let predictor = CrossMachinePredictor::for_fleet(&fleet, 23);
     let mut trace = Trace::generate(&preset(preset_name), &predictor);
     if volume != 1.0 {
         trace = trace.scaled(volume, 23);
@@ -211,13 +208,14 @@ fn run_seeds(world: &World, users: u32, inspect: impl Fn(&RunMetrics)) -> Vec<Go
     for seed in 1..=8u64 {
         let intensity: Vec<HourlyTrace> = intensity_for(&world.fleet, seed);
         let config = config_for(seed, users, world.fleet.len());
-        let metrics = run_cell_in(
+        let metrics = run_cell_in_obs(
             &world.trace,
             &world.fleet,
             &world.table,
             &intensity,
             config,
             &mut arena,
+            &NoopRecorder,
         );
         inspect(&metrics);
         rows.push((seed.to_string(), metrics.policy.clone(), digest(&metrics)));
@@ -330,13 +328,14 @@ fn run_elastic(preset_name: &str) -> Vec<GoldenRow> {
             for schedule in [Schedule::Carbon, Schedule::TimeOfUse] {
                 let config = SimConfig::new(Policy::Adaptive, method, users)
                     .with_market(elastic_market(&intensity, schedule));
-                let metrics = run_cell_in(
+                let metrics = run_cell_in_obs(
                     &world.trace,
                     &world.fleet,
                     &world.table,
                     &intensity,
                     config,
                     &mut arena,
+                    &NoopRecorder,
                 );
                 let label = format!("{seed}-{method}-{}", schedule.label());
                 // Each delayed job re-arrives once: one event beyond
@@ -461,15 +460,24 @@ fn arena_runs_match_fresh_runs() {
     for seed in [1u64, 6, 7] {
         let intensity: Vec<HourlyTrace> = intensity_for(&world.fleet, seed);
         let config = config_for(seed, preset("tiny").users, world.fleet.len());
-        let in_arena = run_cell_in(
+        let in_arena = run_cell_in_obs(
             &world.trace,
             &world.fleet,
             &world.table,
             &intensity,
             config.clone(),
             &mut arena,
+            &NoopRecorder,
         );
-        let fresh = run_cell(&world.trace, &world.fleet, &world.table, &intensity, config);
+        let fresh = run_cell_in_obs(
+            &world.trace,
+            &world.fleet,
+            &world.table,
+            &intensity,
+            config,
+            &mut SimArena::new(),
+            &NoopRecorder,
+        );
         assert_eq!(digest(&in_arena), digest(&fresh), "seed {seed}");
         assert_eq!(in_arena, fresh, "seed {seed}");
         arena.recycle(in_arena);

@@ -3,7 +3,7 @@
 use green_batchsim::metrics::cost;
 use green_batchsim::{PlacementTable, Scenario, ScenarioResults};
 use green_machines::simulation_fleet;
-use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+use green_perfmodel::CrossMachinePredictor;
 use green_workload::{Trace, TraceConfig};
 
 /// Simulation scale: the paper's full workload or reduced versions for
@@ -66,11 +66,7 @@ pub struct SimArtifacts {
 /// Runs the full simulation study at `scale`.
 pub fn run(scale: SimScale, seed: u64) -> SimArtifacts {
     let fleet = simulation_fleet();
-    let behaviors: Vec<MachineBehavior> = fleet
-        .iter()
-        .map(|m| MachineBehavior::for_spec(&m.spec))
-        .collect();
-    let predictor = CrossMachinePredictor::train(behaviors, 2, seed);
+    let predictor = CrossMachinePredictor::for_fleet(&fleet, seed);
     let trace = Trace::generate(&scale.trace_config(seed), &predictor).doubled();
     let table = PlacementTable::build(&trace, &fleet, &predictor);
 

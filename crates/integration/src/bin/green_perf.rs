@@ -7,7 +7,7 @@
 //!            [--summary <file.md>] [--only <substring>] [--quiet]
 //! ```
 //!
-//! Runs four benches and emits a machine-readable JSON report
+//! Runs these benches and emits a machine-readable JSON report
 //! (`green_bench::perf` schema):
 //!
 //! * `sim_year` — the discrete-event simulator over the Table 5 fleet
@@ -21,19 +21,6 @@
 //!   across machines); counts cells, simulator events, realizations
 //!   derived and price tables compiled — the counters that catch a
 //!   broken structure-sharing cache.
-//! * `sweep_grid_paper` — the `examples/sweeps/paper_grid.toml` grid:
-//!   every cell replays the paper's full 142,380-job workload
-//!   (single-threaded). The gate the ROADMAP asked for: paper-scale
-//!   cells per second, with the arena-reused simulator holding each
-//!   cell under a second.
-//! * `sweep_grid_mega` — a 100,000-cell shard (0/10) of the
-//!   million-cell `examples/sweeps/mega_grid.toml`, streamed through
-//!   [`green_scenarios::SweepRunner::run_streamed_range`] into a null
-//!   sink (single-threaded): survey-scale cells per second through the
-//!   exact sharded execution path CI fans out across workers. Counts
-//!   cells, configuration rows, events and realizations — the counters
-//!   that catch a broken range partitioner or a cache that stopped
-//!   sharing at scale.
 //! * `orchestrate_mega` — the **full** million-cell mega grid under the
 //!   fault-tolerant orchestrator ([`green_scenarios::orchestrate()`]) with
 //!   four in-process workers (the deterministic `ThreadLauncher`: no
@@ -54,14 +41,18 @@
 //!   variant's relative wall cost reports warn-only — the
 //!   disabled-path overhead claim of `docs/robustness.md`, measured.
 //! * `scaling_paper_t{1,4,8,16}` / `scaling_mega_t{1,4,8,16}` — the
-//!   scaling suite: the paper grid (8 heavy cells, in-memory) and a
-//!   100,000-cell mega shard (streamed, the `--threads` reorder-buffer
-//!   path) on 1/4/8/16 workers. Work counters are identical at every
-//!   thread count — that invariance *is* the parallel determinism
-//!   contract, and it hard-gates; the derived `speedup_x` and
-//!   `efficiency` rates are core-count properties of the machine, so
-//!   they report warn-only and only mean something on CI's multi-core
-//!   runners (`--only scaling_` is the scaling job's entry point).
+//!   scaling suite: the paper grid (8 heavy cells of the full
+//!   142,380-job workload, in-memory) and a 100,000-cell shard (0/10) of
+//!   the million-cell `examples/sweeps/mega_grid.toml` (streamed into a
+//!   null sink through [`green_scenarios::SweepRunner::run_streamed_range`],
+//!   the exact sharded path CI fans out) on 1/4/8/16 workers. The
+//!   1-thread runs are the suite's paper-scale and survey-scale cells/s.
+//!   Work counters are identical at every thread count — that
+//!   invariance *is* the parallel determinism contract, and it
+//!   hard-gates; the derived `speedup_x` and `efficiency` rates are
+//!   core-count properties of the machine, so they report warn-only and
+//!   only mean something on CI's multi-core runners (`--only scaling_`
+//!   is the scaling job's entry point).
 //!
 //! Every bench also records the process peak RSS at completion
 //! (best-effort, Linux `/proc/self/status`; the high-water mark is
@@ -80,7 +71,7 @@
 //! scheduling behaviour itself changed.
 //!
 //! `--check` compares the run against a committed baseline
-//! (`BENCH_9.json`): deterministic-counter drift beyond `--tolerance`
+//! (`BENCH_11.json`): deterministic-counter drift beyond `--tolerance`
 //! (default 0.20) **fails**, and the failure message names each
 //! offending `bench.counter`; wall-time/RSS drift beyond
 //! `--wall-tolerance` (default 1.00, i.e. 2× slower) only warns — CI
@@ -93,10 +84,10 @@ use std::time::Instant;
 use green_batchsim::{intensity_for, run_cell_in_obs, PlacementTable, Policy, SimArena, SimConfig};
 use green_bench::{peak_rss_mb, reset_peak_rss, PerfBench, PerfReport};
 use green_carbon::HourlyTrace;
-use green_chaos::ChaosRegistry;
+use green_chaos::{ChaosRegistry, NoopChaos};
 use green_machines::simulation_fleet;
 use green_obs::{NoopRecorder, Recorder, StatsRecorder};
-use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+use green_perfmodel::CrossMachinePredictor;
 use green_scenarios::{
     analyze_dir, orchestrate, run_shard, AnalyzeQuery, OrchestrateConfig, Shard, ShardAssignment,
     ShardJob, Sweep, SweepRunner, ThreadLauncher,
@@ -121,16 +112,17 @@ USAGE:
 
 --only <substring> runs (and gates) just the benches whose name
 contains the substring — e.g. `--only scaling_` for the scaling suite,
-`--only mega` for the survey-scale trio. Baseline benches outside the
-filter are skipped, not reported missing.
+`--only mega` for the survey-scale benches. Baseline benches outside
+the filter are skipped, not reported missing.
 
 --phases runs the suite with the observability recorder enabled: each
 bench additionally reports the recorder's deterministic work counters
-(events_drained, ready_user_merges, cache_hits, …) — gated like any
+(ready_user_merges, cells_run, cache_hits, …) — gated like any
 counter — and a per-phase wall-time breakdown (schedule/events/settle/
 attribute/csv), which drifts warn-only like wall time. Without the
-flag the suite runs the zero-cost no-op recorder, matching baselines
-generated before the recorder existed.
+flag the suite runs the zero-cost no-op recorder and reports neither;
+the committed baseline holds the recorder's counters, so a full-suite
+--check needs --phases.
 ";
 
 fn fail(message: &str) -> ! {
@@ -174,11 +166,7 @@ fn folded(mut bench: PerfBench, recorder: &StatsRecorder) -> PerfBench {
 
 fn bench_sim_year<R: Recorder>(obs: &R) -> PerfBench {
     let fleet = simulation_fleet();
-    let behaviors: Vec<MachineBehavior> = fleet
-        .iter()
-        .map(|m| MachineBehavior::for_spec(&m.spec))
-        .collect();
-    let predictor = CrossMachinePredictor::train(behaviors, 2, 23);
+    let predictor = CrossMachinePredictor::for_fleet(&fleet, 23);
     let trace = Trace::generate(&TraceConfig::small(23), &predictor);
     let table = PlacementTable::build(&trace, &fleet, &predictor);
     let intensity: Vec<HourlyTrace> = intensity_for(&fleet, 23);
@@ -254,10 +242,10 @@ fn bench_attribution() -> PerfBench {
     }
 }
 
-/// Runs a sweep grid single-threaded and reports its deterministic work
-/// counters plus cells/s and events/s.
-fn bench_sweep<R: Recorder>(name: &str, toml: &str, obs: &R) -> PerfBench {
-    let sweep = Sweep::from_toml_str(toml).expect("shipped sweep parses");
+/// Runs the sensitivity grid single-threaded and reports its
+/// deterministic work counters plus cells/s and events/s.
+fn bench_sweep_grid<R: Recorder>(obs: &R) -> PerfBench {
+    let sweep = Sweep::from_toml_str(SENSITIVITY_TOML).expect("shipped sweep parses");
     let start = Instant::now();
     let (results, stats) = SweepRunner::new(1)
         .recording(obs)
@@ -266,7 +254,7 @@ fn bench_sweep<R: Recorder>(name: &str, toml: &str, obs: &R) -> PerfBench {
     std::hint::black_box(results);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     PerfBench {
-        name: name.into(),
+        name: "sweep_grid".into(),
         wall_ms,
         peak_rss_mb: peak_rss_mb(),
         counters: vec![
@@ -291,45 +279,6 @@ fn bench_sweep<R: Recorder>(name: &str, toml: &str, obs: &R) -> PerfBench {
     }
 }
 
-/// Streams one 100,000-cell shard of the million-cell mega grid through
-/// the sharded execution path — the survey-scale throughput number the
-/// ROADMAP asked for, measured on exactly the code CI's shard matrix
-/// fans out.
-fn bench_sweep_mega<R: Recorder>(obs: &R) -> PerfBench {
-    let sweep = Sweep::from_toml_str(MEGA_GRID_TOML).expect("shipped sweep parses");
-    assert_eq!(sweep.cell_count(), 1_000_000, "the mega grid moved");
-    let range = Shard { index: 0, of: 10 }.cell_range(sweep.config_count(), sweep.seeds.len());
-    let start = Instant::now();
-    let summary = SweepRunner::new(1)
-        .recording(obs)
-        .run_streamed_range(&sweep, None, Some(range), true, None, &mut std::io::sink())
-        .expect("streaming to a sink cannot fail");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    PerfBench {
-        name: "sweep_grid_mega".into(),
-        wall_ms,
-        peak_rss_mb: peak_rss_mb(),
-        counters: vec![
-            ("cells".into(), summary.cells as f64),
-            ("configs".into(), summary.configs as f64),
-            ("events".into(), summary.stats.events as f64),
-            ("release_work".into(), summary.stats.release_work as f64),
-            ("realizations".into(), summary.stats.realizations as f64),
-        ],
-        phases: vec![],
-        rates: vec![
-            (
-                "cells_per_s".into(),
-                summary.cells as f64 / (wall_ms / 1e3).max(1e-12),
-            ),
-            (
-                "events_per_s".into(),
-                summary.stats.events as f64 / (wall_ms / 1e3).max(1e-12),
-            ),
-        ],
-    }
-}
-
 /// Runs the full million-cell mega grid through the orchestrator on
 /// four in-process worker threads and merges the fragments — aggregate
 /// multi-worker cells/s plus the plan's deterministic counters. The
@@ -343,7 +292,8 @@ fn bench_orchestrate_mega(out_dir: &std::path::Path) -> PerfBench {
     let mut config = OrchestrateConfig::new(sweep_file, out_dir.join("run"), 4);
     config.quiet = true;
     let start = Instant::now();
-    let summary = orchestrate(&config, &ThreadLauncher).expect("orchestrated mega grid");
+    let summary =
+        orchestrate(&config, &ThreadLauncher, &NoopChaos).expect("orchestrated mega grid");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     PerfBench {
         name: "orchestrate_mega".into(),
@@ -499,7 +449,9 @@ const SCALING_THREADS: [usize; 4] = [1, 4, 8, 16];
 
 /// Attaches the scaling suite's derived rates to a bench: cells/s plus
 /// `speedup_x` (vs the suite's own 1-thread run) and `efficiency`
-/// (speedup / threads). All three are **rates**, which the gate ignores
+/// (speedup over the workers that can run at once: `threads`, capped at
+/// the available cores, so 16 workers on 2 cores are judged against a
+/// 2× ideal, not 16×). All three are **rates**, which the gate ignores
 /// by design: they are properties of the machine's core count, not of
 /// the code's work, so they report warn-only wherever the report is
 /// checked — CI's multi-core runners are where the numbers mean
@@ -507,6 +459,7 @@ const SCALING_THREADS: [usize; 4] = [1, 4, 8, 16];
 /// for every thread count (that is the `--threads` determinism
 /// contract, enforced byte-for-byte by `parallel_golden.rs`).
 fn with_scaling_rates(mut bench: PerfBench, threads: usize, t1_ms: f64) -> PerfBench {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cells = bench
         .counters
         .iter()
@@ -519,7 +472,7 @@ fn with_scaling_rates(mut bench: PerfBench, threads: usize, t1_ms: f64) -> PerfB
             cells / (bench.wall_ms / 1e3).max(1e-12),
         ),
         ("speedup_x".into(), speedup),
-        ("efficiency".into(), speedup / threads as f64),
+        ("efficiency".into(), speedup / threads.min(cores) as f64),
     ];
     bench
 }
@@ -678,23 +631,9 @@ fn main() {
         }
         if want("sweep_grid") {
             benches.push(if phases {
-                rec(|r| bench_sweep("sweep_grid", SENSITIVITY_TOML, r))
+                rec(bench_sweep_grid)
             } else {
-                measured(|| bench_sweep("sweep_grid", SENSITIVITY_TOML, &NoopRecorder))
-            });
-        }
-        if want("sweep_grid_paper") {
-            benches.push(if phases {
-                rec(|r| bench_sweep("sweep_grid_paper", PAPER_GRID_TOML, r))
-            } else {
-                measured(|| bench_sweep("sweep_grid_paper", PAPER_GRID_TOML, &NoopRecorder))
-            });
-        }
-        if want("sweep_grid_mega") {
-            benches.push(if phases {
-                rec(bench_sweep_mega)
-            } else {
-                measured(|| bench_sweep_mega(&NoopRecorder))
+                measured(|| bench_sweep_grid(&NoopRecorder))
             });
         }
         // The orchestrator spawns its own worker threads, so a

@@ -15,8 +15,8 @@
 //!
 //! Three signal kinds, all aggregated (never per-event allocations):
 //!
-//! * [`Counter`] — deterministic work counts (events drained,
-//!   ready-user merges, settlements, ledger transactions…). On a
+//! * [`Counter`] — deterministic work counts (ready-user merges,
+//!   settlements, ledger transactions, cells run…). On a
 //!   single-threaded run these are pure functions of the workload, so
 //!   `green-perf` gates them like any other work counter.
 //! * [`Phase`] — wall-nanosecond attribution to the pipeline phases
@@ -42,42 +42,36 @@ use std::time::Instant;
 /// to the bench baseline and fails the gate when they drift.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Simulator events popped off the calendar queue.
-    EventsDrained = 0,
     /// Merge-frontier steps over ready users' sub-queues taken by
     /// scheduling passes (the scheduler's unit of queue work).
-    ReadyUserMerges = 1,
-    /// Scheduling passes run (`Cluster::schedule_into` invocations).
-    SchedulePasses = 2,
+    ReadyUserMerges = 0,
     /// Job outcomes settled through the market ledger.
-    JobsSettled = 3,
+    JobsSettled = 1,
     /// Ledger operations market settlement applied, counted as the
     /// `Ledger` records them.
-    LedgerTxns = 4,
+    LedgerTxns = 2,
     /// CAS retries of the retired sharded ledger. Nothing emits it any
     /// more; perfbench still reads it, as a constant 0.
-    LedgerCasRetries = 5,
+    LedgerCasRetries = 3,
     /// Sweep cells executed.
-    CellsRun = 6,
+    CellsRun = 4,
     /// Per-cell lookups served by the shared `SweepCaches` (realization
     /// reused instead of rebuilt).
-    CacheHits = 7,
+    CacheHits = 5,
     /// Distinct artifacts the cache prepass had to build (the misses).
-    CacheMisses = 8,
+    CacheMisses = 6,
     /// Aggregate CSV rows flushed by the streaming sink.
-    RowsFlushed = 9,
+    RowsFlushed = 7,
     /// Manifest/progress checkpoints written by the shard writer.
-    Checkpoints = 10,
+    Checkpoints = 8,
     /// Checkpointed rows hash-verified by a `--resume`.
-    ResumedRowsVerified = 11,
+    ResumedRowsVerified = 9,
 }
 
 impl Counter {
     /// Every counter, in discriminant order.
-    pub const ALL: [Counter; 12] = [
-        Counter::EventsDrained,
+    pub const ALL: [Counter; 10] = [
         Counter::ReadyUserMerges,
-        Counter::SchedulePasses,
         Counter::JobsSettled,
         Counter::LedgerTxns,
         Counter::LedgerCasRetries,
@@ -92,9 +86,7 @@ impl Counter {
     /// The counter's stable wire name (JSON keys, bench counters, docs).
     pub fn name(self) -> &'static str {
         match self {
-            Counter::EventsDrained => "events_drained",
             Counter::ReadyUserMerges => "ready_user_merges",
-            Counter::SchedulePasses => "schedule_passes",
             Counter::JobsSettled => "jobs_settled",
             Counter::LedgerTxns => "ledger_txns",
             Counter::LedgerCasRetries => "ledger_cas_retries",
@@ -381,7 +373,7 @@ mod tests {
     fn noop_is_disabled_and_stateless() {
         const { assert!(!NoopRecorder::ENABLED) };
         let rec = NoopRecorder;
-        rec.add(Counter::EventsDrained, 10);
+        rec.add(Counter::ReadyUserMerges, 10);
         rec.phase_ns(Phase::Schedule, 10);
         rec.span_ns(SpanKind::Cell, 10);
         assert!(rec.snapshot().is_none());
@@ -392,17 +384,17 @@ mod tests {
     #[test]
     fn stats_recorder_accumulates() {
         let rec = StatsRecorder::new();
-        rec.add(Counter::EventsDrained, 5);
-        rec.add(Counter::EventsDrained, 7);
+        rec.add(Counter::ReadyUserMerges, 5);
+        rec.add(Counter::ReadyUserMerges, 7);
         rec.phase_ns(Phase::Schedule, 1_500_000);
         rec.span_ns(SpanKind::Cell, 2_000_000);
         rec.span_ns(SpanKind::Cell, 4_000_000);
-        assert_eq!(rec.counter(Counter::EventsDrained), 12);
+        assert_eq!(rec.counter(Counter::ReadyUserMerges), 12);
         assert_eq!(rec.counter(Counter::CellsRun), 0);
         assert_eq!(rec.phase(Phase::Schedule), 1_500_000);
 
         let snap = rec.snapshot().expect("stats recorder keeps state");
-        assert_eq!(snap.counters, vec![("events_drained", 12)]);
+        assert_eq!(snap.counters, vec![("ready_user_merges", 12)]);
         assert_eq!(snap.phases_ms, vec![("schedule", 1.5)]);
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].kind, "cell");

@@ -11,7 +11,7 @@
 //!    `(runtime ratio, power per core)` labels, generated by the
 //!    ground-truth behaviour model with per-app machine-interaction noise.
 
-use green_machines::AppId;
+use green_machines::{AppId, FleetMachine};
 use green_units::Power;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,6 +121,17 @@ impl CrossMachinePredictor {
         }
     }
 
+    /// Trains the pipeline for a fleet shaped like the Table 5 fleet,
+    /// each machine behaving as [`MachineBehavior::for_spec`] of its node
+    /// spec, with the Institutional Cluster (index 2) as the reference.
+    pub fn for_fleet(fleet: &[FleetMachine], seed: u64) -> Self {
+        let machines = fleet
+            .iter()
+            .map(|m| MachineBehavior::for_spec(&m.spec))
+            .collect();
+        CrossMachinePredictor::train(machines, 2, seed)
+    }
+
     /// The machines the predictor covers, in label order.
     pub fn machines(&self) -> &[MachineBehavior] {
         &self.machines
@@ -185,11 +196,7 @@ mod tests {
     use green_machines::simulation_fleet;
 
     fn trained() -> CrossMachinePredictor {
-        let machines: Vec<MachineBehavior> = simulation_fleet()
-            .iter()
-            .map(|m| MachineBehavior::for_spec(&m.spec))
-            .collect();
-        CrossMachinePredictor::train(machines, 2, 42)
+        CrossMachinePredictor::for_fleet(&simulation_fleet(), 42)
     }
 
     #[test]

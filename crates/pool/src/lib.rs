@@ -1,7 +1,8 @@
 //! **green-pool**: the workspace's one worker pool.
 //!
 //! [`claim_each`] runs tasks `0..n` on scoped threads that claim the
-//! next unclaimed index from a shared counter. [`map`] builds an
+//! next unclaimed index from a shared counter, each worker with its own
+//! state built on its own thread. [`map`] builds an
 //! order-preserving parallel map on it: each result lands in the slot
 //! of its input's index, so the output order equals the input order
 //! whatever the workers' interleaving, the property the simulator's
@@ -27,7 +28,7 @@ fn map_on<T: Sync, R: Send>(
     f: impl Fn(usize, &T) -> R + Sync,
 ) -> Vec<R> {
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    claim_each(threads, items.len(), |i| {
+    claim_each(threads, items.len(), |(), i| {
         let result = f(i, &items[i]);
         *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
     });
@@ -58,6 +59,12 @@ fn workers() -> usize {
 /// next unclaimed index, so tasks start in index order, and one worker
 /// runs them all in that order.
 ///
+/// A worker that claims a task first builds its own state with
+/// `S::default()`, on the thread that then runs every task it claims,
+/// and hands the state to each of them: the sweep runner's cell workers
+/// keep their simulation buffers there. A worker that claims nothing
+/// builds none.
+///
 /// One worker runs on the calling thread. Several run on scoped threads
 /// while the caller waits, as the sweep runner's cell workers do. With
 /// the caller as one of the workers, peak RSS of the `market` benchmark
@@ -66,14 +73,18 @@ fn workers() -> usize {
 /// no cell worker reuses.
 ///
 /// A task that panics panics the caller once every worker has stopped.
-pub fn claim_each(threads: usize, n: usize, task: impl Fn(usize) + Sync) {
+pub fn claim_each<S: Default>(threads: usize, n: usize, task: impl Fn(&mut S, usize) + Sync) {
     let next = AtomicUsize::new(0);
-    let work = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
+    let work = || {
+        let mut i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
-            break;
+            return;
         }
-        task(i);
+        let mut state = S::default();
+        while i < n {
+            task(&mut state, i);
+            i = next.fetch_add(1, Ordering::Relaxed);
+        }
     };
     let workers = threads.min(n);
     if workers <= 1 {
@@ -109,18 +120,38 @@ mod tests {
         }
     }
 
+    /// Builds of [`BuiltOn`]; only `claim_each_runs_every_task_once`
+    /// builds one.
+    static BUILDS: AtomicUsize = AtomicUsize::new(0);
+
+    /// A worker state that records the thread it was built on.
+    struct BuiltOn(std::thread::ThreadId);
+
+    impl Default for BuiltOn {
+        fn default() -> BuiltOn {
+            BUILDS.fetch_add(1, Ordering::Relaxed);
+            BuiltOn(std::thread::current().id())
+        }
+    }
+
+    /// Every task runs once, with a state its worker built on the thread
+    /// that runs it, and no more states are built than workers claim.
     #[test]
     fn claim_each_runs_every_task_once() {
         for threads in [1, 2, 8] {
             for n in [0, 1, 100] {
-                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                claim_each(threads, n, |i| {
-                    runs[i].fetch_add(1, Ordering::Relaxed);
+                BUILDS.store(0, Ordering::Relaxed);
+                let runs: Vec<Mutex<Option<bool>>> = (0..n).map(|_| Mutex::new(None)).collect();
+                claim_each(threads, n, |built: &mut BuiltOn, i| {
+                    let here = built.0 == std::thread::current().id();
+                    let previous = runs[i].lock().unwrap().replace(here);
+                    assert!(previous.is_none(), "task {i} ran twice");
                 });
-                assert!(
-                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
-                    "{threads} workers, {n} tasks"
-                );
+                let label = format!("{threads} workers, {n} tasks");
+                assert!(BUILDS.load(Ordering::Relaxed) <= threads.min(n), "{label}");
+                for run in runs {
+                    assert_eq!(run.into_inner().unwrap(), Some(true), "{label}");
+                }
             }
         }
     }

@@ -217,7 +217,7 @@ pub fn write_sidecar_chaos<C: green_chaos::Chaos>(csv: &Path, chaos: &C) -> io::
             put_u64(&mut out, value.to_bits());
         }
     }
-    crate::durable_io::write_atomic_chaos(
+    crate::durable_io::write_atomic(
         &cols_path(csv),
         &out,
         chaos,

@@ -31,14 +31,13 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use green_chaos::{ChaosRegistry, Failpoint};
+use green_chaos::{ChaosRegistry, Failpoint, NoopChaos};
 use green_obs::{Recorder, StatsRecorder};
 use green_scenarios::runner::ProgressFn;
 use green_scenarios::{
-    analyze_path, cell_label, merge_shards, merge_shards_chaos, orchestrate, orchestrate_chaos,
-    run_shard, watch, write_atomic, write_atomic_chaos, AnalyzeQuery, Grid, OrchestrateConfig,
-    ProcessLauncher, Shard, ShardAssignment, ShardJob, ShardOutcome, Sweep, SweepRunner,
-    WorkloadPreset, CHECKPOINT_EVERY,
+    analyze_path, cell_label, merge_shards, merge_shards_chaos, orchestrate, run_shard, watch,
+    write_atomic, AnalyzeQuery, Grid, OrchestrateConfig, ProcessLauncher, Shard, ShardAssignment,
+    ShardJob, ShardOutcome, Sweep, SweepRunner, WorkloadPreset, CHECKPOINT_EVERY,
 };
 
 const USAGE: &str = "\
@@ -305,13 +304,18 @@ fn analyze_main(args: &[String]) -> ! {
             // Atomic (tmp → sync → rename): a crash mid-write leaves
             // the previous report or nothing, never a truncated one.
             let written = match chaos_registry(chaos_spec.as_deref()) {
-                Some(registry) => write_atomic_chaos(
+                Some(registry) => write_atomic(
                     &path,
                     rendered.as_bytes(),
                     &registry,
                     Failpoint::AnalyzeWrite,
                 ),
-                None => write_atomic(&path, rendered.as_bytes()),
+                None => write_atomic(
+                    &path,
+                    rendered.as_bytes(),
+                    &NoopChaos,
+                    Failpoint::AnalyzeWrite,
+                ),
             };
             if let Err(e) = written {
                 eprintln!("error: analyze: writing {}: {e}", path.display());
@@ -473,8 +477,8 @@ fn orchestrate_main(args: &[String]) -> ! {
             .push(("SCENARIOS_CHAOS".to_string(), spec.clone()));
     }
     let result = match chaos_registry(chaos_spec.as_deref()) {
-        Some(registry) => orchestrate_chaos(&config, &launcher, &registry),
-        None => orchestrate(&config, &launcher),
+        Some(registry) => orchestrate(&config, &launcher, &registry),
+        None => orchestrate(&config, &launcher, &NoopChaos),
     };
     match result {
         Ok(_) => std::process::exit(0),

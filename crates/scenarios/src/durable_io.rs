@@ -24,15 +24,15 @@
 //!   a torn tail is skipped with a warning, never a hard error and
 //!   never silent data loss of the intact prefix.
 //!
-//! Every entry point has a `_chaos` variant carrying a
-//! [`green_chaos::Chaos`] handle and the [`Failpoint`] armed at the
-//! write; the plain names delegate with [`NoopChaos`], whose probes
-//! compile away.
+//! Both take a [`green_chaos::Chaos`] handle and the [`Failpoint`]
+//! armed at the write. A caller that arms nothing passes
+//! [`green_chaos::NoopChaos`], whose probes compile away, and still names
+//! the failpoint of the file it writes.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use green_chaos::{probe, torn_crash, Chaos, Failpoint, NoopChaos};
+use green_chaos::{probe, torn_crash, Chaos, Failpoint};
 
 /// The sibling tmp path an atomic rewrite stages into: `<path>.tmp`.
 fn tmp_path(path: &Path) -> PathBuf {
@@ -101,15 +101,12 @@ impl Write for AtomicFile {
 /// Writes `bytes` to `path` atomically and durably: tmp sibling →
 /// flush → `sync_all` → rename → parent-directory fsync. A kill at any
 /// point leaves the previous `path` intact (or absent), never torn.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    write_atomic_chaos(path, bytes, &NoopChaos, Failpoint::ManifestRewrite)
-}
-
-/// [`write_atomic`] with a chaos probe at `fp`: an injected error
-/// fails before the tmp write, a torn fault writes its partial prefix
-/// *into the tmp file* and dies — the target is never exposed to a
-/// torn write, which is the whole point of the protocol.
-pub fn write_atomic_chaos<C: Chaos>(
+///
+/// `chaos` probes `fp` first: an injected error fails before the tmp
+/// write, a torn fault writes its partial prefix *into the tmp file*
+/// and dies — the target is never exposed to a torn write, which is the
+/// whole point of the protocol.
+pub fn write_atomic<C: Chaos>(
     path: &Path,
     bytes: &[u8],
     chaos: &C,
@@ -178,18 +175,10 @@ pub fn parse_lines_tolerant<T, E: std::fmt::Display>(
 /// in a single `write` and syncing. Concurrent readers see either the
 /// old tail or the new line; a crash mid-append tears at most the
 /// final line, which the next append (or a tolerant reader) drops.
-pub fn append_line(path: &Path, line: &str) -> io::Result<()> {
-    append_line_chaos(path, line, &NoopChaos, Failpoint::OrchestrateAppend)
-}
-
-/// [`append_line`] with a chaos probe at `fp`: a torn fault appends
-/// its partial prefix — a genuinely torn final line — and dies.
-pub fn append_line_chaos<C: Chaos>(
-    path: &Path,
-    line: &str,
-    chaos: &C,
-    fp: Failpoint,
-) -> io::Result<()> {
+///
+/// `chaos` probes `fp` first: a torn fault appends its partial prefix —
+/// a genuinely torn final line — and dies.
+pub fn append_line<C: Chaos>(path: &Path, line: &str, chaos: &C, fp: Failpoint) -> io::Result<()> {
     let torn = probe(chaos, fp)?;
     repair_torn_tail(path)?;
     let mut file = std::fs::OpenOptions::new()
@@ -212,7 +201,7 @@ pub fn append_line_chaos<C: Chaos>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use green_chaos::ChaosRegistry;
+    use green_chaos::{ChaosRegistry, NoopChaos};
 
     use crate::test_scratch::Scratch;
 
@@ -220,8 +209,8 @@ mod tests {
     fn atomic_rewrite_replaces_and_leaves_no_tmp() {
         let dir = Scratch::new("durable-atomic");
         let path = dir.join("doc.toml");
-        write_atomic(&path, b"a = 1\n").unwrap();
-        write_atomic(&path, b"a = 2\n").unwrap();
+        write_atomic(&path, b"a = 1\n", &NoopChaos, Failpoint::ManifestRewrite).unwrap();
+        write_atomic(&path, b"a = 2\n", &NoopChaos, Failpoint::ManifestRewrite).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a = 2\n");
         assert!(!tmp_path(&path).exists());
     }
@@ -230,10 +219,10 @@ mod tests {
     fn torn_atomic_rewrite_leaves_the_target_intact() {
         let dir = Scratch::new("durable-torn-atomic");
         let path = dir.join("doc.toml");
-        write_atomic(&path, b"a = 1\n").unwrap();
+        write_atomic(&path, b"a = 1\n", &NoopChaos, Failpoint::ManifestRewrite).unwrap();
         let reg = ChaosRegistry::from_spec("manifest_rewrite=torn:3@hit:1").unwrap();
         let died = std::panic::catch_unwind(|| {
-            write_atomic_chaos(&path, b"a = 2222\n", &reg, Failpoint::ManifestRewrite)
+            write_atomic(&path, b"a = 2222\n", &reg, Failpoint::ManifestRewrite)
         });
         assert!(died.is_err(), "torn write must die");
         // The crash tore the *tmp* sibling; the target still holds the
@@ -241,7 +230,7 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a = 1\n");
         assert_eq!(std::fs::read(tmp_path(&path)).unwrap(), b"a =");
         // The next rewrite recovers without ceremony.
-        write_atomic(&path, b"a = 3\n").unwrap();
+        write_atomic(&path, b"a = 3\n", &NoopChaos, Failpoint::ManifestRewrite).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a = 3\n");
         assert!(!tmp_path(&path).exists());
     }
@@ -250,8 +239,8 @@ mod tests {
     fn append_repairs_a_torn_tail_before_growing() {
         let dir = Scratch::new("durable-append");
         let log = dir.join("events.jsonl");
-        append_line(&log, "{\"a\": 1}").unwrap();
-        append_line(&log, "{\"b\": 2}").unwrap();
+        append_line(&log, "{\"a\": 1}", &NoopChaos, Failpoint::OrchestrateAppend).unwrap();
+        append_line(&log, "{\"b\": 2}", &NoopChaos, Failpoint::OrchestrateAppend).unwrap();
         assert_eq!(
             std::fs::read_to_string(&log).unwrap(),
             "{\"a\": 1}\n{\"b\": 2}\n"
@@ -261,7 +250,7 @@ mod tests {
         let mut bytes = std::fs::read(&log).unwrap();
         bytes.extend_from_slice(b"{\"torn");
         std::fs::write(&log, &bytes).unwrap();
-        append_line(&log, "{\"c\": 3}").unwrap();
+        append_line(&log, "{\"c\": 3}", &NoopChaos, Failpoint::OrchestrateAppend).unwrap();
         assert_eq!(
             std::fs::read_to_string(&log).unwrap(),
             "{\"a\": 1}\n{\"b\": 2}\n{\"c\": 3}\n"
@@ -272,10 +261,10 @@ mod tests {
     fn torn_append_tears_only_the_final_line() {
         let dir = Scratch::new("durable-torn-append");
         let log = dir.join("events.jsonl");
-        append_line(&log, "{\"a\": 1}").unwrap();
+        append_line(&log, "{\"a\": 1}", &NoopChaos, Failpoint::OrchestrateAppend).unwrap();
         let reg = ChaosRegistry::from_spec("orchestrate_append=torn:4@hit:1").unwrap();
         let died = std::panic::catch_unwind(|| {
-            append_line_chaos(&log, "{\"b\": 2}", &reg, Failpoint::OrchestrateAppend)
+            append_line(&log, "{\"b\": 2}", &reg, Failpoint::OrchestrateAppend)
         });
         assert!(died.is_err());
         assert_eq!(std::fs::read_to_string(&log).unwrap(), "{\"a\": 1}\n{\"b\"");
@@ -303,10 +292,9 @@ mod tests {
     fn injected_enospc_fails_before_touching_the_target() {
         let dir = Scratch::new("durable-enospc");
         let path = dir.join("doc.toml");
-        write_atomic(&path, b"a = 1\n").unwrap();
+        write_atomic(&path, b"a = 1\n", &NoopChaos, Failpoint::ManifestRewrite).unwrap();
         let reg = ChaosRegistry::from_spec("manifest_rewrite=enospc@hit:1").unwrap();
-        let err =
-            write_atomic_chaos(&path, b"a = 2\n", &reg, Failpoint::ManifestRewrite).unwrap_err();
+        let err = write_atomic(&path, b"a = 2\n", &reg, Failpoint::ManifestRewrite).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a = 1\n");
     }

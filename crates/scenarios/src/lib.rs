@@ -92,13 +92,11 @@ pub use analyze::{
     analyze_csv, analyze_dir, analyze_path, AnalyzeQuery, AnalyzeReport, GroupSummary, MetricStats,
     QuantileSketch, ANALYZE_SCHEMA, COLS_SCHEMA, EXACT_QUANTILE_ROWS,
 };
-pub use durable_io::{
-    append_line, append_line_chaos, repair_torn_tail, write_atomic, write_atomic_chaos,
-};
+pub use durable_io::{append_line, repair_torn_tail, write_atomic};
 pub use orchestrate::{
-    orchestrate, orchestrate_chaos, orchestrate_log_path, EventKind, Launcher, OrchestrateConfig,
-    OrchestrateEvent, OrchestrateSummary, Plan, ProcessLauncher, Task, TaskState, ThreadLauncher,
-    WorkerHandle, WorkerSpec, ORCHESTRATE_SCHEMA,
+    orchestrate, orchestrate_log_path, EventKind, Launcher, OrchestrateConfig, OrchestrateEvent,
+    OrchestrateSummary, Plan, ProcessLauncher, Task, TaskState, ThreadLauncher, WorkerHandle,
+    WorkerSpec, ORCHESTRATE_SCHEMA,
 };
 pub use progress::{
     progress_path, ProgressRecord, ProgressWriter, PROGRESS_HISTORY, PROGRESS_SCHEMA,

@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use green_bench::json::{quote, Json};
 use green_chaos::{Chaos, Failpoint};
 
-use crate::durable_io::{append_line_chaos, parse_lines_tolerant};
+use crate::durable_io::{append_line, parse_lines_tolerant};
 use crate::spec::SpecError;
 
 /// Schema tag carried by every event record (first key).
@@ -250,7 +250,7 @@ impl OrchestrateEvent {
     /// the `orchestrate_append` failpoint — the supervisor's write path
     /// under `--chaos`; pass [`green_chaos::NoopChaos`] for none.
     pub fn log<C: Chaos>(&self, dir: &Path, chaos: &C) -> io::Result<()> {
-        append_line_chaos(
+        append_line(
             &orchestrate_log_path(dir),
             &self.to_json_line(),
             chaos,

@@ -47,4 +47,4 @@ pub mod supervisor;
 pub use events::{orchestrate_log_path, EventKind, OrchestrateEvent, ORCHESTRATE_SCHEMA};
 pub use launcher::{Launcher, ProcessLauncher, ThreadLauncher, WorkerHandle, WorkerSpec};
 pub use plan::{Plan, Task, TaskState};
-pub use supervisor::{orchestrate, orchestrate_chaos, OrchestrateConfig, OrchestrateSummary};
+pub use supervisor::{orchestrate, OrchestrateConfig, OrchestrateSummary};

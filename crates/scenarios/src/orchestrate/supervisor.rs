@@ -33,7 +33,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use green_chaos::{Chaos, Failpoint, NoopChaos};
+use green_chaos::{Chaos, Failpoint};
 
 use crate::analyze::{analyze_csv, AnalyzeQuery};
 use crate::orchestrate::events::{EventKind, OrchestrateEvent};
@@ -179,21 +179,16 @@ pub fn fragment_path(out_dir: &Path, id: usize) -> PathBuf {
 /// Runs a whole orchestration: plan, supervise with retry/reassign/
 /// steal, and auto-merge. Returns once the merged output is written
 /// and hash-verified, or with the first unrecoverable error.
-pub fn orchestrate(
-    config: &OrchestrateConfig,
-    launcher: &dyn Launcher,
-) -> io::Result<OrchestrateSummary> {
-    orchestrate_chaos(config, launcher, &NoopChaos)
-}
-
-/// [`orchestrate`] with the supervisor's own failpoints armed:
-/// `orchestrate_append` at every audit-log write, `merge_write` inside
-/// the auto-merge, `analyze_write` for the chained analysis report, and
-/// `manifest_rewrite` where a steal shrinks a victim's checkpoint. The
-/// *workers'* chaos travels separately (a [`crate::ProcessLauncher`]
-/// env injection or the inherited `SCENARIOS_CHAOS`) — the supervisor
-/// never tears a fragment itself.
-pub fn orchestrate_chaos<C: Chaos>(
+///
+/// `chaos` arms the supervisor's own failpoints: `orchestrate_append`
+/// at every audit-log write, `merge_write` inside the auto-merge,
+/// `analyze_write` for the chained analysis report, and
+/// `manifest_rewrite` where a steal shrinks a victim's checkpoint; pass
+/// [`green_chaos::NoopChaos`] for none. The *workers'* chaos travels
+/// separately (a [`crate::ProcessLauncher`] env injection or the
+/// inherited `SCENARIOS_CHAOS`) — the supervisor never tears a fragment
+/// itself.
+pub fn orchestrate<C: Chaos>(
     config: &OrchestrateConfig,
     launcher: &dyn Launcher,
     chaos: &C,
@@ -423,7 +418,7 @@ pub fn orchestrate_chaos<C: Chaos>(
     if let Some(query) = &config.analyze {
         let report = analyze_csv(&merged_path, query)?;
         let analysis_path = config.out_dir.join("analysis.csv");
-        crate::durable_io::write_atomic_chaos(
+        crate::durable_io::write_atomic(
             &analysis_path,
             report.to_csv_string().as_bytes(),
             chaos,

@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use green_bench::json::{fmt_num, quote, Json};
 use green_chaos::{Chaos, Failpoint};
 
-use crate::durable_io::{parse_lines_tolerant, write_atomic_chaos};
+use crate::durable_io::{parse_lines_tolerant, write_atomic};
 use crate::spec::SpecError;
 
 /// Schema tag carried by every progress record (first key), so a
@@ -247,7 +247,7 @@ impl ProgressWriter {
             text.push_str(line);
             text.push('\n');
         }
-        write_atomic_chaos(
+        write_atomic(
             &self.path,
             text.as_bytes(),
             chaos,
@@ -321,8 +321,9 @@ mod tests {
     fn append_line_grows_a_log_without_rewriting_it() {
         let dir = Scratch::new("progress-append");
         let log = dir.join("events.jsonl");
-        append_line(&log, "{\"a\": 1}").unwrap();
-        append_line(&log, "{\"b\": 2}").unwrap();
+        for line in ["{\"a\": 1}", "{\"b\": 2}"] {
+            append_line(&log, line, &NoopChaos, Failpoint::OrchestrateAppend).unwrap();
+        }
         assert_eq!(
             std::fs::read_to_string(&log).unwrap(),
             "{\"a\": 1}\n{\"b\": 2}\n"

@@ -101,6 +101,8 @@ struct WindowState {
     prefix: usize,
     /// Offered indices at or above `prefix`, awaiting the gap to fill.
     ahead: BTreeSet<usize>,
+    /// Claimants blocked in [`ClaimWindow::admit`].
+    waiting: usize,
 }
 
 impl ClaimWindow {
@@ -120,16 +122,19 @@ impl ClaimWindow {
     pub fn admit(&self, index: usize) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         while index >= state.prefix + self.window {
+            state.waiting += 1;
             state = self
                 .ready
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
         }
     }
 
     /// Records that `index`'s result was offered downstream, advancing
     /// the prefix over any contiguous run it completes and waking
-    /// blocked claimants.
+    /// blocked claimants. With none blocked it skips the wake-up, a
+    /// system call per cell on a lone worker, which never blocks.
     pub fn complete(&self, index: usize) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.ahead.insert(index);
@@ -141,7 +146,7 @@ impl ClaimWindow {
             }
             state.prefix += 1;
         }
-        if state.prefix != before {
+        if state.prefix != before && state.waiting > 0 {
             drop(state);
             self.ready.notify_all();
         }

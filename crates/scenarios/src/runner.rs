@@ -41,7 +41,7 @@ use green_chaos::{probe, torn_crash, Chaos, Failpoint, NoopChaos};
 use green_machines::{simulation_fleet, FleetMachine};
 use green_market::{market_population, price_table, PriceSpec, SettleBook};
 use green_obs::{Counter, NoopRecorder, Phase, Recorder, SpanKind, Stopwatch};
-use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+use green_perfmodel::CrossMachinePredictor;
 use green_pool::claim_each;
 use green_workload::Trace;
 
@@ -180,13 +180,6 @@ impl SweepWorld {
             .expect("population prepared at build time")
     }
 
-    /// Runs one cell against the shared state and caches, with fresh
-    /// simulation state — the one-shot form of
-    /// [`run_cell_in`](SweepWorld::run_cell_in).
-    pub fn run_cell(&self, spec: &ScenarioSpec, caches: &SweepCaches) -> CellMetrics {
-        self.run_cell_in(spec, caches, &mut CellScratch::new())
-    }
-
     /// Runs one cell against the shared state and caches, borrowing all
     /// simulation and settlement buffers from `scratch` — sweep workers
     /// hold one scratch each, so steady-state cell execution (market
@@ -307,11 +300,7 @@ impl SweepWorld {
 /// distinct `users` population's trace variants, placement table and
 /// fleet slices.
 fn build_populations(sweep: &Sweep, fleet: &[FleetMachine]) -> Vec<PopulationWorld> {
-    let behaviors: Vec<MachineBehavior> = fleet
-        .iter()
-        .map(|m| MachineBehavior::for_spec(&m.spec))
-        .collect();
-    let predictor = CrossMachinePredictor::train(behaviors, 2, sweep.workload.seed);
+    let predictor = CrossMachinePredictor::for_fleet(fleet, sweep.workload.seed);
 
     let mut populations: Vec<PopulationWorld> = Vec::new();
     for &users in &sweep.users {
@@ -432,7 +421,7 @@ impl SweepCaches {
     /// agent seed.
     pub fn build(world: &SweepWorld, cells: &[Cell], threads: usize) -> SweepCaches {
         let tasks = CacheTasks::plan(&world.fleet, world.agent_seed, cells);
-        claim_each(threads, tasks.len(), |task| tasks.run(task));
+        claim_each(threads, tasks.len(), |(), task| tasks.run(task));
         tasks.finish()
     }
 
@@ -1005,7 +994,7 @@ impl<'a, R: Recorder, C: Chaos> SweepRunner<'a, R, C> {
         // table), the longest; no cache task reads it, so the other
         // workers build the caches meanwhile.
         let populations = OnceLock::new();
-        claim_each(self.threads, 1 + caches.len(), |task| match task {
+        claim_each(self.threads, 1 + caches.len(), |(), task| match task {
             0 => {
                 let _ = populations.set(build_populations(&needed, &fleet));
             }
@@ -1044,56 +1033,29 @@ impl<'a, R: Recorder, C: Chaos> SweepRunner<'a, R, C> {
         sink: &Mutex<RowSink<'_, K>>,
     ) {
         let n = cells.len();
-        let run_cell = |i: usize, scratch: &mut CellScratch| {
+        let done = AtomicUsize::new(0);
+        let claims = ClaimWindow::new(window);
+        // One scratch per worker, built on its thread: every cell the
+        // worker claims reuses the same simulation and settlement
+        // buffers.
+        claim_each(self.threads, n, |scratch: &mut CellScratch, i| {
+            // Throttle: stay within the reorder window of the slowest
+            // outstanding cell.
+            claims.admit(i);
+            // Mark `i` offered even if the sink dies (an injected crash
+            // mid-commit): the claimants blocked behind it must run into
+            // the failure, not wait on it forever.
+            let offered = claims.completing(i);
             let cell_watch = Stopwatch::<R>::start();
             let metrics = world.run_cell_in_obs(&cells[i].spec, caches, scratch, self.obs);
             if R::ENABLED {
                 self.obs.span_ns(SpanKind::Cell, cell_watch.elapsed_ns());
             }
             sink.lock().expect("sink lock").offer(i, metrics);
-        };
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 {
-            let mut scratch = CellScratch::new();
-            for i in 0..n {
-                run_cell(i, &mut scratch);
-                if let Some(cb) = progress {
-                    cb(i + 1, n);
-                }
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let claims = ClaimWindow::new(window);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // One scratch per worker: every cell this thread
-                    // claims reuses the same simulation and settlement
-                    // buffers.
-                    let mut scratch = CellScratch::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        // Throttle: stay within the reorder window of
-                        // the slowest outstanding cell.
-                        claims.admit(i);
-                        // Mark `i` offered even if the sink dies (an
-                        // injected crash mid-commit): the claimants
-                        // blocked behind it must run into the failure,
-                        // not wait on it forever.
-                        let offered = claims.completing(i);
-                        run_cell(i, &mut scratch);
-                        drop(offered);
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        if let Some(cb) = progress {
-                            cb(finished, n);
-                        }
-                    }
-                });
+            drop(offered);
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if let Some(cb) = progress {
+                cb(finished, n);
             }
         });
     }
@@ -1362,6 +1324,26 @@ mod tests {
         let cell = &results.cells[0];
         assert!(cell.credits.stddev > 0.0, "replicates should differ");
         assert!(cell.credits.ci95 > 0.0);
+    }
+
+    #[test]
+    fn progress_reports_each_finished_count_once() {
+        let mut sweep = tiny_sweep();
+        sweep.seeds = vec![1, 2, 3];
+        let n = sweep.cell_count();
+        for threads in [1, 2, 8] {
+            let reports = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&reports);
+            let progress =
+                move |done: usize, total: usize| sink.lock().unwrap().push((done, total));
+            SweepRunner::new(threads)
+                .run_collect(&sweep, None, Some(&progress))
+                .unwrap();
+            let mut reports = std::mem::take(&mut *reports.lock().unwrap());
+            reports.sort_unstable();
+            let expected: Vec<(usize, usize)> = (1..=n).map(|done| (done, n)).collect();
+            assert_eq!(reports, expected, "{threads} threads");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use green_chaos::{probe, torn_crash, Chaos, Failpoint, NoopChaos};
 use green_obs::{Counter, Recorder, SpanKind, Stopwatch};
 
 use crate::agg::CSV_HEADERS;
-use crate::durable_io::{append_line, write_atomic_chaos};
+use crate::durable_io::{append_line, write_atomic};
 use crate::progress::{current_rss_mb, progress_path, ProgressRecord, ProgressWriter};
 use crate::runner::{Grid, ProgressFn, StreamSummary, SweepRunner};
 use crate::spec::SpecError;
@@ -273,12 +273,12 @@ impl ShardManifest {
     }
 
     /// Writes the manifest sidecar of `csv` atomically (via
-    /// [`write_atomic_chaos`], shared with the progress sidecar), so a
+    /// [`write_atomic`], shared with the progress sidecar), so a
     /// kill mid-checkpoint leaves the previous checkpoint intact rather
     /// than a torn sidecar. `chaos` arms the `manifest_rewrite`
     /// failpoint; pass [`green_chaos::NoopChaos`] for none.
     pub fn store<C: Chaos>(&self, csv: &Path, chaos: &C) -> std::io::Result<()> {
-        write_atomic_chaos(
+        write_atomic(
             &manifest_path(csv),
             self.to_string().as_bytes(),
             chaos,
@@ -572,7 +572,12 @@ fn record_failure(job: &ShardJob<'_>, started: Instant, error: &str) {
         error: Some(error.to_string()),
         complete: false,
     };
-    let _ = append_line(&progress_path(job.csv), &record.to_json_line());
+    let _ = append_line(
+        &progress_path(job.csv),
+        &record.to_json_line(),
+        &NoopChaos,
+        Failpoint::ProgressRewrite,
+    );
 }
 
 fn run_shard_inner<R: Recorder, C: Chaos>(

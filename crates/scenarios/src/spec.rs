@@ -3,7 +3,7 @@
 
 use green_accounting::MethodKind;
 use green_batchsim::metrics::cost;
-use green_batchsim::Policy;
+use green_batchsim::{Policy, MAX_SHIFT_BUDGET_HOURS};
 use green_market::PriceSpec;
 
 /// A parse failure with a user-facing message.
@@ -17,13 +17,6 @@ impl core::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
-
-/// The longest `greedy-shift:<hours>` budget: one year. Every intensity
-/// realization a sweep builds, and every price table compiled from one,
-/// repeats after a year, so a longer window would only re-quote hours it
-/// already quoted; the delay search holds one buffer entry per hour of
-/// the budget.
-const MAX_SHIFT_BUDGET_HOURS: u32 = 8_760;
 
 /// A machine-selection policy, in sweep-file spelling.
 ///

@@ -22,8 +22,8 @@ use green_chaos::{ChaosRegistry, Failpoint, NoopChaos};
 use green_scenarios::analyze::cols_path;
 use green_scenarios::{
     analyze_csv, merge_shards, merge_shards_chaos, orchestrate_log_path, run_shard, write_atomic,
-    write_atomic_chaos, AnalyzeQuery, EventKind, MethodSpec, OrchestrateEvent, PolicySpec,
-    ShardAssignment, ShardJob, Sweep, SweepRunner,
+    AnalyzeQuery, EventKind, MethodSpec, OrchestrateEvent, PolicySpec, ShardAssignment, ShardJob,
+    Sweep, SweepRunner,
 };
 
 mod common;
@@ -240,7 +240,7 @@ fn analyze_crash_recovers(golden: &Golden) {
     let report = scratch.path("analysis.csv");
     let registry = ChaosRegistry::from_spec("analyze_write=torn:12@hit:1").expect("spec");
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        write_atomic_chaos(
+        write_atomic(
             &report,
             golden.analysis.as_bytes(),
             &registry,
@@ -249,7 +249,13 @@ fn analyze_crash_recovers(golden: &Golden) {
     }));
     assert!(outcome.is_err(), "torn report write must crash");
     assert!(!report.exists(), "a torn report must never appear");
-    write_atomic(&report, golden.analysis.as_bytes()).expect("clean rewrite");
+    write_atomic(
+        &report,
+        golden.analysis.as_bytes(),
+        &NoopChaos,
+        Failpoint::AnalyzeWrite,
+    )
+    .expect("clean rewrite");
     assert_eq!(
         std::fs::read_to_string(&report).expect("report"),
         golden.analysis

@@ -55,7 +55,7 @@ fn check(input: &str) {
 
 /// The committed perf baseline, the largest JSON document the reader
 /// parses (`green-perf --check`).
-const BASELINE: &str = include_str!("../../../BENCH_10.json");
+const BASELINE: &str = include_str!("../../../BENCH_11.json");
 
 /// Characters arbitrary JSON input draws from: the grammar's
 /// punctuation, escapes, literal and number characters, whitespace and

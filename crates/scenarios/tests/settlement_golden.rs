@@ -4,7 +4,7 @@
 //! decimals, so a change to the settlement arithmetic — a different
 //! summation order, a dropped hold/release pair, a bank total over the
 //! wrong accounts — can leave every CSV golden intact. This battery
-//! records `SweepWorld::run_cell`'s `posted_credits` and
+//! records `SweepWorld::run_cell_in`'s `posted_credits` and
 //! `banked_credits` as raw `f64` bits for every cell of an
 //! `incentives.toml`-shaped grid (Adaptive × CBA at 0.25 volume,
 //! elasticities {0, 2}, carbon-indexed and time-of-use schedules,
@@ -20,7 +20,7 @@
 
 use green_market::PriceSpec;
 use green_scenarios::{
-    cell_label, MethodSpec, PolicySpec, Sweep, SweepCaches, SweepWorld, WorkloadPreset,
+    cell_label, CellScratch, MethodSpec, PolicySpec, Sweep, SweepCaches, SweepWorld, WorkloadPreset,
 };
 
 const FIXTURES: &str = concat!(
@@ -54,7 +54,7 @@ fn settle_bits(block: &str, preset: WorkloadPreset) -> String {
     let mut lines = String::new();
     for cell in &cells {
         assert!(cell.spec.market_active());
-        let metrics = world.run_cell(&cell.spec, &caches);
+        let metrics = world.run_cell_in(&cell.spec, &caches, &mut CellScratch::new());
         lines.push_str(&format!(
             "{block} {} seed={} posted={:016x} banked={:016x}\n",
             cell_label(&cell.spec),

@@ -6,7 +6,8 @@
 
 use green_bench::export::csv_line;
 use green_scenarios::{
-    cell_label, CellMetrics, CellSummary, Sweep, SweepCaches, SweepRunner, SweepWorld, CSV_HEADERS,
+    cell_label, CellMetrics, CellScratch, CellSummary, Sweep, SweepCaches, SweepRunner, SweepWorld,
+    CSV_HEADERS,
 };
 use std::path::PathBuf;
 
@@ -33,7 +34,7 @@ fn oracle_csv(sweep: &Sweep, filter: Option<&str>) -> String {
     let caches = SweepCaches::build(&world, &cells, 1);
     let metrics: Vec<CellMetrics> = cells
         .iter()
-        .map(|c| world.run_cell(&c.spec, &caches))
+        .map(|c| world.run_cell_in(&c.spec, &caches, &mut CellScratch::new()))
         .collect();
     let replicates = sweep.seeds.len();
     let mut csv = csv_line(&CSV_HEADERS);

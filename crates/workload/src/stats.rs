@@ -74,15 +74,11 @@ mod tests {
     use super::*;
     use crate::trace::{Trace, TraceConfig};
     use green_machines::simulation_fleet;
-    use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+    use green_perfmodel::CrossMachinePredictor;
 
     #[test]
     fn stats_cover_trace() {
-        let machines: Vec<MachineBehavior> = simulation_fleet()
-            .iter()
-            .map(|m| MachineBehavior::for_spec(&m.spec))
-            .collect();
-        let p = CrossMachinePredictor::train(machines, 2, 3);
+        let p = CrossMachinePredictor::for_fleet(&simulation_fleet(), 3);
         let trace = Trace::generate(&TraceConfig::small(2), &p);
         let stats = TraceStats::of(&trace);
         assert_eq!(stats.jobs, trace.len());

@@ -306,14 +306,9 @@ fn lognormal(rng: &mut StdRng, sigma: f64) -> f64 {
 mod tests {
     use super::*;
     use green_machines::simulation_fleet;
-    use green_perfmodel::MachineBehavior;
 
     fn predictor() -> CrossMachinePredictor {
-        let machines: Vec<MachineBehavior> = simulation_fleet()
-            .iter()
-            .map(|m| MachineBehavior::for_spec(&m.spec))
-            .collect();
-        CrossMachinePredictor::train(machines, 2, 7)
+        CrossMachinePredictor::for_fleet(&simulation_fleet(), 7)
     }
 
     #[test]

@@ -9,18 +9,14 @@
 use green_batchsim::metrics::cost;
 use green_batchsim::{PlacementTable, Scenario};
 use green_machines::simulation_fleet;
-use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+use green_perfmodel::CrossMachinePredictor;
 use green_workload::{Trace, TraceConfig, TraceStats};
 
 fn main() {
     // 1. Train the two-stage predictor (GMM + KNN) on the synthetic
     //    benchmark campaign.
     let fleet = simulation_fleet();
-    let behaviors: Vec<MachineBehavior> = fleet
-        .iter()
-        .map(|m| MachineBehavior::for_spec(&m.spec))
-        .collect();
-    let predictor = CrossMachinePredictor::train(behaviors, 2, 42);
+    let predictor = CrossMachinePredictor::for_fleet(&fleet, 42);
 
     // 2. Synthesize the workload and extrapolate it to every machine.
     let trace = Trace::generate(&TraceConfig::small(42), &predictor).doubled();

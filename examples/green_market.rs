@@ -12,14 +12,15 @@
 
 use green_accounting::Ledger;
 use green_batchsim::{
-    intensity_for, run_cell, MarketInputs, PlacementTable, Policy, RunMetrics, SimConfig,
+    intensity_for, MarketInputs, PlacementTable, Policy, RunMetrics, SimArena, SimConfig, Simulator,
 };
 use green_carbon::HourlyTrace;
 use green_machines::simulation_fleet;
 use green_market::{
     market_population, price_table, settle_run, CreditBank, ExchangeDesk, PriceSpec,
 };
-use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+use green_obs::NoopRecorder;
+use green_perfmodel::CrossMachinePredictor;
 use green_units::TimeSpan;
 use green_workload::{Trace, TraceConfig};
 
@@ -29,11 +30,7 @@ fn main() {
 
     // 1. A small, *uncongested* world: temporal shifting needs slack.
     let fleet = simulation_fleet();
-    let behaviors: Vec<MachineBehavior> = fleet
-        .iter()
-        .map(|m| MachineBehavior::for_spec(&m.spec))
-        .collect();
-    let predictor = CrossMachinePredictor::train(behaviors, 2, seed);
+    let predictor = CrossMachinePredictor::for_fleet(&fleet, seed);
     let trace = Trace::generate(
         &TraceConfig {
             users,
@@ -66,7 +63,8 @@ fn main() {
                 max_delay_hours: 24,
                 shift_threshold: 0.1,
             });
-        run_cell(&trace, &fleet, &table, &intensity, config)
+        Simulator::new(&trace, &fleet, &table, &intensity, config)
+            .run(&mut SimArena::new(), &NoopRecorder)
     };
     let rigid = run_with(0.0);
     let elastic = run_with(2.0);

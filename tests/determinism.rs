@@ -3,7 +3,7 @@
 
 use green_carbon::GridRegion;
 use green_machines::simulation_fleet;
-use green_perfmodel::{CrossMachinePredictor, GaussianMixture, JobCounters, MachineBehavior};
+use green_perfmodel::{CrossMachinePredictor, GaussianMixture, JobCounters};
 use green_survey::{synthesize, SurveyMarginals};
 use green_userstudy::{Study, StudyConfig};
 use green_workload::{Trace, TraceConfig};
@@ -20,14 +20,8 @@ fn grid_traces() {
 
 #[test]
 fn predictor_and_trace() {
-    let behaviors = || -> Vec<MachineBehavior> {
-        simulation_fleet()
-            .iter()
-            .map(|m| MachineBehavior::for_spec(&m.spec))
-            .collect()
-    };
-    let p1 = CrossMachinePredictor::train(behaviors(), 2, 77);
-    let p2 = CrossMachinePredictor::train(behaviors(), 2, 77);
+    let p1 = CrossMachinePredictor::for_fleet(&simulation_fleet(), 77);
+    let p2 = CrossMachinePredictor::for_fleet(&simulation_fleet(), 77);
     let probe = JobCounters::from_rates(2.0e9, 3.0e6);
     assert_eq!(p1.predict(&probe), p2.predict(&probe));
 

@@ -3,9 +3,10 @@
 
 use green_accounting::MethodKind;
 use green_batchsim::metrics::cost;
-use green_batchsim::{PlacementTable, Policy, Scenario, SimConfig, Simulator};
+use green_batchsim::{PlacementTable, Policy, Scenario, SimArena, SimConfig, Simulator};
 use green_machines::simulation_fleet;
-use green_perfmodel::{CrossMachinePredictor, MachineBehavior};
+use green_obs::NoopRecorder;
+use green_perfmodel::CrossMachinePredictor;
 use green_workload::{Trace, TraceConfig};
 
 struct World {
@@ -17,11 +18,7 @@ struct World {
 
 fn world(seed: u64) -> World {
     let fleet = simulation_fleet();
-    let behaviors: Vec<MachineBehavior> = fleet
-        .iter()
-        .map(|m| MachineBehavior::for_spec(&m.spec))
-        .collect();
-    let predictor = CrossMachinePredictor::train(behaviors, 2, seed);
+    let predictor = CrossMachinePredictor::for_fleet(&fleet, seed);
     let trace = Trace::generate(&TraceConfig::small(seed), &predictor);
     let table = PlacementTable::build(&trace, &fleet, &predictor);
     let intensity = fleet
@@ -47,7 +44,7 @@ fn every_policy_conserves_jobs() {
             &w.intensity,
             SimConfig::new(policy, MethodKind::eba(), 24),
         )
-        .run();
+        .run(&mut SimArena::new(), &NoopRecorder);
         assert_eq!(
             metrics.outcomes.len() + metrics.rejected,
             w.trace.len(),
@@ -75,7 +72,7 @@ fn outcome_energy_matches_placement_table() {
         &w.intensity,
         SimConfig::new(Policy::Greedy, MethodKind::eba(), 24),
     )
-    .run();
+    .run(&mut SimArena::new(), &NoopRecorder);
     for o in metrics.outcomes.iter().take(200) {
         let job = w
             .trace
@@ -105,7 +102,7 @@ fn total_work_identical_across_policies() {
             &w.intensity,
             SimConfig::new(policy, MethodKind::eba(), 24),
         )
-        .run();
+        .run(&mut SimArena::new(), &NoopRecorder);
         assert_eq!(metrics.rejected, 0);
         totals.push(metrics.total_work());
     }
@@ -124,7 +121,7 @@ fn allocation_work_monotone_in_budget() {
         &w.intensity,
         SimConfig::new(Policy::Greedy, MethodKind::eba(), 24),
     )
-    .run();
+    .run(&mut SimArena::new(), &NoopRecorder);
     let total_cost = metrics.total_cost(cost::EBA);
     let mut last = 0.0;
     for frac in [0.1, 0.25, 0.5, 0.75, 1.0] {

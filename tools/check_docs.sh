@@ -185,6 +185,14 @@ while IFS=: read -r file line doc; do
     [ -e "$doc" ] || fail "$file:$line names a missing document: $doc"
 done <<< "$md_refs"
 
+# 12. Bench baselines named in the README, the docs/ book or a Rust
+#     source under crates/ exist at the repository root: a baseline
+#     regeneration must move every reference to the new file.
+while IFS=: read -r file line baseline; do
+    [ -e "$baseline" ] || fail "$file:$line names a missing baseline: $baseline"
+done < <(grep -rnoE --include='*.md' 'BENCH_[0-9]+\.json' README.md docs || true
+    grep -rnoE --include='*.rs' 'BENCH_[0-9]+\.json' crates || true)
+
 # 5. Workload presets stay in sync between parser and docs.
 for preset in micro tiny quick paper; do
     if ! grep -q "\`$preset\`" docs/sweep-format.md; then
