@@ -20,6 +20,12 @@
 //! tree before the dense running-slot table replaced the job → slot
 //! map.
 //!
+//! The `tiny-shift` rows run `GreedyShift` under CBA with week- and
+//! month-long delay budgets, so most jobs re-arrive days after they
+//! arrive and many re-arrivals are pending at once. They were captured
+//! from the tree whose calendar queue served them from far-future
+//! buckets.
+//!
 //! Regenerate (only when an *intentional* output change is being made,
 //! which per the determinism contract should never happen on a perf
 //! refactor) with:
@@ -355,6 +361,53 @@ fn run_elastic(preset_name: &str) -> Vec<GoldenRow> {
     rows
 }
 
+/// Long-shift rows: `GreedyShift` under CBA with week- and month-long
+/// delay budgets, two seeds, on the tiny preset. Most jobs wait days for
+/// a cleaner hour, so many re-arrivals are pending far ahead of the
+/// current time at once. (EBA's quotes do not change over time, so it
+/// never shifts.)
+fn run_long_shift() -> Vec<GoldenRow> {
+    let world = world("tiny");
+    let users = preset("tiny").users;
+    let mut arena = SimArena::new();
+    let mut rows = Vec::new();
+    for seed in 1..=2u64 {
+        let intensity: Vec<HourlyTrace> = intensity_for(&world.fleet, seed);
+        for max_delay_hours in [168, 720] {
+            let config = SimConfig::new(
+                Policy::GreedyShift { max_delay_hours },
+                MethodKind::Cba,
+                users,
+            );
+            let metrics = run_cell_in_obs(
+                &world.trace,
+                &world.fleet,
+                &world.table,
+                &intensity,
+                config,
+                &mut arena,
+                &NoopRecorder,
+            );
+            let label = format!("{seed}-{max_delay_hours}h");
+            let jobs = world.trace.jobs.len();
+            let delayed = metrics.events - jobs - metrics.outcomes.len();
+            let days_late = metrics
+                .outcomes
+                .iter()
+                .filter(|o| o.start_s - o.arrival_s > 2.0 * 86_400.0)
+                .count();
+            assert!(
+                2 * delayed >= jobs && 2 * days_late >= jobs,
+                "{label}: {delayed} of {jobs} jobs delayed, {days_late} started over \
+                 two days late — the row no longer keeps re-arrivals pending days ahead"
+            );
+            rows.push((label, metrics.policy.clone(), digest(&metrics)));
+            arena.recycle(metrics);
+        }
+    }
+    rows
+}
+
 fn golden_lines(block: &str, rows: &[GoldenRow]) -> String {
     rows.iter()
         .map(|(label, policy, digest)| format!("{block} {label} {policy} {digest:016x}\n"))
@@ -434,6 +487,11 @@ fn paper_preset_matches_prechange_goldens() {
 #[test]
 fn tiny_saturated_fleet_matches_prechange_goldens() {
     check_block("tiny-saturated", &run_saturated());
+}
+
+#[test]
+fn tiny_long_shift_matches_prechange_goldens() {
+    check_block("tiny-shift", &run_long_shift());
 }
 
 #[test]
