@@ -2,7 +2,7 @@
 //!
 //! A [`SimArena`] owns every growable buffer one simulation run needs —
 //! cluster scheduling state (per-user sub-queues, ready index, running
-//! tables), the calendar event queue, the per-job state tables, and the
+//! tables), the event queue's heap, the per-job state tables, and the
 //! outcome records. [`Simulator::run`](crate::Simulator::run)
 //! borrows the arena instead of allocating, so a sweep worker that
 //! simulates thousands of cells allocates once per sweep rather than
@@ -15,7 +15,7 @@
 //! [`SimArena::recycle`] once the caller has reduced the metrics.
 
 use crate::cluster::{Cluster, QueuedJob};
-use crate::event::EventQueue;
+use crate::event::EventBuffers;
 use crate::metrics::{JobOutcome, RunMetrics};
 use crate::policy::MachineOption;
 use crate::simulator::QuoteBasis;
@@ -66,8 +66,8 @@ impl FinishLog {
 pub struct SimArena {
     /// One scheduling state per fleet machine, reconfigured per run.
     pub(crate) clusters: Vec<Cluster>,
-    /// The calendar event queue (buckets, batch, and front heap reused).
-    pub(crate) events: EventQueue,
+    /// The event queue's pending-event heap and arrival order.
+    pub(crate) events: EventBuffers,
     /// Per-job start time (seconds; NaN until started).
     pub(crate) started_at: Vec<f64>,
     /// Per-job "already postponed once" flag (GreedyShift/Adaptive).

@@ -1,21 +1,20 @@
 //! The simulator's event queue.
 //!
-//! [`EventQueue`] is a bucketed calendar queue tuned for the simulator's
-//! near-monotone schedule pattern (events are pushed at or after the
-//! current simulation time, spread over a multi-month horizon). Events
-//! land in fixed-width time buckets in O(1) and are drained a **bucket
-//! batch** at a time: the bucket under the cursor is sorted once and
-//! popped off its tail in O(1) per event, while a small binary heap
-//! (`front`) absorbs only the stragglers pushed *behind* the cursor —
-//! so steady-state pops pay a branch and a `Vec::pop` instead of heap
-//! traffic per event. Pop order is pinned bit-for-bit to a plain
-//! `BinaryHeap` over `(time, seq)` — equal timestamps break ties by
-//! insertion order — which `tests/event_queue_props.rs` asserts over
-//! random and adversarial streams, and
-//! `tests/soa_equivalence.rs` pins end-to-end against pre-change run
-//! digests.
+//! A run's events are its trace's arrivals and the events the run
+//! schedules itself: finishes and shifted re-arrivals. [`EventQueue`]
+//! reads the arrivals straight from the trace, in arrival order, and
+//! keeps only the scheduled events in a binary heap, which therefore
+//! never holds more than the running jobs plus the delayed re-arrivals.
+//! Pop order is pinned bit-for-bit to one `BinaryHeap` over
+//! `(time, seq)` into which every arrival was pushed first, in trace
+//! order: equal timestamps break ties by insertion order, so at equal
+//! times an arrival pops before a scheduled event.
+//! `tests/event_queue_props.rs` asserts this over random and adversarial
+//! streams, and `tests/soa_equivalence.rs` pins it end-to-end against
+//! pre-change run digests.
 
 use green_units::TimePoint;
+use green_workload::Job;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -65,214 +64,100 @@ impl PartialOrd for Event {
     }
 }
 
-/// Seconds per calendar bucket, as a power of two (2^10 = ~17 minutes).
-/// Small enough that the front heap stays in the hundreds of events on
-/// the paper workload, large enough that a 60-day trace needs only a few
-/// thousand buckets.
-const BUCKET_SHIFT: u32 = 10;
-
-/// Horizon cap: events more than this many buckets past the drain cursor
-/// are parked in the far-future tail instead of growing the bucket array
-/// without bound (2^20 buckets ≈ 34 simulated years).
-const MAX_SPAN_BUCKETS: usize = 1 << 20;
-
-/// The bucket a (finite) timestamp falls into. Negative times clamp to
-/// bucket zero; the `merged_through` push rule routes them to the front
-/// heap, which orders arbitrary times correctly.
-fn bucket_of(secs: f64) -> usize {
-    if secs <= 0.0 {
-        return 0;
-    }
-    (secs as u64 >> BUCKET_SHIFT) as usize
+/// The storage an [`EventQueue`] borrows, kept between runs so that a
+/// reused arena allocates none of it again.
+#[derive(Debug, Default)]
+pub struct EventBuffers {
+    /// Pending finishes and re-arrivals.
+    heap: BinaryHeap<Event>,
+    /// The jobs' indices in arrival order, filled only for a trace whose
+    /// jobs are not sorted by arrival.
+    order: Vec<usize>,
 }
 
-/// Earliest-first event queue: a calendar of fixed-width buckets drained
-/// in sorted batches, with a straggler heap in front.
+/// Earliest-first events of one run: the trace's arrivals, read in
+/// arrival order, merged with a heap of the events the run schedules.
 ///
-/// Invariant: every event in `buckets[i]` for `i >= merged_through` has a
-/// finite timestamp inside bucket `i`; `batch` holds the most recently
-/// drained bucket (absolute index `merged_through - 1`), sorted ascending
-/// by the reversed `Event` ordering so its **tail** is the earliest
-/// pending batch event; everything pushed behind the cursor lives in
-/// `front`, and NaN/+inf events live only in `tail` (never `front` — a
-/// parked non-finite front minimum would outrank later finite pushes).
-/// The earliest pending event is therefore the (time, seq)-max of
-/// `batch.last()` and `front.peek()`: any *bucketed* event's time is at
-/// least `merged_through << BUCKET_SHIFT`, an upper bound on every front
-/// and batch timestamp, and `front`/`batch` are merged at the comparison
-/// point — the same total order a single shared heap would produce.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    /// Stragglers pushed at or before the merge cursor.
-    front: BinaryHeap<Event>,
-    /// The bucket currently being drained, sorted ascending by the
-    /// reversed `Event` ordering (earliest at the tail).
-    batch: Vec<Event>,
-    /// Calendar buckets: `buckets[i]` holds absolute bucket `base + i`,
-    /// so a rebase to far-future times never allocates proportional to
-    /// absolute time.
-    buckets: Vec<Vec<Event>>,
-    /// Absolute bucket number of `buckets[0]`.
-    base: usize,
-    /// All buckets below this absolute index have been drained into
-    /// `front`. Invariant: `base <= merged_through`.
-    merged_through: usize,
-    /// Events beyond the horizon cap or with non-finite future times;
-    /// re-bucketed when the calendar runs dry.
-    tail: Vec<Event>,
-    len: usize,
+/// An arrival takes its job index as its sequence number and a pushed
+/// event the next number from `jobs.len()` on, the numbers each would
+/// have taken had every arrival been pushed first. Arrivals leave the
+/// trace in `(time, index)` order and the heap in `(time, seq)` order,
+/// so popping the earlier head of the two, the arrival on a tie,
+/// reproduces the single heap's `(time, seq)` order exactly.
+#[derive(Debug)]
+pub struct EventQueue<'a> {
+    jobs: &'a [Job],
+    /// `jobs`' indices in arrival order; empty when `jobs` is sorted.
+    order: &'a [usize],
+    /// Arrivals popped so far.
+    next: usize,
+    heap: &'a mut BinaryHeap<Event>,
     next_seq: u64,
 }
 
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
+impl<'a> EventQueue<'a> {
+    /// A queue holding every arrival of `jobs` and nothing else, built in
+    /// `buffers` (whose previous contents are discarded).
+    pub fn new(jobs: &'a [Job], buffers: &'a mut EventBuffers) -> EventQueue<'a> {
+        let EventBuffers { heap, order } = buffers;
+        heap.clear();
+        order.clear();
+        let arrival = |job: usize| jobs[job].arrival.as_secs();
+        if (1..jobs.len()).any(|j| arrival(j - 1).total_cmp(&arrival(j)).is_gt()) {
+            // Stable, so equal arrivals keep trace order.
+            order.extend(0..jobs.len());
+            order.sort_by(|&a, &b| arrival(a).total_cmp(&arrival(b)));
+        }
+        EventQueue {
+            jobs,
+            order,
+            next: 0,
+            heap,
+            next_seq: jobs.len() as u64,
+        }
     }
 
     /// Schedules an event.
     pub fn push(&mut self, at: TimePoint, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_event(Event { at, seq, kind });
-    }
-
-    fn push_event(&mut self, event: Event) {
-        self.len += 1;
-        let secs = event.at.as_secs();
-        if !secs.is_finite() {
-            // NaN/+inf sort after every finite time under `total_cmp`
-            // (the reference heap pops them last); -inf sorts before
-            // everything and is safe in the front.
-            if secs == f64::NEG_INFINITY {
-                self.front.push(event);
-            } else {
-                self.tail.push(event);
-            }
-            return;
-        }
-        let bucket = bucket_of(secs);
-        if bucket < self.merged_through {
-            self.front.push(event);
-        } else if bucket - self.base >= MAX_SPAN_BUCKETS {
-            self.tail.push(event);
-        } else {
-            let rel = bucket - self.base;
-            if rel >= self.buckets.len() {
-                self.buckets.resize_with(rel + 1, Vec::new);
-            }
-            self.buckets[rel].push(event);
-        }
+        self.heap.push(Event { at, seq, kind });
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        loop {
-            // The earliest pending event is the larger (under the
-            // reversed ordering) of the batch tail and the front top.
-            // Sequence numbers are unique, so the comparison is strict
-            // and reproduces a shared heap's order exactly.
-            match (self.batch.last(), self.front.peek()) {
-                (Some(batch), Some(front)) if batch > front => {
-                    self.len -= 1;
-                    return self.batch.pop();
-                }
-                (Some(_), None) => {
-                    self.len -= 1;
-                    return self.batch.pop();
-                }
-                (_, Some(_)) => {
-                    self.len -= 1;
-                    return self.front.pop();
-                }
-                (None, None) => {}
-            }
-            // Advance the merge cursor to the next populated bucket and
-            // take it as the new drain batch: one sort per bucket, then
-            // O(1) pops off the tail. The cursor only moves forward, so
-            // the total scan over a queue's lifetime is O(buckets).
-            while self.merged_through - self.base < self.buckets.len() {
-                let rel = self.merged_through - self.base;
-                self.merged_through += 1;
-                if !self.buckets[rel].is_empty() {
-                    // Swap, keeping the drained batch's allocation alive
-                    // in the calendar for the next events bucketed here.
-                    std::mem::swap(&mut self.batch, &mut self.buckets[rel]);
-                    self.batch.sort_unstable();
-                    break;
-                }
-            }
-            if !self.batch.is_empty() {
-                continue;
-            }
-            if self.merged_through - self.base >= self.buckets.len() {
-                if self.tail.is_empty() {
-                    return None;
-                }
-                let earliest = self
-                    .tail
-                    .iter()
-                    .filter(|e| e.at.as_secs().is_finite())
-                    .map(|e| bucket_of(e.at.as_secs()))
-                    .min();
-                let Some(earliest) = earliest else {
-                    // Only non-finite (NaN/+inf) stragglers left. They
-                    // must never enter the front heap — a later finite
-                    // push would land in the calendar and lose the race
-                    // against a non-finite front minimum — so pop the
-                    // earliest-ordered one straight out of the tail.
-                    // (`Event`'s Ord is reversed for the max-heap, so
-                    // "earliest first" is the Ord maximum.)
-                    let (idx, _) = self
-                        .tail
-                        .iter()
-                        .enumerate()
-                        .max_by(|(_, a), (_, b)| a.cmp(b))
-                        .expect("tail checked non-empty");
-                    let event = self.tail.swap_remove(idx);
-                    self.len -= 1;
-                    return Some(event);
-                };
-                // Calendar exhausted but far-future events remain: rebase
-                // the horizon at their earliest bucket and re-push. At
-                // least one lands in the new window, so this terminates.
-                let rebased = std::mem::take(&mut self.tail);
-                self.len -= rebased.len();
-                self.buckets.clear();
-                self.base = earliest;
-                self.merged_through = earliest;
-                for event in rebased {
-                    self.push_event(event);
-                }
+        let job = if self.order.is_empty() {
+            Some(self.next).filter(|&job| job < self.jobs.len())
+        } else {
+            self.order.get(self.next).copied()
+        };
+        let Some(job) = job else {
+            return self.heap.pop();
+        };
+        let at = self.jobs[job].arrival;
+        // Every pushed seq is above every arrival's, so the heap goes
+        // first only when strictly earlier.
+        if let Some(top) = self.heap.peek() {
+            if top.at.as_secs().total_cmp(&at.as_secs()).is_lt() {
+                return self.heap.pop();
             }
         }
+        self.next += 1;
+        Some(Event {
+            at,
+            seq: job as u64,
+            kind: EventKind::Arrival(job),
+        })
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.jobs.len() - self.next + self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Resets the queue for a fresh run while keeping every allocation
-    /// (bucket array, per-bucket capacity, front heap) — the arena hook.
-    /// Sequence numbers restart at zero so a reused queue is
-    /// indistinguishable from a new one.
-    pub fn reset(&mut self) {
-        self.front.clear();
-        self.batch.clear();
-        self.tail.clear();
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.base = 0;
-        self.merged_through = 0;
-        self.len = 0;
-        self.next_seq = 0;
+        self.len() == 0
     }
 }
 
@@ -280,9 +165,19 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    fn arrival_ids(q: &mut EventQueue) -> Vec<usize> {
+        std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Arrival(i) => i,
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut buffers = EventBuffers::default();
+        let mut q = EventQueue::new(&[], &mut buffers);
         q.push(TimePoint::from_secs(5.0), EventKind::Arrival(1));
         q.push(TimePoint::from_secs(1.0), EventKind::Arrival(2));
         q.push(TimePoint::from_secs(3.0), EventKind::Finish(0, 3));
@@ -294,23 +189,19 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut buffers = EventBuffers::default();
+        let mut q = EventQueue::new(&[], &mut buffers);
         let t = TimePoint::from_secs(2.0);
         q.push(t, EventKind::Arrival(10));
         q.push(t, EventKind::Arrival(20));
         q.push(t, EventKind::Arrival(30));
-        let ids: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Arrival(i) => i,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(ids, vec![10, 20, 30]);
+        assert_eq!(arrival_ids(&mut q), vec![10, 20, 30]);
     }
 
     #[test]
     fn len_and_empty() {
-        let mut q = EventQueue::new();
+        let mut buffers = EventBuffers::default();
+        let mut q = EventQueue::new(&[], &mut buffers);
         assert!(q.is_empty());
         q.push(TimePoint::EPOCH, EventKind::Arrival(0));
         assert_eq!(q.len(), 1);
@@ -319,39 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_push_pop_across_buckets() {
-        let mut q = EventQueue::new();
-        // Far-apart times exercise the bucket advance; pushes into
-        // already-drained buckets exercise the front fallback.
-        q.push(TimePoint::from_secs(100_000.0), EventKind::Arrival(0));
-        q.push(TimePoint::from_secs(10.0), EventKind::Arrival(1));
-        assert_eq!(q.pop().unwrap().at.as_secs(), 10.0);
-        // Bucket 0 is drained now; a push below the cursor goes front.
-        q.push(TimePoint::from_secs(20.0), EventKind::Arrival(2));
-        assert_eq!(q.pop().unwrap().at.as_secs(), 20.0);
-        assert_eq!(q.pop().unwrap().at.as_secs(), 100_000.0);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn far_future_tail_is_rebased() {
-        let mut q = EventQueue::new();
-        let far = (MAX_SPAN_BUCKETS as f64 + 5.0) * (1u64 << BUCKET_SHIFT) as f64;
-        q.push(TimePoint::from_secs(far), EventKind::Arrival(0));
-        q.push(TimePoint::from_secs(far + 1.0), EventKind::Arrival(1));
-        q.push(TimePoint::from_secs(1.0), EventKind::Arrival(2));
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Arrival(i) => i,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![2, 0, 1]);
-    }
-
-    #[test]
     fn reset_reuses_allocations_and_restarts_sequences() {
-        let mut q = EventQueue::new();
+        let mut buffers = EventBuffers::default();
+        let mut q = EventQueue::new(&[], &mut buffers);
         for i in 0..100 {
             q.push(
                 TimePoint::from_secs(i as f64 * 500.0),
@@ -361,25 +222,28 @@ mod tests {
         for _ in 0..60 {
             q.pop();
         }
-        q.reset();
+        let capacity = buffers.heap.capacity();
+        // A new queue over the same buffers starts empty, keeps the
+        // heap's allocation, and numbers its pushes from zero again.
+        let mut q = EventQueue::new(&[], &mut buffers);
         assert!(q.is_empty());
-        // After reset, same-time ties again break in insertion order
-        // (sequence numbers restarted).
         let t = TimePoint::from_secs(7.0);
         q.push(t, EventKind::Arrival(1));
         q.push(t, EventKind::Arrival(2));
-        assert!(matches!(q.pop().unwrap().kind, EventKind::Arrival(1)));
+        let first = q.pop().unwrap();
+        assert_eq!((first.seq, first.kind), (0, EventKind::Arrival(1)));
         assert!(matches!(q.pop().unwrap().kind, EventKind::Arrival(2)));
+        assert_eq!(buffers.heap.capacity(), capacity);
     }
 
     #[test]
     fn finite_pushes_after_draining_beat_parked_non_finite_events() {
-        // Regression: non-finite events must never enter the front heap.
         // Drain to the point where only +inf/NaN events remain, pop one,
         // then push a *finite* event — the finite one must pop before
         // the remaining non-finite event, exactly as the reference heap
         // orders them.
-        let mut q = EventQueue::new();
+        let mut buffers = EventBuffers::default();
+        let mut q = EventQueue::new(&[], &mut buffers);
         q.push(TimePoint::from_secs(f64::INFINITY), EventKind::Arrival(0));
         q.push(TimePoint::from_secs(f64::INFINITY), EventKind::Arrival(1));
         q.push(TimePoint::from_secs(5.0), EventKind::Arrival(2));
@@ -389,23 +253,20 @@ mod tests {
         assert!(matches!(q.pop().unwrap().kind, EventKind::Arrival(3)));
         assert!(matches!(q.pop().unwrap().kind, EventKind::Arrival(1)));
         assert!(q.pop().is_none());
-        // NaN sorts after +inf under `total_cmp`; equal classes keep
-        // insertion order.
-        q.push(TimePoint::from_secs(f64::NAN), EventKind::Arrival(10));
+        // NaN sorts after +inf under `total_cmp`, a negative NaN before
+        // everything; equal classes keep insertion order.
+        let nan = f64::NAN.copysign(1.0);
+        q.push(TimePoint::from_secs(nan), EventKind::Arrival(10));
         q.push(TimePoint::from_secs(f64::INFINITY), EventKind::Arrival(11));
-        q.push(TimePoint::from_secs(f64::INFINITY), EventKind::Arrival(12));
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Arrival(i) => i,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![11, 12, 10]);
+        q.push(TimePoint::from_secs(-nan), EventKind::Arrival(12));
+        q.push(TimePoint::from_secs(f64::INFINITY), EventKind::Arrival(13));
+        assert_eq!(arrival_ids(&mut q), vec![12, 11, 13, 10]);
     }
 
     #[test]
     fn negative_times_pop_first() {
-        let mut q = EventQueue::new();
+        let mut buffers = EventBuffers::default();
+        let mut q = EventQueue::new(&[], &mut buffers);
         q.push(TimePoint::from_secs(3.0), EventKind::Arrival(0));
         q.push(TimePoint::from_secs(-2.0), EventKind::Arrival(1));
         q.push(TimePoint::from_secs(0.0), EventKind::Arrival(2));

@@ -20,9 +20,10 @@
 //! (EBA, CBA, low-carbon CBA) and computes the fixed-allocation work
 //! comparisons. The hot path is built for sweep scale: [`SimArena`]
 //! owns every growable buffer so repeated cells allocate almost
-//! nothing, the event calendar is O(1) amortized for the simulator's
-//! near-monotone schedule, and cluster queues are per-user sub-queues
-//! behind a ready-user index (provably the flat scan's decisions).
+//! nothing, the event queue reads arrivals straight from the trace and
+//! keeps only pending finishes and re-arrivals in a heap, and cluster
+//! queues are per-user sub-queues behind a ready-user index (provably
+//! the flat scan's decisions).
 //!
 //! A run is an event loop, which places and schedules every job, then an
 //! attribution pass, which prices each completion. Each arrival builds

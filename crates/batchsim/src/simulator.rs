@@ -10,7 +10,7 @@ use std::ops::Range;
 
 use crate::arena::{DelayScratch, FinishLog, SimArena};
 use crate::cluster::{Cluster, QueuedJob};
-use crate::event::EventKind;
+use crate::event::{EventKind, EventQueue};
 use crate::market::MarketInputs;
 use crate::metrics::{JobOutcome, RunMetrics};
 use crate::policy::{MachineOption, Policy, Reads};
@@ -441,8 +441,10 @@ impl<'a> Simulator<'a> {
 
     /// Runs the full workload to completion against `arena`-owned state
     /// and collects metrics: the event loop (`schedule_in`), then the
-    /// attribution pass over its completion log (`attribute_in`). All
-    /// simulation buffers (cluster queues, event calendar, job tables,
+    /// attribution pass over its completion log (`attribute_in`). The
+    /// loop reads the arrivals straight from the trace, in arrival order;
+    /// only finishes and shifted re-arrivals wait in the event heap. All
+    /// simulation buffers (cluster queues, event heap, job tables,
     /// outcome storage) are borrowed from the arena, so a caller sweeping
     /// many cells allocates once, not once per cell; a fresh arena gives
     /// the same bits as a reused one.
@@ -500,11 +502,7 @@ impl<'a> Simulator<'a> {
             cluster.min_grain = m.spec.slice_cores;
         }
 
-        let events = &mut arena.events;
-        events.reset();
-        for (idx, job) in self.trace.jobs.iter().enumerate() {
-            events.push(job.arrival, EventKind::Arrival(idx));
-        }
+        let mut events = EventQueue::new(&self.trace.jobs, &mut arena.events);
 
         let jobs = self.trace.jobs.len();
         debug_assert!(jobs < u32::MAX as usize, "job indices must fit u32");

@@ -23,8 +23,8 @@
 //! The `tiny-shift` rows run `GreedyShift` under CBA with week- and
 //! month-long delay budgets, so most jobs re-arrive days after they
 //! arrive and many re-arrivals are pending at once. They were captured
-//! from the tree whose calendar queue served them from far-future
-//! buckets.
+//! from the tree before the event heap replaced the calendar queue,
+//! which had served these re-arrivals from far-future buckets.
 //!
 //! Regenerate (only when an *intentional* output change is being made,
 //! which per the determinism contract should never happen on a perf
@@ -69,9 +69,9 @@ fn preset(name: &str) -> TraceConfig {
     }
 }
 
-/// Per-seed policy/method pairs: one of each policy family, so batched
-/// draining is exercised under pure FCFS pops, shift re-pushes into the
-/// active drain window (GreedyShift/Adaptive), and market quoting.
+/// Per-seed policy/method pairs: one of each policy family, so the event
+/// queue is exercised under pure FCFS pops, shifted re-arrivals
+/// (GreedyShift/Adaptive), and market quoting.
 fn config_for(seed: u64, users: u32, fleet_len: usize) -> SimConfig {
     let (policy, method) = match seed % 8 {
         0 => (Policy::Greedy, MethodKind::eba()),
