@@ -52,7 +52,8 @@
 //!   hard-gates; the derived `speedup_x` and `efficiency` rates are
 //!   core-count properties of the machine, so they report warn-only and
 //!   only mean something on CI's multi-core runners (`--only scaling_`
-//!   is the scaling job's entry point).
+//!   is the scaling job's entry point). A ladder runs only the rungs
+//!   `--only` selects, plus its 1-thread rung as the speedup reference.
 //!
 //! Every bench also records the process peak RSS at completion
 //! (best-effort, Linux `/proc/self/status`; the high-water mark is
@@ -71,7 +72,9 @@
 //! scheduling behaviour itself changed.
 //!
 //! `--check` compares the run against a committed baseline
-//! (`BENCH_11.json`): deterministic-counter drift beyond `--tolerance`
+//! (`BENCH_11.json`, recorded with `--phases`; a check that selects a
+//! bench whose baseline holds recorder counters exits 2 up front
+//! without `--phases`): deterministic-counter drift beyond `--tolerance`
 //! (default 0.20) **fails**, and the failure message names each
 //! offending `bench.counter`; wall-time/RSS drift beyond
 //! `--wall-tolerance` (default 1.00, i.e. 2× slower) only warns — CI
@@ -112,8 +115,9 @@ USAGE:
 
 --only <substring> runs (and gates) just the benches whose name
 contains the substring — e.g. `--only scaling_` for the scaling suite,
-`--only mega` for the survey-scale benches. Baseline benches outside
-the filter are skipped, not reported missing.
+`--only mega` for the survey-scale benches. A full bench name selects
+that bench alone. Baseline benches outside the filter are skipped, not
+reported missing.
 
 --phases runs the suite with the observability recorder enabled: each
 bench additionally reports the recorder's deterministic work counters
@@ -121,8 +125,9 @@ bench additionally reports the recorder's deterministic work counters
 counter — and a per-phase wall-time breakdown (schedule/events/settle/
 attribute/csv), which drifts warn-only like wall time. Without the
 flag the suite runs the zero-cost no-op recorder and reports neither;
-the committed baseline holds the recorder's counters, so a full-suite
---check needs --phases.
+the committed baseline holds the recorder's counters of sim_year and
+sweep_grid, so a --check that selects either needs --phases and exits 2
+before running any bench without it.
 ";
 
 fn fail(message: &str) -> ! {
@@ -533,28 +538,56 @@ fn bench_scaling_mega(threads: usize) -> PerfBench {
     }
 }
 
-/// Runs one scaling ladder (a grid at every [`SCALING_THREADS`] count,
-/// the 1-thread run first as the speedup reference), keeping only the
-/// benches `want` selects. The benches always run with the no-op
-/// recorder, `--phases` or not: N workers' overlapping phase walls sum
-/// past the bench's own wall and drift with scheduling, and the
-/// 1-thread sweeps already gate the recorder's counters.
+/// Runs the rungs of one grid's scaling ladder (`scaling_<grid>_t<N>`
+/// for each [`SCALING_THREADS`] count) that `want` selects. The
+/// 1-thread rung runs first whenever any rung does, since it is every
+/// wider rung's speedup reference, but is reported only when selected.
+/// The benches always run with the no-op recorder, `--phases` or not:
+/// N workers' overlapping phase walls sum past the bench's own wall and
+/// drift with scheduling, and the 1-thread sweeps already gate the
+/// recorder's counters.
 fn scaling_ladder(
+    grid: &str,
     bench: impl Fn(usize) -> PerfBench,
     want: impl Fn(&str) -> bool,
 ) -> Vec<PerfBench> {
+    let wanted = SCALING_THREADS.map(|threads| want(&format!("scaling_{grid}_t{threads}")));
+    if !wanted.contains(&true) {
+        return Vec::new();
+    }
     let mut out = Vec::new();
     let mut t1_ms = f64::NAN;
-    for threads in SCALING_THREADS {
+    for (threads, wanted) in SCALING_THREADS.into_iter().zip(wanted) {
+        if !wanted && threads != 1 {
+            continue;
+        }
         let run = measured(|| bench(threads));
         if threads == 1 {
             t1_ms = run.wall_ms;
         }
-        if want(&run.name) {
+        if wanted {
             out.push(with_scaling_rates(run, threads, t1_ms));
         }
     }
     out
+}
+
+/// Every bench name the suite can report, for `--only`'s exact match.
+fn bench_names() -> impl Iterator<Item = String> {
+    let single = [
+        "sim_year",
+        "attribution",
+        "sweep_grid",
+        "orchestrate_mega",
+        "analyze_mega",
+        "chaos_noop",
+    ];
+    let ladders = ["paper", "mega"].into_iter().flat_map(|grid| {
+        SCALING_THREADS
+            .into_iter()
+            .map(move |threads| format!("scaling_{grid}_t{threads}"))
+    });
+    single.into_iter().map(String::from).chain(ladders)
 }
 
 fn main() {
@@ -603,8 +636,49 @@ fn main() {
     }
     // `--only <substring>` narrows both the run and the baseline
     // comparison to matching bench names — what CI's scaling job uses
-    // to run `--only scaling_` without paying for the full suite.
-    let want = |name: &str| only.as_deref().is_none_or(|f| name.contains(f));
+    // to run `--only scaling_` without paying for the full suite. A full
+    // bench name selects that bench alone, so `scaling_mega_t1` does not
+    // also select `scaling_mega_t16`.
+    let exact = only
+        .as_deref()
+        .is_some_and(|f| bench_names().any(|name| name == f));
+    let want = |name: &str| {
+        only.as_deref()
+            .is_none_or(|f| if exact { name == f } else { name.contains(f) })
+    };
+
+    // Read the baseline before any bench runs. `--only` narrows the gate
+    // the same way it narrows the run — a baseline bench that
+    // deliberately did not run must not register as "missing" (which
+    // would hard-fail).
+    let baseline = check.map(|path| {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("error: reading baseline {path}: {e}");
+            std::process::exit(1);
+        });
+        let mut baseline = PerfReport::parse(&text).unwrap_or_else(|e| {
+            eprintln!("error: parsing baseline {path}: {e}");
+            std::process::exit(1);
+        });
+        baseline.benches.retain(|b| want(&b.name));
+        (path, baseline)
+    });
+    // A baseline bench with phase rows was recorded under `--phases`,
+    // so its recorder counters exist only in a `--phases` run.
+    if let Some((path, baseline)) = &baseline {
+        let recorded: Vec<&str> = baseline
+            .benches
+            .iter()
+            .filter(|b| !b.phases.is_empty())
+            .map(|b| b.name.as_str())
+            .collect();
+        if !phases && !recorded.is_empty() {
+            fail(&format!(
+                "{path} gates the recorder's counters of {}; check them with --phases",
+                recorded.join(", ")
+            ));
+        }
+    }
 
     // With --phases each bench gets its own recorder (so counters and
     // phase times attribute per bench); the default path hands every
@@ -652,18 +726,8 @@ fn main() {
         if want("chaos_noop") {
             benches.push(measured(bench_chaos_noop));
         }
-        if SCALING_THREADS
-            .iter()
-            .any(|t| want(&format!("scaling_paper_t{t}")))
-        {
-            benches.extend(scaling_ladder(bench_scaling_paper, want));
-        }
-        if SCALING_THREADS
-            .iter()
-            .any(|t| want(&format!("scaling_mega_t{t}")))
-        {
-            benches.extend(scaling_ladder(bench_scaling_mega, want));
-        }
+        benches.extend(scaling_ladder("paper", bench_scaling_paper, want));
+        benches.extend(scaling_ladder("mega", bench_scaling_mega, want));
     }
     if benches.is_empty() {
         fail(&format!(
@@ -698,19 +762,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: reading baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let mut baseline = PerfReport::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: parsing baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        // `--only` narrows the gate the same way it narrowed the run —
-        // a baseline bench that deliberately did not run must not
-        // register as "missing" (which would hard-fail).
-        baseline.benches.retain(|b| want(&b.name));
+    if let Some((path, baseline)) = baseline {
         let cmp = report.compare(&baseline, tolerance, wall_tolerance);
         if let Some(summary_path) = summary {
             let table = format!(

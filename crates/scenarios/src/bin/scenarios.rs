@@ -735,7 +735,7 @@ fn main() {
             eprintln!("  {done}/{total} cells");
         }
     };
-    let progress: Option<&ProgressFn> = if quiet { None } else { Some(&progress_line) };
+    let progress: Option<&ProgressFn<'_>> = if quiet { None } else { Some(&progress_line) };
     // The sharded/checkpointed path: a worker of an N-way split, an
     // explicit cell range, or a resumable whole-grid run. Always
     // streamed (constant memory is the point at this scale) and always

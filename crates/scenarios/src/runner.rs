@@ -634,8 +634,9 @@ const SHIFT_THRESHOLD: f64 = 0.10;
 /// `debit_up_to` clamp).
 const BUDGET_FACTOR: f64 = 1.25;
 
-/// Progress callback: `(cells_done, cells_total)` after each cell.
-pub type ProgressFn = dyn Fn(usize, usize) + Sync;
+/// Progress callback: `(cells_done, cells_total)` after each cell. It
+/// may borrow the caller's state for `'a`.
+pub type ProgressFn<'a> = dyn Fn(usize, usize) + Sync + 'a;
 
 /// The `/`-joined label a `--filter` substring is matched against.
 pub fn cell_label(spec: &ScenarioSpec) -> String {
@@ -854,7 +855,7 @@ impl<'a, R: Recorder, C: Chaos> SweepRunner<'a, R, C> {
         &self,
         sweep: &Sweep,
         filter: Option<&str>,
-        progress: Option<&ProgressFn>,
+        progress: Option<&ProgressFn<'_>>,
     ) -> io::Result<(SweepResults, RunStats)> {
         let cells = Grid::new(sweep, filter)?.cells(&ShardAssignment::Whole)?;
         let mut rows = Vec::new();
@@ -886,7 +887,7 @@ impl<'a, R: Recorder, C: Chaos> SweepRunner<'a, R, C> {
         filter: Option<&str>,
         range: Option<Range<usize>>,
         write_header: bool,
-        progress: Option<&ProgressFn>,
+        progress: Option<&ProgressFn<'_>>,
         out: &mut W,
     ) -> io::Result<StreamSummary> {
         let assignment = range.map_or(ShardAssignment::Whole, ShardAssignment::Cells);
@@ -908,7 +909,7 @@ impl<'a, R: Recorder, C: Chaos> SweepRunner<'a, R, C> {
         &self,
         sweep: &Sweep,
         cells: &[Cell],
-        progress: Option<&ProgressFn>,
+        progress: Option<&ProgressFn<'_>>,
         out: &mut W,
     ) -> io::Result<StreamSummary> {
         let mut rows = CsvRows {
@@ -926,7 +927,7 @@ impl<'a, R: Recorder, C: Chaos> SweepRunner<'a, R, C> {
         &self,
         sweep: &Sweep,
         cells: &[Cell],
-        progress: Option<&ProgressFn>,
+        progress: Option<&ProgressFn<'_>>,
         committer: &mut K,
     ) -> io::Result<StreamSummary> {
         let replicates = sweep.seeds.len();
@@ -1029,7 +1030,7 @@ impl<'a, R: Recorder, C: Chaos> SweepRunner<'a, R, C> {
         caches: &SweepCaches,
         cells: &[Cell],
         window: usize,
-        progress: Option<&ProgressFn>,
+        progress: Option<&ProgressFn<'_>>,
         sink: &Mutex<RowSink<'_, K>>,
     ) {
         let n = cells.len();
@@ -1332,14 +1333,12 @@ mod tests {
         sweep.seeds = vec![1, 2, 3];
         let n = sweep.cell_count();
         for threads in [1, 2, 8] {
-            let reports = Arc::new(Mutex::new(Vec::new()));
-            let sink = Arc::clone(&reports);
-            let progress =
-                move |done: usize, total: usize| sink.lock().unwrap().push((done, total));
+            let reports = Mutex::new(Vec::new());
+            let progress = |done: usize, total: usize| reports.lock().unwrap().push((done, total));
             SweepRunner::new(threads)
                 .run_collect(&sweep, None, Some(&progress))
                 .unwrap();
-            let mut reports = std::mem::take(&mut *reports.lock().unwrap());
+            let mut reports = reports.into_inner().unwrap();
             reports.sort_unstable();
             let expected: Vec<(usize, usize)> = (1..=n).map(|done| (done, n)).collect();
             assert_eq!(reports, expected, "{threads} threads");

@@ -514,7 +514,7 @@ impl<R: Recorder, C: Chaos> Write for ShardWriter<'_, R, C> {
 pub fn run_shard<R: Recorder, C: Chaos>(
     runner: &SweepRunner<'_, R, C>,
     job: &ShardJob<'_>,
-    progress: Option<&ProgressFn>,
+    progress: Option<&ProgressFn<'_>>,
 ) -> std::io::Result<ShardOutcome> {
     let started = Instant::now();
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -542,7 +542,7 @@ pub fn run_shard<R: Recorder, C: Chaos>(
 pub fn run_shard_obs<R: Recorder>(
     runner: &SweepRunner,
     job: &ShardJob<'_>,
-    progress: Option<&ProgressFn>,
+    progress: Option<&ProgressFn<'_>>,
     obs: &R,
 ) -> std::io::Result<ShardOutcome> {
     run_shard(&runner.recording(obs), job, progress)
@@ -583,7 +583,7 @@ fn record_failure(job: &ShardJob<'_>, started: Instant, error: &str) {
 fn run_shard_inner<R: Recorder, C: Chaos>(
     runner: &SweepRunner<'_, R, C>,
     job: &ShardJob<'_>,
-    progress: Option<&ProgressFn>,
+    progress: Option<&ProgressFn<'_>>,
 ) -> std::io::Result<ShardOutcome> {
     let (obs, chaos) = (runner.obs, runner.chaos);
     // Resolve the filtered grid and the assignment exactly once, before
