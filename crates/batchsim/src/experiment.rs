@@ -91,28 +91,39 @@ impl Scenario {
         }
     }
 
-    /// Runs every policy (in parallel) over the workload.
+    /// Runs every policy (in parallel) over the workload and keeps each
+    /// run's full metrics.
     pub fn run(&self, trace: &Trace, table: &PlacementTable) -> ScenarioResults {
-        Scenario::run_all(std::slice::from_ref(self), trace, table)
-            .pop()
-            .expect("one result per scenario")
+        Scenario::run_all(std::slice::from_ref(self), trace, table, |_, run| {
+            run.clone()
+        })
+        .pop()
+        .expect("one result per scenario")
     }
 
     /// Runs every policy of every scenario over the workload, in
-    /// parallel, simulating each schedule once. A policy that reads no
-    /// charge ([`Policy::reads`]) schedules the same jobs at the same
-    /// times under any accounting method, grid or year: its schedule
-    /// depends only on the policy, the clusters' shapes, the user count
-    /// and the backfill depth. Such a schedule is simulated once per
-    /// distinct key and attributed under every scenario that runs the
-    /// policy; a policy that reads a charge is simulated per scenario.
-    /// The results equal one independent [`run_cell_in_obs`] per
-    /// (scenario, policy), bit for bit (`tests/shared_schedules.rs`).
-    pub fn run_all(
+    /// parallel, simulating each schedule once, and keeps what `fold`
+    /// makes of each run. A policy that reads no charge
+    /// ([`Policy::reads`]) schedules the same jobs at the same times
+    /// under any accounting method, grid or year: its schedule depends
+    /// only on the policy, the clusters' shapes, the user count and the
+    /// backfill depth. Such a schedule is simulated once per distinct key
+    /// and attributed under every scenario that runs the policy; a
+    /// policy that reads a charge is simulated per scenario. The full
+    /// metrics equal one independent [`run_cell_in_obs`] per (scenario,
+    /// policy), bit for bit (`tests/shared_schedules.rs`).
+    ///
+    /// `fold` receives each run's scenario and full metrics as soon as
+    /// the run is attributed, on the worker that attributed it. Each
+    /// worker attributes into one reused outcome vector, so at most one
+    /// run's outcome records per worker are alive at a time; a fold
+    /// that keeps less than the full metrics bounds what the runs keep.
+    pub fn run_all<T: Send>(
         scenarios: &[Scenario],
         trace: &Trace,
         table: &PlacementTable,
-    ) -> Vec<ScenarioResults> {
+        fold: impl Fn(&Scenario, &RunMetrics) -> T + Sync,
+    ) -> Vec<ScenarioResults<T>> {
         // One entry per simulated schedule: the (scenario, policy) runs
         // it serves, the first of which simulates it, and the key of a
         // schedule that reads no charge.
@@ -140,27 +151,31 @@ impl Scenario {
                 scenario.config(scenario.policies[p]),
             )
         };
-        let attributed: Vec<Vec<RunMetrics>> = green_pool::map(&schedules, |_, runs| {
-            let mut arena = SimArena::new();
-            let counters = simulator(runs[0]).schedule_in(&mut arena, &NoopRecorder);
-            // Attribution reads only the finish log: free the rest of
-            // the arena first, so the outcome records can take its
-            // memory.
-            let finishes = std::mem::take(&mut arena.finishes);
-            drop(arena);
-            runs.iter()
-                .map(|&run| {
-                    simulator(run).attribute_in(&finishes, Vec::new(), counters, &NoopRecorder)
-                })
-                .collect()
-        });
-        let mut results: Vec<Vec<Option<RunMetrics>>> = scenarios
+        let folded: Vec<Vec<T>> =
+            green_pool::map_with(&schedules, |arena: &mut SimArena, _, runs| {
+                let counters = simulator(runs[0]).schedule_in(arena, &NoopRecorder);
+                runs.iter()
+                    .map(|&(s, p)| {
+                        let outcomes = std::mem::take(&mut arena.outcomes);
+                        let metrics = simulator((s, p)).attribute_in(
+                            &arena.finishes,
+                            outcomes,
+                            counters,
+                            &NoopRecorder,
+                        );
+                        let kept = fold(&scenarios[s], &metrics);
+                        arena.recycle(metrics);
+                        kept
+                    })
+                    .collect()
+            });
+        let mut results: Vec<Vec<Option<T>>> = scenarios
             .iter()
-            .map(|s| vec![None; s.policies.len()])
+            .map(|s| s.policies.iter().map(|_| None).collect())
             .collect();
-        for (runs, metrics) in schedules.iter().zip(attributed) {
-            for (&(s, p), m) in runs.iter().zip(metrics) {
-                results[s][p] = Some(m);
+        for (runs, kept) in schedules.iter().zip(folded) {
+            for (&(s, p), k) in runs.iter().zip(kept) {
+                results[s][p] = Some(k);
             }
         }
         scenarios
@@ -206,29 +221,29 @@ impl Scenario {
     /// Figure 7c: for each hour of day, the share of jobs whose cheapest
     /// (CBA) machine is each fleet machine, aggregated over `days` days
     /// and a job sample of `sample` jobs. Each machine is priced as the
-    /// simulator prices it, facility PUE included.
-    #[allow(clippy::needless_range_loop)]
+    /// simulator prices it, facility PUE included. Each hour's row holds
+    /// one share per fleet machine.
     pub fn cheapest_by_hour(
         &self,
         trace: &Trace,
         table: &PlacementTable,
         sample: usize,
         days: usize,
-    ) -> Vec<[f64; 4]> {
+    ) -> Vec<Vec<f64>> {
         let machines = MachineTable::new(&self.fleet, self.sim_year);
         let step = (trace.jobs.len() / sample.max(1)).max(1);
         let jobs: Vec<usize> = (0..trace.jobs.len()).step_by(step).collect();
-        let mut shares = vec![[0.0f64; 4]; 24];
+        let mut shares = Vec::with_capacity(24);
         for hour in 0..24 {
-            let mut counts = [0usize; 4];
+            let mut counts = vec![0usize; self.fleet.len()];
             for day in 0..days {
                 let at = TimePoint::from_hours((day * 24 + hour) as f64);
                 for &j in &jobs {
                     let job = &trace.jobs[j];
                     let mut best = None;
                     let mut best_cost = f64::INFINITY;
-                    for m in 0..self.fleet.len() {
-                        if self.fleet[m].per_user && job.cores > self.fleet[m].spec.cores {
+                    for (m, machine) in self.fleet.iter().enumerate() {
+                        if machine.per_user && job.cores > machine.spec.cores {
                             continue;
                         }
                         let provisioned = machines.provisioned(m, job.cores);
@@ -246,9 +261,12 @@ impl Scenario {
                 }
             }
             let total: usize = counts.iter().sum();
-            for m in 0..4 {
-                shares[hour][m] = counts[m] as f64 / total.max(1) as f64;
-            }
+            shares.push(
+                counts
+                    .iter()
+                    .map(|&count| count as f64 / total.max(1) as f64)
+                    .collect(),
+            );
         }
         shares
     }
@@ -294,13 +312,14 @@ struct ScheduleKey {
     backfill_depth: usize,
 }
 
-/// All policy runs of one scenario.
+/// All policy runs of one scenario, each as its fold kept it: the full
+/// [`RunMetrics`] unless [`Scenario::run_all`] was given another fold.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioResults {
+pub struct ScenarioResults<T = RunMetrics> {
     /// Scenario name.
     pub scenario: String,
-    /// One metrics record per policy, in scenario policy order.
-    pub runs: Vec<RunMetrics>,
+    /// One record per policy, in scenario policy order.
+    pub runs: Vec<T>,
 }
 
 impl ScenarioResults {
@@ -389,9 +408,36 @@ mod tests {
         let shares = scenario.cheapest_by_hour(&trace, &table, 100, 5);
         assert_eq!(shares.len(), 24);
         for row in &shares {
+            assert_eq!(row.len(), 4);
             let total: f64 = row.iter().sum();
             assert!((total - 1.0).abs() < 1e-9, "{row:?}");
         }
+    }
+
+    /// Figure 7c's rows hold one share per fleet machine, however many
+    /// the fleet has: a fifth machine, a copy of the Institutional
+    /// Cluster on its own wind grid, gets a column of its own.
+    #[test]
+    fn cheapest_by_hour_sizes_rows_by_the_fleet() {
+        let mut scenario = Scenario::low_carbon(7, 8);
+        let mut fifth = scenario.fleet[2].clone();
+        fifth.spec.facility.region = GridRegion::DkBornholm;
+        scenario
+            .intensity
+            .push(fifth.spec.facility.region.trace(11, 365));
+        scenario.fleet.push(fifth);
+        let (trace, table) = setup(&scenario);
+        let shares = scenario.cheapest_by_hour(&trace, &table, 100, 5);
+        assert_eq!(shares.len(), 24);
+        for row in &shares {
+            assert_eq!(row.len(), 5, "{row:?}");
+            let total: f64 = row.iter().sum();
+            assert!((total - 1.0).abs() < 1e-9, "{row:?}");
+        }
+        assert!(
+            shares.iter().any(|row| row[4] > 0.0),
+            "the fifth machine is never cheapest"
+        );
     }
 
     /// Figure 7c prices each machine as the simulator does, facility PUE
@@ -401,7 +447,7 @@ mod tests {
     fn cheapest_by_hour_prices_facility_pue() {
         let mut scenario = Scenario::low_carbon(7, 8);
         let (trace, table) = setup(&scenario);
-        let wins = |shares: &[[f64; 4]], m: usize| shares.iter().map(|h| h[m]).sum::<f64>();
+        let wins = |shares: &[Vec<f64>], m: usize| shares.iter().map(|h| h[m]).sum::<f64>();
         let before = scenario.cheapest_by_hour(&trace, &table, 100, 5);
         let top = (0..4)
             .max_by(|&a, &b| wins(&before, a).total_cmp(&wins(&before, b)))

@@ -33,7 +33,9 @@
 //! grid, and [`Scenario::run_all`] simulates such a schedule once and
 //! attributes it under each scenario that runs the policy: the paper's
 //! 18 policy runs take 12 simulated schedules, bit-identical to 18
-//! independent runs.
+//! independent runs. `run_all` hands each run to the caller's fold as
+//! soon as it is attributed, so a caller that keeps only what its
+//! figures read never holds every run's outcome records at once.
 //!
 //! # Example
 //!

@@ -1,7 +1,12 @@
-//! Per-run metrics: everything Figures 5–7 and Table 6 are built from.
+//! Per-run metrics: everything Figures 5–7 and Table 6 are built from,
+//! and the reductions the figures take of a run. Each reduction has one
+//! implementation here, which [`RunMetrics`] and any smaller record of a
+//! run kept in its place (`green_bench`'s folded runs) both call.
 
 /// Index into [`JobOutcome::charges`], matching `MethodKind::ALL` order.
 pub mod cost {
+    use green_accounting::MethodKind;
+
     /// Runtime (core-seconds).
     pub const RUNTIME: usize = 0;
     /// Energy (joules).
@@ -12,6 +17,17 @@ pub mod cost {
     pub const EBA: usize = 3;
     /// CBA (grams CO2e).
     pub const CBA: usize = 4;
+
+    /// The index of `method`'s charge.
+    pub fn of(method: MethodKind) -> usize {
+        match method {
+            MethodKind::Runtime => RUNTIME,
+            MethodKind::Energy => ENERGY,
+            MethodKind::Peak => PEAK,
+            MethodKind::Eba { .. } => EBA,
+            MethodKind::Cba => CBA,
+        }
+    }
 }
 
 /// The record of one completed job.
@@ -48,6 +64,159 @@ impl JobOutcome {
     pub fn wait_s(&self) -> f64 {
         self.start_s - self.arrival_s
     }
+
+    /// What the fixed-allocation walk reads of this job when the
+    /// allocation is priced under method `kind` (`cost::*` index).
+    pub fn charged(&self, kind: usize) -> ChargedJob {
+        ChargedJob {
+            arrival_s: self.arrival_s,
+            charge: self.charges[kind],
+            work_core_hours: self.work_core_hours,
+        }
+    }
+
+    /// Completion time in hours, as Figure 5b's curve counts it.
+    pub fn end_hours(&self) -> f64 {
+        self.end_s / 3600.0
+    }
+}
+
+/// One completed job as the fixed-allocation walk reads it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChargedJob {
+    /// Submission time (seconds).
+    pub arrival_s: f64,
+    /// Charge under the allocation's method.
+    pub charge: f64,
+    /// Machine-neutral work (core-hours).
+    pub work_core_hours: f64,
+}
+
+/// A run's sums over its completed jobs, each taken in log order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Totals {
+    /// Energy consumed (kWh).
+    pub energy_kwh: f64,
+    /// Operational carbon (grams).
+    pub op_carbon_g: f64,
+    /// Attributed carbon (grams).
+    pub attributed_g: f64,
+    /// Charges under all five methods (`cost::*` indices).
+    pub charges: [f64; 5],
+    /// Machine-neutral work (core-hours).
+    pub work_core_hours: f64,
+}
+
+/// The totals of no jobs. Each sum starts where `Iterator::sum` starts,
+/// so adding a run's jobs in log order gives each field the bits of
+/// summing its column alone.
+impl Default for Totals {
+    fn default() -> Totals {
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        Totals {
+            energy_kwh: zero,
+            op_carbon_g: zero,
+            attributed_g: zero,
+            charges: [zero; 5],
+            work_core_hours: zero,
+        }
+    }
+}
+
+impl Totals {
+    /// Sums every column of `outcomes` in one pass, in log order.
+    pub fn of(outcomes: &[JobOutcome]) -> Totals {
+        let mut totals = Totals::default();
+        for o in outcomes {
+            totals.add(o);
+        }
+        totals
+    }
+
+    /// Adds one completed job, after every job before it in log order.
+    pub fn add(&mut self, o: &JobOutcome) {
+        self.energy_kwh += o.energy_kwh;
+        self.op_carbon_g += o.op_carbon_g;
+        self.attributed_g += o.attributed_g;
+        for (sum, charge) in self.charges.iter_mut().zip(o.charges) {
+            *sum += charge;
+        }
+        self.work_core_hours += o.work_core_hours;
+    }
+
+    /// Total energy in MWh (the unit of Table 6).
+    pub fn energy_mwh(&self) -> f64 {
+        self.energy_kwh / 1_000.0
+    }
+
+    /// Total operational carbon in kgCO2e.
+    pub fn operational_carbon_kg(&self) -> f64 {
+        self.op_carbon_g / 1_000.0
+    }
+
+    /// Total attributed carbon (operational + embodied) in kgCO2e.
+    pub fn attributed_carbon_kg(&self) -> f64 {
+        self.attributed_g / 1_000.0
+    }
+}
+
+/// The fixed-allocation comparison of Figures 5a/6/7a: walk `jobs`
+/// (given in log order) in arrival order, spend the allocation, and
+/// report the work completed before it runs out. Jobs that arrive
+/// together are walked in log order.
+pub fn work_within_allocation(jobs: impl IntoIterator<Item = ChargedJob>, allocation: f64) -> f64 {
+    // Sort packed (arrival key, log position, charge, work) records: the
+    // key orders as `f64::total_cmp` does, and the position breaks ties,
+    // so an unstable sort gives exactly a stable sort's order.
+    let mut order: Vec<(u128, f64, f64)> = jobs
+        .into_iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let key = ((total_order_key(job.arrival_s) as u128) << 64) | i as u128;
+            (key, job.charge, job.work_core_hours)
+        })
+        .collect();
+    order.sort_unstable_by_key(|&(key, _, _)| key);
+    let mut spent = 0.0;
+    let mut work = 0.0;
+    // Relative slack: summation order differs from the total-cost
+    // computation, so exact budgets can miss by one ULP-scale error.
+    let budget = allocation * (1.0 + 1e-12) + 1e-9;
+    for (_, charge, job_work) in order {
+        if spent + charge > budget {
+            break;
+        }
+        spent += charge;
+        work += job_work;
+    }
+    work
+}
+
+/// Jobs completed over time (Figure 5b): cumulative counts of the
+/// completion hours `ends` ([`JobOutcome::end_hours`]), sampled every
+/// `bucket_hours`.
+pub fn finished_curve(ends: impl IntoIterator<Item = f64>, bucket_hours: f64) -> Vec<(f64, usize)> {
+    let mut ends: Vec<f64> = ends.into_iter().collect();
+    ends.sort_by(f64::total_cmp);
+    let Some(&last) = ends.last() else {
+        return Vec::new();
+    };
+    let buckets = (last / bucket_hours).ceil() as usize + 1;
+    let mut curve = Vec::with_capacity(buckets);
+    let mut done = 0usize;
+    for b in 0..buckets {
+        let t = b as f64 * bucket_hours;
+        while done < ends.len() && ends[done] <= t {
+            done += 1;
+        }
+        curve.push((t, done));
+    }
+    curve
+}
+
+/// Counts `o` in `counts`, the jobs per fleet machine (Figure 5c).
+pub fn count_machine(counts: &mut [usize], o: &JobOutcome) {
+    counts[o.machine as usize] += 1;
 }
 
 /// An unsigned key that orders as [`f64::total_cmp`] orders: negative
@@ -81,92 +250,56 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// Every total of the run, summed in one pass.
+    pub fn totals(&self) -> Totals {
+        Totals::of(&self.outcomes)
+    }
+
     /// Total energy in MWh (the unit of Table 6).
     pub fn total_energy_mwh(&self) -> f64 {
-        self.outcomes.iter().map(|o| o.energy_kwh).sum::<f64>() / 1_000.0
+        self.totals().energy_mwh()
     }
 
     /// Total operational carbon in kgCO2e.
     pub fn operational_carbon_kg(&self) -> f64 {
-        self.outcomes.iter().map(|o| o.op_carbon_g).sum::<f64>() / 1_000.0
+        self.totals().operational_carbon_kg()
     }
 
     /// Total attributed carbon (operational + embodied) in kgCO2e.
     pub fn attributed_carbon_kg(&self) -> f64 {
-        self.outcomes.iter().map(|o| o.attributed_g).sum::<f64>() / 1_000.0
+        self.totals().attributed_carbon_kg()
     }
 
     /// Total charge under one method (`cost::*` index).
     pub fn total_cost(&self, kind: usize) -> f64 {
-        self.outcomes.iter().map(|o| o.charges[kind]).sum()
+        self.totals().charges[kind]
     }
 
     /// Total machine-neutral work in core-hours.
     pub fn total_work(&self) -> f64 {
-        self.outcomes.iter().map(|o| o.work_core_hours).sum()
+        self.totals().work_core_hours
     }
 
-    /// The fixed-allocation comparison of Figures 5a/6/7a: walk jobs in
-    /// arrival order, spend the allocation, and report the work completed
-    /// before it runs out. Jobs that arrive together are walked in log
-    /// order.
+    /// [`work_within_allocation`] over this run, priced under method
+    /// `kind`.
     pub fn work_within_allocation(&self, allocation: f64, kind: usize) -> f64 {
-        // Sort packed (arrival key, log position, charge, work) records
-        // rather than references into the outcomes: the key orders as
-        // `f64::total_cmp` does, and the position breaks ties, so an
-        // unstable sort gives exactly a stable sort's order.
-        let mut order: Vec<(u128, f64, f64)> = self
-            .outcomes
-            .iter()
-            .enumerate()
-            .map(|(i, o)| {
-                let key = ((total_order_key(o.arrival_s) as u128) << 64) | i as u128;
-                (key, o.charges[kind], o.work_core_hours)
-            })
-            .collect();
-        order.sort_unstable_by_key(|&(key, _, _)| key);
-        let mut spent = 0.0;
-        let mut work = 0.0;
-        // Relative slack: summation order differs from the total-cost
-        // computation, so exact budgets can miss by one ULP-scale error.
-        let budget = allocation * (1.0 + 1e-12) + 1e-9;
-        for (_, charge, job_work) in order {
-            if spent + charge > budget {
-                break;
-            }
-            spent += charge;
-            work += job_work;
-        }
-        work
+        work_within_allocation(self.outcomes.iter().map(|o| o.charged(kind)), allocation)
     }
 
     /// Jobs completed over time: cumulative counts sampled every
     /// `bucket_hours` (Figure 5b).
     pub fn jobs_finished_curve(&self, bucket_hours: f64) -> Vec<(f64, usize)> {
-        if self.outcomes.is_empty() {
-            return Vec::new();
-        }
-        let mut ends: Vec<f64> = self.outcomes.iter().map(|o| o.end_s / 3600.0).collect();
-        ends.sort_by(f64::total_cmp);
-        let last = *ends.last().expect("non-empty");
-        let buckets = (last / bucket_hours).ceil() as usize + 1;
-        let mut curve = Vec::with_capacity(buckets);
-        let mut done = 0usize;
-        for b in 0..buckets {
-            let t = b as f64 * bucket_hours;
-            while done < ends.len() && ends[done] <= t {
-                done += 1;
-            }
-            curve.push((t, done));
-        }
-        curve
+        finished_curve(
+            self.outcomes.iter().map(JobOutcome::end_hours),
+            bucket_hours,
+        )
     }
 
     /// Jobs per machine (Figure 5c).
     pub fn machine_distribution(&self, machines: usize) -> Vec<usize> {
         let mut counts = vec![0usize; machines];
         for o in &self.outcomes {
-            counts[o.machine as usize] += 1;
+            count_machine(&mut counts, o);
         }
         counts
     }

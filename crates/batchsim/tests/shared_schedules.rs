@@ -90,7 +90,7 @@ fn check(config: TraceConfig, users: u32) {
         Scenario::cba(seed, users),
         Scenario::low_carbon(seed, users),
     ];
-    let shared = Scenario::run_all(&scenarios, &trace, &table);
+    let shared = Scenario::run_all(&scenarios, &trace, &table, |_, run| run.clone());
     assert_eq!(shared.len(), scenarios.len());
     let runs: Vec<(usize, usize)> = scenarios
         .iter()

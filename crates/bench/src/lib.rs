@@ -12,4 +12,4 @@ pub mod perf;
 pub mod render;
 
 pub use experiments::simulation::{SimArtifacts, SimScale};
-pub use perf::{peak_rss_mb, reset_peak_rss, Comparison, PerfBench, PerfReport};
+pub use perf::{peak_rss_mb, reset_peak_rss, Comparison, Host, PerfBench, PerfReport};

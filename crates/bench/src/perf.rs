@@ -92,9 +92,66 @@ pub fn reset_peak_rss() -> bool {
     }
 }
 
+/// What a report ran on, so a single-core or heavily stolen run is never
+/// read as a scaling result or a regression.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Host {
+    /// Cores this process may run on.
+    pub cores: usize,
+    /// Share of all CPU time the hypervisor stole while the suite ran
+    /// (`/proc/stat`); `None` where that file is unreadable.
+    pub steal_share: Option<f64>,
+}
+
+impl Host {
+    /// Runs `suite` and records the host it ran on.
+    pub fn during<T>(suite: impl FnOnce() -> T) -> (T, Host) {
+        let before = cpu_ticks();
+        let result = suite();
+        let steal_share = before
+            .zip(cpu_ticks())
+            .map(|((total0, steal0), (total, steal))| {
+                let total = total.saturating_sub(total0);
+                if total == 0 {
+                    0.0
+                } else {
+                    steal.saturating_sub(steal0) as f64 / total as f64
+                }
+            });
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        (result, Host { cores, steal_share })
+    }
+}
+
+impl std::fmt::Display for Host {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.steal_share {
+            Some(steal) => write!(f, "{} cores, {:.1} % CPU steal", self.cores, 100.0 * steal),
+            None => write!(f, "{} cores, CPU steal unknown", self.cores),
+        }
+    }
+}
+
+/// All and stolen CPU ticks from the aggregate `cpu` line of
+/// `/proc/stat` (`cpu user nice system idle iowait irq softirq steal
+/// …`); `None` where the file is unreadable.
+fn cpu_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let line = stat.lines().next()?.strip_prefix("cpu ")?;
+    let ticks: Vec<u64> = line
+        .split_whitespace()
+        .take(8)
+        .map(|v| v.parse().ok())
+        .collect::<Option<_>>()?;
+    Some((ticks.iter().sum(), *ticks.get(7)?))
+}
+
 /// A full perf-suite report.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PerfReport {
+    /// The host the suite ran on; `None` in reports written before
+    /// reports recorded it.
+    pub host: Option<Host>,
     /// One entry per bench, in suite order.
     pub benches: Vec<PerfBench>,
 }
@@ -128,7 +185,15 @@ impl PerfReport {
 
     /// Serializes the report as stable, diff-friendly JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"green-perf/1\",\n  \"benches\": {\n");
+        let mut out = String::from("{\n  \"schema\": \"green-perf/1\",\n");
+        if let Some(host) = &self.host {
+            let steal = host
+                .steal_share
+                .map(|v| format!(", \"steal_share\": {v:.4}"))
+                .unwrap_or_default();
+            let _ = writeln!(out, "  \"host\": {{\"cores\": {}{steal}}},", host.cores);
+        }
+        out.push_str("  \"benches\": {\n");
         for (i, bench) in self.benches.iter().enumerate() {
             let _ = writeln!(out, "    {}: {{", quote(&bench.name));
             let _ = writeln!(out, "      \"wall_ms\": {},", fmt_num(bench.wall_ms));
@@ -155,12 +220,28 @@ impl PerfReport {
     /// (or hand-edited to the same flat schema).
     pub fn parse(text: &str) -> Result<PerfReport, String> {
         let root = Json::parse(text)?;
+        let host = match root.get("host") {
+            None => None,
+            Some(host) => {
+                let number = |key: &str| host.get(key).and_then(Json::as_number);
+                let cores = number("cores")
+                    .filter(|n| *n >= 1.0 && n.fract() == 0.0)
+                    .ok_or("`host.cores` must be a positive integer")?;
+                Some(Host {
+                    cores: cores as usize,
+                    steal_share: number("steal_share"),
+                })
+            }
+        };
         let benches = root
             .get("benches")
             .ok_or("missing `benches` object")?
             .as_object()
             .ok_or("`benches` must be an object")?;
-        let mut report = PerfReport::default();
+        let mut report = PerfReport {
+            host,
+            benches: Vec::new(),
+        };
         for (name, body) in benches {
             let body = body.as_object().ok_or("bench body must be an object")?;
             let wall_ms = body
@@ -289,6 +370,17 @@ impl PerfReport {
         cmp
     }
 
+    /// The hosts of this run and of `baseline`, one line, for the head
+    /// of the drift table.
+    pub fn host_summary(&self, baseline: &PerfReport) -> String {
+        let describe = |host: Option<Host>| host.map_or("not recorded".into(), |h| h.to_string());
+        format!(
+            "Host: {} (baseline: {})",
+            describe(self.host),
+            describe(baseline.host)
+        )
+    }
+
     /// Renders the comparison against `baseline` as a GitHub-flavoured
     /// markdown drift table — one row per (bench, metric) with its
     /// baseline value, current value, relative drift, and verdict.
@@ -409,6 +501,7 @@ mod tests {
 
     fn report() -> PerfReport {
         PerfReport {
+            host: None,
             benches: vec![
                 PerfBench {
                     name: "sim_year".into(),
@@ -443,6 +536,56 @@ mod tests {
         // where it was unavailable.
         assert_eq!(parsed.bench("sim_year").unwrap().peak_rss_mb, Some(512.25));
         assert_eq!(parsed.bench("sweep_grid").unwrap().peak_rss_mb, None);
+    }
+
+    /// The host record roundtrips, with or without a steal share, and a
+    /// report without one (every baseline before it) parses to `None`
+    /// and writes no `host` object.
+    #[test]
+    fn host_roundtrips_and_stays_optional() {
+        for steal_share in [Some(0.0123), None] {
+            let mut r = report();
+            r.host = Some(Host {
+                cores: 2,
+                steal_share,
+            });
+            let parsed = PerfReport::parse(&r.to_json()).expect("own output parses");
+            assert_eq!(parsed, r);
+        }
+        let r = report();
+        assert!(!r.to_json().contains("\"host\""));
+        assert_eq!(PerfReport::parse(&r.to_json()).unwrap().host, None);
+        assert!(PerfReport::parse("{\"host\": {\"cores\": 0}, \"benches\": {}}").is_err());
+        let mut current = report();
+        current.host = Some(Host {
+            cores: 2,
+            steal_share: Some(0.05),
+        });
+        assert_eq!(
+            current.host_summary(&report()),
+            "Host: 2 cores, 5.0 % CPU steal (baseline: not recorded)"
+        );
+    }
+
+    /// The committed baseline predates the host record and still parses.
+    #[test]
+    fn baseline_without_a_host_parses() {
+        let baseline = PerfReport::parse(include_str!("../../../BENCH_11.json")).unwrap();
+        assert_eq!(baseline.host, None);
+        assert!(!baseline.benches.is_empty());
+    }
+
+    /// `Host::during` records this process's cores and, where
+    /// `/proc/stat` is readable, a steal share between 0 and 1.
+    #[test]
+    fn host_during_records_cores_and_steal() {
+        let (value, host) = Host::during(|| 41 + 1);
+        assert_eq!(value, 42);
+        assert!(host.cores >= 1);
+        if let Some(steal) = host.steal_share {
+            assert!((0.0..=1.0).contains(&steal), "{steal}");
+        }
+        assert_eq!(cpu_ticks().is_some(), host.steal_share.is_some());
     }
 
     #[test]

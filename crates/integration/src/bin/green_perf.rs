@@ -62,6 +62,14 @@
 //! stopped sharing — show in the committed baseline. RSS and wall time
 //! are warn-only.
 //!
+//! The report also records the host it ran on (`host`: the cores this
+//! process may use and the share of CPU time stolen while the suite
+//! ran, from `/proc/stat` where readable), and the drift table's header
+//! names both runs' hosts, so a single-core or heavily stolen run is not
+//! read as a scaling result. A baseline written before the host record
+//! (`BENCH_11.json`) parses with the host unrecorded; no counter reads
+//! it.
+//!
 //! The `release_work` counter (scheduler release-list entries examined
 //! by backfill reservations) is a deliberate **tripwire**: on every
 //! gated grid the binding constraint is the paper's
@@ -85,7 +93,7 @@
 use std::time::Instant;
 
 use green_batchsim::{intensity_for, run_cell_in_obs, PlacementTable, Policy, SimArena, SimConfig};
-use green_bench::{peak_rss_mb, reset_peak_rss, PerfBench, PerfReport};
+use green_bench::{peak_rss_mb, reset_peak_rss, Host, PerfBench, PerfReport};
 use green_carbon::HourlyTrace;
 use green_chaos::{ChaosRegistry, NoopChaos};
 use green_machines::simulation_fleet;
@@ -683,8 +691,8 @@ fn main() {
     // With --phases each bench gets its own recorder (so counters and
     // phase times attribute per bench); the default path hands every
     // bench the no-op recorder, whose probes compile to nothing.
-    let mut benches: Vec<PerfBench> = Vec::new();
-    {
+    let (benches, host) = Host::during(|| {
+        let mut benches: Vec<PerfBench> = Vec::new();
         // Only reached when `phases` is set: each recorded bench gets
         // its own recorder so counters and phase times attribute to it.
         let rec = |bench: fn(&StatsRecorder) -> PerfBench| {
@@ -728,15 +736,20 @@ fn main() {
         }
         benches.extend(scaling_ladder("paper", bench_scaling_paper, want));
         benches.extend(scaling_ladder("mega", bench_scaling_mega, want));
-    }
+        benches
+    });
     if benches.is_empty() {
         fail(&format!(
             "--only `{}` matched no bench",
             only.as_deref().unwrap_or_default()
         ));
     }
-    let report = PerfReport { benches };
+    let report = PerfReport {
+        host: Some(host),
+        benches,
+    };
     if !quiet {
+        eprintln!("host: {host}");
         for bench in &report.benches {
             let rates: Vec<String> = bench
                 .rates
@@ -766,7 +779,8 @@ fn main() {
         let cmp = report.compare(&baseline, tolerance, wall_tolerance);
         if let Some(summary_path) = summary {
             let table = format!(
-                "## green-perf drift vs `{path}`\n\n{}\n",
+                "## green-perf drift vs `{path}`\n\n{}\n\n{}\n",
+                report.host_summary(&baseline),
                 report.markdown_table(&baseline, tolerance, wall_tolerance)
             );
             use std::io::Write as _;

@@ -6,7 +6,8 @@
 //! order-preserving parallel map on it: each result lands in the slot
 //! of its input's index, so the output order equals the input order
 //! whatever the workers' interleaving, the property the simulator's
-//! determinism tests assert.
+//! determinism tests assert. [`map_with`] is the same map with a
+//! per-worker state.
 //!
 //! [`map`] runs `RAYON_NUM_THREADS` workers when that variable holds a
 //! positive integer (the benchmark sets it to 2), else one per available
@@ -18,18 +19,28 @@ use std::sync::{Mutex, PoisonError};
 /// Maps `f` over `(index, item)` pairs in parallel and returns the
 /// results in input order.
 pub fn map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
+    map_with(items, |(), i, item| f(i, item))
+}
+
+/// [`map`] with a per-worker state: each worker builds one `S` as
+/// [`claim_each`] does and hands it to every item it maps, so a buffer
+/// kept there is reused across that worker's items.
+pub fn map_with<S: Default, T: Sync, R: Send>(
+    items: &[T],
+    f: impl Fn(&mut S, usize, &T) -> R + Sync,
+) -> Vec<R> {
     map_on(workers(), items, f)
 }
 
-/// [`map`] on up to `threads` workers.
-fn map_on<T: Sync, R: Send>(
+/// [`map_with`] on up to `threads` workers.
+fn map_on<S: Default, T: Sync, R: Send>(
     threads: usize,
     items: &[T],
-    f: impl Fn(usize, &T) -> R + Sync,
+    f: impl Fn(&mut S, usize, &T) -> R + Sync,
 ) -> Vec<R> {
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    claim_each(threads, items.len(), |(), i| {
-        let result = f(i, &items[i]);
+    claim_each(threads, items.len(), |state, i| {
+        let result = f(state, i, &items[i]);
         *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
     });
     slots
@@ -106,7 +117,7 @@ mod tests {
     fn preserves_input_order() {
         let input: Vec<u64> = (0..1_000).collect();
         for threads in [1, 2, 8] {
-            let out = map_on(threads, &input, |i, x| (i as u64, x * 2));
+            let out = map_on(threads, &input, |(), i, x| (i as u64, x * 2));
             assert_eq!(out, (0..1_000).map(|x| (x, x * 2)).collect::<Vec<_>>());
         }
     }
@@ -114,9 +125,28 @@ mod tests {
     #[test]
     fn works_on_empty_and_single() {
         for threads in [1, 2] {
-            let out = map_on(threads, &Vec::<u32>::new(), |_, x| *x);
+            let out = map_on(threads, &Vec::<u32>::new(), |(), _, x| *x);
             assert!(out.is_empty());
-            assert_eq!(map_on(threads, &[41u32], |_, x| x + 1), vec![42]);
+            assert_eq!(map_on(threads, &[41u32], |(), _, x| x + 1), vec![42]);
+        }
+    }
+
+    /// A worker's state outlives each item: the items a worker maps see
+    /// its count grow, and only a worker's first item sees a fresh one.
+    #[test]
+    fn map_with_keeps_each_workers_state() {
+        let input: Vec<u64> = (0..100).collect();
+        for threads in [1, 2, 8] {
+            let out = map_on(threads, &input, |seen: &mut usize, _, x| {
+                *seen += 1;
+                (*x, *seen)
+            });
+            assert!(out.iter().map(|r| r.0).eq(0..100), "{threads} workers");
+            let fresh = out.iter().filter(|r| r.1 == 1).count();
+            assert!((1..=threads).contains(&fresh), "{threads} workers");
+            if threads == 1 {
+                assert!(out.iter().map(|r| r.1).eq(1..=100));
+            }
         }
     }
 
@@ -161,7 +191,7 @@ mod tests {
         let items: Vec<u32> = (0..100).collect();
         for threads in [1, 2, 8] {
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                map_on(threads, &items, |i, x| {
+                map_on(threads, &items, |(), i, x| {
                     assert_ne!(i, 37, "task 37 fails");
                     *x
                 })

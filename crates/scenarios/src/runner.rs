@@ -103,16 +103,17 @@ impl CellMetrics {
         } else {
             0.0
         };
+        let totals = metrics.totals();
         CellMetrics {
             completed: metrics.outcomes.len(),
             rejected: metrics.rejected,
-            energy_mwh: metrics.total_energy_mwh(),
-            op_carbon_kg: metrics.operational_carbon_kg(),
-            attr_carbon_kg: metrics.attributed_carbon_kg(),
-            credits: metrics.total_cost(spec.method.cost_index()),
+            energy_mwh: totals.energy_mwh(),
+            op_carbon_kg: totals.operational_carbon_kg(),
+            attr_carbon_kg: totals.attributed_carbon_kg(),
+            credits: totals.charges[spec.method.cost_index()],
             mean_wait_h: metrics.mean_wait_hours(),
             makespan_h,
-            work_core_h: metrics.total_work(),
+            work_core_h: totals.work_core_hours,
             utilization,
             posted_credits: 0.0,
             banked_credits: 0.0,

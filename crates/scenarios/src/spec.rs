@@ -154,13 +154,7 @@ impl MethodSpec {
 
     /// Index into `JobOutcome::charges` for this method.
     pub fn cost_index(self) -> usize {
-        match self {
-            MethodSpec::Runtime => cost::RUNTIME,
-            MethodSpec::Energy => cost::ENERGY,
-            MethodSpec::Peak => cost::PEAK,
-            MethodSpec::Eba => cost::EBA,
-            MethodSpec::Cba => cost::CBA,
-        }
+        cost::of(self.to_method())
     }
 
     /// Stable label used in CSV/table output.
