@@ -281,7 +281,9 @@ impl PerfReport {
 
     /// Gates `self` (the current run) against `baseline`: every baseline
     /// counter must stay within `tolerance` (relative, e.g. `0.2` =
-    /// ±20 %); wall time beyond `wall_tolerance` only warns.
+    /// ±20 %), and every bench and counter the run reports must be in
+    /// the baseline, so nothing the run measures goes ungated; wall
+    /// time beyond `wall_tolerance` only warns.
     pub fn compare(
         &self,
         baseline: &PerfReport,
@@ -289,6 +291,20 @@ impl PerfReport {
         wall_tolerance: f64,
     ) -> Comparison {
         let mut cmp = Comparison::default();
+        for (bench, counter) in self.unbaselined(baseline) {
+            let (failure, metric) = match counter {
+                Some(counter) => (
+                    format!("{bench}: counter `{counter}` missing from the baseline"),
+                    format!("{bench}.{counter}"),
+                ),
+                None => (
+                    format!("bench `{bench}` missing from the baseline"),
+                    bench.to_string(),
+                ),
+            };
+            cmp.failures.push(failure);
+            cmp.failed_counters.push(metric);
+        }
         for base in &baseline.benches {
             let Some(current) = self.bench(&base.name) else {
                 cmp.failures.push(format!(
@@ -370,6 +386,25 @@ impl PerfReport {
         cmp
     }
 
+    /// What this run reports that `baseline` lacks: a whole bench as
+    /// `(bench, None)`, a counter of a baselined bench as
+    /// `(bench, Some(counter))`.
+    fn unbaselined<'r>(&'r self, baseline: &PerfReport) -> Vec<(&'r str, Option<&'r str>)> {
+        let mut missing = Vec::new();
+        for bench in &self.benches {
+            let Some(base) = baseline.bench(&bench.name) else {
+                missing.push((bench.name.as_str(), None));
+                continue;
+            };
+            for (counter, _) in &bench.counters {
+                if !base.counters.iter().any(|(k, _)| k == counter) {
+                    missing.push((bench.name.as_str(), Some(counter.as_str())));
+                }
+            }
+        }
+        missing
+    }
+
     /// The hosts of this run and of `baseline`, one line, for the head
     /// of the drift table.
     pub fn host_summary(&self, baseline: &PerfReport) -> String {
@@ -421,6 +456,21 @@ impl PerfReport {
                     100.0 * signed_drift,
                 );
             };
+        for (bench, counter) in self.unbaselined(baseline) {
+            let _ = match counter {
+                Some(counter) => writeln!(
+                    out,
+                    "| {} | {} | — | — | — | **FAIL** (counter missing from baseline) |",
+                    escape_cell(bench),
+                    escape_cell(counter)
+                ),
+                None => writeln!(
+                    out,
+                    "| {} | — | — | — | — | **FAIL** (bench missing from baseline) |",
+                    escape_cell(bench)
+                ),
+            };
+        }
         for base in &baseline.benches {
             let Some(current) = self.bench(&base.name) else {
                 let _ = writeln!(
@@ -734,6 +784,34 @@ mod tests {
         let current = PerfReport::default();
         let cmp = current.compare(&report(), 0.2, 0.5);
         assert_eq!(cmp.failures.len(), 2);
+    }
+
+    #[test]
+    fn a_bench_or_counter_missing_from_the_baseline_fails() {
+        let mut baseline = report();
+        baseline.benches[0].counters.remove(0);
+        let cmp = report().compare(&baseline, 0.2, 0.5);
+        assert!(!cmp.passed(), "an ungated counter must fail");
+        assert_eq!(cmp.failed_counters, ["sim_year.events"]);
+        assert!(
+            cmp.failures[0].contains("missing from the baseline"),
+            "{:?}",
+            cmp.failures
+        );
+
+        let mut baseline = report();
+        baseline.benches.remove(1);
+        let cmp = report().compare(&baseline, 0.2, 0.5);
+        assert!(!cmp.passed(), "an ungated bench must fail");
+        assert_eq!(cmp.failed_counters, ["sweep_grid"]);
+
+        let table = report().markdown_table(&baseline, 0.2, 0.5);
+        assert!(
+            table.contains(
+                "| sweep_grid | — | — | — | — | **FAIL** (bench missing from baseline) |"
+            ),
+            "{table}"
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! **green-chaos**: zero-cost-when-disabled deterministic failpoints.
+//! **green-chaos**: deterministic failpoints for every durable write.
 //!
 //! The sweep stack's durability story — checkpointed shard fragments,
 //! atomic sidecar rewrites, an append-only orchestrator event log —
@@ -12,19 +12,20 @@
 //!   error text, the crash-matrix test harness and
 //!   `docs/robustness.md`, and `tools/check_docs.sh` fails on an
 //!   undocumented one.
-//! * [`Chaos`] — the statically dispatched trigger sink, the same
-//!   shape as `green-obs`'s `Recorder`: instrumented code is generic
-//!   over `C: Chaos` and guards every probe with `C::ENABLED`, so the
-//!   default [`NoopChaos`] (`ENABLED = false`) monomorphizes every
-//!   probe to *nothing* — no atomics, no branches, no clock reads. The
-//!   `chaos_noop` bench in `green-perf` gates that claim.
-//! * [`ChaosRegistry`] — the enabled implementation: a list of
+//! * [`ChaosRegistry`] — the one failure-injection handle: a list of
 //!   compiled [`ChaosRule`]s parsed from the spec grammar
-//!   (`--chaos <spec>` / `SCENARIOS_CHAOS`). Triggers are
-//!   deterministic: *fail the Nth hit* (`hit:N`, counted per process
-//!   per failpoint) or *fail with probability p* (`p:P[:SEED]`) drawn
-//!   from a named SplitMix64 stream keyed by the failpoint name — the
-//!   same seed always tears the same writes.
+//!   (`--chaos <spec>` / `SCENARIOS_CHAOS`, both read by
+//!   [`ChaosRegistry::from_flag_and_env`]). Every writer takes a
+//!   `&ChaosRegistry`; [`NO_CHAOS`], the registry with no rules, is the
+//!   disarmed handle, whose probes scan an empty rule list and proceed.
+//!   Triggers are deterministic: *fail the Nth hit* (`hit:N`, counted
+//!   per process per failpoint) or *fail with probability p*
+//!   (`p:P[:SEED]`) drawn from a named SplitMix64 stream keyed by the
+//!   failpoint name — the same seed always tears the same writes.
+//!
+//! Probes sit at durable writes, never in the per-cell loop: a shard
+//! probes twice per CSV row (its commit and its fragment write) and
+//! twice per checkpoint, and a merge once per shard body.
 //!
 //! # Spec grammar
 //!
@@ -263,38 +264,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The statically dispatched failpoint sink.
-///
-/// Probe sites are generic over `C: Chaos` and guard every hit with
-/// `C::ENABLED` (usually via [`probe`]), so the disabled impl compiles
-/// to exactly the unprobed code.
-pub trait Chaos: Sync {
-    /// Whether any probe can fire. `false` lets the compiler delete
-    /// probes wholesale; implementations other than [`NoopChaos`]
-    /// should leave it `true`.
-    const ENABLED: bool = true;
-
-    /// Registers one hit of `fp` and returns the fault to inject, if
-    /// any. Delay rules sleep in here and are never returned.
-    fn hit(&self, fp: Failpoint) -> ChaosAction;
-}
-
-/// The disabled sink: [`Chaos::ENABLED`] is `false` and [`Chaos::hit`]
-/// is an empty inline stub, so probed generics monomorphize to exactly
-/// the unprobed code.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopChaos;
-
-impl Chaos for NoopChaos {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn hit(&self, _fp: Failpoint) -> ChaosAction {
-        ChaosAction::Proceed
-    }
-}
-
-/// The enabled sink: compiled rules from a `--chaos` /
+/// The failure-injection handle: compiled rules from a `--chaos` /
 /// `SCENARIOS_CHAOS` spec. First fault rule to fire on a hit wins;
 /// delay rules sleep and keep evaluating.
 #[derive(Debug, Default)]
@@ -302,9 +272,13 @@ pub struct ChaosRegistry {
     rules: Vec<ChaosRule>,
 }
 
+/// The disarmed handle: a registry with no rules, for writers that arm
+/// nothing.
+pub static NO_CHAOS: ChaosRegistry = ChaosRegistry { rules: Vec::new() };
+
 impl ChaosRegistry {
     /// Compiles a spec (see the crate docs for the grammar). The empty
-    /// spec compiles to a registry with no rules — enabled but inert.
+    /// spec compiles to a registry with no rules, which never fires.
     pub fn from_spec(spec: &str) -> Result<ChaosRegistry, ChaosError> {
         let mut rules = Vec::new();
         for rule in spec.split(';').map(str::trim).filter(|r| !r.is_empty()) {
@@ -313,15 +287,21 @@ impl ChaosRegistry {
         Ok(ChaosRegistry { rules })
     }
 
-    /// The registry configured by the `SCENARIOS_CHAOS` environment
-    /// variable; `None` when unset or empty. A malformed spec is an
-    /// error, not silence — a chaos run that silently injects nothing
-    /// would report fault tolerance it never tested.
-    pub fn from_env() -> Result<Option<ChaosRegistry>, ChaosError> {
-        match std::env::var("SCENARIOS_CHAOS") {
-            Ok(spec) if !spec.trim().is_empty() => ChaosRegistry::from_spec(&spec).map(Some),
-            _ => Ok(None),
-        }
+    /// One invocation's registry: the rules of the `--chaos` flag's
+    /// `spec`, then those of the `SCENARIOS_CHAOS` environment
+    /// variable. Either may be absent or empty. A malformed spec from
+    /// either source is an error, not silence — a chaos run that
+    /// silently injects nothing would report fault tolerance it never
+    /// tested.
+    pub fn from_flag_and_env(spec: Option<&str>) -> Result<ChaosRegistry, ChaosError> {
+        let env = match std::env::var("SCENARIOS_CHAOS") {
+            Ok(env) => env,
+            Err(std::env::VarError::NotPresent) => String::new(),
+            Err(std::env::VarError::NotUnicode(_)) => {
+                return Err(ChaosError("SCENARIOS_CHAOS is not UTF-8".into()))
+            }
+        };
+        ChaosRegistry::from_spec(&format!("{};{env}", spec.unwrap_or_default()))
     }
 
     /// The compiled rules, in spec order.
@@ -333,10 +313,10 @@ impl ChaosRegistry {
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
-}
 
-impl Chaos for ChaosRegistry {
-    fn hit(&self, fp: Failpoint) -> ChaosAction {
+    /// Registers one hit of `fp` and returns the fault to inject, if
+    /// any. Delay rules sleep in here and are never returned.
+    pub fn hit(&self, fp: Failpoint) -> ChaosAction {
         for rule in self.rules.iter().filter(|r| r.failpoint == fp) {
             let hit = rule.hits.fetch_add(1, Ordering::Relaxed) + 1;
             if !rule.fires(hit) {
@@ -358,13 +338,8 @@ impl Chaos for ChaosRegistry {
 /// Evaluates one probe. `Ok(None)`: proceed untouched. `Ok(Some(k))`:
 /// the site must write exactly the first `k` bytes of its buffer and
 /// then die via [`torn_crash`]. `Err`: fail now, before writing.
-/// [`ChaosAction::Panic`] dies in here. With a disabled `C` the whole
-/// call folds to `Ok(None)` at compile time.
-#[inline]
-pub fn probe<C: Chaos>(chaos: &C, fp: Failpoint) -> io::Result<Option<usize>> {
-    if !C::ENABLED {
-        return Ok(None);
-    }
+/// [`ChaosAction::Panic`] dies in here.
+pub fn probe(chaos: &ChaosRegistry, fp: Failpoint) -> io::Result<Option<usize>> {
     match chaos.hit(fp) {
         ChaosAction::Proceed => Ok(None),
         ChaosAction::Fail(kind) => Err(kind.to_error(fp)),
@@ -490,10 +465,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn noop_is_disabled_and_inert() {
-        const { assert!(!NoopChaos::ENABLED) };
-        assert_eq!(NoopChaos.hit(Failpoint::FragmentRow), ChaosAction::Proceed);
-        assert_eq!(probe(&NoopChaos, Failpoint::ManifestRewrite).unwrap(), None);
+    fn no_chaos_is_empty_and_inert() {
+        assert!(NO_CHAOS.is_empty());
+        for fp in Failpoint::ALL {
+            assert_eq!(NO_CHAOS.hit(fp), ChaosAction::Proceed);
+            assert_eq!(probe(&NO_CHAOS, fp).unwrap(), None);
+        }
     }
 
     #[test]
@@ -627,16 +604,22 @@ mod tests {
     }
 
     #[test]
-    fn from_env_reads_and_validates() {
-        // Process-global env: run the three cases in one test to avoid
+    fn flag_and_env_compile_into_one_registry() {
+        // Process-global env: run every case in one test to avoid
         // racing parallel test threads on the variable.
         std::env::remove_var("SCENARIOS_CHAOS");
-        assert!(ChaosRegistry::from_env().unwrap().is_none());
-        std::env::set_var("SCENARIOS_CHAOS", "fragment_row=err@hit:2");
-        let reg = ChaosRegistry::from_env().unwrap().expect("spec set");
-        assert_eq!(reg.rules().len(), 1);
+        assert!(ChaosRegistry::from_flag_and_env(None).unwrap().is_empty());
+        assert!(ChaosRegistry::from_flag_and_env(Some("garbage")).is_err());
+        std::env::set_var("SCENARIOS_CHAOS", "manifest_rewrite=enospc@hit:1");
+        let both = ChaosRegistry::from_flag_and_env(Some("fragment_row=err@hit:2")).unwrap();
+        let armed: Vec<Failpoint> = both.rules().iter().map(ChaosRule::failpoint).collect();
+        assert_eq!(
+            armed,
+            [Failpoint::FragmentRow, Failpoint::ManifestRewrite],
+            "the flag's rules first, then the variable's"
+        );
         std::env::set_var("SCENARIOS_CHAOS", "garbage");
-        assert!(ChaosRegistry::from_env().is_err());
+        assert!(ChaosRegistry::from_flag_and_env(None).is_err());
         std::env::remove_var("SCENARIOS_CHAOS");
     }
 }

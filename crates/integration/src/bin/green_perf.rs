@@ -34,12 +34,6 @@
 //!   default `policy,method` roll-up folded out-of-core from the shard
 //!   manifests, reported as aggregate rows per second. The `rows` and
 //!   `groups` counters pin the fold's coverage.
-//! * `chaos_noop` — a 100,000-cell checkpointed shard through the
-//!   default `NoopChaos` path (failpoint probes compiled away) and
-//!   again with an armed-but-never-firing registry. The
-//!   `faults_injected` counter is a hard zero gate, and the armed
-//!   variant's relative wall cost reports warn-only — the
-//!   disabled-path overhead claim of `docs/robustness.md`, measured.
 //! * `scaling_paper_t{1,4,8,16}` / `scaling_mega_t{1,4,8,16}` — the
 //!   scaling suite: the paper grid (8 heavy cells of the full
 //!   142,380-job workload, in-memory) and a 100,000-cell shard (0/10) of
@@ -51,9 +45,10 @@
 //!   invariance *is* the parallel determinism contract, and it
 //!   hard-gates; the derived `speedup_x` and `efficiency` rates are
 //!   core-count properties of the machine, so they report warn-only and
-//!   only mean something on CI's multi-core runners (`--only scaling_`
-//!   is the scaling job's entry point). A ladder runs only the rungs
-//!   `--only` selects, plus its 1-thread rung as the speedup reference.
+//!   only mean something on a multi-core host (CI's perf gate runs the
+//!   ladders with the rest of the suite; `--only scaling_` runs them
+//!   alone). A ladder runs only the rungs `--only` selects, plus its
+//!   1-thread rung as the speedup reference.
 //!
 //! Every bench also records the process peak RSS at completion
 //! (best-effort, Linux `/proc/self/status`; the high-water mark is
@@ -83,8 +78,9 @@
 //! (`BENCH_11.json`, recorded with `--phases`; a check that selects a
 //! bench whose baseline holds recorder counters exits 2 up front
 //! without `--phases`): deterministic-counter drift beyond `--tolerance`
-//! (default 0.20) **fails**, and the failure message names each
-//! offending `bench.counter`; wall-time/RSS drift beyond
+//! (default 0.20) **fails**, and so does a bench or counter that only
+//! one of the run and the baseline reports; the failure message names
+//! each offending `bench.counter`; wall-time/RSS drift beyond
 //! `--wall-tolerance` (default 1.00, i.e. 2× slower) only warns — CI
 //! runners are noisy, work counts are not. `--summary` appends a
 //! markdown drift table (every counter, wall and RSS row with its
@@ -95,13 +91,13 @@ use std::time::Instant;
 use green_batchsim::{intensity_for, run_cell_in_obs, PlacementTable, Policy, SimArena, SimConfig};
 use green_bench::{peak_rss_mb, reset_peak_rss, Host, PerfBench, PerfReport};
 use green_carbon::HourlyTrace;
-use green_chaos::{ChaosRegistry, NoopChaos};
+use green_chaos::NO_CHAOS;
 use green_machines::simulation_fleet;
 use green_obs::{NoopRecorder, Recorder, StatsRecorder};
 use green_perfmodel::CrossMachinePredictor;
 use green_scenarios::{
-    analyze_dir, orchestrate, run_shard, AnalyzeQuery, OrchestrateConfig, Shard, ShardAssignment,
-    ShardJob, Sweep, SweepRunner, ThreadLauncher,
+    analyze_dir, orchestrate, AnalyzeQuery, OrchestrateConfig, Shard, Sweep, SweepRunner,
+    ThreadLauncher,
 };
 use green_units::TimePoint;
 use green_workload::{Trace, TraceConfig};
@@ -305,8 +301,7 @@ fn bench_orchestrate_mega(out_dir: &std::path::Path) -> PerfBench {
     let mut config = OrchestrateConfig::new(sweep_file, out_dir.join("run"), 4);
     config.quiet = true;
     let start = Instant::now();
-    let summary =
-        orchestrate(&config, &ThreadLauncher, &NoopChaos).expect("orchestrated mega grid");
+    let summary = orchestrate(&config, &ThreadLauncher, &NO_CHAOS).expect("orchestrated mega grid");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     PerfBench {
         name: "orchestrate_mega".into(),
@@ -360,85 +355,6 @@ fn bench_analyze_mega(run_dir: &std::path::Path) -> PerfBench {
             "rows_per_s".into(),
             report.rows_scanned as f64 / (wall_ms / 1e3).max(1e-12),
         )],
-    }
-}
-
-/// The chaos subsystem's disabled-path contract, measured: the same
-/// checkpointed 100,000-cell shard run twice — once through
-/// [`run_shard`] on the default runner (`NoopChaos`, every failpoint
-/// probe compiled away) and once on a runner
-/// [`armed`](SweepRunner::armed) with a registry whose rule can never
-/// fire (dynamic-dispatch probes on every durable write). `faults_injected` is the hard zero gate: a
-/// disabled or never-firing chaos run that injects anything is a
-/// correctness bug, and both variants must write identical row counts.
-/// The `armed_overhead_rel` rate reports what arming costs (warn-only,
-/// like all rates) — the noop path's wall time is the one the default
-/// baselines gate.
-fn bench_chaos_noop() -> PerfBench {
-    let sweep = Sweep::from_toml_str(MEGA_GRID_TOML).expect("shipped sweep parses");
-    let dir = std::env::temp_dir().join(format!("green-perf-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("bench scratch dir");
-    fn job<'a>(sweep: &'a Sweep, csv: &'a std::path::Path) -> ShardJob<'a> {
-        ShardJob {
-            sweep,
-            filter: None,
-            assignment: ShardAssignment::Shard(Shard { index: 0, of: 10 }),
-            csv,
-            resume: false,
-            checkpoint_every: 64,
-            columnar: false,
-        }
-    }
-
-    let noop_csv = dir.join("noop.csv");
-    let start = Instant::now();
-    let noop =
-        run_shard(&SweepRunner::new(1), &job(&sweep, &noop_csv), None).expect("noop shard runs");
-    let noop_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    // Armed but unfireable: u64::MAX hits will never be reached, so
-    // every probe takes the full registry-evaluation path and still
-    // injects nothing.
-    let spec = format!("fragment_row=err@hit:{}", u64::MAX);
-    let registry = ChaosRegistry::from_spec(&spec).expect("bench spec compiles");
-    let armed_csv = dir.join("armed.csv");
-    let start = Instant::now();
-    let armed = run_shard(
-        &SweepRunner::new(1).armed(&registry),
-        &job(&sweep, &armed_csv),
-        None,
-    )
-    .expect("armed-but-quiet shard runs");
-    let armed_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        noop.written_rows, armed.written_rows,
-        "arming chaos must not change the work done"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    PerfBench {
-        name: "chaos_noop".into(),
-        wall_ms: noop_ms,
-        peak_rss_mb: peak_rss_mb(),
-        counters: vec![
-            ("cells".into(), noop.range.len() as f64),
-            ("rows".into(), noop.written_rows as f64),
-            ("armed_rows".into(), armed.written_rows as f64),
-            ("faults_injected".into(), 0.0),
-        ],
-        phases: vec![],
-        rates: vec![
-            (
-                "rows_per_s".into(),
-                noop.written_rows as f64 / (noop_ms / 1e3).max(1e-12),
-            ),
-            (
-                "armed_rows_per_s".into(),
-                armed.written_rows as f64 / (armed_ms / 1e3).max(1e-12),
-            ),
-            ("armed_overhead_rel".into(), armed_ms / noop_ms.max(1e-12)),
-        ],
     }
 }
 
@@ -506,7 +422,6 @@ fn bench_scaling_paper(threads: usize) -> PerfBench {
         wall_ms,
         peak_rss_mb: peak_rss_mb(),
         counters: vec![
-            ("threads".into(), threads as f64),
             ("cells".into(), stats.cells as f64),
             ("events".into(), stats.events as f64),
             ("release_work".into(), stats.release_work as f64),
@@ -534,7 +449,6 @@ fn bench_scaling_mega(threads: usize) -> PerfBench {
         wall_ms,
         peak_rss_mb: peak_rss_mb(),
         counters: vec![
-            ("threads".into(), threads as f64),
             ("cells".into(), summary.cells as f64),
             ("configs".into(), summary.configs as f64),
             ("events".into(), summary.stats.events as f64),
@@ -588,7 +502,6 @@ fn bench_names() -> impl Iterator<Item = String> {
         "sweep_grid",
         "orchestrate_mega",
         "analyze_mega",
-        "chaos_noop",
     ];
     let ladders = ["paper", "mega"].into_iter().flat_map(|grid| {
         SCALING_THREADS
@@ -643,10 +556,10 @@ fn main() {
         fail("--summary renders drift against a baseline; it requires --check");
     }
     // `--only <substring>` narrows both the run and the baseline
-    // comparison to matching bench names — what CI's scaling job uses
-    // to run `--only scaling_` without paying for the full suite. A full
-    // bench name selects that bench alone, so `scaling_mega_t1` does not
-    // also select `scaling_mega_t16`.
+    // comparison to matching bench names — the local way to run one
+    // bench or ladder (`--only scaling_`) without paying for the full
+    // suite. A full bench name selects that bench alone, so
+    // `scaling_mega_t1` does not also select `scaling_mega_t16`.
     let exact = only
         .as_deref()
         .is_some_and(|f| bench_names().any(|name| name == f));
@@ -730,9 +643,6 @@ fn main() {
             if want("analyze_mega") {
                 benches.push(analyze_mega);
             }
-        }
-        if want("chaos_noop") {
-            benches.push(measured(bench_chaos_noop));
         }
         benches.extend(scaling_ladder("paper", bench_scaling_paper, want));
         benches.extend(scaling_ladder("mega", bench_scaling_mega, want));

@@ -134,14 +134,14 @@ fn invalid(message: impl Into<String>) -> io::Error {
 /// hash-stable at that point), and idempotent: rewriting produces the
 /// same bytes.
 pub fn write_sidecar(csv: &Path) -> io::Result<()> {
-    write_sidecar_chaos(csv, &green_chaos::NoopChaos)
+    write_sidecar_chaos(csv, &green_chaos::NO_CHAOS)
 }
 
 /// [`write_sidecar`] with the `columnar_sidecar` failpoint armed. The
 /// sidecar is written atomically (tmp → sync → rename), so a crash
 /// mid-encode leaves no partial sidecar for `analyze` to trip on —
 /// and a stale one is caught by the binding triple anyway.
-pub fn write_sidecar_chaos<C: green_chaos::Chaos>(csv: &Path, chaos: &C) -> io::Result<()> {
+pub fn write_sidecar_chaos(csv: &Path, chaos: &green_chaos::ChaosRegistry) -> io::Result<()> {
     let bytes = std::fs::read(csv)?;
     let text = std::str::from_utf8(&bytes)
         .map_err(|_| invalid(format!("{}: not UTF-8", csv.display())))?;

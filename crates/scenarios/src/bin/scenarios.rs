@@ -31,13 +31,13 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use green_chaos::{ChaosRegistry, Failpoint, NoopChaos};
+use green_chaos::{ChaosRegistry, Failpoint};
 use green_obs::{Recorder, StatsRecorder};
 use green_scenarios::runner::ProgressFn;
 use green_scenarios::{
-    analyze_path, cell_label, merge_shards, merge_shards_chaos, orchestrate, run_shard, watch,
-    write_atomic, AnalyzeQuery, Grid, OrchestrateConfig, ProcessLauncher, Shard, ShardAssignment,
-    ShardJob, ShardOutcome, Sweep, SweepRunner, WorkloadPreset, CHECKPOINT_EVERY,
+    analyze_path, cell_label, merge_shards_chaos, orchestrate, run_shard, watch, write_atomic,
+    AnalyzeQuery, Grid, OrchestrateConfig, ProcessLauncher, Shard, ShardAssignment, ShardJob,
+    ShardOutcome, Sweep, SweepRunner, WorkloadPreset, CHECKPOINT_EVERY,
 };
 
 const USAGE: &str = "\
@@ -121,8 +121,10 @@ docs/orchestration.md.
 The same spec is read from the SCENARIOS_CHAOS environment variable;
 `scenarios orchestrate --chaos` forwards it to every worker. Failpoint
 names, actions, triggers and the durability guarantee each failpoint
-tests are cataloged in docs/robustness.md. Without a spec the probes
-compile to nothing.
+tests are cataloged in docs/robustness.md. A malformed spec, from the
+flag or the variable, exits 2 before any work. A spec that arms a
+failpoint, from either source, runs the checkpointed path, so it needs
+--out.
 
 --columnar additionally writes a `<out>.cols` binary columnar sidecar
 (dictionary-encoded axis columns + raw f64 metric columns, bound to
@@ -163,28 +165,13 @@ fn fail(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The invocation's one failure-injection registry: `--chaos <spec>`
-/// rules and the `SCENARIOS_CHAOS` env spec both compile into it, in
-/// that order. `None` when nothing is armed, so every probe stays on the
-/// `NoopChaos`-monomorphized zero-cost path. A malformed spec is fatal:
-/// a chaos run that silently injects nothing would claim fault
-/// tolerance it never tested.
-fn chaos_registry(flag: Option<&str>) -> Option<ChaosRegistry> {
-    let mut specs: Vec<String> = Vec::new();
-    if let Some(spec) = flag {
-        specs.push(spec.to_string());
-    }
-    if let Ok(env) = std::env::var("SCENARIOS_CHAOS") {
-        if !env.trim().is_empty() {
-            specs.push(env);
-        }
-    }
-    if specs.is_empty() {
-        return None;
-    }
-    let registry =
-        ChaosRegistry::from_spec(&specs.join(";")).unwrap_or_else(|e| fail(&e.to_string()));
-    (!registry.is_empty()).then_some(registry)
+/// The invocation's one failure-injection registry: the `--chaos <spec>`
+/// rules, then the `SCENARIOS_CHAOS` env spec's. Each writing subcommand
+/// compiles it right after parsing its arguments, so a malformed spec
+/// from either source exits 2 before any work: a chaos run that
+/// silently injects nothing would claim fault tolerance it never tested.
+fn chaos_registry(flag: Option<&str>) -> ChaosRegistry {
+    ChaosRegistry::from_flag_and_env(flag).unwrap_or_else(|e| fail(&e.to_string()))
 }
 
 /// The `scenarios merge` subcommand: reassemble completed shard CSVs.
@@ -221,11 +208,8 @@ fn merge_main(args: &[String]) -> ! {
     if inputs.is_empty() {
         fail("merge needs at least one shard CSV (each with its `.manifest` sidecar)");
     }
-    let result = match chaos_registry(chaos_spec.as_deref()) {
-        Some(registry) => merge_shards_chaos(&inputs, &out, partial, &registry),
-        None => merge_shards(&inputs, &out, partial),
-    };
-    match result {
+    let chaos = chaos_registry(chaos_spec.as_deref());
+    match merge_shards_chaos(&inputs, &out, partial, &chaos) {
         Ok(summary) => {
             if !quiet {
                 eprintln!(
@@ -288,6 +272,7 @@ fn analyze_main(args: &[String]) -> ! {
     let Some(input) = input else {
         fail("analyze needs a shard directory or aggregate CSV");
     };
+    let chaos = chaos_registry(chaos_spec.as_deref());
     let query = AnalyzeQuery::new(group_by.as_deref(), metrics.as_deref(), filter)
         .unwrap_or_else(|e| fail(&e.to_string()));
     let report = analyze_path(&input, &query, partial).unwrap_or_else(|e| {
@@ -303,20 +288,7 @@ fn analyze_main(args: &[String]) -> ! {
         Some(path) => {
             // Atomic (tmp → sync → rename): a crash mid-write leaves
             // the previous report or nothing, never a truncated one.
-            let written = match chaos_registry(chaos_spec.as_deref()) {
-                Some(registry) => write_atomic(
-                    &path,
-                    rendered.as_bytes(),
-                    &registry,
-                    Failpoint::AnalyzeWrite,
-                ),
-                None => write_atomic(
-                    &path,
-                    rendered.as_bytes(),
-                    &NoopChaos,
-                    Failpoint::AnalyzeWrite,
-                ),
-            };
+            let written = write_atomic(&path, rendered.as_bytes(), &chaos, Failpoint::AnalyzeWrite);
             if let Err(e) = written {
                 eprintln!("error: analyze: writing {}: {e}", path.display());
                 std::process::exit(1);
@@ -459,6 +431,7 @@ fn orchestrate_main(args: &[String]) -> ! {
     let Some(workers) = workers else {
         fail("orchestrate needs --workers <n>");
     };
+    let chaos = chaos_registry(chaos_spec.as_deref());
     let mut config = OrchestrateConfig::new(sweep_file, out_dir, workers);
     for apply in config_overrides {
         apply(&mut config);
@@ -476,11 +449,7 @@ fn orchestrate_main(args: &[String]) -> ! {
             .envs
             .push(("SCENARIOS_CHAOS".to_string(), spec.clone()));
     }
-    let result = match chaos_registry(chaos_spec.as_deref()) {
-        Some(registry) => orchestrate(&config, &launcher, &registry),
-        None => orchestrate(&config, &launcher, &NoopChaos),
-    };
-    match result {
+    match orchestrate(&config, &launcher, &chaos) {
         Ok(_) => std::process::exit(0),
         Err(e) => {
             eprintln!("error: orchestrate: {e}");
@@ -658,6 +627,7 @@ fn main() {
     let Some(sweep_path) = sweep_path else {
         fail("no sweep file given");
     };
+    let chaos = chaos_registry(chaos_spec.as_deref());
     let assignment = match (shard, cell_range) {
         (Some(_), Some(_)) => fail("--shard and --cell-range are mutually exclusive"),
         (Some(s), None) => ShardAssignment::Shard(s),
@@ -704,7 +674,7 @@ fn main() {
         return;
     }
 
-    let runner = SweepRunner::new(threads);
+    let runner = SweepRunner::new(threads).armed(&chaos);
     if !quiet {
         let slice = match &assignment {
             ShardAssignment::Shard(s) => format!(" (shard {}/{})", s.index, s.of),
@@ -737,12 +707,16 @@ fn main() {
     };
     let progress: Option<&ProgressFn<'_>> = if quiet { None } else { Some(&progress_line) };
     // The sharded/checkpointed path: a worker of an N-way split, an
-    // explicit cell range, or a resumable whole-grid run. Always
+    // explicit cell range, a resumable whole-grid run, or a run with
+    // failpoints armed (by `--chaos` or `SCENARIOS_CHAOS`). Always
     // streamed (constant memory is the point at this scale) and always
     // checkpointed through the `<out>.manifest` sidecar.
-    if assignment != ShardAssignment::Whole || resume || columnar || chaos_spec.is_some() {
+    if assignment != ShardAssignment::Whole || resume || columnar || !chaos.is_empty() {
         let Some(out) = out else {
-            fail("--shard/--cell-range/--resume/--columnar/--chaos need --out <file.csv>");
+            fail(
+                "--shard/--cell-range/--resume/--columnar/--chaos (or SCENARIOS_CHAOS) \
+                 need --out <file.csv>",
+            );
         };
         let job = ShardJob {
             sweep: &sweep,
@@ -753,20 +727,14 @@ fn main() {
             checkpoint_every,
             columnar,
         };
-        // Armed only when a spec (flag or env) asks for it — otherwise
-        // the NoopChaos monomorphization keeps the probes compiled out
-        // entirely. With --obs, phase timings and work counters flow
-        // into the `.progress` heartbeats and a stderr summary; output
-        // bytes are identical to the uninstrumented run.
-        let chaos = chaos_registry(chaos_spec.as_deref());
+        // With --obs, phase timings and work counters flow into the
+        // `.progress` heartbeats and a stderr summary; output bytes are
+        // identical to the uninstrumented run.
         let recorder = StatsRecorder::new();
-        let outcome: ShardOutcome = match (&chaos, obs) {
-            (Some(registry), true) => {
-                run_shard(&runner.armed(registry).recording(&recorder), &job, progress)
-            }
-            (Some(registry), false) => run_shard(&runner.armed(registry), &job, progress),
-            (None, true) => run_shard(&runner.recording(&recorder), &job, progress),
-            (None, false) => run_shard(&runner, &job, progress),
+        let outcome: ShardOutcome = if obs {
+            run_shard(&runner.recording(&recorder), &job, progress)
+        } else {
+            run_shard(&runner, &job, progress)
         }
         .unwrap_or_else(|e| {
             eprintln!("error: shard: {e}");

@@ -24,15 +24,15 @@
 //!   a torn tail is skipped with a warning, never a hard error and
 //!   never silent data loss of the intact prefix.
 //!
-//! Both take a [`green_chaos::Chaos`] handle and the [`Failpoint`]
-//! armed at the write. A caller that arms nothing passes
-//! [`green_chaos::NoopChaos`], whose probes compile away, and still names
-//! the failpoint of the file it writes.
+//! Both take the run's [`ChaosRegistry`] and the [`Failpoint`] armed at
+//! the write. A caller that arms nothing passes [`green_chaos::NO_CHAOS`],
+//! the registry with no rules, and still names the failpoint of the file
+//! it writes.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use green_chaos::{probe, torn_crash, Chaos, Failpoint};
+use green_chaos::{probe, torn_crash, ChaosRegistry, Failpoint};
 
 /// The sibling tmp path an atomic rewrite stages into: `<path>.tmp`.
 fn tmp_path(path: &Path) -> PathBuf {
@@ -106,10 +106,10 @@ impl Write for AtomicFile {
 /// write, a torn fault writes its partial prefix *into the tmp file*
 /// and dies — the target is never exposed to a torn write, which is the
 /// whole point of the protocol.
-pub fn write_atomic<C: Chaos>(
+pub fn write_atomic(
     path: &Path,
     bytes: &[u8],
-    chaos: &C,
+    chaos: &ChaosRegistry,
     fp: Failpoint,
 ) -> io::Result<()> {
     let torn = probe(chaos, fp)?;
@@ -178,7 +178,12 @@ pub fn parse_lines_tolerant<T, E: std::fmt::Display>(
 ///
 /// `chaos` probes `fp` first: a torn fault appends its partial prefix —
 /// a genuinely torn final line — and dies.
-pub fn append_line<C: Chaos>(path: &Path, line: &str, chaos: &C, fp: Failpoint) -> io::Result<()> {
+pub fn append_line(
+    path: &Path,
+    line: &str,
+    chaos: &ChaosRegistry,
+    fp: Failpoint,
+) -> io::Result<()> {
     let torn = probe(chaos, fp)?;
     repair_torn_tail(path)?;
     let mut file = std::fs::OpenOptions::new()
@@ -201,7 +206,7 @@ pub fn append_line<C: Chaos>(path: &Path, line: &str, chaos: &C, fp: Failpoint) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use green_chaos::{ChaosRegistry, NoopChaos};
+    use green_chaos::NO_CHAOS;
 
     use crate::test_scratch::Scratch;
 
@@ -209,8 +214,8 @@ mod tests {
     fn atomic_rewrite_replaces_and_leaves_no_tmp() {
         let dir = Scratch::new("durable-atomic");
         let path = dir.join("doc.toml");
-        write_atomic(&path, b"a = 1\n", &NoopChaos, Failpoint::ManifestRewrite).unwrap();
-        write_atomic(&path, b"a = 2\n", &NoopChaos, Failpoint::ManifestRewrite).unwrap();
+        write_atomic(&path, b"a = 1\n", &NO_CHAOS, Failpoint::ManifestRewrite).unwrap();
+        write_atomic(&path, b"a = 2\n", &NO_CHAOS, Failpoint::ManifestRewrite).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a = 2\n");
         assert!(!tmp_path(&path).exists());
     }
@@ -219,7 +224,7 @@ mod tests {
     fn torn_atomic_rewrite_leaves_the_target_intact() {
         let dir = Scratch::new("durable-torn-atomic");
         let path = dir.join("doc.toml");
-        write_atomic(&path, b"a = 1\n", &NoopChaos, Failpoint::ManifestRewrite).unwrap();
+        write_atomic(&path, b"a = 1\n", &NO_CHAOS, Failpoint::ManifestRewrite).unwrap();
         let reg = ChaosRegistry::from_spec("manifest_rewrite=torn:3@hit:1").unwrap();
         let died = std::panic::catch_unwind(|| {
             write_atomic(&path, b"a = 2222\n", &reg, Failpoint::ManifestRewrite)
@@ -230,7 +235,7 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a = 1\n");
         assert_eq!(std::fs::read(tmp_path(&path)).unwrap(), b"a =");
         // The next rewrite recovers without ceremony.
-        write_atomic(&path, b"a = 3\n", &NoopChaos, Failpoint::ManifestRewrite).unwrap();
+        write_atomic(&path, b"a = 3\n", &NO_CHAOS, Failpoint::ManifestRewrite).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a = 3\n");
         assert!(!tmp_path(&path).exists());
     }
@@ -239,8 +244,8 @@ mod tests {
     fn append_repairs_a_torn_tail_before_growing() {
         let dir = Scratch::new("durable-append");
         let log = dir.join("events.jsonl");
-        append_line(&log, "{\"a\": 1}", &NoopChaos, Failpoint::OrchestrateAppend).unwrap();
-        append_line(&log, "{\"b\": 2}", &NoopChaos, Failpoint::OrchestrateAppend).unwrap();
+        append_line(&log, "{\"a\": 1}", &NO_CHAOS, Failpoint::OrchestrateAppend).unwrap();
+        append_line(&log, "{\"b\": 2}", &NO_CHAOS, Failpoint::OrchestrateAppend).unwrap();
         assert_eq!(
             std::fs::read_to_string(&log).unwrap(),
             "{\"a\": 1}\n{\"b\": 2}\n"
@@ -250,7 +255,7 @@ mod tests {
         let mut bytes = std::fs::read(&log).unwrap();
         bytes.extend_from_slice(b"{\"torn");
         std::fs::write(&log, &bytes).unwrap();
-        append_line(&log, "{\"c\": 3}", &NoopChaos, Failpoint::OrchestrateAppend).unwrap();
+        append_line(&log, "{\"c\": 3}", &NO_CHAOS, Failpoint::OrchestrateAppend).unwrap();
         assert_eq!(
             std::fs::read_to_string(&log).unwrap(),
             "{\"a\": 1}\n{\"b\": 2}\n{\"c\": 3}\n"
@@ -261,7 +266,7 @@ mod tests {
     fn torn_append_tears_only_the_final_line() {
         let dir = Scratch::new("durable-torn-append");
         let log = dir.join("events.jsonl");
-        append_line(&log, "{\"a\": 1}", &NoopChaos, Failpoint::OrchestrateAppend).unwrap();
+        append_line(&log, "{\"a\": 1}", &NO_CHAOS, Failpoint::OrchestrateAppend).unwrap();
         let reg = ChaosRegistry::from_spec("orchestrate_append=torn:4@hit:1").unwrap();
         let died = std::panic::catch_unwind(|| {
             append_line(&log, "{\"b\": 2}", &reg, Failpoint::OrchestrateAppend)
@@ -292,7 +297,7 @@ mod tests {
     fn injected_enospc_fails_before_touching_the_target() {
         let dir = Scratch::new("durable-enospc");
         let path = dir.join("doc.toml");
-        write_atomic(&path, b"a = 1\n", &NoopChaos, Failpoint::ManifestRewrite).unwrap();
+        write_atomic(&path, b"a = 1\n", &NO_CHAOS, Failpoint::ManifestRewrite).unwrap();
         let reg = ChaosRegistry::from_spec("manifest_rewrite=enospc@hit:1").unwrap();
         let err = write_atomic(&path, b"a = 2\n", &reg, Failpoint::ManifestRewrite).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);

@@ -20,7 +20,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use green_bench::json::{quote, Json};
-use green_chaos::{Chaos, Failpoint};
+use green_chaos::{ChaosRegistry, Failpoint};
 
 use crate::durable_io::{append_line, parse_lines_tolerant};
 use crate::spec::SpecError;
@@ -248,8 +248,8 @@ impl OrchestrateEvent {
     /// supervisor's call; the writes themselves are single short
     /// appends (see [`crate::durable_io::append_line`]). `chaos` arms
     /// the `orchestrate_append` failpoint — the supervisor's write path
-    /// under `--chaos`; pass [`green_chaos::NoopChaos`] for none.
-    pub fn log<C: Chaos>(&self, dir: &Path, chaos: &C) -> io::Result<()> {
+    /// under `--chaos`; pass [`green_chaos::NO_CHAOS`] for none.
+    pub fn log(&self, dir: &Path, chaos: &ChaosRegistry) -> io::Result<()> {
         append_line(
             &orchestrate_log_path(dir),
             &self.to_json_line(),
@@ -263,7 +263,7 @@ impl OrchestrateEvent {
 mod tests {
     use super::*;
     use crate::test_scratch::Scratch;
-    use green_chaos::NoopChaos;
+    use green_chaos::NO_CHAOS;
 
     #[test]
     fn every_kind_roundtrips_by_name() {
@@ -330,10 +330,10 @@ mod tests {
     fn log_appends_in_order() {
         let dir = Scratch::new("orchestrate-events");
         OrchestrateEvent::run_level(EventKind::Plan, "tasks=2")
-            .log(&dir, &NoopChaos)
+            .log(&dir, &NO_CHAOS)
             .unwrap();
         OrchestrateEvent::run_level(EventKind::Complete, "ok")
-            .log(&dir, &NoopChaos)
+            .log(&dir, &NO_CHAOS)
             .unwrap();
         let text = std::fs::read_to_string(orchestrate_log_path(&dir)).unwrap();
         let events = OrchestrateEvent::parse_log(&text).unwrap();

@@ -33,7 +33,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use green_chaos::{Chaos, Failpoint};
+use green_chaos::{ChaosRegistry, Failpoint};
 
 use crate::analyze::{analyze_csv, AnalyzeQuery};
 use crate::orchestrate::events::{EventKind, OrchestrateEvent};
@@ -184,14 +184,14 @@ pub fn fragment_path(out_dir: &Path, id: usize) -> PathBuf {
 /// at every audit-log write, `merge_write` inside the auto-merge,
 /// `analyze_write` for the chained analysis report, and
 /// `manifest_rewrite` where a steal shrinks a victim's checkpoint; pass
-/// [`green_chaos::NoopChaos`] for none. The *workers'* chaos travels
+/// [`green_chaos::NO_CHAOS`] for none. The *workers'* chaos travels
 /// separately (a [`crate::ProcessLauncher`] env injection or the
 /// inherited `SCENARIOS_CHAOS`) — the supervisor never tears a fragment
 /// itself.
-pub fn orchestrate<C: Chaos>(
+pub fn orchestrate(
     config: &OrchestrateConfig,
     launcher: &dyn Launcher,
-    chaos: &C,
+    chaos: &ChaosRegistry,
 ) -> io::Result<OrchestrateSummary> {
     let text = std::fs::read_to_string(&config.sweep_file)?;
     let mut sweep = Sweep::from_toml_str(&text)
@@ -514,7 +514,7 @@ fn task_event(
     }
 }
 
-fn log_event<C: Chaos>(config: &OrchestrateConfig, chaos: &C, event: OrchestrateEvent) {
+fn log_event(config: &OrchestrateConfig, chaos: &ChaosRegistry, event: OrchestrateEvent) {
     // The log is an audit trail, not a correctness dependency: a full
     // disk must not kill a run whose real state lives in the sidecars.
     // (An injected *error* is likewise swallowed; torn/panic faults
@@ -534,9 +534,9 @@ fn last_failure(csv: &Path) -> Option<String> {
 
 /// Routes one worker exit: verify the manifest for completion, or
 /// consume attempt budget and requeue (resume vs reassign).
-fn handle_exit<C: Chaos>(
+fn handle_exit(
     config: &OrchestrateConfig,
-    chaos: &C,
+    chaos: &ChaosRegistry,
     plan: &mut Plan,
     schedule: &mut Schedule,
     summary: &mut OrchestrateSummary,
@@ -658,9 +658,9 @@ fn handle_exit<C: Chaos>(
 /// Attempts one steal: pick the running task with the most remaining
 /// cells, kill its worker, split the post-kill remainder at a config
 /// boundary, resume the straggler on the head and queue the tail.
-fn try_steal<C: Chaos>(
+fn try_steal(
     config: &OrchestrateConfig,
-    chaos: &C,
+    chaos: &ChaosRegistry,
     plan: &mut Plan,
     schedule: &mut Schedule,
     summary: &mut OrchestrateSummary,

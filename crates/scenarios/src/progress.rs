@@ -20,7 +20,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use green_bench::json::{fmt_num, quote, Json};
-use green_chaos::{Chaos, Failpoint};
+use green_chaos::{ChaosRegistry, Failpoint};
 
 use crate::durable_io::{parse_lines_tolerant, write_atomic};
 use crate::spec::SpecError;
@@ -235,9 +235,9 @@ impl ProgressWriter {
 
     /// Appends `record` and rewrites the sidecar atomically, dropping
     /// the oldest records beyond [`PROGRESS_HISTORY`]. `chaos` arms the
-    /// `progress_rewrite` failpoint; pass [`green_chaos::NoopChaos`] for
+    /// `progress_rewrite` failpoint; pass [`green_chaos::NO_CHAOS`] for
     /// none.
-    pub fn append<C: Chaos>(&mut self, record: &ProgressRecord, chaos: &C) -> io::Result<()> {
+    pub fn append(&mut self, record: &ProgressRecord, chaos: &ChaosRegistry) -> io::Result<()> {
         if self.lines.len() >= PROGRESS_HISTORY {
             self.lines.pop_front();
         }
@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use crate::durable_io::append_line;
     use crate::test_scratch::Scratch;
-    use green_chaos::NoopChaos;
+    use green_chaos::NO_CHAOS;
 
     fn record() -> ProgressRecord {
         ProgressRecord {
@@ -322,7 +322,7 @@ mod tests {
         let dir = Scratch::new("progress-append");
         let log = dir.join("events.jsonl");
         for line in ["{\"a\": 1}", "{\"b\": 2}"] {
-            append_line(&log, line, &NoopChaos, Failpoint::OrchestrateAppend).unwrap();
+            append_line(&log, line, &NO_CHAOS, Failpoint::OrchestrateAppend).unwrap();
         }
         assert_eq!(
             std::fs::read_to_string(&log).unwrap(),
@@ -363,7 +363,7 @@ mod tests {
         for i in 0..(PROGRESS_HISTORY + 10) {
             let mut r = record();
             r.rows = i;
-            writer.append(&r, &NoopChaos).unwrap();
+            writer.append(&r, &NO_CHAOS).unwrap();
         }
         let text = std::fs::read_to_string(progress_path(&csv)).unwrap();
         let records = ProgressRecord::parse_sidecar(&text).unwrap();

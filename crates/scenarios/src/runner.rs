@@ -37,7 +37,7 @@ use green_batchsim::{
     SimConfig,
 };
 use green_carbon::HourlyTrace;
-use green_chaos::{probe, torn_crash, Chaos, Failpoint, NoopChaos};
+use green_chaos::{probe, torn_crash, ChaosRegistry, Failpoint, NO_CHAOS};
 use green_machines::{simulation_fleet, FleetMachine};
 use green_market::{market_population, price_table, PriceSpec, SettleBook};
 use green_obs::{Counter, NoopRecorder, Phase, Recorder, SpanKind, Stopwatch};
@@ -767,17 +767,18 @@ pub struct StreamSummary {
 ///
 /// The runner carries the run's observability recorder and
 /// failure-injection handle. [`recording`](SweepRunner::recording) and
-/// [`armed`](SweepRunner::armed) set them; the defaults
-/// ([`NoopRecorder`], [`NoopChaos`]) compile every probe out. A
-/// recording runner books world/cache construction to the `prepare`
-/// phase and per-cell spans plus the full phase/counter taxonomy (see
+/// [`armed`](SweepRunner::armed) set them; the defaults are
+/// [`NoopRecorder`], which compiles every recorder probe out, and
+/// [`NO_CHAOS`], which arms no failpoint. A recording runner books
+/// world/cache construction to the `prepare` phase and per-cell spans
+/// plus the full phase/counter taxonomy (see
 /// [`SweepWorld::run_cell_in_obs`]); CSV output also books row
 /// rendering to the `csv` phase and counts `rows_flushed`. Output is
 /// bit-identical regardless of either handle, unless a failpoint fires.
-pub struct SweepRunner<'a, R: Recorder = NoopRecorder, C: Chaos = NoopChaos> {
+pub struct SweepRunner<'a, R: Recorder = NoopRecorder> {
     threads: usize,
     pub(crate) obs: &'a R,
-    pub(crate) chaos: &'a C,
+    pub(crate) chaos: &'a ChaosRegistry,
 }
 
 impl Default for SweepRunner<'static> {
@@ -800,19 +801,19 @@ impl SweepRunner<'static> {
         SweepRunner {
             threads,
             obs: &NoopRecorder,
-            chaos: &NoopChaos,
+            chaos: &NO_CHAOS,
         }
     }
 }
 
-impl<'a, R: Recorder, C: Chaos> SweepRunner<'a, R, C> {
+impl<'a, R: Recorder> SweepRunner<'a, R> {
     /// The worker count this runner fans out to.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
     /// This runner, recording into `obs`.
-    pub fn recording<'b, R2: Recorder>(&self, obs: &'b R2) -> SweepRunner<'b, R2, C>
+    pub fn recording<'b, R2: Recorder>(&self, obs: &'b R2) -> SweepRunner<'b, R2>
     where
         'a: 'b,
     {
@@ -826,7 +827,7 @@ impl<'a, R: Recorder, C: Chaos> SweepRunner<'a, R, C> {
     /// This runner, with `chaos` armed on every durable write: CSV row
     /// commits (`parallel_commit`) and, in [`crate::run_shard`], fragment
     /// rows, checkpoints and the columnar sidecar.
-    pub fn armed<'b, C2: Chaos>(&self, chaos: &'b C2) -> SweepRunner<'b, R, C2>
+    pub fn armed<'b>(&self, chaos: &'b ChaosRegistry) -> SweepRunner<'b, R>
     where
         'a: 'b,
     {
@@ -1085,13 +1086,13 @@ impl Committer for Vec<CellSummary> {
 /// The write is the `parallel_commit` failpoint: rows commit under the
 /// sink lock in strict configuration order, so `hit:N` targets the Nth
 /// row of the output deterministically — on one worker or sixteen.
-struct CsvRows<'w, W, R, C> {
+struct CsvRows<'w, W, R> {
     out: &'w mut W,
     obs: &'w R,
-    chaos: &'w C,
+    chaos: &'w ChaosRegistry,
 }
 
-impl<W: Write, R: Recorder, C: Chaos> Committer for CsvRows<'_, W, R, C> {
+impl<W: Write, R: Recorder> Committer for CsvRows<'_, W, R> {
     fn commit(&mut self, row: CellSummary) -> io::Result<()> {
         let watch = Stopwatch::<R>::start();
         let line = green_bench::export::csv_line(&row.csv_row());

@@ -32,7 +32,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use green_chaos::{probe, torn_crash, Chaos, Failpoint, NoopChaos};
+use green_chaos::{probe, torn_crash, ChaosRegistry, Failpoint, NO_CHAOS};
 use green_obs::{Counter, Recorder, SpanKind, Stopwatch};
 
 use crate::agg::CSV_HEADERS;
@@ -276,8 +276,8 @@ impl ShardManifest {
     /// [`write_atomic`], shared with the progress sidecar), so a
     /// kill mid-checkpoint leaves the previous checkpoint intact rather
     /// than a torn sidecar. `chaos` arms the `manifest_rewrite`
-    /// failpoint; pass [`green_chaos::NoopChaos`] for none.
-    pub fn store<C: Chaos>(&self, csv: &Path, chaos: &C) -> std::io::Result<()> {
+    /// failpoint; pass [`NO_CHAOS`] for none.
+    pub fn store(&self, csv: &Path, chaos: &ChaosRegistry) -> std::io::Result<()> {
         write_atomic(
             &manifest_path(csv),
             self.to_string().as_bytes(),
@@ -372,7 +372,7 @@ pub struct ShardOutcome {
 /// a [`SpanKind::Checkpoint`] span. Three failpoints arm this path:
 /// `fragment_row` at every row write, `manifest_rewrite` and
 /// `progress_rewrite` inside the checkpoint.
-struct ShardWriter<'a, R: Recorder, C: Chaos> {
+struct ShardWriter<'a, R: Recorder> {
     file: std::fs::File,
     csv: &'a Path,
     manifest: ShardManifest,
@@ -386,11 +386,11 @@ struct ShardWriter<'a, R: Recorder, C: Chaos> {
     resumed_rows: usize,
     started: Instant,
     progress: ProgressWriter,
-    chaos: &'a C,
+    chaos: &'a ChaosRegistry,
     obs: &'a R,
 }
 
-impl<R: Recorder, C: Chaos> ShardWriter<'_, R, C> {
+impl<R: Recorder> ShardWriter<'_, R> {
     /// Absorbs non-row bytes (the header) into the checkpoint state.
     fn absorb_header(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         self.file.write_all(bytes)?;
@@ -454,7 +454,7 @@ impl<R: Recorder, C: Chaos> ShardWriter<'_, R, C> {
     }
 }
 
-impl<R: Recorder, C: Chaos> Write for ShardWriter<'_, R, C> {
+impl<R: Recorder> Write for ShardWriter<'_, R> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         // The `fragment_row` failpoint fires at the row boundary — the
         // exact place a real crash tears a shard — so the
@@ -511,8 +511,8 @@ impl<R: Recorder, C: Chaos> Write for ShardWriter<'_, R, C> {
 /// supervisor (and `scenarios watch`) can tell a crash from a stall —
 /// only a SIGKILL leaves no terminal record, and that is exactly the
 /// case heartbeat-age stall detection covers.
-pub fn run_shard<R: Recorder, C: Chaos>(
-    runner: &SweepRunner<'_, R, C>,
+pub fn run_shard<R: Recorder>(
+    runner: &SweepRunner<'_, R>,
     job: &ShardJob<'_>,
     progress: Option<&ProgressFn<'_>>,
 ) -> std::io::Result<ShardOutcome> {
@@ -575,13 +575,13 @@ fn record_failure(job: &ShardJob<'_>, started: Instant, error: &str) {
     let _ = append_line(
         &progress_path(job.csv),
         &record.to_json_line(),
-        &NoopChaos,
+        &NO_CHAOS,
         Failpoint::ProgressRewrite,
     );
 }
 
-fn run_shard_inner<R: Recorder, C: Chaos>(
-    runner: &SweepRunner<'_, R, C>,
+fn run_shard_inner<R: Recorder>(
+    runner: &SweepRunner<'_, R>,
     job: &ShardJob<'_>,
     progress: Option<&ProgressFn<'_>>,
 ) -> std::io::Result<ShardOutcome> {
@@ -888,7 +888,7 @@ pub fn merge_shards(
     out: &Path,
     partial: bool,
 ) -> std::io::Result<MergeSummary> {
-    merge_shards_chaos(inputs, out, partial, &NoopChaos)
+    merge_shards_chaos(inputs, out, partial, &NO_CHAOS)
 }
 
 /// [`merge_shards`] with the `merge_write` failpoint armed once per
@@ -897,11 +897,11 @@ pub fn merge_shards(
 /// crash mid-merge leaves the previous output (or nothing) — never a
 /// prefix that happens to end on a row boundary and reads as a
 /// silently smaller grid.
-pub fn merge_shards_chaos<C: Chaos>(
+pub fn merge_shards_chaos(
     inputs: &[PathBuf],
     out: &Path,
     partial: bool,
-    chaos: &C,
+    chaos: &ChaosRegistry,
 ) -> std::io::Result<MergeSummary> {
     let shards = load_shard_set(inputs, partial)?;
 

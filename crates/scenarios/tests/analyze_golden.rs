@@ -8,7 +8,7 @@
 
 use std::path::{Path, PathBuf};
 
-use green_chaos::NoopChaos;
+use green_chaos::NO_CHAOS;
 
 use green_scenarios::{
     analyze_csv, analyze_dir, analyze_path, manifest_path, merge_shards, AnalyzeQuery, MethodSpec,
@@ -16,7 +16,7 @@ use green_scenarios::{
 };
 
 mod common;
-use common::Scratch;
+use common::{shard_job, Scratch};
 
 /// A 6-configuration × 2-replicate grid, same shape as shard_golden —
 /// wide enough that 3- and 8-way splits land mid-axis.
@@ -30,13 +30,8 @@ fn grid() -> Sweep {
 
 fn run_one_shard(sweep: &Sweep, shard: Shard, csv: &Path, columnar: bool) {
     let job = ShardJob {
-        sweep,
-        filter: None,
-        assignment: ShardAssignment::Shard(shard),
-        csv,
-        resume: false,
-        checkpoint_every: 1,
         columnar,
+        ..shard_job(sweep, ShardAssignment::Shard(shard), csv)
     };
     green_scenarios::run_shard(&SweepRunner::new(1), &job, None).expect("shard runs");
 }
@@ -212,7 +207,7 @@ fn analyze_refuses_torn_and_stale_fragments_by_name() {
     // Mid-run checkpoint: complete=false.
     let mut manifest = ShardManifest::load(&shards[1]).unwrap();
     manifest.complete = false;
-    manifest.store(&shards[1], &NoopChaos).unwrap();
+    manifest.store(&shards[1], &NO_CHAOS).unwrap();
     let err = analyze_dir(&scratch.0, &query, false).unwrap_err();
     assert!(err.to_string().contains("shard incomplete"), "{err}");
     assert!(
@@ -220,7 +215,7 @@ fn analyze_refuses_torn_and_stale_fragments_by_name() {
         "must name the torn fragment: {err}"
     );
     manifest.complete = true;
-    manifest.store(&shards[1], &NoopChaos).unwrap();
+    manifest.store(&shards[1], &NO_CHAOS).unwrap();
 
     // Torn tail: bytes drifted from the manifest hash.
     let mut bytes = std::fs::read(&shards[2]).unwrap();

@@ -4,8 +4,25 @@
 // part of it.
 #![allow(dead_code)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use green_scenarios::{ShardAssignment, ShardJob, Sweep};
+
+/// A fresh shard job over `assignment` that checkpoints after every row,
+/// so crash and resume tests see a checkpoint at each row boundary.
+/// Callers set `resume` or `columnar` with struct-update syntax.
+pub fn shard_job<'a>(sweep: &'a Sweep, assignment: ShardAssignment, csv: &'a Path) -> ShardJob<'a> {
+    ShardJob {
+        sweep,
+        filter: None,
+        assignment,
+        csv,
+        resume: false,
+        checkpoint_every: 1,
+        columnar: false,
+    }
+}
 
 /// A scratch directory owned by one test, removed on drop.
 ///

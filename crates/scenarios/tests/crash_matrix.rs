@@ -18,7 +18,7 @@ use std::io::ErrorKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use green_chaos::{ChaosRegistry, Failpoint, NoopChaos};
+use green_chaos::{ChaosRegistry, Failpoint, NO_CHAOS};
 use green_scenarios::analyze::cols_path;
 use green_scenarios::{
     analyze_csv, merge_shards, merge_shards_chaos, orchestrate_log_path, run_shard, write_atomic,
@@ -27,7 +27,7 @@ use green_scenarios::{
 };
 
 mod common;
-use common::Scratch;
+use common::{shard_job, Scratch};
 
 /// The 6-configuration × 2-replicate grid the other golden tests use:
 /// two fragments of 3 configurations each tile the 12 cells.
@@ -41,13 +41,9 @@ fn grid() -> Sweep {
 
 fn job<'a>(sweep: &'a Sweep, csv: &'a Path, resume: bool, columnar: bool) -> ShardJob<'a> {
     ShardJob {
-        sweep,
-        filter: None,
-        assignment: ShardAssignment::Cells(0..6),
-        csv,
         resume,
-        checkpoint_every: 1,
         columnar,
+        ..shard_job(sweep, ShardAssignment::Cells(0..6), csv)
     }
 }
 
@@ -252,7 +248,7 @@ fn analyze_crash_recovers(golden: &Golden) {
     write_atomic(
         &report,
         golden.analysis.as_bytes(),
-        &NoopChaos,
+        &NO_CHAOS,
         Failpoint::AnalyzeWrite,
     )
     .expect("clean rewrite");
@@ -286,7 +282,7 @@ fn orchestrate_append_crash_recovers() {
 
     // Recovery arm: the next append truncates the torn tail first, so
     // the log ends up exactly [first, last] — strictly parseable.
-    last.log(&scratch.0, &NoopChaos).expect("repairing append");
+    last.log(&scratch.0, &NO_CHAOS).expect("repairing append");
     let repaired = std::fs::read_to_string(orchestrate_log_path(&scratch.0)).expect("log");
     assert_eq!(
         repaired,

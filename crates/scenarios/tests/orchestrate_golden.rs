@@ -12,7 +12,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use green_chaos::NoopChaos;
+use green_chaos::NO_CHAOS;
 use green_scenarios::{
     orchestrate, orchestrate_log_path, EventKind, Launcher, OrchestrateConfig, OrchestrateEvent,
     ProcessLauncher, ThreadLauncher, WatchReport, WorkerHandle, WorkerSpec,
@@ -65,8 +65,7 @@ fn thread_launcher_run_is_deterministic_and_byte_identical() {
     let scratch = Scratch::new("thread");
     let reference = reference_csv(&scratch);
     let config = base_config(&scratch, 3);
-    let summary =
-        orchestrate(&config, &ThreadLauncher, &NoopChaos).expect("orchestration succeeds");
+    let summary = orchestrate(&config, &ThreadLauncher, &NO_CHAOS).expect("orchestration succeeds");
     assert_eq!(summary.tasks, 3);
     assert_eq!(summary.spawns, 3);
     assert_eq!(summary.retries, 0);
@@ -135,7 +134,7 @@ fn crashed_worker_is_retried_from_checkpoint_and_bytes_match() {
         nth: 0,
         launches: AtomicU32::new(0),
     };
-    let summary = orchestrate(&config, &launcher, &NoopChaos).expect("run survives the crash");
+    let summary = orchestrate(&config, &launcher, &NO_CHAOS).expect("run survives the crash");
     assert_eq!(summary.retries, 1, "one retry consumed: {summary:?}");
     assert_eq!(summary.spawns, 3, "2 workers + 1 respawn");
     let merged = std::fs::read(config.out_dir.join("merged.csv")).expect("merged");
@@ -167,7 +166,7 @@ fn unrecoverable_task_fails_the_run_after_max_attempts() {
         // Every worker dies after one row — nothing can finish.
         envs: vec![("SCENARIOS_CHAOS".into(), "fragment_row=panic@hit:2".into())],
     };
-    let err = orchestrate(&config, &launcher, &NoopChaos).expect_err("run must give up");
+    let err = orchestrate(&config, &launcher, &NO_CHAOS).expect_err("run must give up");
     assert!(err.to_string().contains("failed 2 times"), "{err}");
     let log = events(&config.out_dir);
     assert_eq!(count(&log, EventKind::Failed), 1);
@@ -203,7 +202,7 @@ fn straggler_range_is_stolen_and_bytes_still_match() {
         nth: 0,
         launches: AtomicU32::new(0),
     };
-    let summary = orchestrate(&config, &launcher, &NoopChaos).expect("orchestration succeeds");
+    let summary = orchestrate(&config, &launcher, &NO_CHAOS).expect("orchestration succeeds");
     assert!(
         summary.steals >= 1,
         "expected at least one steal: {summary:?}"

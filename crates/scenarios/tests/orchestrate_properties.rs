@@ -9,13 +9,12 @@
 use std::path::PathBuf;
 
 use green_scenarios::{
-    merge_shards, run_shard, MethodSpec, Plan, PolicySpec, ShardAssignment, ShardJob, Sweep,
-    SweepRunner,
+    merge_shards, run_shard, MethodSpec, Plan, PolicySpec, ShardAssignment, Sweep, SweepRunner,
 };
 use proptest::prelude::*;
 
 mod common;
-use common::Scratch;
+use common::{shard_job, Scratch};
 
 /// Applies a pseudo-random split sequence to a plan: each step picks a
 /// task and a config-aligned interior cut from the `choices` stream.
@@ -95,15 +94,7 @@ fn split_fragments_merge_back_to_streamed_bytes() {
     let mut fragments: Vec<(usize, PathBuf)> = Vec::new();
     for task in &plan.tasks {
         let csv = scratch.0.join(format!("frag-{:04}.csv", task.id));
-        let job = ShardJob {
-            sweep: &sweep,
-            filter: None,
-            assignment: ShardAssignment::Cells(task.cells.clone()),
-            csv: &csv,
-            resume: false,
-            checkpoint_every: 1,
-            columnar: false,
-        };
+        let job = shard_job(&sweep, ShardAssignment::Cells(task.cells.clone()), &csv);
         run_shard(&SweepRunner::new(1), &job, None).expect("fragment runs");
         fragments.push((task.cells.start, csv));
     }

@@ -20,7 +20,7 @@ use green_scenarios::{
 };
 
 mod common;
-use common::Scratch;
+use common::{shard_job, Scratch};
 
 /// Thread counts under test. 1 is the golden reference, 2 exercises the
 /// minimal race, 8 oversubscribes every CI box we run on.
@@ -71,13 +71,8 @@ fn job<'a>(
     resume: bool,
 ) -> ShardJob<'a> {
     ShardJob {
-        sweep,
-        filter: None,
-        assignment: ShardAssignment::Cells(cells),
-        csv,
         resume,
-        checkpoint_every: 1,
-        columnar: false,
+        ..shard_job(sweep, ShardAssignment::Cells(cells), csv)
     }
 }
 

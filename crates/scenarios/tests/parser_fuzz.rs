@@ -9,7 +9,7 @@
 use std::sync::OnceLock;
 
 use green_bench::json::Json;
-use green_chaos::{ChaosRegistry, NoopChaos};
+use green_chaos::{ChaosRegistry, NO_CHAOS};
 use green_scenarios::analyze::{cols_path, write_sidecar, ColsFile};
 use green_scenarios::{
     orchestrate_log_path, toml, EventKind, OrchestrateEvent, PolicySpec, ProgressRecord,
@@ -128,7 +128,7 @@ fn orchestrate_log() -> &'static str {
             OrchestrateEvent::run_level(EventKind::Merge, "rows=50 bytes=9000"),
             OrchestrateEvent::run_level(EventKind::Complete, "ok"),
         ] {
-            event.log(&scratch.0, &NoopChaos).unwrap();
+            event.log(&scratch.0, &NO_CHAOS).unwrap();
         }
         std::fs::read_to_string(orchestrate_log_path(&scratch.0)).unwrap()
     })

@@ -248,3 +248,66 @@ fn cli_orchestrate_merges_byte_identical_and_watch_renders_it() {
     assert!(table.contains("orchestrator: complete"), "{table}");
     assert!(table.contains("att"), "{table}");
 }
+
+/// Chaos specs are compiled right after argument parsing, from the
+/// `--chaos` flag and the `SCENARIOS_CHAOS` variable alike: a malformed
+/// spec exits 2 before any work, even where nothing would be armed, and
+/// a spec that arms a failpoint from the variable takes the checkpointed
+/// path the flag takes.
+#[test]
+fn cli_chaos_specs_fail_early_and_arm_from_either_source() {
+    let scratch = Scratch::new("chaos-spec");
+    let aggregate = scratch.arg("aggregate.csv");
+    run_ok(&[SWEEP, "--out", &aggregate, "--quiet"]);
+    let with_env = |spec: &str, args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_scenarios"))
+            .args(args)
+            .env("SCENARIOS_CHAOS", spec)
+            .output()
+            .expect("scenarios binary runs")
+    };
+    let expect = |what: &str, out: std::process::Output, code: i32, message: &str| {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{what}: {stderr}");
+        assert!(stderr.contains(message), "{what}: {stderr}");
+        assert!(out.stdout.is_empty(), "{what} printed a report");
+    };
+
+    expect(
+        "analyze --chaos garbage",
+        scenarios(&["analyze", &aggregate, "--chaos", "garbage"]),
+        2,
+        "bad chaos spec",
+    );
+    expect(
+        "SCENARIOS_CHAOS=garbage analyze",
+        with_env("garbage", &["analyze", &aggregate]),
+        2,
+        "bad chaos spec",
+    );
+
+    let streamed = scratch.arg("streamed.csv");
+    let stream = [SWEEP, "--out", streamed.as_str(), "--stream", "--quiet"];
+    expect(
+        "SCENARIOS_CHAOS=garbage --stream",
+        with_env("garbage", &stream),
+        2,
+        "bad chaos spec",
+    );
+    assert!(
+        !scratch.path("streamed.csv").exists(),
+        "wrote before failing"
+    );
+
+    // Armed from the variable, the run checkpoints (the streamed path
+    // writes no manifest) and the first row commit fails it.
+    expect(
+        "SCENARIOS_CHAOS=parallel_commit=err@hit:1 --stream",
+        with_env("parallel_commit=err@hit:1", &stream),
+        1,
+        "chaos: injected failure at parallel_commit",
+    );
+    let manifest = std::fs::read_to_string(scratch.path("streamed.csv.manifest"))
+        .expect("the armed run checkpoints");
+    assert!(manifest.contains("rows = 0"), "{manifest}");
+}

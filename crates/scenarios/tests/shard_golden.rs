@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use green_chaos::{ChaosRegistry, NoopChaos};
+use green_chaos::{ChaosRegistry, NO_CHAOS};
 use green_scenarios::shard::Fnv1a;
 use green_scenarios::{
     manifest_path, merge_shards, run_shard, shard_ranges, MethodSpec, PolicySpec, Shard,
@@ -14,7 +14,7 @@ use green_scenarios::{
 };
 
 mod common;
-use common::Scratch;
+use common::{shard_job, Scratch};
 
 /// A 6-configuration × 2-replicate grid — small enough that every test
 /// re-runs it several times, wide enough that shards land mid-axis.
@@ -36,13 +36,8 @@ fn reference_csv(sweep: &Sweep) -> Vec<u8> {
 
 fn run_one_shard(sweep: &Sweep, shard: Shard, csv: &Path, resume: bool) {
     let job = ShardJob {
-        sweep,
-        filter: None,
-        assignment: ShardAssignment::Shard(shard),
-        csv,
         resume,
-        checkpoint_every: 1,
-        columnar: false,
+        ..shard_job(sweep, ShardAssignment::Shard(shard), csv)
     };
     run_shard(&SweepRunner::new(1), &job, None).expect("shard runs");
 }
@@ -146,7 +141,7 @@ fn resume_after_a_mid_shard_kill_converges_to_identical_bytes() {
         complete: false,
         ..full_manifest.clone()
     };
-    checkpoint.store(&killed, &NoopChaos).unwrap();
+    checkpoint.store(&killed, &NO_CHAOS).unwrap();
 
     // Resume: verify checkpoint, truncate the torn tail, finish.
     run_one_shard(&sweep, Shard { index: 0, of: 2 }, &killed, true);
@@ -178,18 +173,17 @@ fn resume_refuses_a_tampered_prefix_and_a_foreign_checkpoint() {
     // file that would fail the merge.
     let mut manifest = ShardManifest::load(&csv).unwrap();
     manifest.complete = false;
-    manifest.store(&csv, &NoopChaos).unwrap();
+    manifest.store(&csv, &NO_CHAOS).unwrap();
     let mut bytes = std::fs::read(&csv).unwrap();
     bytes[40] ^= 0x01;
     std::fs::write(&csv, &bytes).unwrap();
     let job = ShardJob {
-        sweep: &sweep,
-        filter: None,
-        assignment: ShardAssignment::Shard(Shard { index: 0, of: 2 }),
-        csv: &csv,
         resume: true,
-        checkpoint_every: 1,
-        columnar: false,
+        ..shard_job(
+            &sweep,
+            ShardAssignment::Shard(Shard { index: 0, of: 2 }),
+            &csv,
+        )
     };
     let err = run_shard(&SweepRunner::new(1), &job, None).unwrap_err();
     assert!(err.to_string().contains("hash mismatch"), "{err}");
@@ -200,7 +194,7 @@ fn resume_refuses_a_tampered_prefix_and_a_foreign_checkpoint() {
     std::fs::write(&csv, &bytes).unwrap();
     let mut foreign = ShardManifest::load(&csv).unwrap();
     foreign.cells = 2..4;
-    foreign.store(&csv, &NoopChaos).unwrap();
+    foreign.store(&csv, &NO_CHAOS).unwrap();
     let err = run_shard(&SweepRunner::new(1), &job, None).unwrap_err();
     assert!(err.to_string().contains("refusing to resume"), "{err}");
 
@@ -211,7 +205,7 @@ fn resume_refuses_a_tampered_prefix_and_a_foreign_checkpoint() {
     foreign.cells = Shard { index: 0, of: 2 }.cell_range(sweep.config_count(), sweep.seeds.len());
     foreign.spec_hash ^= 0x1;
     foreign.complete = false;
-    foreign.store(&csv, &NoopChaos).unwrap();
+    foreign.store(&csv, &NO_CHAOS).unwrap();
     let err = run_shard(&SweepRunner::new(1), &job, None).unwrap_err();
     assert!(err.to_string().contains("preset/filter"), "{err}");
 }
@@ -231,13 +225,12 @@ fn resume_refuses_a_corrupt_checkpoint_length() {
     let line = format!("bytes = {}\n", manifest.bytes);
     assert!(text.contains(&line));
     let job = ShardJob {
-        sweep: &sweep,
-        filter: None,
-        assignment: ShardAssignment::Shard(Shard { index: 0, of: 2 }),
-        csv: &csv,
         resume: true,
-        checkpoint_every: 1,
-        columnar: false,
+        ..shard_job(
+            &sweep,
+            ShardAssignment::Shard(Shard { index: 0, of: 2 }),
+            &csv,
+        )
     };
     for bytes in ["-1", "100000000000000"] {
         let corrupt = text.replace(&line, &format!("bytes = {bytes}\n"));
@@ -279,11 +272,11 @@ fn merge_rejects_gaps_incomplete_shards_and_stale_content() {
     // An incomplete shard (mid-run checkpoint) is refused.
     let mut manifest = ShardManifest::load(&shards[1]).unwrap();
     manifest.complete = false;
-    manifest.store(&shards[1], &NoopChaos).unwrap();
+    manifest.store(&shards[1], &NO_CHAOS).unwrap();
     let err = merge_shards(&shards, &merged, false).unwrap_err();
     assert!(err.to_string().contains("shard incomplete"), "{err}");
     manifest.complete = true;
-    manifest.store(&shards[1], &NoopChaos).unwrap();
+    manifest.store(&shards[1], &NO_CHAOS).unwrap();
 
     // A cell range that runs backwards or past the grid is refused,
     // even by a partial merge.
@@ -375,13 +368,8 @@ fn dying_shard_leaves_a_terminal_failed_record_then_resumes_clean() {
     let scratch = Scratch::new("failrec");
     let csv = scratch.path("whole.csv");
     let job = |resume: bool| ShardJob {
-        sweep: &sweep,
-        filter: None,
-        assignment: ShardAssignment::Whole,
-        csv: &csv,
         resume,
-        checkpoint_every: 1,
-        columnar: false,
+        ..shard_job(&sweep, ShardAssignment::Whole, &csv)
     };
     // Each invocation gets a fresh registry, so `hit:N` counts this
     // invocation's fragment row writes.
@@ -470,15 +458,7 @@ fn invalid_sweep_is_an_error_and_writes_no_shard_output() {
 
         let scratch = Scratch::new("invalid");
         let csv = scratch.path("shard.csv");
-        let job = ShardJob {
-            sweep,
-            filter: None,
-            assignment: ShardAssignment::Whole,
-            csv: &csv,
-            resume: false,
-            checkpoint_every: 1,
-            columnar: false,
-        };
+        let job = shard_job(sweep, ShardAssignment::Whole, &csv);
         let err = run_shard(&runner, &job, None).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
         assert!(err.to_string().contains(message), "{err}");

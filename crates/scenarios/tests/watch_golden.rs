@@ -16,7 +16,7 @@ use green_scenarios::{
 };
 
 mod common;
-use common::Scratch;
+use common::{shard_job, Scratch};
 
 /// The same 6-configuration × 2-replicate grid the shard golden tests
 /// use: 3 shards get exactly 2 configurations each.
@@ -30,13 +30,8 @@ fn grid() -> Sweep {
 
 fn job<'a>(sweep: &'a Sweep, shard: Shard, csv: &'a Path, resume: bool) -> ShardJob<'a> {
     ShardJob {
-        sweep,
-        filter: None,
-        assignment: ShardAssignment::Shard(shard),
-        csv,
         resume,
-        checkpoint_every: 1,
-        columnar: false,
+        ..shard_job(sweep, ShardAssignment::Shard(shard), csv)
     }
 }
 
