@@ -8,11 +8,16 @@
 //! The gate ([`PerfReport::compare`]) treats the two kinds of numbers
 //! differently, because CI runners are noisy but work counts are not:
 //!
-//! * a counter drifting beyond tolerance against the committed baseline
-//!   **fails** — the code started doing measurably more (or different)
-//!   work, e.g. a cache stopped deduplicating realizations;
-//! * wall time drifting only **warns** — a shared GitHub runner can be
-//!   2× slower for reasons that have nothing to do with the diff.
+//! * a counter drifting beyond ±20 % ([`TOLERANCE`]) of the committed
+//!   baseline **fails** — the code started doing measurably more (or
+//!   different) work, e.g. a cache stopped deduplicating realizations —
+//!   and so does a bench or counter that only one side reports;
+//! * wall time, peak RSS and phase times growing past 2× only **warn** —
+//!   a shared GitHub runner can be 2× slower for reasons that have
+//!   nothing to do with the diff.
+//!
+//! [`PerfReport::compare`] walks both reports once into a [`Comparison`]
+//! of rows, and everything the gate prints reads those rows.
 //!
 //! The JSON codec is deliberately minimal (flat schema, no escapes
 //! beyond the basics), so the repository needs no serialization crate.
@@ -42,9 +47,9 @@ pub struct PerfBench {
     /// identical code; the gate fails when they drift.
     pub counters: Vec<(String, f64)>,
     /// Per-phase wall-time attribution (phase name → milliseconds),
-    /// present when the suite ran with recording enabled (`green-perf
-    /// --phases`). Wall-clock derived, so the gate treats drift as
-    /// warn-only — the counters already gate the work itself.
+    /// present for the benches that run under a recorder. Wall-clock
+    /// derived, so the gate treats drift as warn-only — the counters
+    /// already gate the work itself.
     pub phases: Vec<(String, f64)>,
     /// Derived throughput rates (name → per-second value). Reported for
     /// humans; the gate ignores them.
@@ -156,24 +161,168 @@ pub struct PerfReport {
     pub benches: Vec<PerfBench>,
 }
 
-/// The gate's verdict: hard failures (counters) and advisory warnings
-/// (wall time / peak RSS).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Allowed drift of a gated counter against its baseline: ±20 %.
+pub const TOLERANCE: f64 = 0.20;
+
+/// Growth past which a warn-only metric warns: +100 %, i.e. 2× the
+/// baseline.
+const WARN_GROWTH: f64 = 1.00;
+
+/// A row's verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Within bounds.
+    Ok,
+    /// A warn-only metric grew past 2× or is missing from the run.
+    Warn,
+    /// A counter drifted past [`TOLERANCE`], or a bench or counter is
+    /// missing from one side.
+    Fail,
+}
+
+/// One (bench, metric) row of a [`Comparison`]: both sides' values and
+/// the verdict on them. Its [`Display`](std::fmt::Display) is the
+/// row's `FAIL:` or `warning:` line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    bench: String,
+    /// A counter's name, `wall_ms`, `peak_rss_mb` or `phase:<name>`;
+    /// `None` for a whole bench that one side lacks.
+    metric: Option<String>,
+    /// The baseline's and the run's value, or the side that lacks the
+    /// metric: `"baseline"` or `"current run"`.
+    values: Result<(f64, f64), &'static str>,
+    /// Counters and whole benches gate; wall time, peak RSS and phases
+    /// only warn.
+    gated: bool,
+    /// Worked out from the three above when the row is made.
+    verdict: Verdict,
+}
+
+impl Row {
+    fn new(
+        bench: &str,
+        metric: Option<String>,
+        gated: bool,
+        values: Result<(f64, f64), &'static str>,
+    ) -> Row {
+        let verdict = match (values, gated) {
+            (Ok((base, now)), true) if drift(now, base).abs() > TOLERANCE => Verdict::Fail,
+            (Ok((base, now)), false) if drift(now, base) > WARN_GROWTH => Verdict::Warn,
+            (Ok(_), _) => Verdict::Ok,
+            (Err(_), true) => Verdict::Fail,
+            (Err(_), false) => Verdict::Warn,
+        };
+        Row {
+            bench: bench.to_string(),
+            metric,
+            values,
+            gated,
+            verdict,
+        }
+    }
+
+    /// `bench.metric`, or the bench alone for a whole-bench row: the
+    /// name a failing gate lists.
+    pub fn name(&self) -> String {
+        match &self.metric {
+            Some(metric) => format!("{}.{metric}", self.bench),
+            None => self.bench.clone(),
+        }
+    }
+
+    /// The row's line in the drift table.
+    fn markdown(&self) -> String {
+        let mut verdict = match self.verdict {
+            Verdict::Fail => "**FAIL**",
+            Verdict::Warn => "warn",
+            Verdict::Ok if self.gated => "ok",
+            Verdict::Ok => "ok (warn-only)",
+        }
+        .to_string();
+        let (base, now, change) = match self.values {
+            Ok((base, now)) => (
+                fmt_num(base),
+                fmt_num(now),
+                format!("{:+.1}%", 100.0 * drift(now, base)),
+            ),
+            Err(side) => {
+                let what = match (&self.metric, self.gated) {
+                    (None, _) => "bench",
+                    (Some(_), true) => "counter",
+                    (Some(_), false) => "phase",
+                };
+                verdict = format!("{verdict} ({what} missing from {side})");
+                ("—".into(), "—".into(), "—".into())
+            }
+        };
+        format!(
+            "| {} | {} | {base} | {now} | {change} | {verdict} |",
+            escape_cell(&self.bench),
+            escape_cell(self.metric.as_deref().unwrap_or("—")),
+        )
+    }
+}
+
+impl std::fmt::Display for Row {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let name = self.name();
+        match self.values {
+            Ok((base, now)) => write!(
+                f,
+                "{name} {:+.1}% (baseline {}, now {})",
+                100.0 * drift(now, base),
+                fmt_num(base),
+                fmt_num(now)
+            )?,
+            Err(side) => write!(f, "{name} missing from the {side}")?,
+        }
+        if !self.gated {
+            f.write_str(" — warn-only")?;
+        }
+        Ok(())
+    }
+}
+
+/// The gate's verdict on a run against a baseline, one [`Row`] per
+/// (bench, metric). The exit status, the `FAIL:` and `warning:` lines,
+/// the failing names and the drift table all read these rows.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
-    /// Counter drifts beyond tolerance — fail the build.
-    pub failures: Vec<String>,
-    /// The offending metrics as `bench.counter` names, parallel to
-    /// `failures` — so a failing gate can say *which* counter regressed
-    /// instead of exiting with a bare status code.
-    pub failed_counters: Vec<String>,
-    /// Wall-time drifts beyond tolerance — report, don't fail.
-    pub warnings: Vec<String>,
+    /// Each baseline bench's rows in baseline order, then a row for each
+    /// bench only the run reports.
+    rows: Vec<Row>,
 }
 
 impl Comparison {
-    /// True when no counter regressed.
+    /// True when no row fails.
     pub fn passed(&self) -> bool {
-        self.failures.is_empty()
+        self.failures().next().is_none()
+    }
+
+    /// The rows that fail the gate.
+    pub fn failures(&self) -> impl Iterator<Item = &Row> {
+        self.rows.iter().filter(|r| r.verdict == Verdict::Fail)
+    }
+
+    /// The rows that warn.
+    pub fn warnings(&self) -> impl Iterator<Item = &Row> {
+        self.rows.iter().filter(|r| r.verdict == Verdict::Warn)
+    }
+
+    /// The rows as a GitHub-flavoured markdown drift table: bench,
+    /// metric, both values, signed drift and verdict. CI writes it into
+    /// the job summary, so a failing gate names its rows at a glance.
+    pub fn drift_table(&self) -> String {
+        let mut out = String::from(
+            "| bench | metric | baseline | current | drift | verdict |\n\
+             |---|---|---:|---:|---:|---|\n",
+        );
+        for row in &self.rows {
+            out.push_str(&row.markdown());
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -279,130 +428,64 @@ impl PerfReport {
         Ok(report)
     }
 
-    /// Gates `self` (the current run) against `baseline`: every baseline
-    /// counter must stay within `tolerance` (relative, e.g. `0.2` =
-    /// ±20 %), and every bench and counter the run reports must be in
-    /// the baseline, so nothing the run measures goes ungated; wall
-    /// time beyond `wall_tolerance` only warns.
-    pub fn compare(
-        &self,
-        baseline: &PerfReport,
-        tolerance: f64,
-        wall_tolerance: f64,
-    ) -> Comparison {
-        let mut cmp = Comparison::default();
-        for (bench, counter) in self.unbaselined(baseline) {
-            let (failure, metric) = match counter {
-                Some(counter) => (
-                    format!("{bench}: counter `{counter}` missing from the baseline"),
-                    format!("{bench}.{counter}"),
-                ),
-                None => (
-                    format!("bench `{bench}` missing from the baseline"),
-                    bench.to_string(),
-                ),
-            };
-            cmp.failures.push(failure);
-            cmp.failed_counters.push(metric);
-        }
+    /// Gates `self` (the current run) against `baseline` in one walk
+    /// over both. Every counter either side reports is gated at
+    /// [`TOLERANCE`] and fails when the other side lacks it, and so does
+    /// a whole bench; wall time, peak RSS (where both sides record it)
+    /// and the baseline's phases warn past 2×, and a phase missing from
+    /// the run warns.
+    pub fn compare(&self, baseline: &PerfReport) -> Comparison {
+        let value = |items: &[(String, f64)], key: &str| {
+            items.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+        };
+        let mut rows = Vec::new();
         for base in &baseline.benches {
-            let Some(current) = self.bench(&base.name) else {
-                cmp.failures.push(format!(
-                    "bench `{}` missing from the current run",
-                    base.name
-                ));
-                cmp.failed_counters.push(base.name.clone());
+            let bench = base.name.as_str();
+            let Some(now) = self.bench(bench) else {
+                rows.push(Row::new(bench, None, true, Err("current run")));
                 continue;
             };
             for (counter, expected) in &base.counters {
-                let Some((_, actual)) = current.counters.iter().find(|(k, _)| k == counter) else {
-                    cmp.failures.push(format!(
-                        "{}: counter `{counter}` missing from the current run",
-                        base.name
-                    ));
-                    cmp.failed_counters.push(format!("{}.{counter}", base.name));
-                    continue;
-                };
-                let drift = relative_drift(*actual, *expected);
-                if drift > tolerance {
-                    cmp.failures.push(format!(
-                        "{}: counter `{counter}` drifted {:+.1}% (baseline {}, now {})",
-                        base.name,
-                        100.0 * (actual - expected) / expected.max(1e-12),
-                        fmt_num(*expected),
-                        fmt_num(*actual),
-                    ));
-                    cmp.failed_counters.push(format!("{}.{counter}", base.name));
-                }
-            }
-            let wall_drift = (current.wall_ms - base.wall_ms) / base.wall_ms.max(1e-12);
-            if wall_drift > wall_tolerance {
-                cmp.warnings.push(format!(
-                    "{}: wall time {:+.1}% (baseline {:.1} ms, now {:.1} ms) — wall is warn-only",
-                    base.name,
-                    100.0 * wall_drift,
-                    base.wall_ms,
-                    current.wall_ms,
+                let values = value(&now.counters, counter).map(|actual| (*expected, actual));
+                rows.push(Row::new(
+                    bench,
+                    Some(counter.clone()),
+                    true,
+                    values.ok_or("current run"),
                 ));
             }
-            // Peak RSS is machine-dependent like wall time: growth beyond
-            // the wall tolerance warns, never fails.
-            if let (Some(base_rss), Some(rss)) = (base.peak_rss_mb, current.peak_rss_mb) {
-                let rss_drift = (rss - base_rss) / base_rss.max(1e-12);
-                if rss_drift > wall_tolerance {
-                    cmp.warnings.push(format!(
-                        "{}: peak RSS {:+.1}% (baseline {:.1} MB, now {:.1} MB) — RSS is warn-only",
-                        base.name,
-                        100.0 * rss_drift,
-                        base_rss,
-                        rss,
+            for (counter, _) in &now.counters {
+                if value(&base.counters, counter).is_none() {
+                    rows.push(Row::new(
+                        bench,
+                        Some(counter.clone()),
+                        true,
+                        Err("baseline"),
                     ));
                 }
             }
-            // Phase timings are wall-clock attribution: growth beyond
-            // the wall tolerance warns, never fails — the work counters
-            // already gate what each phase *does*.
+            let wall = Ok((base.wall_ms, now.wall_ms));
+            rows.push(Row::new(bench, Some("wall_ms".into()), false, wall));
+            if let (Some(expected), Some(actual)) = (base.peak_rss_mb, now.peak_rss_mb) {
+                rows.push(Row::new(
+                    bench,
+                    Some("peak_rss_mb".into()),
+                    false,
+                    Ok((expected, actual)),
+                ));
+            }
             for (phase, expected) in &base.phases {
-                let Some((_, actual)) = current.phases.iter().find(|(k, _)| k == phase) else {
-                    cmp.warnings.push(format!(
-                        "{}: phase `{phase}` missing from the current run — phases are warn-only",
-                        base.name
-                    ));
-                    continue;
-                };
-                let drift = (actual - expected) / expected.abs().max(1e-12);
-                if drift > wall_tolerance {
-                    cmp.warnings.push(format!(
-                        "{}: phase `{phase}` {:+.1}% (baseline {:.1} ms, now {:.1} ms) — \
-                         phases are warn-only",
-                        base.name,
-                        100.0 * drift,
-                        expected,
-                        actual,
-                    ));
-                }
+                let values = value(&now.phases, phase).map(|actual| (*expected, actual));
+                let metric = Some(format!("phase:{phase}"));
+                rows.push(Row::new(bench, metric, false, values.ok_or("current run")));
             }
         }
-        cmp
-    }
-
-    /// What this run reports that `baseline` lacks: a whole bench as
-    /// `(bench, None)`, a counter of a baselined bench as
-    /// `(bench, Some(counter))`.
-    fn unbaselined<'r>(&'r self, baseline: &PerfReport) -> Vec<(&'r str, Option<&'r str>)> {
-        let mut missing = Vec::new();
-        for bench in &self.benches {
-            let Some(base) = baseline.bench(&bench.name) else {
-                missing.push((bench.name.as_str(), None));
-                continue;
-            };
-            for (counter, _) in &bench.counters {
-                if !base.counters.iter().any(|(k, _)| k == counter) {
-                    missing.push((bench.name.as_str(), Some(counter.as_str())));
-                }
+        for now in &self.benches {
+            if baseline.bench(&now.name).is_none() {
+                rows.push(Row::new(&now.name, None, true, Err("baseline")));
             }
         }
-        missing
+        Comparison { rows }
     }
 
     /// The hosts of this run and of `baseline`, one line, for the head
@@ -415,107 +498,6 @@ impl PerfReport {
             describe(baseline.host)
         )
     }
-
-    /// Renders the comparison against `baseline` as a GitHub-flavoured
-    /// markdown drift table — one row per (bench, metric) with its
-    /// baseline value, current value, relative drift, and verdict.
-    /// Verdicts mirror [`compare`](Self::compare) exactly: counters
-    /// judge symmetric drift against `tolerance`, wall/RSS rows judge
-    /// *growth only* against `wall_tolerance` and can at most warn.
-    /// Written into the CI job summary so a failing gate names the
-    /// offending counter at a glance.
-    pub fn markdown_table(
-        &self,
-        baseline: &PerfReport,
-        tolerance: f64,
-        wall_tolerance: f64,
-    ) -> String {
-        let mut out = String::from(
-            "| bench | metric | baseline | current | drift | verdict |\n\
-             |---|---|---:|---:|---:|---|\n",
-        );
-        let row =
-            |out: &mut String, bench: &str, metric: &str, base: f64, now: f64, gates: bool| {
-                let signed_drift = (now - base) / base.abs().max(1e-12);
-                let verdict = if gates && relative_drift(now, base) > tolerance {
-                    "**FAIL**"
-                } else if gates {
-                    "ok"
-                } else if signed_drift > wall_tolerance {
-                    "warn"
-                } else {
-                    "ok (warn-only)"
-                };
-                let _ = writeln!(
-                    out,
-                    "| {} | {} | {} | {} | {:+.1}% | {verdict} |",
-                    escape_cell(bench),
-                    escape_cell(metric),
-                    fmt_num(base),
-                    fmt_num(now),
-                    100.0 * signed_drift,
-                );
-            };
-        for (bench, counter) in self.unbaselined(baseline) {
-            let _ = match counter {
-                Some(counter) => writeln!(
-                    out,
-                    "| {} | {} | — | — | — | **FAIL** (counter missing from baseline) |",
-                    escape_cell(bench),
-                    escape_cell(counter)
-                ),
-                None => writeln!(
-                    out,
-                    "| {} | — | — | — | — | **FAIL** (bench missing from baseline) |",
-                    escape_cell(bench)
-                ),
-            };
-        }
-        for base in &baseline.benches {
-            let Some(current) = self.bench(&base.name) else {
-                let _ = writeln!(
-                    out,
-                    "| {} | — | — | — | — | **FAIL** (bench missing from current run) |",
-                    escape_cell(&base.name)
-                );
-                continue;
-            };
-            for (counter, expected) in &base.counters {
-                match current.counters.iter().find(|(k, _)| k == counter) {
-                    Some((_, actual)) => {
-                        row(&mut out, &base.name, counter, *expected, *actual, true)
-                    }
-                    None => {
-                        let _ = writeln!(
-                            out,
-                            "| {} | {} | {} | — | — | **FAIL** (counter missing) |",
-                            escape_cell(&base.name),
-                            escape_cell(counter),
-                            fmt_num(*expected)
-                        );
-                    }
-                }
-            }
-            row(
-                &mut out,
-                &base.name,
-                "wall_ms",
-                base.wall_ms,
-                current.wall_ms,
-                false,
-            );
-            if let (Some(b), Some(c)) = (base.peak_rss_mb, current.peak_rss_mb) {
-                row(&mut out, &base.name, "peak_rss_mb", b, c, false);
-            }
-            for (phase, expected) in &base.phases {
-                if let Some((_, actual)) = current.phases.iter().find(|(k, _)| k == phase) {
-                    let metric = format!("phase:{phase}");
-                    row(&mut out, &base.name, &metric, *expected, *actual, false);
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Escapes a value for a GitHub-flavoured-markdown table cell: `|`
@@ -525,16 +507,16 @@ fn escape_cell(s: &str) -> String {
     s.replace('|', "\\|").replace(['\n', '\r'], " ")
 }
 
-/// Drift relative to the *baseline*, so "±20 %" means what it says:
-/// +21 % growth and −21 % shrinkage both trip a 0.20 tolerance. A
-/// counter appearing where the baseline had zero is effectively
-/// infinite drift (the baseline must be regenerated alongside such a
-/// change).
-fn relative_drift(actual: f64, expected: f64) -> f64 {
-    if actual == expected {
+/// Drift of `now` relative to the baseline's `base`, signed, so "±20 %"
+/// means what it says: +21 % growth and −21 % shrinkage both trip the
+/// tolerance. A value appearing where the baseline had zero is
+/// effectively infinite drift (the baseline must be regenerated
+/// alongside such a change).
+fn drift(now: f64, base: f64) -> f64 {
+    if now == base {
         return 0.0;
     }
-    (actual - expected).abs() / expected.abs().max(1e-12)
+    (now - base) / base.abs().max(1e-12)
 }
 
 fn pairs(items: &[(String, f64)]) -> String {
@@ -548,6 +530,11 @@ fn pairs(items: &[(String, f64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The `FAIL:` or `warning:` lines of `rows`.
+    fn lines<'a>(rows: impl Iterator<Item = &'a Row>) -> Vec<String> {
+        rows.map(Row::to_string).collect()
+    }
 
     fn report() -> PerfReport {
         PerfReport {
@@ -642,16 +629,16 @@ mod tests {
     fn rss_growth_only_warns() {
         let mut current = report();
         current.benches[0].peak_rss_mb = Some(512.25 * 4.0);
-        let cmp = current.compare(&report(), 0.2, 0.5);
+        let cmp = current.compare(&report());
         assert!(cmp.passed(), "RSS must never fail the gate");
+        let warnings = lines(cmp.warnings());
         assert!(
-            cmp.warnings.iter().any(|w| w.contains("peak RSS")),
-            "{:?}",
-            cmp.warnings
+            warnings.iter().any(|w| w.contains("peak_rss_mb")),
+            "{warnings:?}"
         );
         // A bench without RSS on either side warns about nothing.
-        let cmp = report().compare(&report(), 0.2, 0.5);
-        assert!(cmp.warnings.is_empty());
+        let cmp = report().compare(&report());
+        assert!(lines(cmp.warnings()).is_empty());
     }
 
     #[test]
@@ -659,7 +646,7 @@ mod tests {
         let mut current = report();
         current.benches[0].counters[0].1 *= 1.5; // events +50%: FAIL
         current.benches[0].wall_ms *= 3.0; // wall: warn-only
-        let table = current.markdown_table(&report(), 0.2, 0.5);
+        let table = current.compare(&report()).drift_table();
         let events_row = table
             .lines()
             .find(|l| l.contains("| events |"))
@@ -672,13 +659,13 @@ mod tests {
             .expect("wall row present");
         assert!(wall_row.contains("warn"), "{wall_row}");
         assert!(!wall_row.contains("FAIL"), "{wall_row}");
-        // Verdicts mirror the gate: a wall *improvement* (or a regression
-        // inside wall_tolerance) is not a warning, even when it exceeds
-        // the much tighter counter tolerance.
+        // Verdicts mirror the gate: a wall *improvement* (or growth
+        // inside 2×) is not a warning, even when it exceeds the much
+        // tighter counter tolerance.
         let mut faster = report();
         faster.benches[0].wall_ms *= 0.5;
-        faster.benches[1].wall_ms *= 1.4; // +40% < 50% wall tolerance
-        let table = faster.markdown_table(&report(), 0.2, 0.5);
+        faster.benches[1].wall_ms *= 1.4; // +40% < +100%
+        let table = faster.compare(&report()).drift_table();
         for line in table.lines().filter(|l| l.contains("| wall_ms |")) {
             assert!(line.contains("ok (warn-only)"), "{line}");
         }
@@ -732,22 +719,23 @@ mod tests {
 
     #[test]
     fn equal_reports_pass_the_gate() {
-        let cmp = report().compare(&report(), 0.2, 0.5);
+        let cmp = report().compare(&report());
         assert!(cmp.passed());
-        assert!(cmp.warnings.is_empty());
+        assert!(lines(cmp.warnings()).is_empty());
     }
 
     #[test]
     fn counter_drift_fails_both_directions() {
         let mut current = report();
         current.benches[0].counters[0].1 *= 1.21; // +21% work
-        let cmp = current.compare(&report(), 0.2, 0.5);
+        let cmp = current.compare(&report());
         assert!(!cmp.passed(), "tolerance is baseline-relative");
-        assert!(cmp.failures[0].contains("events"), "{:?}", cmp.failures);
+        let failures = lines(cmp.failures());
+        assert!(failures[0].contains("events"), "{failures:?}");
 
         let mut current = report();
         current.benches[1].counters[0].1 = 10.0; // grid shrank
-        let cmp = current.compare(&report(), 0.2, 0.5);
+        let cmp = current.compare(&report());
         assert!(!cmp.passed(), "shrunk workloads must fail too");
     }
 
@@ -757,14 +745,11 @@ mod tests {
         baseline.benches[1]
             .counters
             .push(("price_tables".into(), 0.0));
-        assert!(
-            baseline.compare(&baseline, 0.2, 0.5).passed(),
-            "0 == 0 passes"
-        );
+        assert!(baseline.compare(&baseline).passed(), "0 == 0 passes");
         let mut current = baseline.clone();
         current.benches[1].counters[1].1 = 4.0;
         assert!(
-            !current.compare(&baseline, 0.2, 0.5).passed(),
+            !current.compare(&baseline).passed(),
             "0 → 4 must force a baseline regeneration"
         );
     }
@@ -773,39 +758,46 @@ mod tests {
     fn wall_time_only_warns() {
         let mut current = report();
         current.benches[0].wall_ms *= 3.0;
-        let cmp = current.compare(&report(), 0.2, 0.5);
+        let cmp = current.compare(&report());
         assert!(cmp.passed(), "wall noise must not fail the gate");
-        assert_eq!(cmp.warnings.len(), 1);
-        assert!(cmp.warnings[0].contains("warn-only"));
+        let warnings = lines(cmp.warnings());
+        assert_eq!(warnings.len(), 1);
+        assert!(warnings[0].contains("warn-only"));
     }
 
     #[test]
     fn missing_bench_fails() {
         let current = PerfReport::default();
-        let cmp = current.compare(&report(), 0.2, 0.5);
-        assert_eq!(cmp.failures.len(), 2);
+        let cmp = current.compare(&report());
+        assert_eq!(cmp.failures().count(), 2);
     }
 
     #[test]
     fn a_bench_or_counter_missing_from_the_baseline_fails() {
         let mut baseline = report();
         baseline.benches[0].counters.remove(0);
-        let cmp = report().compare(&baseline, 0.2, 0.5);
+        let cmp = report().compare(&baseline);
         assert!(!cmp.passed(), "an ungated counter must fail");
-        assert_eq!(cmp.failed_counters, ["sim_year.events"]);
+        assert_eq!(
+            cmp.failures().map(Row::name).collect::<Vec<_>>(),
+            ["sim_year.events"]
+        );
+        let failures = lines(cmp.failures());
         assert!(
-            cmp.failures[0].contains("missing from the baseline"),
-            "{:?}",
-            cmp.failures
+            failures[0].contains("missing from the baseline"),
+            "{failures:?}"
         );
 
         let mut baseline = report();
         baseline.benches.remove(1);
-        let cmp = report().compare(&baseline, 0.2, 0.5);
+        let cmp = report().compare(&baseline);
         assert!(!cmp.passed(), "an ungated bench must fail");
-        assert_eq!(cmp.failed_counters, ["sweep_grid"]);
+        assert_eq!(
+            cmp.failures().map(Row::name).collect::<Vec<_>>(),
+            ["sweep_grid"]
+        );
 
-        let table = report().markdown_table(&baseline, 0.2, 0.5);
+        let table = cmp.drift_table();
         assert!(
             table.contains(
                 "| sweep_grid | — | — | — | — | **FAIL** (bench missing from baseline) |"
@@ -818,7 +810,7 @@ mod tests {
     fn within_tolerance_drift_passes() {
         let mut current = report();
         current.benches[0].counters[0].1 *= 1.1; // +10% < 20%
-        assert!(current.compare(&report(), 0.2, 0.5).passed());
+        assert!(current.compare(&report()).passed());
     }
 
     #[test]
@@ -842,21 +834,62 @@ mod tests {
 
         let mut current = report();
         current.benches[0].phases[0].1 *= 3.0; // schedule phase 3× slower
-        let cmp = current.compare(&report(), 0.2, 0.5);
+        let cmp = current.compare(&report());
         assert!(cmp.passed(), "phase drift must never fail the gate");
+        let warnings = lines(cmp.warnings());
         assert!(
-            cmp.warnings.iter().any(|w| w.contains("phase `schedule`")),
-            "{:?}",
-            cmp.warnings
+            warnings.iter().any(|w| w.contains("phase:schedule")),
+            "{warnings:?}"
         );
         // Phases show up in the drift table as warn-only rows.
-        let table = current.markdown_table(&report(), 0.2, 0.5);
+        let table = cmp.drift_table();
         let row = table
             .lines()
             .find(|l| l.contains("| phase:schedule |"))
             .expect("phase row present");
         assert!(row.contains("warn"), "{row}");
         assert!(!row.contains("FAIL"), "{row}");
+    }
+
+    /// A phase the run does not report warns, and the drift table shows
+    /// it as the same warn row; the gate still passes.
+    #[test]
+    fn a_phase_missing_from_the_run_warns_in_lines_and_table() {
+        let mut current = report();
+        current.benches[0].phases.remove(0);
+        let cmp = current.compare(&report());
+        assert!(cmp.passed(), "phases never fail the gate");
+        assert_eq!(
+            lines(cmp.warnings()),
+            ["sim_year.phase:schedule missing from the current run — warn-only"]
+        );
+        let table = cmp.drift_table();
+        assert!(
+            table.contains(
+                "| sim_year | phase:schedule | — | — | — | warn (phase missing from current run) |"
+            ),
+            "{table}"
+        );
+    }
+
+    /// A counter renamed in the baseline fails on both sides, and the
+    /// failing names list both.
+    #[test]
+    fn a_renamed_counter_fails_on_both_sides() {
+        let mut baseline = report();
+        baseline.benches[0].counters[1].0 = "jobs_x".into();
+        let cmp = report().compare(&baseline);
+        assert_eq!(
+            cmp.failures().map(Row::name).collect::<Vec<_>>(),
+            ["sim_year.jobs_x", "sim_year.jobs"]
+        );
+        assert_eq!(
+            lines(cmp.failures()),
+            [
+                "sim_year.jobs_x missing from the current run",
+                "sim_year.jobs missing from the baseline"
+            ]
+        );
     }
 
     #[test]
@@ -867,7 +900,7 @@ mod tests {
             .push(("odd|name\nsplit".into(), 7.0));
         let mut current = baseline.clone();
         current.benches[0].counters[2].1 = 700.0; // drifted: FAIL row
-        let table = current.markdown_table(&baseline, 0.2, 0.5);
+        let table = current.compare(&baseline).drift_table();
         let row = table
             .lines()
             .find(|l| l.contains("odd\\|name split"))

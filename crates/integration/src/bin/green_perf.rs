@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! green-perf [--out <report.json>] [--check <baseline.json>]
-//!            [--tolerance <rel>] [--wall-tolerance <rel>]
 //!            [--summary <file.md>] [--only <substring>] [--quiet]
 //! ```
 //!
@@ -74,26 +73,32 @@
 //! demands a deliberate baseline regeneration, because it means
 //! scheduling behaviour itself changed.
 //!
+//! `sim_year` and `sweep_grid` run under their own
+//! [`green_obs::StatsRecorder`]: the recorder's work counters
+//! (`ready_user_merges`, `cache_hits`, …) join the bench's counters, and
+//! its per-phase wall times (schedule/events/settle/attribute/csv) land
+//! in the report's warn-only `phases` section. The other benches run
+//! unrecorded.
+//!
 //! `--check` compares the run against a committed baseline
-//! (`BENCH_11.json`, recorded with `--phases`; a check that selects a
-//! bench whose baseline holds recorder counters exits 2 up front
-//! without `--phases`): deterministic-counter drift beyond `--tolerance`
-//! (default 0.20) **fails**, and so does a bench or counter that only
-//! one of the run and the baseline reports; the failure message names
-//! each offending `bench.counter`; wall-time/RSS drift beyond
-//! `--wall-tolerance` (default 1.00, i.e. 2× slower) only warns — CI
-//! runners are noisy, work counts are not. `--summary` appends a
-//! markdown drift table (every counter, wall and RSS row with its
-//! verdict) to the given file — pointed at `$GITHUB_STEP_SUMMARY` in CI.
+//! (`BENCH_11.json`) in one pass ([`green_bench::PerfReport::compare`]):
+//! a counter drifting beyond ±20 % **fails**, and so does a bench or
+//! counter that only one of the run and the baseline reports; wall
+//! time, peak RSS and phase times growing past 2× only warn — CI
+//! runners are noisy, work counts are not. The last line names every
+//! failing `bench.counter`. `--summary` appends the same rows as a
+//! markdown drift table to the given file — pointed at
+//! `$GITHUB_STEP_SUMMARY` in CI.
 
 use std::time::Instant;
 
 use green_batchsim::{intensity_for, run_cell_in_obs, PlacementTable, Policy, SimArena, SimConfig};
+use green_bench::perf::TOLERANCE;
 use green_bench::{peak_rss_mb, reset_peak_rss, Host, PerfBench, PerfReport};
 use green_carbon::HourlyTrace;
 use green_chaos::NO_CHAOS;
 use green_machines::simulation_fleet;
-use green_obs::{NoopRecorder, Recorder, StatsRecorder};
+use green_obs::{Recorder as _, StatsRecorder};
 use green_perfmodel::CrossMachinePredictor;
 use green_scenarios::{
     analyze_dir, orchestrate, AnalyzeQuery, OrchestrateConfig, Shard, Sweep, SweepRunner,
@@ -113,9 +118,7 @@ green-perf — deterministic perf suite and bench-regression gate
 
 USAGE:
     green-perf [--out <report.json>] [--check <baseline.json>]
-               [--tolerance <rel>] [--wall-tolerance <rel>]
-               [--summary <file.md>] [--only <substring>]
-               [--phases] [--quiet]
+               [--summary <file.md>] [--only <substring>] [--quiet]
 
 --only <substring> runs (and gates) just the benches whose name
 contains the substring — e.g. `--only scaling_` for the scaling suite,
@@ -123,15 +126,12 @@ contains the substring — e.g. `--only scaling_` for the scaling suite,
 that bench alone. Baseline benches outside the filter are skipped, not
 reported missing.
 
---phases runs the suite with the observability recorder enabled: each
-bench additionally reports the recorder's deterministic work counters
-(ready_user_merges, cells_run, cache_hits, …) — gated like any
-counter — and a per-phase wall-time breakdown (schedule/events/settle/
-attribute/csv), which drifts warn-only like wall time. Without the
-flag the suite runs the zero-cost no-op recorder and reports neither;
-the committed baseline holds the recorder's counters of sim_year and
-sweep_grid, so a --check that selects either needs --phases and exits 2
-before running any bench without it.
+--check <baseline.json> gates the run against a committed baseline: a
+counter drifting beyond ±20 %, or a bench or counter only one side
+reports, fails (exit 1); wall time, peak RSS and phase times growing
+past 2× only warn. sim_year and sweep_grid run under the observability
+recorder, so its work counters (ready_user_merges, cache_hits, …) are
+gated with theirs. --summary <file.md> appends the drift table.
 ";
 
 fn fail(message: &str) -> ! {
@@ -156,24 +156,29 @@ fn measured(bench: impl FnOnce() -> PerfBench) -> PerfBench {
     bench()
 }
 
-/// Folds a recording run's snapshot into the bench: recorder counters
-/// are deterministic work counts (gated like any other), phase
-/// milliseconds land in the warn-only `phases` section.
-fn folded(mut bench: PerfBench, recorder: &StatsRecorder) -> PerfBench {
-    if let Some(snapshot) = recorder.snapshot() {
-        for (name, value) in &snapshot.counters {
-            bench.counters.push((name.to_string(), *value as f64));
+/// Runs one bench under its own recorder, [`measured`], and folds the
+/// recorder's snapshot into it: recorder counters are deterministic work
+/// counts (gated like any other), phase milliseconds land in the
+/// warn-only `phases` section.
+fn recorded(bench: fn(&StatsRecorder) -> PerfBench) -> PerfBench {
+    measured(|| {
+        let recorder = StatsRecorder::new();
+        let mut bench = bench(&recorder);
+        if let Some(snapshot) = recorder.snapshot() {
+            for (name, value) in &snapshot.counters {
+                bench.counters.push((name.to_string(), *value as f64));
+            }
+            bench.phases = snapshot
+                .phases_ms
+                .iter()
+                .map(|(name, ms)| (name.to_string(), *ms))
+                .collect();
         }
-        bench.phases = snapshot
-            .phases_ms
-            .iter()
-            .map(|(name, ms)| (name.to_string(), *ms))
-            .collect();
-    }
-    bench
+        bench
+    })
 }
 
-fn bench_sim_year<R: Recorder>(obs: &R) -> PerfBench {
+fn bench_sim_year(obs: &StatsRecorder) -> PerfBench {
     let fleet = simulation_fleet();
     let predictor = CrossMachinePredictor::for_fleet(&fleet, 23);
     let trace = Trace::generate(&TraceConfig::small(23), &predictor);
@@ -253,7 +258,7 @@ fn bench_attribution() -> PerfBench {
 
 /// Runs the sensitivity grid single-threaded and reports its
 /// deterministic work counters plus cells/s and events/s.
-fn bench_sweep_grid<R: Recorder>(obs: &R) -> PerfBench {
+fn bench_sweep_grid(obs: &StatsRecorder) -> PerfBench {
     let sweep = Sweep::from_toml_str(SENSITIVITY_TOML).expect("shipped sweep parses");
     let start = Instant::now();
     let (results, stats) = SweepRunner::new(1)
@@ -464,10 +469,9 @@ fn bench_scaling_mega(threads: usize) -> PerfBench {
 /// for each [`SCALING_THREADS`] count) that `want` selects. The
 /// 1-thread rung runs first whenever any rung does, since it is every
 /// wider rung's speedup reference, but is reported only when selected.
-/// The benches always run with the no-op recorder, `--phases` or not:
-/// N workers' overlapping phase walls sum past the bench's own wall and
-/// drift with scheduling, and the 1-thread sweeps already gate the
-/// recorder's counters.
+/// The rungs run unrecorded: N workers' overlapping phase walls sum
+/// past the bench's own wall and drift with scheduling, and
+/// `sweep_grid` already gates the recorder's counters.
 fn scaling_ladder(
     grid: &str,
     bench: impl Fn(usize) -> PerfBench,
@@ -521,9 +525,6 @@ fn main() {
     let mut check: Option<String> = None;
     let mut summary: Option<String> = None;
     let mut only: Option<String> = None;
-    let mut tolerance = 0.20f64;
-    let mut wall_tolerance = 1.00f64;
-    let mut phases = false;
     let mut quiet = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -537,17 +538,6 @@ fn main() {
             "--check" => check = Some(value("--check")),
             "--summary" => summary = Some(value("--summary")),
             "--only" => only = Some(value("--only")),
-            "--tolerance" => {
-                tolerance = value("--tolerance")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --tolerance"));
-            }
-            "--wall-tolerance" => {
-                wall_tolerance = value("--wall-tolerance")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --wall-tolerance"));
-            }
-            "--phases" => phases = true,
             "--quiet" => quiet = true,
             other => fail(&format!("unknown option `{other}`")),
         }
@@ -584,57 +574,21 @@ fn main() {
         baseline.benches.retain(|b| want(&b.name));
         (path, baseline)
     });
-    // A baseline bench with phase rows was recorded under `--phases`,
-    // so its recorder counters exist only in a `--phases` run.
-    if let Some((path, baseline)) = &baseline {
-        let recorded: Vec<&str> = baseline
-            .benches
-            .iter()
-            .filter(|b| !b.phases.is_empty())
-            .map(|b| b.name.as_str())
-            .collect();
-        if !phases && !recorded.is_empty() {
-            fail(&format!(
-                "{path} gates the recorder's counters of {}; check them with --phases",
-                recorded.join(", ")
-            ));
-        }
-    }
-
-    // With --phases each bench gets its own recorder (so counters and
-    // phase times attribute per bench); the default path hands every
-    // bench the no-op recorder, whose probes compile to nothing.
     let (benches, host) = Host::during(|| {
         let mut benches: Vec<PerfBench> = Vec::new();
-        // Only reached when `phases` is set: each recorded bench gets
-        // its own recorder so counters and phase times attribute to it.
-        let rec = |bench: fn(&StatsRecorder) -> PerfBench| {
-            measured(|| {
-                let recorder = StatsRecorder::new();
-                folded(bench(&recorder), &recorder)
-            })
-        };
         if want("sim_year") {
-            benches.push(if phases {
-                rec(bench_sim_year)
-            } else {
-                measured(|| bench_sim_year(&NoopRecorder))
-            });
+            benches.push(recorded(bench_sim_year));
         }
         if want("attribution") {
             benches.push(measured(bench_attribution));
         }
         if want("sweep_grid") {
-            benches.push(if phases {
-                rec(bench_sweep_grid)
-            } else {
-                measured(|| bench_sweep_grid(&NoopRecorder))
-            });
+            benches.push(recorded(bench_sweep_grid));
         }
         // The orchestrator spawns its own worker threads, so a
         // per-bench recorder cannot attribute their work; the mega pair
-        // runs un-instrumented in both modes (and shares one fragment
-        // directory, so either half selects the pair's setup).
+        // runs unrecorded (and shares one fragment directory, so either
+        // half selects the pair's setup).
         if want("orchestrate_mega") || want("analyze_mega") {
             let (orchestrate_mega, analyze_mega) = bench_mega_pair();
             if want("orchestrate_mega") {
@@ -686,12 +640,12 @@ fn main() {
     }
 
     if let Some((path, baseline)) = baseline {
-        let cmp = report.compare(&baseline, tolerance, wall_tolerance);
+        let cmp = report.compare(&baseline);
         if let Some(summary_path) = summary {
             let table = format!(
                 "## green-perf drift vs `{path}`\n\n{}\n\n{}\n",
                 report.host_summary(&baseline),
-                report.markdown_table(&baseline, tolerance, wall_tolerance)
+                cmp.drift_table()
             );
             use std::io::Write as _;
             let appended = std::fs::OpenOptions::new()
@@ -703,24 +657,21 @@ fn main() {
                 eprintln!("warning: could not write summary {summary_path}: {e}");
             }
         }
-        for warning in &cmp.warnings {
+        for warning in cmp.warnings() {
             eprintln!("warning: {warning}");
         }
-        for failure in &cmp.failures {
+        for failure in cmp.failures() {
             eprintln!("FAIL: {failure}");
         }
         if !cmp.passed() {
-            eprintln!(
-                "bench gate: counter regression(s) beyond ±{:.0}% of {path} in: {}",
-                tolerance * 100.0,
-                cmp.failed_counters.join(", ")
-            );
+            let names: Vec<String> = cmp.failures().map(|row| row.name()).collect();
+            eprintln!("bench gate: {path} fails on: {}", names.join(", "));
             std::process::exit(1);
         }
         if !quiet {
             eprintln!(
-                "bench gate: counters within ±{:.0}% of {path}",
-                tolerance * 100.0
+                "bench gate: every counter within ±{:.0}% of {path}",
+                100.0 * TOLERANCE
             );
         }
     }

@@ -28,9 +28,9 @@
 //!
 //! [`StatsRecorder`] is the shipped recording implementation: a fixed
 //! set of relaxed atomics, safe to share across sweep worker threads.
-//! [`ObsSnapshot`] is its read-out, consumed by `green-perf --phases`
-//! (phase breakdown in the JSON schema and drift table) and by the
-//! shard progress sidecar (`<out>.progress`). See
+//! [`ObsSnapshot`] is its read-out, consumed by `green-perf` (the
+//! recorded benches' counters and phase breakdown in the JSON schema and
+//! drift table) and by the shard progress sidecar (`<out>.progress`). See
 //! `docs/observability.md` for the taxonomy and how to add an
 //! instrumentation point.
 

@@ -16,13 +16,14 @@
 //! Per shard, the decoder prefers the `<csv>.cols` columnar sidecar
 //! when its binding (row count, CSV byte count, CSV hash) matches the
 //! manifest — re-analysis then never re-parses CSV text. A missing or
-//! stale sidecar falls back to the hash-verified CSV.
+//! stale sidecar falls back to the hash-verified CSV. A single CSV uses
+//! its sidecar when the byte count and hash match the file itself.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::agg::CSV_HEADERS;
-use crate::shard::{load_shard_set, read_verified, ShardManifest};
+use crate::shard::{load_shard_set, read_verified, Fnv1a, ShardManifest};
 
 use super::columnar::{cols_path, ColsFile, Column};
 use super::engine::GroupEngine;
@@ -84,27 +85,23 @@ pub fn analyze_dir(dir: &Path, query: &AnalyzeQuery, partial: bool) -> io::Resul
 }
 
 /// Analyzes one aggregate CSV (merged output, or a single shard file).
-/// A matching `<csv>.cols` sidecar is used when its recorded CSV byte
-/// count matches the file on disk.
+/// A `<csv>.cols` sidecar is used when its recorded CSV byte count and
+/// FNV-1a hash match the file on disk — the binding [`analyze_dir`]
+/// checks against each manifest — so a CSV rewritten in place, even at
+/// the same length, is folded from its own bytes.
 pub fn analyze_csv(csv: &Path, query: &AnalyzeQuery) -> io::Result<AnalyzeReport> {
     let mut engine = GroupEngine::new(query.key_axes(), query.metrics.len(), query.filter.clone());
     let metric_indices = query.metric_indices();
+    let bytes = std::fs::read(csv)?;
     let sidecar = cols_path(csv);
     let cols = sidecar
         .exists()
         .then(|| ColsFile::load(&sidecar).ok())
         .flatten()
-        .filter(|c| {
-            std::fs::metadata(csv)
-                .map(|m| m.len() == c.csv_bytes)
-                .unwrap_or(false)
-        });
+        .filter(|c| c.csv_bytes == bytes.len() as u64 && c.csv_hash == Fnv1a::hash(&bytes));
     match cols {
         Some(cols) => fold_columnar(&mut engine, &metric_indices, &cols)?,
-        None => {
-            let bytes = std::fs::read(csv)?;
-            fold_csv_bytes(&mut engine, &metric_indices, &bytes, csv)?;
-        }
+        None => fold_csv_bytes(&mut engine, &metric_indices, &bytes, csv)?,
     }
     Ok(engine.finish(query.group_by.clone(), query.metrics.clone()))
 }

@@ -18,7 +18,7 @@
 //!   --chaos <spec>       arm deterministic failpoints on every durable write
 //!                        (see docs/robustness.md for the spec grammar)
 //!   --obs                record per-phase timings and work counters
-//!                        (shard runs; lands in the .progress sidecar)
+//!                        (checkpointed runs; lands in the .progress sidecar)
 //!   --list               print the expanded cells and exit without running
 //!   --quiet              suppress the progress line
 //!
@@ -113,15 +113,18 @@ into its table. `--worker-threads` sets each worker's own thread count
 docs/orchestration.md.
 
 --checkpoint-every tunes rows between manifest checkpoints (default
-64): the heartbeat cadence, and the most work a kill can lose.
+64): the heartbeat cadence, and the most work a kill can lose. It and
+--obs apply only to checkpointed runs (--shard, --cell-range, --resume,
+--columnar or --chaos); elsewhere they exit 2.
 
 --chaos arms deterministic fault injection on every durable write: a
 `;`-separated list of `failpoint=action@trigger` rules (for example
 `manifest_rewrite=enospc@hit:3` or `fragment_row=torn:7@p:0.01:42`).
-The same spec is read from the SCENARIOS_CHAOS environment variable;
-`scenarios orchestrate --chaos` forwards it to every worker. Failpoint
-names, actions, triggers and the durability guarantee each failpoint
-tests are cataloged in docs/robustness.md. A malformed spec, from the
+The same spec is read from the SCENARIOS_CHAOS environment variable,
+whose rules follow the flag's; `scenarios orchestrate` arms every
+worker with both, as it arms itself. Failpoint names, actions,
+triggers and the durability guarantee each failpoint tests are
+cataloged in docs/robustness.md. A malformed spec, from the
 flag or the variable, exits 2 before any work. A spec that arms a
 failpoint, from either source, runs the checkpointed path, so it needs
 --out.
@@ -440,14 +443,16 @@ fn orchestrate_main(args: &[String]) -> ! {
         eprintln!("error: orchestrate: cannot locate own binary: {e}");
         std::process::exit(1);
     });
-    // A `--chaos` spec reaches the workers as their `SCENARIOS_CHAOS`
-    // environment (each worker compiles its own registry with fresh hit
-    // counters); the supervisor arms the same spec for its own
-    // failpoints. Env-spelled chaos is inherited by workers anyway.
+    // Workers are armed as the supervisor is: their `SCENARIOS_CHAOS`
+    // holds the flag's rules followed by the inherited variable's, the
+    // order `chaos_registry` compiled them in (each worker compiles its
+    // own registry with fresh hit counters). The variable alone is
+    // inherited as it is.
     if let Some(spec) = &chaos_spec {
+        let inherited = std::env::var("SCENARIOS_CHAOS").unwrap_or_default();
         launcher
             .envs
-            .push(("SCENARIOS_CHAOS".to_string(), spec.clone()));
+            .push(("SCENARIOS_CHAOS".to_string(), format!("{spec};{inherited}")));
     }
     match orchestrate(&config, &launcher, &chaos) {
         Ok(_) => std::process::exit(0),
@@ -547,7 +552,7 @@ fn main() {
     let mut shard: Option<Shard> = None;
     let mut cell_range: Option<core::ops::Range<usize>> = None;
     let mut resume = false;
-    let mut checkpoint_every = CHECKPOINT_EVERY;
+    let mut checkpoint_every: Option<usize> = None;
     let mut columnar = false;
     let mut obs = false;
     let mut list = false;
@@ -600,10 +605,11 @@ fn main() {
                 let Some(v) = it.next() else {
                     fail("--checkpoint-every needs a row count");
                 };
-                checkpoint_every = v
-                    .parse::<usize>()
-                    .map(|n| n.max(1))
-                    .unwrap_or_else(|_| fail(&format!("bad checkpoint interval `{v}`")));
+                checkpoint_every = Some(
+                    v.parse::<usize>()
+                        .map(|n| n.max(1))
+                        .unwrap_or_else(|_| fail(&format!("bad checkpoint interval `{v}`"))),
+                );
             }
             "--columnar" => columnar = true,
             "--chaos" => {
@@ -634,6 +640,26 @@ fn main() {
         (None, Some(r)) => ShardAssignment::Cells(r),
         (None, None) => ShardAssignment::Whole,
     };
+    // The sharded/checkpointed path: a worker of an N-way split, an
+    // explicit cell range, a resumable whole-grid run, or a run with
+    // failpoints armed (by `--chaos` or `SCENARIOS_CHAOS`). Always
+    // streamed (constant memory is the point at this scale) and always
+    // checkpointed through the `<out>.manifest` sidecar. Only it records
+    // and checkpoints, so elsewhere `--obs` and `--checkpoint-every`
+    // are refused rather than ignored.
+    let checkpointed =
+        assignment != ShardAssignment::Whole || resume || columnar || !chaos.is_empty();
+    let unread = match (obs, checkpoint_every) {
+        (true, _) => Some("--obs"),
+        (false, Some(_)) => Some("--checkpoint-every"),
+        (false, None) => None,
+    };
+    if let (false, Some(flag)) = (checkpointed, unread) {
+        fail(&format!(
+            "{flag} applies only to checkpointed runs \
+             (--shard/--cell-range/--resume/--columnar/--chaos)"
+        ));
+    }
 
     let text = std::fs::read_to_string(&sweep_path).unwrap_or_else(|e| {
         fail(&format!("cannot read {}: {e}", sweep_path.display()));
@@ -706,12 +732,7 @@ fn main() {
         }
     };
     let progress: Option<&ProgressFn<'_>> = if quiet { None } else { Some(&progress_line) };
-    // The sharded/checkpointed path: a worker of an N-way split, an
-    // explicit cell range, a resumable whole-grid run, or a run with
-    // failpoints armed (by `--chaos` or `SCENARIOS_CHAOS`). Always
-    // streamed (constant memory is the point at this scale) and always
-    // checkpointed through the `<out>.manifest` sidecar.
-    if assignment != ShardAssignment::Whole || resume || columnar || !chaos.is_empty() {
+    if checkpointed {
         let Some(out) = out else {
             fail(
                 "--shard/--cell-range/--resume/--columnar/--chaos (or SCENARIOS_CHAOS) \
@@ -724,7 +745,7 @@ fn main() {
             assignment,
             csv: &out,
             resume,
-            checkpoint_every,
+            checkpoint_every: checkpoint_every.unwrap_or(CHECKPOINT_EVERY),
             columnar,
         };
         // With --obs, phase timings and work counters flow into the

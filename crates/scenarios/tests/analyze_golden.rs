@@ -11,21 +11,17 @@ use std::path::{Path, PathBuf};
 use green_chaos::NO_CHAOS;
 
 use green_scenarios::{
-    analyze_csv, analyze_dir, analyze_path, manifest_path, merge_shards, AnalyzeQuery, MethodSpec,
-    PolicySpec, Shard, ShardAssignment, ShardJob, ShardManifest, Sweep, SweepRunner,
+    analyze_csv, analyze_dir, analyze_path, manifest_path, merge_shards, AnalyzeQuery, Shard,
+    ShardAssignment, ShardJob, ShardManifest, Sweep, SweepRunner,
 };
 
 mod common;
-use common::{shard_job, Scratch};
+use common::{shard_job, small_grid, Scratch};
 
 /// A 6-configuration × 2-replicate grid, same shape as shard_golden —
 /// wide enough that 3- and 8-way splits land mid-axis.
 fn grid() -> Sweep {
-    let mut sweep = Sweep::new("analyze-golden");
-    sweep.policies = vec![PolicySpec::Greedy, PolicySpec::Energy, PolicySpec::Eft];
-    sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
-    sweep.seeds = vec![1, 2];
-    sweep
+    small_grid("analyze-golden", &[1, 2])
 }
 
 fn run_one_shard(sweep: &Sweep, shard: Shard, csv: &Path, columnar: bool) {
@@ -298,6 +294,36 @@ fn stale_columnar_sidecar_falls_back_to_the_csv() {
     std::fs::write(&sidecar, &bytes).unwrap();
     let report = analyze_dir(&scratch.0, &query, false).expect("fallback analyze");
     assert_eq!(report.to_csv_string(), reference);
+}
+
+/// `analyze <csv>` binds the CSV's sidecar by byte count and hash, as a
+/// directory binds it to the manifest: a CSV rewritten in place at the
+/// same length is folded from its own bytes, not from the old sidecar.
+#[test]
+fn single_csv_analysis_reads_a_csv_rewritten_in_place() {
+    let sweep = grid();
+    let query = AnalyzeQuery::new(Some("policy"), Some("attr_carbon_kg_mean"), None).unwrap();
+    let (_scratch, shards) = shard_out(&sweep, 1, "rewritten", true);
+    let csv = &shards[0];
+    let before = analyze_csv(csv, &query).expect("analyze").to_csv_string();
+
+    // Bump the last digit of the first row's metric, keeping the length.
+    let text = std::fs::read_to_string(csv).unwrap();
+    let mut lines = text.lines();
+    let header = lines.next().unwrap();
+    let column = header.split(',').position(|h| h == "attr_carbon_kg_mean");
+    let fields = lines.next().unwrap().split(',');
+    let field_end: usize = fields.take(column.unwrap() + 1).map(|f| f.len() + 1).sum();
+    let at = header.len() + field_end - 1;
+    let mut bytes = text.into_bytes();
+    let digit = &mut bytes[at];
+    assert!(digit.is_ascii_digit(), "metric ends in a digit");
+    *digit = b'0' + (*digit - b'0' + 1) % 10;
+    std::fs::write(csv, &bytes).unwrap();
+
+    let after = analyze_csv(csv, &query).expect("analyze").to_csv_string();
+    assert_ne!(after, before, "the rewritten value must reach the report");
+    assert_eq!(after, naive_analyze_csv(csv, &query));
 }
 
 /// A sidecar whose header claims 2^40 or 2^60 rows, or four billion

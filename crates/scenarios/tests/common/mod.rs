@@ -7,7 +7,18 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use green_scenarios::{ShardAssignment, ShardJob, Sweep};
+use green_scenarios::{MethodSpec, PolicySpec, ShardAssignment, ShardJob, Sweep};
+
+/// The small test grid: Greedy, Energy and EFT under EBA and CBA, six
+/// configurations × `seeds` replicates. The name is part of the spec
+/// hash, so each suite keeps its own.
+pub fn small_grid(name: &str, seeds: &[u64]) -> Sweep {
+    let mut sweep = Sweep::new(name);
+    sweep.policies = vec![PolicySpec::Greedy, PolicySpec::Energy, PolicySpec::Eft];
+    sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
+    sweep.seeds = seeds.to_vec();
+    sweep
+}
 
 /// A fresh shard job over `assignment` that checkpoints after every row,
 /// so crash and resume tests see a checkpoint at each row boundary.

@@ -22,21 +22,16 @@ use green_chaos::{ChaosRegistry, Failpoint, NO_CHAOS};
 use green_scenarios::analyze::cols_path;
 use green_scenarios::{
     analyze_csv, merge_shards, merge_shards_chaos, orchestrate_log_path, run_shard, write_atomic,
-    AnalyzeQuery, EventKind, MethodSpec, OrchestrateEvent, PolicySpec, ShardAssignment, ShardJob,
-    Sweep, SweepRunner,
+    AnalyzeQuery, EventKind, OrchestrateEvent, ShardAssignment, ShardJob, Sweep, SweepRunner,
 };
 
 mod common;
-use common::{shard_job, Scratch};
+use common::{shard_job, small_grid, Scratch};
 
 /// The 6-configuration × 2-replicate grid the other golden tests use:
 /// two fragments of 3 configurations each tile the 12 cells.
 fn grid() -> Sweep {
-    let mut sweep = Sweep::new("crash-matrix");
-    sweep.policies = vec![PolicySpec::Greedy, PolicySpec::Energy, PolicySpec::Eft];
-    sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
-    sweep.seeds = vec![1, 2];
-    sweep
+    small_grid("crash-matrix", &[1, 2])
 }
 
 fn job<'a>(sweep: &'a Sweep, csv: &'a Path, resume: bool, columnar: bool) -> ShardJob<'a> {

@@ -8,13 +8,11 @@
 
 use std::path::PathBuf;
 
-use green_scenarios::{
-    merge_shards, run_shard, MethodSpec, Plan, PolicySpec, ShardAssignment, Sweep, SweepRunner,
-};
+use green_scenarios::{merge_shards, run_shard, Plan, ShardAssignment, Sweep, SweepRunner};
 use proptest::prelude::*;
 
 mod common;
-use common::{shard_job, Scratch};
+use common::{shard_job, small_grid, Scratch};
 
 /// Applies a pseudo-random split sequence to a plan: each step picks a
 /// task and a config-aligned interior cut from the `choices` stream.
@@ -65,11 +63,7 @@ proptest! {
 
 /// A 6-configuration × 2-replicate grid (the `shard_golden` grid).
 fn grid() -> Sweep {
-    let mut sweep = Sweep::new("orchestrate-props");
-    sweep.policies = vec![PolicySpec::Greedy, PolicySpec::Energy, PolicySpec::Eft];
-    sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
-    sweep.seeds = vec![1, 2];
-    sweep
+    small_grid("orchestrate-props", &[1, 2])
 }
 
 /// Deterministic end-to-end tiling: split the plan a few times, run

@@ -15,12 +15,12 @@ use std::path::{Path, PathBuf};
 
 use green_chaos::ChaosRegistry;
 use green_scenarios::{
-    manifest_path, merge_shards, progress_path, run_shard, MethodSpec, PolicySpec, ProgressRecord,
-    ShardAssignment, ShardJob, ShardManifest, Sweep, SweepRunner,
+    manifest_path, merge_shards, progress_path, run_shard, ProgressRecord, ShardAssignment,
+    ShardJob, ShardManifest, Sweep, SweepRunner,
 };
 
 mod common;
-use common::{shard_job, Scratch};
+use common::{shard_job, small_grid, Scratch};
 
 /// Thread counts under test. 1 is the golden reference, 2 exercises the
 /// minimal race, 8 oversubscribes every CI box we run on.
@@ -30,11 +30,7 @@ const THREADS: [usize; 3] = [1, 2, 8];
 /// workers genuinely race the reorder buffer, small enough to run three
 /// times per test.
 fn grid() -> Sweep {
-    let mut sweep = Sweep::new("parallel-golden");
-    sweep.policies = vec![PolicySpec::Greedy, PolicySpec::Energy, PolicySpec::Eft];
-    sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
-    sweep.seeds = vec![1, 2, 3];
-    sweep
+    small_grid("parallel-golden", &[1, 2, 3])
 }
 
 /// An 8-configuration × 2-replicate market grid: everything a shard's

@@ -311,3 +311,74 @@ fn cli_chaos_specs_fail_early_and_arm_from_either_source() {
         .expect("the armed run checkpoints");
     assert!(manifest.contains("rows = 0"), "{manifest}");
 }
+
+/// `orchestrate --chaos` arms its workers as it arms itself: with the
+/// flag's rules followed by those of the `SCENARIOS_CHAOS` it inherited.
+/// The variable's `fragment_row` rule fails the only worker whether or
+/// not a flag adds a rule of its own.
+#[test]
+fn cli_orchestrate_arms_workers_from_the_flag_and_the_variable() {
+    let scratch = Scratch::new("orchestrate-chaos");
+    for (i, flag) in [None, Some("merge_write=delay:1@hit:1")]
+        .into_iter()
+        .enumerate()
+    {
+        let out_dir = scratch.arg(&format!("run-{i}"));
+        let mut args = vec![
+            "orchestrate",
+            SWEEP,
+            "--workers",
+            "1",
+            "--max-attempts",
+            "1",
+            "--out-dir",
+            &out_dir,
+            "--quiet",
+        ];
+        args.extend(flag.iter().flat_map(|spec| ["--chaos", spec]));
+        let out = Command::new(env!("CARGO_BIN_EXE_scenarios"))
+            .args(&args)
+            .env("SCENARIOS_CHAOS", "fragment_row=err@hit:1")
+            .output()
+            .expect("scenarios binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--chaos {flag:?}: {stderr}");
+        assert!(
+            !scratch.path(&format!("run-{i}/merged.csv")).exists(),
+            "--chaos {flag:?} merged despite the failing worker"
+        );
+    }
+}
+
+/// `--obs` and `--checkpoint-every` act only on the checkpointed path,
+/// so a plain run refuses them (exit 2, naming the flag) before writing
+/// anything, instead of ignoring them.
+#[test]
+fn cli_refuses_obs_and_checkpoint_every_off_the_checkpointed_path() {
+    let scratch = Scratch::new("ignored-flags");
+    let out_csv = scratch.arg("out.csv");
+    for flag in [vec!["--obs"], vec!["--checkpoint-every", "4"]] {
+        for mode in [None, Some("--stream")] {
+            let mut args = vec![SWEEP, "--out", out_csv.as_str(), "--quiet"];
+            args.extend(&flag);
+            args.extend(mode);
+            let out = scenarios(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains(flag[0]), "{args:?}: {stderr}");
+            assert!(!scratch.path("out.csv").exists(), "{args:?} wrote output");
+        }
+    }
+    // On a checkpointed run both are accepted.
+    run_ok(&[
+        SWEEP,
+        "--shard",
+        "0/1",
+        "--out",
+        &out_csv,
+        "--obs",
+        "--checkpoint-every",
+        "4",
+        "--quiet",
+    ]);
+}

@@ -9,21 +9,17 @@ use std::path::{Path, PathBuf};
 use green_chaos::{ChaosRegistry, NO_CHAOS};
 use green_scenarios::shard::Fnv1a;
 use green_scenarios::{
-    manifest_path, merge_shards, run_shard, shard_ranges, MethodSpec, PolicySpec, Shard,
-    ShardAssignment, ShardJob, ShardManifest, Sweep, SweepRunner,
+    manifest_path, merge_shards, run_shard, shard_ranges, Shard, ShardAssignment, ShardJob,
+    ShardManifest, Sweep, SweepRunner,
 };
 
 mod common;
-use common::{shard_job, Scratch};
+use common::{shard_job, small_grid, Scratch};
 
 /// A 6-configuration × 2-replicate grid — small enough that every test
 /// re-runs it several times, wide enough that shards land mid-axis.
 fn grid() -> Sweep {
-    let mut sweep = Sweep::new("shard-golden");
-    sweep.policies = vec![PolicySpec::Greedy, PolicySpec::Energy, PolicySpec::Eft];
-    sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
-    sweep.seeds = vec![1, 2];
-    sweep
+    small_grid("shard-golden", &[1, 2])
 }
 
 fn reference_csv(sweep: &Sweep) -> Vec<u8> {

@@ -11,21 +11,17 @@ use std::path::Path;
 use green_obs::{Counter, StatsRecorder};
 use green_scenarios::watch::{watch_once, WatchReport, STALL_AFTER_S};
 use green_scenarios::{
-    progress_path, run_shard, run_shard_obs, MethodSpec, PolicySpec, ProgressRecord, Shard,
-    ShardAssignment, ShardJob, Sweep, SweepRunner, PROGRESS_SCHEMA,
+    progress_path, run_shard, run_shard_obs, ProgressRecord, Shard, ShardAssignment, ShardJob,
+    Sweep, SweepRunner, PROGRESS_SCHEMA,
 };
 
 mod common;
-use common::{shard_job, Scratch};
+use common::{shard_job, small_grid, Scratch};
 
 /// The same 6-configuration × 2-replicate grid the shard golden tests
 /// use: 3 shards get exactly 2 configurations each.
 fn grid() -> Sweep {
-    let mut sweep = Sweep::new("watch-golden");
-    sweep.policies = vec![PolicySpec::Greedy, PolicySpec::Energy, PolicySpec::Eft];
-    sweep.methods = vec![MethodSpec::Eba, MethodSpec::Cba];
-    sweep.seeds = vec![1, 2];
-    sweep
+    small_grid("watch-golden", &[1, 2])
 }
 
 fn job<'a>(sweep: &'a Sweep, shard: Shard, csv: &'a Path, resume: bool) -> ShardJob<'a> {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Consistency check for the docs/ book and README: every repository
-# path the docs reference must exist, every CLI flag documented in
-# docs/cli.md must appear in a binary's source, and the README must
-# link the book. Run from the repository root (CI's `docs` step does).
+# path the docs reference must exist, each binary's flag parsers and its
+# section of docs/cli.md must agree both ways, and the README must link
+# the book. Run from the repository root (CI's `docs` step does).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,14 +28,47 @@ for doc in docs/*.md README.md; do
     done < <(grep -oE '(crates|examples|docs|tools)/[A-Za-z0-9_/.-]+' "$doc" | sort -u)
 done
 
-# 2. Every --flag documented in docs/cli.md exists in a binary's source.
+# 2. docs/cli.md and each binary's parsers agree on flags, both ways:
+#    every --flag a binary's section of the page names is one that binary
+#    parses, and every flag a parser matches has a row in its table.
 scenarios_src=crates/scenarios/src/bin/scenarios.rs
 green_perf_src=crates/integration/src/bin/green_perf.rs
-while IFS= read -r flag; do
-    if ! grep -qF -- "\"$flag\"" "$scenarios_src" "$green_perf_src"; then
-        fail "docs/cli.md documents $flag but neither binary parses it"
-    fi
-done < <(grep -oE '(^|[^A-Za-z0-9-])--[a-z][a-z-]+' docs/cli.md | grep -oE '\-\-[a-z][a-z-]+' | sort -u)
+# The lines of docs/cli.md from the first line matching $1 up to, not
+# including, the next line matching $2 (or the end of the page).
+cli_section() {
+    awk -v from="$1" -v to="$2" 'on && $0 ~ to { exit } $0 ~ from { on = 1 } on' docs/cli.md
+}
+# Every --flag a text on stdin names.
+named_flags() {
+    grep -oE '(^|[^A-Za-z0-9-])--[a-z][a-z-]+' | grep -oE '\-\-[a-z][a-z-]+' | sort -u
+}
+for binary in scenarios green-perf; do
+    case $binary in
+        scenarios) src=$scenarios_src; next='^## `green-perf`' ;;
+        green-perf) src=$green_perf_src; next='^## [^`]' ;;
+    esac
+    for flag in $(cli_section "^## \`$binary\`" "$next" | named_flags); do
+        grep -qF -- "\"$flag\"" "$src" \
+            || fail "docs/cli.md documents $flag under $binary but $src does not parse it"
+    done
+done
+# Each parser against its table (checks 7 and 8 cover orchestrate and
+# analyze): the flags function <fn> of <source> matches, and the table
+# between the headings matching <from> and <to>.
+while read -r src fn from to; do
+    flags=$(sed -n "/^fn $fn(/,/^}\$/p" "$src" | grep -oE '"--[a-z][a-z-]+"' | tr -d '"' | sort -u)
+    [ -n "$flags" ] || fail "could not extract the flags of $fn from $src"
+    table=$(cli_section "$from" "$to")
+    for flag in $flags; do
+        grep -qF -- "| \`$flag\` |" <<< "$table" \
+            || fail "$src's $fn parses $flag but docs/cli.md has no row for it"
+    done
+done <<TABLES
+$scenarios_src main ^##.\`scenarios\` ^###
+$scenarios_src merge_main ^###.\`scenarios.merge\` ^###
+$scenarios_src watch_main ^###.\`scenarios.watch\` ^###
+$green_perf_src main ^##.\`green-perf\` ^##
+TABLES
 
 # 3. Every [grid]/[workload] key documented in docs/sweep-format.md is a
 #    key the parser knows (the KNOWN table in sweep.rs), and vice versa —
