@@ -1,8 +1,8 @@
 //! **green-chaos**: deterministic failpoints for every durable write.
 //!
 //! The sweep stack's durability story — checkpointed shard fragments,
-//! atomic sidecar rewrites, an append-only orchestrator event log —
-//! only counts if it survives faults that land at *arbitrary* byte
+//! atomic sidecar rewrites, append-only heartbeat trails and event
+//! log — only counts if it survives faults that land at *arbitrary* byte
 //! positions, not just the polite row boundaries of a CSV writer. This
 //! crate gives every durable writer a named [`Failpoint`] probe and a
 //! deterministic, seeded way to detonate it:
@@ -68,7 +68,9 @@ pub enum Failpoint {
     ManifestRewrite = 0,
     /// One CSV row written into a shard fragment.
     FragmentRow = 1,
-    /// Atomic rewrite of a shard's `<csv>.progress` heartbeat sidecar.
+    /// One heartbeat appended to a shard's `<csv>.progress` trail. The
+    /// wire name `progress_rewrite` outlived the sidecar's rewrite, so
+    /// existing specs keep working.
     ProgressRewrite = 2,
     /// The `<csv>.cols` columnar sidecar written after a shard
     /// completes.

@@ -151,7 +151,8 @@ impl Phase {
 pub enum SpanKind {
     /// One sweep cell: simulate + settle + metric extraction.
     Cell = 0,
-    /// One shard checkpoint: manifest + progress sidecar rewrite.
+    /// One shard checkpoint: manifest rewrite + progress heartbeat
+    /// append.
     Checkpoint = 1,
 }
 

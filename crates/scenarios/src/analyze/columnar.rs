@@ -34,6 +34,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::agg::CSV_HEADERS;
+use crate::durable_io::invalid;
 use crate::shard::Fnv1a;
 
 /// Schema tag leading every sidecar (version bumps rename it).
@@ -123,10 +124,6 @@ pub struct ColsFile {
     pub csv_hash: u64,
     /// `(name, column)` in [`CSV_HEADERS`] order.
     pub columns: Vec<(String, Column)>,
-}
-
-fn invalid(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
 /// Parses the aggregate CSV at `csv` and writes its `<csv>.cols`

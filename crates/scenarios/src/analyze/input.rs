@@ -23,15 +23,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::agg::CSV_HEADERS;
+use crate::durable_io::invalid;
 use crate::shard::{load_shard_set, read_verified, Fnv1a, ShardManifest};
 
 use super::columnar::{cols_path, ColsFile, Column};
 use super::engine::GroupEngine;
 use super::{AnalyzeQuery, AnalyzeReport, AXIS_COLUMNS};
-
-fn invalid(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
 
 /// Analyzes `input`, dispatching on its shape: a directory of shard
 /// outputs (out-of-core, manifest-verified) or a single aggregate CSV.

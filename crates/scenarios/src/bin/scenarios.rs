@@ -20,7 +20,7 @@
 //!   --obs                record per-phase timings and work counters
 //!                        (checkpointed runs; lands in the .progress sidecar)
 //!   --list               print the expanded cells and exit without running
-//!   --quiet              suppress the progress line
+//!   --quiet              suppress progress and summary lines on stderr
 //!
 //! scenarios orchestrate <sweep.toml> --workers <n> --out-dir <dir> [...]
 //! scenarios merge --out <merged.csv> [--partial] <shard.csv>...
@@ -822,13 +822,15 @@ fn main() {
                 eprintln!("warning: filter `{f}` matched no cells");
             }
         }
-        eprintln!(
-            "streamed {} aggregate rows ({} cells, {} events) to {}",
-            summary.configs,
-            summary.cells,
-            summary.stats.events,
-            out.display()
-        );
+        if !quiet {
+            eprintln!(
+                "streamed {} aggregate rows ({} cells, {} events) to {}",
+                summary.configs,
+                summary.cells,
+                summary.stats.events,
+                out.display()
+            );
+        }
         return;
     }
 
@@ -846,16 +848,16 @@ fn main() {
 
     print!("{}", results.render());
     if let Some(out) = out {
-        match results.write_csv(&out) {
-            Ok(()) => eprintln!(
+        if let Err(e) = results.write_csv(&out) {
+            eprintln!("error: writing {}: {e}", out.display());
+            std::process::exit(1);
+        }
+        if !quiet {
+            eprintln!(
                 "wrote {} aggregate rows to {}",
                 results.cells.len(),
                 out.display()
-            ),
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", out.display());
-                std::process::exit(1);
-            }
+            );
         }
     }
 }

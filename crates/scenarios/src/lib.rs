@@ -99,7 +99,7 @@ pub use orchestrate::{
     WorkerSpec, ORCHESTRATE_SCHEMA,
 };
 pub use progress::{
-    progress_path, ProgressRecord, ProgressWriter, PROGRESS_HISTORY, PROGRESS_SCHEMA,
+    newest_record, progress_path, ProgressRecord, PROGRESS_HISTORY, PROGRESS_SCHEMA,
 };
 pub use reorder::{ClaimWindow, ReorderBuffer};
 pub use runner::{

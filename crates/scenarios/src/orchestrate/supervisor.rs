@@ -36,10 +36,11 @@ use std::time::{Duration, Instant};
 use green_chaos::{ChaosRegistry, Failpoint};
 
 use crate::analyze::{analyze_csv, AnalyzeQuery};
+use crate::durable_io::invalid;
 use crate::orchestrate::events::{EventKind, OrchestrateEvent};
 use crate::orchestrate::launcher::{Launcher, WorkerHandle, WorkerSpec};
 use crate::orchestrate::plan::{Plan, TaskState};
-use crate::progress::{progress_path, ProgressRecord};
+use crate::progress::{newest_record, progress_path};
 use crate::runner::cell_label;
 use crate::shard::{manifest_path, merge_shards_chaos, ShardManifest, CHECKPOINT_EVERY};
 use crate::sweep::{Sweep, WorkloadPreset};
@@ -167,15 +168,6 @@ impl Schedule {
     }
 }
 
-fn invalid(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
-
-/// The fragment CSV path of task `id`.
-pub fn fragment_path(out_dir: &Path, id: usize) -> PathBuf {
-    out_dir.join(format!("frag-{id:04}.csv"))
-}
-
 /// Runs a whole orchestration: plan, supervise with retry/reassign/
 /// steal, and auto-merge. Returns once the merged output is written
 /// and hash-verified, or with the first unrecoverable error.
@@ -294,7 +286,7 @@ pub fn orchestrate(
         //    path (attempt budget and backoff included).
         if kill_capable {
             for slot in &mut slots {
-                let csv = fragment_path(&config.out_dir, plan.tasks[slot.task].id);
+                let csv = config.out_dir.join(fragment_name(plan.tasks[slot.task].id));
                 // A worker is stalled only once it has both been running
                 // and been silent past the threshold — a fresh respawn
                 // next to a previous invocation's stale sidecar is not a
@@ -312,7 +304,6 @@ pub fn orchestrate(
                             EventKind::Stall,
                             &plan,
                             slot.task,
-                            &config.out_dir,
                             format!(
                                 "no heartbeat for {age:.0}s — killing {}",
                                 slot.handle.describe()
@@ -392,7 +383,7 @@ pub fn orchestrate(
     let mut inputs: Vec<(usize, PathBuf)> = plan
         .tasks
         .iter()
-        .map(|t| (t.cells.start, fragment_path(&config.out_dir, t.id)))
+        .map(|t| (t.cells.start, config.out_dir.join(fragment_name(t.id))))
         .collect();
     inputs.sort_by_key(|(start, _)| *start);
     let inputs: Vec<PathBuf> = inputs.into_iter().map(|(_, path)| path).collect();
@@ -474,6 +465,8 @@ pub fn orchestrate(
     Ok(summary)
 }
 
+/// The fragment CSV file name of task `id`, inside the output
+/// directory.
 fn fragment_name(id: usize) -> String {
     format!("frag-{id:04}.csv")
 }
@@ -489,20 +482,14 @@ fn worker_spec(
         preset: config.preset.clone(),
         filter: config.filter.clone(),
         cells: plan.tasks[task_id].cells.clone(),
-        csv: fragment_path(&config.out_dir, task_id),
+        csv: config.out_dir.join(fragment_name(task_id)),
         resume,
         checkpoint_every: config.checkpoint_every,
         threads: config.worker_threads,
     }
 }
 
-fn task_event(
-    kind: EventKind,
-    plan: &Plan,
-    task_id: usize,
-    _out_dir: &Path,
-    detail: String,
-) -> OrchestrateEvent {
+fn task_event(kind: EventKind, plan: &Plan, task_id: usize, detail: String) -> OrchestrateEvent {
     let task = &plan.tasks[task_id];
     OrchestrateEvent {
         kind,
@@ -526,9 +513,7 @@ fn log_event(config: &OrchestrateConfig, chaos: &ChaosRegistry, event: Orchestra
 /// Tolerant of a torn tail line: a worker killed mid-heartbeat must
 /// not hide the terminal record it wrote just before.
 fn last_failure(csv: &Path) -> Option<String> {
-    let text = std::fs::read_to_string(progress_path(csv)).ok()?;
-    let (records, _) = ProgressRecord::parse_sidecar_tolerant(&text);
-    let last = records.into_iter().next_back()?;
+    let last = newest_record(csv).0?;
     last.failed.then_some(last.error.unwrap_or_default())
 }
 
@@ -543,7 +528,7 @@ fn handle_exit(
     task_id: usize,
     clean: bool,
 ) -> io::Result<()> {
-    let csv = fragment_path(&config.out_dir, task_id);
+    let csv = config.out_dir.join(fragment_name(task_id));
     let manifest = ShardManifest::load(&csv);
     let cells = plan.tasks[task_id].cells.clone();
     let complete = manifest
@@ -555,13 +540,7 @@ fn handle_exit(
         log_event(
             config,
             chaos,
-            task_event(
-                EventKind::Exit,
-                plan,
-                task_id,
-                &config.out_dir,
-                "complete".into(),
-            ),
+            task_event(EventKind::Exit, plan, task_id, "complete".into()),
         );
         return Ok(());
     }
@@ -582,7 +561,7 @@ fn handle_exit(
     log_event(
         config,
         chaos,
-        task_event(EventKind::Exit, plan, task_id, &config.out_dir, why.clone()),
+        task_event(EventKind::Exit, plan, task_id, why.clone()),
     );
     if attempts >= config.max_attempts {
         log_event(
@@ -592,7 +571,6 @@ fn handle_exit(
                 EventKind::Failed,
                 plan,
                 task_id,
-                &config.out_dir,
                 format!("gave up after {attempts} attempts: {why}"),
             ),
         );
@@ -618,7 +596,6 @@ fn handle_exit(
                 EventKind::Retry,
                 plan,
                 task_id,
-                &config.out_dir,
                 format!(
                     "attempt {} in {backoff}ms, resuming from checkpoint",
                     attempts + 1
@@ -639,7 +616,6 @@ fn handle_exit(
                 EventKind::Reassign,
                 plan,
                 task_id,
-                &config.out_dir,
                 format!(
                     "attempt {} in {backoff}ms, restarting range from scratch",
                     attempts + 1
@@ -674,7 +650,7 @@ fn try_steal(
     let mut victim: Option<(usize, usize)> = None; // (slot index, remaining)
     for (slot_index, slot) in slots.iter().enumerate() {
         let task = &plan.tasks[slot.task];
-        let csv = fragment_path(&config.out_dir, task.id);
+        let csv = config.out_dir.join(fragment_name(task.id));
         let done = ShardManifest::load(&csv)
             .ok()
             .filter(|m| m.cells == task.cells)
@@ -699,7 +675,7 @@ fn try_steal(
     // The worker is dead and reaped: its manifest is now quiescent and
     // authoritative. Recompute the split from the post-kill checkpoint
     // (it may have advanced past the pre-kill read).
-    let csv = fragment_path(&config.out_dir, task_id);
+    let csv = config.out_dir.join(fragment_name(task_id));
     let cells = plan.tasks[task_id].cells.clone();
     let manifest = ShardManifest::load(&csv).ok().filter(|m| m.cells == cells);
     let done = manifest.as_ref().map(|m| m.rows * replicates).unwrap_or(0);

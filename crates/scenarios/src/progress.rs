@@ -1,37 +1,39 @@
 //! Live progress telemetry for shard workers.
 //!
 //! A shard invocation appends one [`ProgressRecord`] to a JSONL sidecar
-//! (`<out>.progress`) at every manifest checkpoint — same cadence, same
-//! atomic-rewrite durability, so a kill can tear neither file. Each
-//! record is a flat one-line JSON object (the dialect of
+//! (`<out>.progress`) at every manifest checkpoint, through the
+//! repaired append of [`crate::durable_io::append_line`]: a kill tears
+//! at most the final line, which the next append (or a tolerant reader)
+//! drops. Each record is a flat one-line JSON object (the dialect of
 //! [`green_bench::json`]): rows done vs expected, elapsed seconds,
 //! derived rate/ETA, resident-set size, and — when the worker ran with
 //! recording enabled — the per-phase wall-time breakdown from the
 //! observability recorder.
 //!
-//! The sidecar keeps a bounded rolling history ([`PROGRESS_HISTORY`]
-//! records, oldest dropped) rather than growing with the grid: a
-//! million-cell shard checkpoints thousands of times, and the consumers
-//! (`scenarios watch`, CI artifacts) only ever want the recent tail to
-//! compute rates and detect stalls.
+//! The sidecar is one append-only trail per shard CSV, one record per
+//! checkpoint: a fresh invocation starts it where it creates the CSV, a
+//! resumed one continues it, so a dead invocation's heartbeats and its
+//! terminal `failed` record stay in the flight record. Its readers
+//! (`scenarios watch`, the orchestrator's failure probe) want only the
+//! newest record ([`newest_record`]).
 
-use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use green_bench::json::{fmt_num, quote, Json};
 use green_chaos::{ChaosRegistry, Failpoint};
 
-use crate::durable_io::{parse_lines_tolerant, write_atomic};
+use crate::durable_io::{append_line, parse_lines_tolerant};
 use crate::spec::SpecError;
 
 /// Schema tag carried by every progress record (first key), so a
 /// consumer can refuse a sidecar written by an incompatible build.
 pub const PROGRESS_SCHEMA: &str = "green-progress/1";
 
-/// Records kept in the rolling sidecar history. At the default
-/// checkpoint interval this covers the last ~4096 configuration rows —
-/// plenty for rate estimation, bounded for million-cell grids.
+/// Records per `.progress` rewrite in perfbench's computed
+/// `shard.bytes_written` (`perfbench/src/sweeps.rs`), its only reader.
+/// Nothing bounds the sidecar itself: it is an append-only trail of one
+/// record per checkpoint.
 pub const PROGRESS_HISTORY: usize = 64;
 
 /// The progress sidecar path of a shard CSV: `<csv>.progress`.
@@ -194,6 +196,37 @@ impl ProgressRecord {
     pub fn parse_sidecar_tolerant(text: &str) -> (Vec<ProgressRecord>, Vec<String>) {
         parse_lines_tolerant(text, ProgressRecord::parse)
     }
+
+    /// Appends the record to the `.progress` trail of `csv` — the one
+    /// write path of the sidecar. `chaos` arms the `progress_rewrite`
+    /// failpoint; pass [`green_chaos::NO_CHAOS`] for none.
+    pub(crate) fn append_to(&self, csv: &Path, chaos: &ChaosRegistry) -> io::Result<()> {
+        append_line(
+            &progress_path(csv),
+            &self.to_json_line(),
+            chaos,
+            Failpoint::ProgressRewrite,
+        )
+    }
+}
+
+/// The newest parseable record of the `.progress` trail of `csv`
+/// (`None` without a sidecar or an intact record), plus a warning for
+/// every line the tolerant parse skipped, prefixed with the sidecar's
+/// file name. A torn final line therefore never hides the record
+/// written before it.
+pub fn newest_record(csv: &Path) -> (Option<ProgressRecord>, Vec<String>) {
+    let path = progress_path(csv);
+    let Ok(text) = std::fs::read_to_string(&path) else {
+        return (None, Vec::new());
+    };
+    let (records, torn) = ProgressRecord::parse_sidecar_tolerant(&text);
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| path.display().to_string());
+    let warnings = torn.into_iter().map(|w| format!("{name}: {w}")).collect();
+    (records.into_iter().next_back(), warnings)
 }
 
 /// The process's current resident set size in MiB, read from
@@ -213,53 +246,9 @@ pub fn current_rss_mb() -> Option<f64> {
     }
 }
 
-/// Maintains a shard CSV's `.progress` sidecar: a bounded rolling
-/// window of records, rewritten atomically on every append.
-#[derive(Debug)]
-pub struct ProgressWriter {
-    path: PathBuf,
-    lines: VecDeque<String>,
-}
-
-impl ProgressWriter {
-    /// A writer for the sidecar of `csv`, starting with an empty
-    /// history (an earlier invocation's sidecar is superseded on the
-    /// first append — its records described a different invocation's
-    /// rates).
-    pub fn new(csv: &Path) -> ProgressWriter {
-        ProgressWriter {
-            path: progress_path(csv),
-            lines: VecDeque::new(),
-        }
-    }
-
-    /// Appends `record` and rewrites the sidecar atomically, dropping
-    /// the oldest records beyond [`PROGRESS_HISTORY`]. `chaos` arms the
-    /// `progress_rewrite` failpoint; pass [`green_chaos::NO_CHAOS`] for
-    /// none.
-    pub fn append(&mut self, record: &ProgressRecord, chaos: &ChaosRegistry) -> io::Result<()> {
-        if self.lines.len() >= PROGRESS_HISTORY {
-            self.lines.pop_front();
-        }
-        self.lines.push_back(record.to_json_line());
-        let mut text = String::with_capacity(self.lines.iter().map(|l| l.len() + 1).sum());
-        for line in &self.lines {
-            text.push_str(line);
-            text.push('\n');
-        }
-        write_atomic(
-            &self.path,
-            text.as_bytes(),
-            chaos,
-            Failpoint::ProgressRewrite,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable_io::append_line;
     use crate::test_scratch::Scratch;
     use green_chaos::NO_CHAOS;
 
@@ -342,6 +331,19 @@ mod tests {
         assert!(warnings[0].starts_with("line 2:"), "{warnings:?}");
         // Strict parse still refuses the same text.
         assert!(ProgressRecord::parse_sidecar(&text).is_err());
+        // The newest-record reader skips the same line, naming the
+        // sidecar it came from.
+        let dir = Scratch::new("progress-newest");
+        let csv = dir.join("shard0.csv");
+        assert_eq!(newest_record(&csv), (None, vec![]), "no sidecar yet");
+        std::fs::write(progress_path(&csv), &text).unwrap();
+        let (last, warnings) = newest_record(&csv);
+        assert_eq!(last, Some(record()));
+        assert_eq!(warnings.len(), 1);
+        assert!(
+            warnings[0].starts_with("shard0.csv.progress: line 2:"),
+            "{warnings:?}"
+        );
         // A healthy sidecar produces no warnings.
         let (_, warnings) = ProgressRecord::parse_sidecar_tolerant(&record().to_json_line());
         assert!(warnings.is_empty());
@@ -353,24 +355,6 @@ mod tests {
         assert!(ProgressRecord::parse(&other).is_err());
         assert!(ProgressRecord::parse("not json").is_err());
         assert!(ProgressRecord::parse("{}").is_err());
-    }
-
-    #[test]
-    fn writer_keeps_a_bounded_rolling_history() {
-        let dir = Scratch::new("progress-history");
-        let csv = dir.join("shard0.csv");
-        let mut writer = ProgressWriter::new(&csv);
-        for i in 0..(PROGRESS_HISTORY + 10) {
-            let mut r = record();
-            r.rows = i;
-            writer.append(&r, &NO_CHAOS).unwrap();
-        }
-        let text = std::fs::read_to_string(progress_path(&csv)).unwrap();
-        let records = ProgressRecord::parse_sidecar(&text).unwrap();
-        assert_eq!(records.len(), PROGRESS_HISTORY);
-        // Oldest records were dropped; the tail is the latest appends.
-        assert_eq!(records.first().unwrap().rows, 10);
-        assert_eq!(records.last().unwrap().rows, PROGRESS_HISTORY + 9);
     }
 
     #[test]

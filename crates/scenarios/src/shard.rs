@@ -36,8 +36,8 @@ use green_chaos::{probe, torn_crash, ChaosRegistry, Failpoint, NO_CHAOS};
 use green_obs::{Counter, Recorder, SpanKind, Stopwatch};
 
 use crate::agg::CSV_HEADERS;
-use crate::durable_io::{append_line, write_atomic};
-use crate::progress::{current_rss_mb, progress_path, ProgressRecord, ProgressWriter};
+use crate::durable_io::{invalid, write_atomic};
+use crate::progress::{current_rss_mb, progress_path, ProgressRecord};
 use crate::runner::{Grid, ProgressFn, StreamSummary, SweepRunner};
 use crate::spec::SpecError;
 use crate::sweep::Sweep;
@@ -265,6 +265,11 @@ impl ShardManifest {
         })
     }
 
+    /// Configuration rows the assigned range produces in total.
+    pub fn expected_rows(&self) -> usize {
+        (self.cells.end - self.cells.start) / self.replicates.max(1)
+    }
+
     /// Loads the manifest sidecar of `csv`.
     pub fn load(csv: &Path) -> std::io::Result<ShardManifest> {
         let path = manifest_path(csv);
@@ -273,10 +278,9 @@ impl ShardManifest {
     }
 
     /// Writes the manifest sidecar of `csv` atomically (via
-    /// [`write_atomic`], shared with the progress sidecar), so a
-    /// kill mid-checkpoint leaves the previous checkpoint intact rather
-    /// than a torn sidecar. `chaos` arms the `manifest_rewrite`
-    /// failpoint; pass [`NO_CHAOS`] for none.
+    /// [`write_atomic`]), so a kill mid-checkpoint leaves the previous
+    /// checkpoint intact rather than a torn sidecar. `chaos` arms the
+    /// `manifest_rewrite` failpoint; pass [`NO_CHAOS`] for none.
     pub fn store(&self, csv: &Path, chaos: &ChaosRegistry) -> std::io::Result<()> {
         write_atomic(
             &manifest_path(csv),
@@ -285,10 +289,6 @@ impl ShardManifest {
             Failpoint::ManifestRewrite,
         )
     }
-}
-
-fn invalid(message: impl Into<String>) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, message.into())
 }
 
 /// Configuration rows between manifest checkpoints. A kill loses at most
@@ -366,10 +366,11 @@ pub struct ShardOutcome {
 /// FNV hash and checkpoints the manifest every `checkpoint_every` rows.
 /// The streaming sink issues exactly one `write` per CSV row (and
 /// `write` here always consumes the whole buffer), so rows can be
-/// counted at the write boundary. Every checkpoint also appends a
-/// heartbeat to the `.progress` sidecar (same atomic-rewrite cadence)
-/// and, under a recording [`Recorder`], books the checkpoint's cost as
-/// a [`SpanKind::Checkpoint`] span. Three failpoints arm this path:
+/// counted at the write boundary. Every checkpoint also appends one
+/// heartbeat to the `.progress` trail (a repaired append, so the trail
+/// grows by one record per checkpoint) and, under a recording
+/// [`Recorder`], books the checkpoint's cost as a
+/// [`SpanKind::Checkpoint`] span. Three failpoints arm this path:
 /// `fragment_row` at every row write, `manifest_rewrite` and
 /// `progress_rewrite` inside the checkpoint.
 struct ShardWriter<'a, R: Recorder> {
@@ -385,7 +386,6 @@ struct ShardWriter<'a, R: Recorder> {
     /// counts only rows *this* invocation wrote.
     resumed_rows: usize,
     started: Instant,
-    progress: ProgressWriter,
     chaos: &'a ChaosRegistry,
     obs: &'a R,
 }
@@ -450,7 +450,7 @@ impl<R: Recorder> ShardWriter<'_, R> {
             error: None,
             complete: self.manifest.complete,
         };
-        self.progress.append(&record, self.chaos)
+        record.append_to(self.csv, self.chaos)
     }
 }
 
@@ -550,13 +550,13 @@ pub fn run_shard_obs<R: Recorder>(
 
 /// Appends the terminal `"failed"` progress record of a dying shard
 /// invocation. Best-effort by design (the worker is already on its
-/// error path); [`append_line`] preserves the sidecar's existing
-/// heartbeat history — the flight record of *how* the run got here.
+/// error path); the append keeps the trail's heartbeats — the flight
+/// record of *how* the run got here.
 fn record_failure(job: &ShardJob<'_>, started: Instant, error: &str) {
     // The manifest checkpoint (if one exists) is the authoritative
     // rows-done count at death; a pre-manifest failure reports 0.
     let (rows, expected_rows) = ShardManifest::load(job.csv)
-        .map(|m| (m.rows, (m.cells.end - m.cells.start) / m.replicates.max(1)))
+        .map(|m| (m.rows, m.expected_rows()))
         .unwrap_or((0, 0));
     let record = ProgressRecord {
         sweep: job.sweep.name.clone(),
@@ -572,12 +572,7 @@ fn record_failure(job: &ShardJob<'_>, started: Instant, error: &str) {
         error: Some(error.to_string()),
         complete: false,
     };
-    let _ = append_line(
-        &progress_path(job.csv),
-        &record.to_json_line(),
-        &NO_CHAOS,
-        Failpoint::ProgressRewrite,
-    );
+    let _ = record.append_to(job.csv, &NO_CHAOS);
 }
 
 fn run_shard_inner<R: Recorder>(
@@ -701,6 +696,12 @@ fn run_shard_inner<R: Recorder>(
         }
         (file, manifest, running)
     } else {
+        // A fresh run starts a new heartbeat trail beside its new CSV;
+        // a resumed one continues the trail it finds.
+        match std::fs::remove_file(progress_path(job.csv)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         (
             std::fs::File::create(job.csv)?,
             fresh_manifest(),
@@ -719,7 +720,6 @@ fn run_shard_inner<R: Recorder>(
         expected_rows,
         resumed_rows,
         started: Instant::now(),
-        progress: ProgressWriter::new(job.csv),
         chaos,
         obs,
     };

@@ -17,10 +17,10 @@
 //! table (CI-friendly), the default loop redraws every few seconds.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::orchestrate::events::{orchestrate_log_path, EventKind, OrchestrateEvent};
-use crate::progress::{progress_path, ProgressRecord};
+use crate::progress::{newest_record, progress_path, ProgressRecord};
 use crate::shard::ShardManifest;
 
 /// Seconds without a heartbeat before an incomplete shard is reported
@@ -39,7 +39,7 @@ pub struct ShardStatus {
     pub manifest: Result<ShardManifest, String>,
     /// The newest progress record, if a sidecar exists and parses.
     pub last: Option<ProgressRecord>,
-    /// Seconds since the progress sidecar was last rewritten (`None`
+    /// Seconds since the progress sidecar was last appended to (`None`
     /// without a sidecar). Only sampled for incomplete shards — a
     /// finished shard's age is irrelevant and would make rendering
     /// non-deterministic.
@@ -219,7 +219,7 @@ impl WatchReport {
             }
             if let Ok(m) = &shard.manifest {
                 total_rows += m.rows;
-                expected_rows += (m.cells.end - m.cells.start) / m.replicates.max(1);
+                expected_rows += m.expected_rows();
             }
         }
         let widths: Vec<usize> = (0..columns)
@@ -304,7 +304,7 @@ impl WatchReport {
                 );
             }
         };
-        let expected = (manifest.cells.end - manifest.cells.start) / manifest.replicates.max(1);
+        let expected = manifest.expected_rows();
         let pct = if expected == 0 {
             100.0
         } else {
@@ -362,7 +362,7 @@ impl WatchReport {
     }
 }
 
-/// Seconds since the progress sidecar of `csv` was last rewritten —
+/// Seconds since the progress sidecar of `csv` was last appended to —
 /// the stall-detection clock, shared between `watch` and the
 /// orchestrator's supervisor. `None` without a sidecar.
 pub fn heartbeat_age_s(csv: &Path) -> Option<f64> {
@@ -383,16 +383,8 @@ fn shard_status(csv: &Path, warnings: &mut Vec<String>) -> ShardStatus {
         .unwrap_or_else(|| csv.display().to_string());
     let manifest = ShardManifest::load(csv).map_err(|e| e.to_string());
     let complete = manifest.as_ref().map(|m| m.complete).unwrap_or(false);
-    let progress = progress_path(csv);
-    let last = std::fs::read_to_string(&progress).ok().and_then(|text| {
-        let (records, torn) = ProgressRecord::parse_sidecar_tolerant(&text);
-        let sidecar_name = progress
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| progress.display().to_string());
-        warnings.extend(torn.into_iter().map(|w| format!("{sidecar_name}: {w}")));
-        records.into_iter().next_back()
-    });
+    let (last, torn) = newest_record(csv);
+    warnings.extend(torn);
     // Only sampled for incomplete shards — a finished shard's age is
     // irrelevant and would make rendering non-deterministic.
     let heartbeat_age_s = if complete { None } else { heartbeat_age_s(csv) };
@@ -427,20 +419,6 @@ fn human_duration(seconds: f64) -> String {
 /// `scenarios watch --once` prints.
 pub fn watch_once(dir: &Path) -> io::Result<String> {
     Ok(WatchReport::scan(dir, STALL_AFTER_S)?.render())
-}
-
-/// The directory entries `watch` would consider, for callers that want
-/// to report what was found (the CLI's error path).
-pub fn manifest_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut found = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.extension().is_some_and(|e| e == "manifest") {
-            found.push(path);
-        }
-    }
-    found.sort();
-    Ok(found)
 }
 
 #[cfg(test)]

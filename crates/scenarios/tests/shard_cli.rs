@@ -382,3 +382,20 @@ fn cli_refuses_obs_and_checkpoint_every_off_the_checkpointed_path() {
         "--quiet",
     ]);
 }
+
+/// `--quiet` leaves stderr empty on every whole-grid path: the buffered
+/// `--out` run, the `--stream` run and a checkpointed `--shard` run
+/// print neither progress nor their summary line.
+#[test]
+fn cli_quiet_runs_leave_stderr_empty() {
+    let scratch = Scratch::new("quiet");
+    let out_csv = scratch.arg("out.csv");
+    for mode in [vec![], vec!["--stream"], vec!["--shard", "0/1"]] {
+        let mut args = vec![SWEEP, "--out", out_csv.as_str(), "--quiet"];
+        args.extend(&mode);
+        let out = scenarios(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert_eq!(stderr, "", "{args:?}");
+    }
+}

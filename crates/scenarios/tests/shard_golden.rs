@@ -354,7 +354,8 @@ fn manifest_sidecar_path_is_csv_dot_manifest() {
 /// Worker-failure exit semantics (the orchestrator's crash-vs-stall
 /// contract): a shard invocation that dies on an error or a panic must
 /// leave a terminal `"failed"` progress record — and a resumed re-run
-/// must still converge to the reference bytes.
+/// must still converge to the reference bytes, continuing the same
+/// `.progress` trail, while a fresh run starts a new one.
 #[test]
 fn dying_shard_leaves_a_terminal_failed_record_then_resumes_clean() {
     use green_scenarios::{progress_path, ProgressRecord};
@@ -370,6 +371,10 @@ fn dying_shard_leaves_a_terminal_failed_record_then_resumes_clean() {
     // Each invocation gets a fresh registry, so `hit:N` counts this
     // invocation's fragment row writes.
     let registry = |spec: &str| ChaosRegistry::from_spec(spec).expect("spec compiles");
+    let trail = || {
+        let sidecar = std::fs::read_to_string(progress_path(&csv)).expect("sidecar exists");
+        ProgressRecord::parse_sidecar(&sidecar).expect("sidecar parses")
+    };
 
     // Error path: the injected I/O failure (on the third row write)
     // surfaces as Err and the sidecar's last record is terminal-failed
@@ -377,8 +382,7 @@ fn dying_shard_leaves_a_terminal_failed_record_then_resumes_clean() {
     let chaos = registry("fragment_row=err@hit:3");
     let err = run_shard(&SweepRunner::new(1).armed(&chaos), &job(false), None).unwrap_err();
     assert!(err.to_string().contains("chaos"), "{err}");
-    let sidecar = std::fs::read_to_string(progress_path(&csv)).expect("sidecar exists");
-    let records = ProgressRecord::parse_sidecar(&sidecar).expect("sidecar parses");
+    let records = trail();
     let last = records.last().expect("at least the terminal record");
     assert!(last.failed, "terminal record must be failed: {last:?}");
     assert!(!last.complete);
@@ -390,6 +394,7 @@ fn dying_shard_leaves_a_terminal_failed_record_then_resumes_clean() {
     // (append, not rewrite): failed record is not the only one.
     assert!(records.len() > 1, "history kept: {} records", records.len());
     assert!(!records[0].failed);
+    let error_trail = records;
 
     // Panic path (on the second row write): same contract, panic text
     // captured.
@@ -398,19 +403,42 @@ fn dying_shard_leaves_a_terminal_failed_record_then_resumes_clean() {
         let _ = run_shard(&SweepRunner::new(1).armed(&chaos), &job(true), None);
     }));
     assert!(panicked.is_err(), "panic propagates after recording");
-    let sidecar = std::fs::read_to_string(progress_path(&csv)).expect("sidecar exists");
-    let records = ProgressRecord::parse_sidecar(&sidecar).expect("sidecar parses");
+    let records = trail();
     let last = records.last().expect("terminal record");
     assert!(last.failed);
     assert!(
         last.error.as_deref().unwrap_or("").contains("panic"),
         "panic recorded: {last:?}"
     );
+    // The resumed invocation appended to the dead one's trail.
+    assert_eq!(records[..error_trail.len()], error_trail[..]);
+    let panic_trail = records;
 
     // And the range still finishes: resume without chaos converges to
     // the byte-identical reference.
     run_shard(&SweepRunner::new(1), &job(true), None).expect("resume finishes");
     assert_eq!(std::fs::read(&csv).unwrap(), reference);
+    // The one trail holds the whole flight record in order: the error
+    // path's heartbeats and failed record, the panic path's heartbeats
+    // and failed record, then the clean resume's heartbeats ending
+    // `complete`.
+    let records = trail();
+    assert_eq!(records[..panic_trail.len()], panic_trail[..]);
+    let resumed = &records[panic_trail.len()..];
+    assert!(resumed.iter().all(|r| !r.failed));
+    assert!(resumed.last().unwrap().complete);
+    assert_eq!(records.iter().filter(|r| r.failed).count(), 2);
+
+    // A fresh re-run over the same CSV starts a new trail: only its own
+    // records, one per checkpoint — the header's, one per row at
+    // `checkpoint_every: 1`, and the completing one.
+    run_shard(&SweepRunner::new(1), &job(false), None).expect("fresh run finishes");
+    assert_eq!(std::fs::read(&csv).unwrap(), reference);
+    let records = trail();
+    assert_eq!(records.len(), 2 + sweep.config_count());
+    assert!(records.iter().all(|r| !r.failed));
+    assert_eq!(records[0].rows, 0);
+    assert!(records.last().unwrap().complete);
 }
 
 /// An invalid sweep is an `InvalidInput` error from every `Result`

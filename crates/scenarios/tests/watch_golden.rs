@@ -91,8 +91,8 @@ fn shard_runs_heartbeat_schema_valid_progress_sidecars() {
         "recording heartbeats carry phase timings: {:?}",
         last.phases_ms
     );
-    // The recorder saw every checkpoint the sidecar did (the sidecar's
-    // record count is bounded by the rolling history; here it is not).
+    // The recorder saw every checkpoint the sidecar did: a fresh run's
+    // trail holds exactly one record per checkpoint.
     assert_eq!(recorder.counter(Counter::Checkpoints), records.len() as u64);
     assert!(recorder.counter(Counter::RowsFlushed) >= 2);
 
