@@ -1,35 +1,64 @@
-//! Regenerates every table and figure of the paper's evaluation.
-//!
-//! ```text
-//! repro [--full] [--experiment <id>]
-//!
-//!   --full              run the simulations at the paper's 142,380-job
-//!                       scale (minutes); default is a reduced workload
-//!   --experiment <id>   one of: fig1 fig2 fig4 table1 table2 table3
-//!                       table4 table5 fig5 fig6 fig7 table6 fig8 fig9
-//!                       fig10 (default: all)
-//!   --export <dir>      additionally write the artifacts as CSV files
-//! ```
-//!
-//! After the artifacts it prints the paper's claims about the
-//! experiments it ran, each checked against this run, and exits 1 if
-//! one fails.
+//! Regenerates every table and figure of the paper's evaluation, then
+//! prints the paper's claims about the experiments it ran, each checked
+//! against this run, and exits 1 if one fails. `USAGE` (`repro
+//! --help`) lists the flags and the 15 experiment ids; a flag it does
+//! not know, or an id not listed, exits 2 before any experiment runs.
 
+use std::path::PathBuf;
+
+use green_bench::args::Args;
 use green_bench::claims;
 use green_bench::experiments::{embodied, gpu, platform, simulation, study, surveyfig};
 use green_bench::render;
 use green_bench::SimScale;
 use green_userstudy::{AgentProfile, Game, Version};
 
+const USAGE: &str = "\
+repro — regenerate every table and figure of the paper's evaluation
+
+USAGE:
+    repro [--full] [--experiment <id>] [--export <dir>]
+
+  --full              run the simulations at the paper's 142,380-job
+                      scale; default is a reduced workload
+  --experiment <id>   one of: fig1 fig2 fig4 table1 table2 table3
+                      table4 table5 fig5 fig6 fig7 table6 fig8 fig9
+                      fig10 (default: all)
+  --export <dir>      additionally write the artifacts as CSV files
+
+After the artifacts, repro prints the paper's claims about the
+experiments it ran, each checked against this run, and exits 1 if one
+fails.
+";
+
+/// The experiment ids `--experiment` takes besides `all`.
+const EXPERIMENTS: [&str; 15] = [
+    "fig1", "fig2", "fig4", "table1", "table2", "table3", "table4", "table5", "fig5", "fig6",
+    "fig7", "table6", "fig8", "fig9", "fig10",
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let experiment = args
-        .iter()
-        .position(|a| a == "--experiment")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("all");
+    let mut full = false;
+    let mut experiment = "all".to_string();
+    let mut export_dir: Option<PathBuf> = None;
+    let mut args = Args::from_env(USAGE);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--full" => full = true,
+            "--experiment" => {
+                experiment = args.parsed_by(|id| {
+                    if id == "all" || EXPERIMENTS.contains(&id) {
+                        Ok(id.to_string())
+                    } else {
+                        let ids = EXPERIMENTS.join(" ");
+                        Err(format!("unknown experiment `{id}` (one of: all {ids})"))
+                    }
+                })
+            }
+            "--export" => export_dir = Some(args.value().into()),
+            _ => args.unknown(),
+        }
+    }
     let scale = if full {
         SimScale::Paper
     } else {
@@ -258,12 +287,6 @@ fn main() {
         );
         checked.extend(claims::table5(&table5));
     }
-
-    let export_dir = args
-        .iter()
-        .position(|a| a == "--export")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
 
     let needs_sim =
         ["fig5", "fig6", "fig7", "table6"].iter().any(|e| want(e)) || export_dir.is_some();

@@ -4,6 +4,7 @@
 //! produces its rows; the `repro` binary prints them, and [`claims`]
 //! checks the paper's results against them.
 
+pub mod args;
 pub mod claims;
 pub mod experiments;
 pub mod export;

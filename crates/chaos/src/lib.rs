@@ -13,11 +13,13 @@
 //!   `docs/robustness.md`, and `tools/check_docs.sh` fails on an
 //!   undocumented one.
 //! * [`ChaosRegistry`] — the one failure-injection handle: a list of
-//!   compiled [`ChaosRule`]s parsed from the spec grammar
-//!   (`--chaos <spec>` / `SCENARIOS_CHAOS`, both read by
-//!   [`ChaosRegistry::from_flag_and_env`]). Every writer takes a
-//!   `&ChaosRegistry`; [`NO_CHAOS`], the registry with no rules, is the
-//!   disarmed handle, whose probes scan an empty rule list and proceed.
+//!   compiled [`ChaosRule`]s parsed from the spec grammar by
+//!   [`ChaosRegistry::from_spec`], from a `--chaos <spec>` flag, the only
+//!   way to arm one. The registry keeps its spec text, so the
+//!   orchestrator hands each worker the same rules on its own command
+//!   line. Every writer takes a `&ChaosRegistry`; [`NO_CHAOS`], the
+//!   registry with no rules, is the disarmed handle, whose probes scan an
+//!   empty rule list and proceed.
 //!   Triggers are deterministic: *fail the Nth hit* (`hit:N`, counted
 //!   per process per failpoint) or *fail with probability p*
 //!   (`p:P[:SEED]`) drawn from a named SplitMix64 stream keyed by the
@@ -266,44 +268,44 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The failure-injection handle: compiled rules from a `--chaos` /
-/// `SCENARIOS_CHAOS` spec. First fault rule to fire on a hit wins;
+/// The failure-injection handle: the rules compiled from a `--chaos`
+/// spec, and the spec's text. First fault rule to fire on a hit wins;
 /// delay rules sleep and keep evaluating.
 #[derive(Debug, Default)]
 pub struct ChaosRegistry {
     rules: Vec<ChaosRule>,
+    spec: String,
 }
 
 /// The disarmed handle: a registry with no rules, for writers that arm
 /// nothing.
-pub static NO_CHAOS: ChaosRegistry = ChaosRegistry { rules: Vec::new() };
+pub static NO_CHAOS: ChaosRegistry = ChaosRegistry {
+    rules: Vec::new(),
+    spec: String::new(),
+};
 
 impl ChaosRegistry {
     /// Compiles a spec (see the crate docs for the grammar). The empty
-    /// spec compiles to a registry with no rules, which never fires.
+    /// spec compiles to a registry with no rules, which never fires. A
+    /// malformed spec is an error, not silence — a chaos run that
+    /// silently injects nothing would report fault tolerance it never
+    /// tested.
     pub fn from_spec(spec: &str) -> Result<ChaosRegistry, ChaosError> {
         let mut rules = Vec::new();
         for rule in spec.split(';').map(str::trim).filter(|r| !r.is_empty()) {
             rules.push(parse_rule(rule)?);
         }
-        Ok(ChaosRegistry { rules })
+        Ok(ChaosRegistry {
+            rules,
+            spec: spec.to_string(),
+        })
     }
 
-    /// One invocation's registry: the rules of the `--chaos` flag's
-    /// `spec`, then those of the `SCENARIOS_CHAOS` environment
-    /// variable. Either may be absent or empty. A malformed spec from
-    /// either source is an error, not silence — a chaos run that
-    /// silently injects nothing would report fault tolerance it never
-    /// tested.
-    pub fn from_flag_and_env(spec: Option<&str>) -> Result<ChaosRegistry, ChaosError> {
-        let env = match std::env::var("SCENARIOS_CHAOS") {
-            Ok(env) => env,
-            Err(std::env::VarError::NotPresent) => String::new(),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                return Err(ChaosError("SCENARIOS_CHAOS is not UTF-8".into()))
-            }
-        };
-        ChaosRegistry::from_spec(&format!("{};{env}", spec.unwrap_or_default()))
+    /// The spec text the registry was compiled from (empty for
+    /// [`NO_CHAOS`]): compiled again, it arms the same rules with fresh
+    /// hit counters.
+    pub fn spec(&self) -> &str {
+        &self.spec
     }
 
     /// The compiled rules, in spec order.
@@ -606,22 +608,23 @@ mod tests {
     }
 
     #[test]
-    fn flag_and_env_compile_into_one_registry() {
-        // Process-global env: run every case in one test to avoid
-        // racing parallel test threads on the variable.
-        std::env::remove_var("SCENARIOS_CHAOS");
-        assert!(ChaosRegistry::from_flag_and_env(None).unwrap().is_empty());
-        assert!(ChaosRegistry::from_flag_and_env(Some("garbage")).is_err());
-        std::env::set_var("SCENARIOS_CHAOS", "manifest_rewrite=enospc@hit:1");
-        let both = ChaosRegistry::from_flag_and_env(Some("fragment_row=err@hit:2")).unwrap();
-        let armed: Vec<Failpoint> = both.rules().iter().map(ChaosRule::failpoint).collect();
+    fn registry_keeps_the_spec_it_compiled() {
+        assert_eq!(NO_CHAOS.spec(), "");
+        let spec = "fragment_row=err@hit:2; manifest_rewrite=enospc@hit:1";
+        let reg = ChaosRegistry::from_spec(spec).unwrap();
+        assert_eq!(reg.spec(), spec);
+        assert_eq!(reg.hit(Failpoint::FragmentRow), ChaosAction::Proceed);
+        // Compiled again, the text arms the same rules, counting afresh.
+        let again = ChaosRegistry::from_spec(reg.spec()).unwrap();
+        let armed = |r: &ChaosRegistry| -> Vec<Failpoint> {
+            r.rules().iter().map(ChaosRule::failpoint).collect()
+        };
+        assert_eq!(armed(&again), armed(&reg));
         assert_eq!(
-            armed,
-            [Failpoint::FragmentRow, Failpoint::ManifestRewrite],
-            "the flag's rules first, then the variable's"
+            armed(&again),
+            [Failpoint::FragmentRow, Failpoint::ManifestRewrite]
         );
-        std::env::set_var("SCENARIOS_CHAOS", "garbage");
-        assert!(ChaosRegistry::from_flag_and_env(None).is_err());
-        std::env::remove_var("SCENARIOS_CHAOS");
+        assert_eq!(again.rules()[0].hits(), 0);
+        assert_eq!(reg.rules()[0].hits(), 1);
     }
 }

@@ -93,6 +93,7 @@
 use std::time::Instant;
 
 use green_batchsim::{intensity_for, run_cell_in_obs, PlacementTable, Policy, SimArena, SimConfig};
+use green_bench::args::Args;
 use green_bench::perf::TOLERANCE;
 use green_bench::{peak_rss_mb, reset_peak_rss, Host, PerfBench, PerfReport};
 use green_carbon::HourlyTrace;
@@ -133,11 +134,6 @@ past 2× only warn. sim_year and sweep_grid run under the observability
 recorder, so its work counters (ready_user_merges, cache_hits, …) are
 gated with theirs. --summary <file.md> appends the drift table.
 ";
-
-fn fail(message: &str) -> ! {
-    eprintln!("error: {message}\n\n{USAGE}");
-    std::process::exit(2);
-}
 
 /// Runs one bench with the process RSS high-water mark reset first
 /// ([`green_bench::reset_peak_rss`]; best-effort, no-op off Linux or
@@ -516,34 +512,24 @@ fn bench_names() -> impl Iterator<Item = String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return;
-    }
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
     let mut summary: Option<String> = None;
     let mut only: Option<String> = None;
     let mut quiet = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("{what} needs a value")))
-                .clone()
-        };
+    let mut args = Args::from_env(USAGE);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => out = Some(value("--out")),
-            "--check" => check = Some(value("--check")),
-            "--summary" => summary = Some(value("--summary")),
-            "--only" => only = Some(value("--only")),
+            "--out" => out = Some(args.value()),
+            "--check" => check = Some(args.value()),
+            "--summary" => summary = Some(args.value()),
+            "--only" => only = Some(args.value()),
             "--quiet" => quiet = true,
-            other => fail(&format!("unknown option `{other}`")),
+            _ => args.unknown(),
         }
     }
     if summary.is_some() && check.is_none() {
-        fail("--summary renders drift against a baseline; it requires --check");
+        args.fail("--summary renders drift against a baseline; it requires --check");
     }
     // `--only <substring>` narrows both the run and the baseline
     // comparison to matching bench names — the local way to run one
@@ -603,7 +589,7 @@ fn main() {
         benches
     });
     if benches.is_empty() {
-        fail(&format!(
+        args.fail(&format!(
             "--only `{}` matched no bench",
             only.as_deref().unwrap_or_default()
         ));

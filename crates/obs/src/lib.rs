@@ -355,15 +355,6 @@ impl<R: Recorder> Stopwatch<R> {
     pub fn elapsed_ns(&self) -> u64 {
         self.at.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
     }
-
-    /// Records the elapsed time as one span and restarts the watch.
-    #[inline]
-    pub fn lap_span(&mut self, recorder: &R, span: SpanKind) {
-        if R::ENABLED {
-            recorder.span_ns(span, self.elapsed_ns());
-            self.at = Some(Instant::now());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -418,10 +409,12 @@ mod tests {
     #[test]
     fn enabled_stopwatch_measures() {
         let rec = StatsRecorder::new();
-        let mut sw = Stopwatch::<StatsRecorder>::start();
+        let sw = Stopwatch::<StatsRecorder>::start();
         std::hint::black_box(vec![0u8; 1024]);
-        sw.lap_span(&rec, SpanKind::Checkpoint);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        rec.span_ns(SpanKind::Checkpoint, sw.elapsed_ns());
         let snap = rec.snapshot().unwrap();
         assert_eq!(snap.spans[0].count, 1);
+        assert!(snap.spans[0].total_ms >= 1.0, "{:?}", snap.spans[0]);
     }
 }

@@ -31,6 +31,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use green_bench::args::{self, Args};
 use green_chaos::{ChaosRegistry, Failpoint};
 use green_obs::{Recorder, StatsRecorder};
 use green_scenarios::runner::ProgressFn;
@@ -120,14 +121,11 @@ docs/orchestration.md.
 --chaos arms deterministic fault injection on every durable write: a
 `;`-separated list of `failpoint=action@trigger` rules (for example
 `manifest_rewrite=enospc@hit:3` or `fragment_row=torn:7@p:0.01:42`).
-The same spec is read from the SCENARIOS_CHAOS environment variable,
-whose rules follow the flag's; `scenarios orchestrate` arms every
-worker with both, as it arms itself. Failpoint names, actions,
-triggers and the durability guarantee each failpoint tests are
-cataloged in docs/robustness.md. A malformed spec, from the
-flag or the variable, exits 2 before any work. A spec that arms a
-failpoint, from either source, runs the checkpointed path, so it needs
---out.
+`scenarios orchestrate --chaos` arms itself and passes the spec to
+every worker on its command line. Failpoint names, actions, triggers
+and the durability guarantee each failpoint tests are cataloged in
+docs/robustness.md. A malformed spec exits 2 before any work. A spec
+that arms a failpoint runs the checkpointed path, so it needs --out.
 
 --columnar additionally writes a `<out>.cols` binary columnar sidecar
 (dictionary-encoded axis columns + raw f64 metric columns, bound to
@@ -164,45 +162,32 @@ exits (CI-friendly); the default redraws every --interval seconds
 ";
 
 fn fail(message: &str) -> ! {
-    eprintln!("error: {message}\n\n{USAGE}");
-    std::process::exit(2);
+    args::fail(USAGE, message)
 }
 
-/// The invocation's one failure-injection registry: the `--chaos <spec>`
-/// rules, then the `SCENARIOS_CHAOS` env spec's. Each writing subcommand
-/// compiles it right after parsing its arguments, so a malformed spec
-/// from either source exits 2 before any work: a chaos run that
-/// silently injects nothing would claim fault tolerance it never tested.
-fn chaos_registry(flag: Option<&str>) -> ChaosRegistry {
-    ChaosRegistry::from_flag_and_env(flag).unwrap_or_else(|e| fail(&e.to_string()))
+/// The invocation's one failure-injection registry, compiled from its
+/// `--chaos <spec>`. Each writing subcommand compiles it right after
+/// parsing its arguments, so a malformed spec exits 2 before any work: a
+/// chaos run that silently injects nothing would claim fault tolerance it
+/// never tested.
+fn chaos_registry(spec: &str) -> ChaosRegistry {
+    ChaosRegistry::from_spec(spec).unwrap_or_else(|e| fail(&e.to_string()))
 }
 
 /// The `scenarios merge` subcommand: reassemble completed shard CSVs.
-fn merge_main(args: &[String]) -> ! {
+fn merge_main(mut args: Args) -> ! {
     let mut out: Option<PathBuf> = None;
     let mut partial = false;
     let mut quiet = false;
-    let mut chaos_spec: Option<String> = None;
+    let mut chaos_spec = String::new();
     let mut inputs: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => {
-                let Some(v) = it.next() else {
-                    fail("merge --out needs a file path");
-                };
-                out = Some(PathBuf::from(v));
-            }
+            "--out" => out = Some(args.value().into()),
             "--partial" => partial = true,
             "--quiet" => quiet = true,
-            "--chaos" => {
-                let Some(v) = it.next() else {
-                    fail("merge --chaos needs a failpoint spec");
-                };
-                chaos_spec = Some(v.clone());
-            }
-            other if other.starts_with('-') => fail(&format!("unknown merge option `{other}`")),
-            other => inputs.push(PathBuf::from(other)),
+            "--chaos" => chaos_spec = args.value(),
+            _ => inputs.push(args.positional()),
         }
     }
     let Some(out) = out else {
@@ -211,7 +196,7 @@ fn merge_main(args: &[String]) -> ! {
     if inputs.is_empty() {
         fail("merge needs at least one shard CSV (each with its `.manifest` sidecar)");
     }
-    let chaos = chaos_registry(chaos_spec.as_deref());
+    let chaos = chaos_registry(&chaos_spec);
     match merge_shards_chaos(&inputs, &out, partial, &chaos) {
         Ok(summary) => {
             if !quiet {
@@ -234,7 +219,7 @@ fn merge_main(args: &[String]) -> ! {
 
 /// The `scenarios analyze` subcommand: streaming group-by/summarize
 /// over shard outputs (no merge needed) or a single aggregate CSV.
-fn analyze_main(args: &[String]) -> ! {
+fn analyze_main(mut args: Args) -> ! {
     let mut input: Option<PathBuf> = None;
     let mut group_by: Option<String> = None;
     let mut metrics: Option<String> = None;
@@ -242,40 +227,28 @@ fn analyze_main(args: &[String]) -> ! {
     let mut format = "table".to_string();
     let mut out: Option<PathBuf> = None;
     let mut partial = false;
-    let mut chaos_spec: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("analyze {arg} needs {what}")))
-                .clone()
-        };
+    let mut chaos_spec = String::new();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--group-by" => group_by = Some(value("a comma-separated axis list")),
-            "--metrics" => metrics = Some(value("a comma-separated metric column list")),
-            "--filter" => filter = Some(value("a label substring")),
+            "--group-by" => group_by = Some(args.value()),
+            "--metrics" => metrics = Some(args.value()),
+            "--filter" => filter = Some(args.value()),
             "--format" => {
-                let v = value("an output format (table|csv|jsonl)");
-                if !matches!(v.as_str(), "table" | "csv" | "jsonl") {
-                    fail(&format!("bad analyze format `{v}` (table|csv|jsonl)"));
-                }
-                format = v;
+                format = args.parsed_by(|v| match v {
+                    "table" | "csv" | "jsonl" => Ok(v.to_string()),
+                    _ => Err(format!("bad analyze format `{v}` (table|csv|jsonl)")),
+                })
             }
-            "--out" => out = Some(PathBuf::from(value("a file path"))),
+            "--out" => out = Some(args.value().into()),
             "--partial" => partial = true,
-            "--chaos" => chaos_spec = Some(value("a failpoint spec")),
-            other if other.starts_with('-') => fail(&format!("unknown analyze option `{other}`")),
-            other => {
-                if input.replace(PathBuf::from(other)).is_some() {
-                    fail("more than one analyze input given");
-                }
-            }
+            "--chaos" => chaos_spec = args.value(),
+            _ => args.positional_once(&mut input, "analyze input"),
         }
     }
     let Some(input) = input else {
         fail("analyze needs a shard directory or aggregate CSV");
     };
-    let chaos = chaos_registry(chaos_spec.as_deref());
+    let chaos = chaos_registry(&chaos_spec);
     let query = AnalyzeQuery::new(group_by.as_deref(), metrics.as_deref(), filter)
         .unwrap_or_else(|e| fail(&e.to_string()));
     let report = analyze_path(&input, &query, partial).unwrap_or_else(|e| {
@@ -311,118 +284,51 @@ fn analyze_main(args: &[String]) -> ! {
 
 /// The `scenarios orchestrate` subcommand: drive a fleet of local
 /// worker processes over one sweep — plan, supervise, steal, merge.
-/// A deferred flag application — the config can only be built once the
-/// positional sweep file and required flags are all parsed.
-type ConfigOverride = Box<dyn FnOnce(&mut OrchestrateConfig)>;
-
-fn orchestrate_main(args: &[String]) -> ! {
+fn orchestrate_main(mut args: Args) -> ! {
     let mut sweep_file: Option<PathBuf> = None;
     let mut out_dir: Option<PathBuf> = None;
     let mut workers: Option<usize> = None;
-    let mut chaos_spec: Option<String> = None;
-    let mut config_overrides: Vec<ConfigOverride> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| fail(&format!("orchestrate {arg} needs {what}")))
-                .clone()
-        };
+    let mut group_by: Option<String> = None;
+    let mut metrics: Option<String> = None;
+    let mut chaos_spec = String::new();
+    // The flags override the defaults; the required arguments complete
+    // the config once parsing is done.
+    let mut config = OrchestrateConfig::new(PathBuf::new(), PathBuf::new(), 1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workers" => {
-                let v = value("a worker count");
-                workers = Some(
-                    v.parse()
-                        .unwrap_or_else(|_| fail(&format!("bad worker count `{v}`"))),
-                );
-            }
-            "--out-dir" => out_dir = Some(PathBuf::from(value("a directory"))),
-            "--merged" => {
-                let v = PathBuf::from(value("a file path"));
-                config_overrides.push(Box::new(move |c| c.merged = Some(v)));
-            }
+            "--workers" => workers = Some(args.parsed::<usize>("worker count").max(1)),
+            "--out-dir" => out_dir = Some(args.value().into()),
+            "--merged" => config.merged = Some(args.value().into()),
             "--preset" => {
-                let v = value("a workload preset (micro|tiny|quick|paper)");
-                WorkloadPreset::parse(&v).unwrap_or_else(|e| fail(&e.to_string()));
-                config_overrides.push(Box::new(move |c| c.preset = Some(v)));
+                config.preset =
+                    Some(args.parsed_by(|v| WorkloadPreset::parse(v).map(|_| v.to_string())))
             }
-            "--filter" => {
-                let v = value("a label substring");
-                config_overrides.push(Box::new(move |c| c.filter = Some(v)));
-            }
-            "--max-attempts" => {
-                let v = value("an attempt count");
-                let n: u32 = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad attempt count `{v}`")));
-                config_overrides.push(Box::new(move |c| c.max_attempts = n.max(1)));
-            }
+            "--filter" => config.filter = Some(args.value()),
+            "--max-attempts" => config.max_attempts = args.parsed::<u32>("attempt count").max(1),
             "--stall-after" => {
-                let v = value("a seconds count");
-                let s: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad stall threshold `{v}`")));
-                config_overrides.push(Box::new(move |c| c.stall_after_s = s));
+                // Not NaN, which would switch stall detection off, nor
+                // zero or less, which kills every worker at its first poll.
+                config.stall_after_s = args.parsed_by(|v| {
+                    v.parse()
+                        .ok()
+                        .filter(|s: &f64| *s > 0.0 && s.is_finite())
+                        .ok_or_else(|| format!("bad stall threshold `{v}` (positive seconds)"))
+                })
             }
-            "--poll-interval" => {
-                let v = value("a milliseconds count");
-                let ms: u64 = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad poll interval `{v}`")));
-                config_overrides.push(Box::new(move |c| c.poll_interval_ms = ms));
-            }
-            "--no-steal" => config_overrides.push(Box::new(|c| c.steal = false)),
+            "--poll-interval" => config.poll_interval_ms = args.parsed("poll interval"),
+            "--no-steal" => config.steal = false,
             "--min-steal-configs" => {
-                let v = value("a configuration count");
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad config count `{v}`")));
-                config_overrides.push(Box::new(move |c| c.min_steal_configs = n.max(1)));
+                config.min_steal_configs = args.parsed::<usize>("config count").max(1)
             }
             "--checkpoint-every" => {
-                let v = value("a row count");
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad checkpoint interval `{v}`")));
-                config_overrides.push(Box::new(move |c| c.checkpoint_every = n.max(1)));
+                config.checkpoint_every = args.parsed::<usize>("checkpoint interval").max(1)
             }
-            "--worker-threads" => {
-                let v = value("a thread count");
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad thread count `{v}`")));
-                config_overrides.push(Box::new(move |c| c.worker_threads = n));
-            }
-            "--analyze" => {
-                let v = value("a comma-separated axis list");
-                config_overrides.push(Box::new(move |c| {
-                    let metrics = c.analyze.take().map(|q| q.metrics.join(","));
-                    c.analyze = Some(
-                        AnalyzeQuery::new(Some(&v), metrics.as_deref(), None)
-                            .unwrap_or_else(|e| fail(&e.to_string())),
-                    );
-                }));
-            }
-            "--analyze-metrics" => {
-                let v = value("a comma-separated metric column list");
-                config_overrides.push(Box::new(move |c| {
-                    let group_by = c.analyze.take().map(|q| q.group_by.join(","));
-                    c.analyze = Some(
-                        AnalyzeQuery::new(group_by.as_deref(), Some(&v), None)
-                            .unwrap_or_else(|e| fail(&e.to_string())),
-                    );
-                }));
-            }
-            "--quiet" => config_overrides.push(Box::new(|c| c.quiet = true)),
-            "--chaos" => chaos_spec = Some(value("a failpoint spec")),
-            other if other.starts_with('-') => {
-                fail(&format!("unknown orchestrate option `{other}`"))
-            }
-            other => {
-                if sweep_file.replace(PathBuf::from(other)).is_some() {
-                    fail("more than one sweep file given");
-                }
-            }
+            "--worker-threads" => config.worker_threads = args.parsed("thread count"),
+            "--analyze" => group_by = Some(args.value()),
+            "--analyze-metrics" => metrics = Some(args.value()),
+            "--quiet" => config.quiet = true,
+            "--chaos" => chaos_spec = args.value(),
+            _ => args.positional_once(&mut sweep_file, "sweep file"),
         }
     }
     let Some(sweep_file) = sweep_file else {
@@ -434,26 +340,22 @@ fn orchestrate_main(args: &[String]) -> ! {
     let Some(workers) = workers else {
         fail("orchestrate needs --workers <n>");
     };
-    let chaos = chaos_registry(chaos_spec.as_deref());
-    let mut config = OrchestrateConfig::new(sweep_file, out_dir, workers);
-    for apply in config_overrides {
-        apply(&mut config);
-    }
-    let mut launcher = ProcessLauncher::current_exe().unwrap_or_else(|e| {
+    let chaos = chaos_registry(&chaos_spec);
+    let analyze = (group_by.is_some() || metrics.is_some()).then(|| {
+        AnalyzeQuery::new(group_by.as_deref(), metrics.as_deref(), None)
+            .unwrap_or_else(|e| fail(&e.to_string()))
+    });
+    let config = OrchestrateConfig {
+        sweep_file,
+        out_dir,
+        workers,
+        analyze,
+        ..config
+    };
+    let launcher = ProcessLauncher::current_exe().unwrap_or_else(|e| {
         eprintln!("error: orchestrate: cannot locate own binary: {e}");
         std::process::exit(1);
     });
-    // Workers are armed as the supervisor is: their `SCENARIOS_CHAOS`
-    // holds the flag's rules followed by the inherited variable's, the
-    // order `chaos_registry` compiled them in (each worker compiles its
-    // own registry with fresh hit counters). The variable alone is
-    // inherited as it is.
-    if let Some(spec) = &chaos_spec {
-        let inherited = std::env::var("SCENARIOS_CHAOS").unwrap_or_default();
-        launcher
-            .envs
-            .push(("SCENARIOS_CHAOS".to_string(), format!("{spec};{inherited}")));
-    }
     match orchestrate(&config, &launcher, &chaos) {
         Ok(_) => std::process::exit(0),
         Err(e) => {
@@ -465,28 +367,15 @@ fn orchestrate_main(args: &[String]) -> ! {
 
 /// The `scenarios watch` subcommand: render per-shard progress tables
 /// for a directory of shard outputs until every shard completes.
-fn watch_main(args: &[String]) -> ! {
+fn watch_main(mut args: Args) -> ! {
     let mut dir: Option<PathBuf> = None;
     let mut once = false;
     let mut interval_s = 5u64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--once" => once = true,
-            "--interval" => {
-                let Some(v) = it.next() else {
-                    fail("watch --interval needs a seconds count");
-                };
-                interval_s = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad interval `{v}`")));
-            }
-            other if other.starts_with('-') => fail(&format!("unknown watch option `{other}`")),
-            other => {
-                if dir.replace(PathBuf::from(other)).is_some() {
-                    fail("more than one watch directory given");
-                }
-            }
+            "--interval" => interval_s = args.parsed("interval"),
+            _ => args.positional_once(&mut dir, "watch directory"),
         }
     }
     let Some(dir) = dir else {
@@ -516,32 +405,24 @@ fn watch_main(args: &[String]) -> ! {
 }
 
 /// Parses `--cell-range A..B` (half-open cell indices).
-fn parse_cell_range(token: &str) -> core::ops::Range<usize> {
+fn parse_cell_range(token: &str) -> Result<core::ops::Range<usize>, String> {
     let parsed = token.split_once("..").and_then(|(a, b)| {
         let start: usize = a.trim().parse().ok()?;
         let end: usize = b.trim().parse().ok()?;
         (start <= end).then_some(start..end)
     });
-    parsed.unwrap_or_else(|| fail(&format!("bad cell range `{token}` (expected A..B, A <= B)")))
+    parsed.ok_or_else(|| format!("bad cell range `{token}` (expected A..B, A <= B)"))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return;
-    }
-    if args.first().map(String::as_str) == Some("merge") {
-        merge_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("watch") {
-        watch_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("orchestrate") {
-        orchestrate_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("analyze") {
-        analyze_main(&args[1..]);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let subcommand = |run: fn(Args) -> !| run(Args::new(USAGE, argv[1..].to_vec()));
+    match argv.first().map(String::as_str) {
+        Some("merge") => subcommand(merge_main),
+        Some("watch") => subcommand(watch_main),
+        Some("orchestrate") => subcommand(orchestrate_main),
+        Some("analyze") => subcommand(analyze_main),
+        _ => {}
     }
 
     let mut sweep_path: Option<PathBuf> = None;
@@ -558,82 +439,33 @@ fn main() {
     let mut list = false;
     let mut quiet = false;
     let mut stream = false;
-    let mut chaos_spec: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let mut chaos_spec = String::new();
+    let mut args = Args::new(USAGE, argv);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => {
-                let Some(v) = it.next() else {
-                    fail("--out needs a file path");
-                };
-                out = Some(PathBuf::from(v));
-            }
-            "--threads" => {
-                let Some(v) = it.next() else {
-                    fail("--threads needs a count");
-                };
-                threads = v
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad thread count `{v}`")));
-            }
-            "--preset" => {
-                let Some(v) = it.next() else {
-                    fail("--preset needs a workload preset (micro|tiny|quick|paper)");
-                };
-                preset = Some(WorkloadPreset::parse(v).unwrap_or_else(|e| fail(&e.to_string())));
-            }
-            "--filter" => {
-                let Some(v) = it.next() else {
-                    fail("--filter needs a label substring");
-                };
-                filter = Some(v.clone());
-            }
-            "--shard" => {
-                let Some(v) = it.next() else {
-                    fail("--shard needs a position (I/N, e.g. 2/8)");
-                };
-                shard = Some(Shard::parse(v).unwrap_or_else(|e| fail(&e.to_string())));
-            }
-            "--cell-range" => {
-                let Some(v) = it.next() else {
-                    fail("--cell-range needs a half-open range (A..B)");
-                };
-                cell_range = Some(parse_cell_range(v));
-            }
+            "--out" => out = Some(args.value().into()),
+            "--threads" => threads = args.parsed("thread count"),
+            "--preset" => preset = Some(args.parsed_by(WorkloadPreset::parse)),
+            "--filter" => filter = Some(args.value()),
+            "--shard" => shard = Some(args.parsed_by(Shard::parse)),
+            "--cell-range" => cell_range = Some(args.parsed_by(parse_cell_range)),
             "--resume" => resume = true,
             "--checkpoint-every" => {
-                let Some(v) = it.next() else {
-                    fail("--checkpoint-every needs a row count");
-                };
-                checkpoint_every = Some(
-                    v.parse::<usize>()
-                        .map(|n| n.max(1))
-                        .unwrap_or_else(|_| fail(&format!("bad checkpoint interval `{v}`"))),
-                );
+                checkpoint_every = Some(args.parsed::<usize>("checkpoint interval").max(1))
             }
             "--columnar" => columnar = true,
-            "--chaos" => {
-                let Some(v) = it.next() else {
-                    fail("--chaos needs a failpoint spec (see docs/robustness.md)");
-                };
-                chaos_spec = Some(v.clone());
-            }
+            "--chaos" => chaos_spec = args.value(),
             "--obs" => obs = true,
             "--list" => list = true,
             "--quiet" => quiet = true,
             "--stream" => stream = true,
-            other if other.starts_with('-') => fail(&format!("unknown option `{other}`")),
-            other => {
-                if sweep_path.replace(PathBuf::from(other)).is_some() {
-                    fail("more than one sweep file given");
-                }
-            }
+            _ => args.positional_once(&mut sweep_path, "sweep file"),
         }
     }
     let Some(sweep_path) = sweep_path else {
         fail("no sweep file given");
     };
-    let chaos = chaos_registry(chaos_spec.as_deref());
+    let chaos = chaos_registry(&chaos_spec);
     let assignment = match (shard, cell_range) {
         (Some(_), Some(_)) => fail("--shard and --cell-range are mutually exclusive"),
         (Some(s), None) => ShardAssignment::Shard(s),
@@ -642,7 +474,7 @@ fn main() {
     };
     // The sharded/checkpointed path: a worker of an N-way split, an
     // explicit cell range, a resumable whole-grid run, or a run with
-    // failpoints armed (by `--chaos` or `SCENARIOS_CHAOS`). Always
+    // failpoints armed by `--chaos`. Always
     // streamed (constant memory is the point at this scale) and always
     // checkpointed through the `<out>.manifest` sidecar. Only it records
     // and checkpoints, so elsewhere `--obs` and `--checkpoint-every`
@@ -734,10 +566,7 @@ fn main() {
     let progress: Option<&ProgressFn<'_>> = if quiet { None } else { Some(&progress_line) };
     if checkpointed {
         let Some(out) = out else {
-            fail(
-                "--shard/--cell-range/--resume/--columnar/--chaos (or SCENARIOS_CHAOS) \
-                 need --out <file.csv>",
-            );
+            fail("--shard/--cell-range/--resume/--columnar/--chaos need --out <file.csv>");
         };
         let job = ShardJob {
             sweep: &sweep,

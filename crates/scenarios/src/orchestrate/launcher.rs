@@ -14,6 +14,9 @@ use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
+use green_chaos::ChaosRegistry;
+
+use crate::durable_io::invalid;
 use crate::shard::{run_shard, ShardAssignment, ShardJob};
 use crate::sweep::{Sweep, WorkloadPreset};
 use crate::SweepRunner;
@@ -44,6 +47,10 @@ pub struct WorkerSpec {
     /// Worker threads for the fragment's own cell parallelism
     /// (`--threads`; 0 = all cores).
     pub threads: usize,
+    /// The failpoint spec the worker arms (`--chaos`; empty arms
+    /// nothing). Each worker compiles its own registry, with fresh hit
+    /// counters.
+    pub chaos: String,
 }
 
 /// A running (or finished) worker the supervisor can observe.
@@ -88,10 +95,6 @@ pub struct ProcessLauncher {
     /// The `scenarios` binary to exec (the orchestrator's own, via
     /// [`ProcessLauncher::current_exe`], unless pointed elsewhere).
     pub binary: PathBuf,
-    /// Extra environment for every spawned worker — the chaos tests
-    /// inject a `SCENARIOS_CHAOS` failpoint spec here without polluting
-    /// the supervisor's own environment.
-    pub envs: Vec<(String, String)>,
 }
 
 impl ProcessLauncher {
@@ -99,7 +102,6 @@ impl ProcessLauncher {
     pub fn current_exe() -> io::Result<ProcessLauncher> {
         Ok(ProcessLauncher {
             binary: std::env::current_exe()?,
-            envs: Vec::new(),
         })
     }
 }
@@ -160,8 +162,8 @@ impl Launcher for ProcessLauncher {
         if let Some(filter) = &spec.filter {
             command.arg("--filter").arg(filter);
         }
-        for (key, value) in &self.envs {
-            command.env(key, value);
+        if !spec.chaos.is_empty() {
+            command.arg("--chaos").arg(&spec.chaos);
         }
         Ok(Box::new(ProcessHandle {
             child: command.spawn()?,
@@ -170,11 +172,11 @@ impl Launcher for ProcessLauncher {
 }
 
 /// Runs each worker as an in-process thread calling [`run_shard`]
-/// directly — no exec, no kill. The launcher for benches
-/// (`green-perf orchestrate_mega`) and tests that want deterministic
-/// scheduling: without kill support the supervisor's only moves are
-/// spawn and retry-on-exit, so a healthy run's event log is exactly
-/// `plan, spawn×N, exit×N, merge, complete`.
+/// directly — no exec, no kill — on a runner armed with the spec's
+/// failpoints. The launcher for benches (`green-perf orchestrate_mega`)
+/// and tests that want deterministic scheduling: without kill support
+/// the supervisor's only moves are spawn and retry-on-exit, so a healthy
+/// run's event log is exactly `plan, spawn×N, exit×N, merge, complete`.
 #[derive(Debug, Clone, Default)]
 pub struct ThreadLauncher;
 
@@ -213,13 +215,14 @@ impl Launcher for ThreadLauncher {
         let join = std::thread::Builder::new()
             .name(format!("orch-{}..{}", spec.cells.start, spec.cells.end))
             .spawn(move || -> io::Result<()> {
-                let mut sweep = Sweep::from_toml_str(&text)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                let mut sweep = Sweep::from_toml_str(&text).map_err(|e| invalid(e.to_string()))?;
                 if let Some(token) = &spec.preset {
-                    let preset = WorkloadPreset::parse(token)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                    let preset =
+                        WorkloadPreset::parse(token).map_err(|e| invalid(e.to_string()))?;
                     sweep.override_preset(preset);
                 }
+                let chaos =
+                    ChaosRegistry::from_spec(&spec.chaos).map_err(|e| invalid(e.to_string()))?;
                 let job = ShardJob {
                     sweep: &sweep,
                     filter: spec.filter.as_deref(),
@@ -229,7 +232,8 @@ impl Launcher for ThreadLauncher {
                     checkpoint_every: spec.checkpoint_every,
                     columnar: false,
                 };
-                run_shard(&SweepRunner::new(spec.threads), &job, None).map(|_| ())
+                let runner = SweepRunner::new(spec.threads).armed(&chaos);
+                run_shard(&runner, &job, None).map(|_| ())
             })?;
         Ok(Box::new(ThreadHandle { join: Some(join) }))
     }

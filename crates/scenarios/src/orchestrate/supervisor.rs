@@ -176,10 +176,10 @@ impl Schedule {
 /// at every audit-log write, `merge_write` inside the auto-merge,
 /// `analyze_write` for the chained analysis report, and
 /// `manifest_rewrite` where a steal shrinks a victim's checkpoint; pass
-/// [`green_chaos::NO_CHAOS`] for none. The *workers'* chaos travels
-/// separately (a [`crate::ProcessLauncher`] env injection or the
-/// inherited `SCENARIOS_CHAOS`) — the supervisor never tears a fragment
-/// itself.
+/// [`green_chaos::NO_CHAOS`] for none. Every worker is armed with the
+/// same rules: its [`WorkerSpec::chaos`] carries the registry's spec,
+/// which each worker compiles afresh (a process worker from its
+/// `--chaos` argument). The supervisor never tears a fragment itself.
 pub fn orchestrate(
     config: &OrchestrateConfig,
     launcher: &dyn Launcher,
@@ -343,7 +343,7 @@ pub fn orchestrate(
                 break;
             };
             let resume = schedule.resume_next[task_id];
-            let spec = worker_spec(config, &plan, task_id, resume);
+            let spec = worker_spec(config, chaos, &plan, task_id, resume);
             let handle = launcher.launch(&spec)?;
             let task = &mut plan.tasks[task_id];
             task.state = TaskState::Running;
@@ -473,6 +473,7 @@ fn fragment_name(id: usize) -> String {
 
 fn worker_spec(
     config: &OrchestrateConfig,
+    chaos: &ChaosRegistry,
     plan: &Plan,
     task_id: usize,
     resume: bool,
@@ -486,6 +487,7 @@ fn worker_spec(
         resume,
         checkpoint_every: config.checkpoint_every,
         threads: config.worker_threads,
+        chaos: chaos.spec().to_string(),
     }
 }
 

@@ -502,8 +502,8 @@ impl<R: Recorder> Write for ShardWriter<'_, R> {
 /// heartbeats carry its per-phase timing breakdown. An
 /// [`armed`](SweepRunner::armed) runner probes a failpoint at every
 /// durable write: fragment rows, manifest checkpoints, progress
-/// heartbeats and the columnar sidecar. The CLI's `--chaos` /
-/// `SCENARIOS_CHAOS` path runs here.
+/// heartbeats and the columnar sidecar. The CLI's `--chaos` path runs
+/// here.
 ///
 /// A shard invocation that dies must leave a non-ambiguous state: on
 /// any error *or panic* this function appends a terminal `"failed"`

@@ -3,16 +3,17 @@
 //! to the single-process `--stream` run, and the event log tells the
 //! true story of how it got there.
 //!
-//! Worker failure is injected deterministically through
-//! `fragment_row` failpoint specs in the workers' `SCENARIOS_CHAOS`
-//! environment (the same tear points a real `kill -9` hits, minus the
-//! timing race); CI's chaos job additionally exercises the real-signal
-//! path on the mega grid.
+//! Worker failure is injected deterministically through `fragment_row`
+//! failpoint specs in [`WorkerSpec::chaos`], which a process worker
+//! receives as `--chaos` and a thread worker arms its runner with (the
+//! same tear points a real `kill -9` hits, minus the timing race); CI's
+//! chaos job additionally exercises the real-signal path on the mega
+//! grid.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use green_chaos::NO_CHAOS;
+use green_chaos::{ChaosRegistry, NO_CHAOS};
 use green_scenarios::{
     orchestrate, orchestrate_log_path, EventKind, Launcher, OrchestrateConfig, OrchestrateEvent,
     ProcessLauncher, ThreadLauncher, WatchReport, WorkerHandle, WorkerSpec,
@@ -95,25 +96,53 @@ fn thread_launcher_run_is_deterministic_and_byte_identical() {
     assert!(table.contains("orchestrator: complete"), "{table}");
 }
 
-/// Wraps a launcher so the Nth launch (and only it) carries extra
-/// environment — deterministic single-worker fault injection.
+/// Thread workers are armed from the registry too: each compiles the
+/// spec afresh, so `fragment_row=err@hit:3` fails every 4-row task after
+/// two rows, once, and its retry resumes at the checkpoint and writes
+/// the last two. The merge is still the reference bytes.
+#[test]
+fn thread_workers_are_armed_from_the_registry_and_retry() {
+    let scratch = Scratch::new("thread-chaos");
+    let reference = reference_csv(&scratch);
+    let config = base_config(&scratch, 3);
+    let chaos = ChaosRegistry::from_spec("fragment_row=err@hit:3").unwrap();
+    let summary = orchestrate(&config, &ThreadLauncher, &chaos).expect("the retries finish");
+    assert_eq!(summary.tasks, 3);
+    assert_eq!(summary.retries, 3, "one retry per task: {summary:?}");
+    assert_eq!(summary.spawns, 6);
+    let merged = std::fs::read(config.out_dir.join("merged.csv")).expect("merged");
+    assert_eq!(merged, reference, "fault recovery must not change bytes");
+    let log = events(&config.out_dir);
+    assert_eq!(count(&log, EventKind::Retry), 3);
+    assert_eq!(
+        count(&log, EventKind::Reassign),
+        0,
+        "checkpoints were intact"
+    );
+}
+
+/// Process workers running the test build's `scenarios` binary.
+fn process_launcher() -> ProcessLauncher {
+    ProcessLauncher {
+        binary: PathBuf::from(env!("CARGO_BIN_EXE_scenarios")),
+    }
+}
+
+/// Wraps the process launcher so the Nth launch (and only it) arms
+/// `chaos` — deterministic single-worker fault injection.
 struct FaultyNth {
-    inner: ProcessLauncher,
-    fault_env: Vec<(String, String)>,
+    chaos: &'static str,
     nth: u32,
     launches: AtomicU32,
 }
 
 impl Launcher for FaultyNth {
     fn launch(&self, spec: &WorkerSpec) -> std::io::Result<Box<dyn WorkerHandle>> {
-        let n = self.launches.fetch_add(1, Ordering::SeqCst);
-        if n == self.nth {
-            let mut sabotaged = self.inner.clone();
-            sabotaged.envs.extend(self.fault_env.iter().cloned());
-            sabotaged.launch(spec)
-        } else {
-            self.inner.launch(spec)
+        let mut spec = spec.clone();
+        if self.launches.fetch_add(1, Ordering::SeqCst) == self.nth {
+            spec.chaos = self.chaos.to_string();
         }
+        process_launcher().launch(&spec)
     }
 }
 
@@ -126,11 +155,7 @@ fn crashed_worker_is_retried_from_checkpoint_and_bytes_match() {
     let reference = reference_csv(&scratch);
     let config = base_config(&scratch, 2);
     let launcher = FaultyNth {
-        inner: ProcessLauncher {
-            binary: PathBuf::from(env!("CARGO_BIN_EXE_scenarios")),
-            envs: Vec::new(),
-        },
-        fault_env: vec![("SCENARIOS_CHAOS".into(), "fragment_row=err@hit:3".into())],
+        chaos: "fragment_row=err@hit:3",
         nth: 0,
         launches: AtomicU32::new(0),
     };
@@ -161,12 +186,9 @@ fn unrecoverable_task_fails_the_run_after_max_attempts() {
     let scratch = Scratch::new("giveup");
     let mut config = base_config(&scratch, 2);
     config.max_attempts = 2;
-    let launcher = ProcessLauncher {
-        binary: PathBuf::from(env!("CARGO_BIN_EXE_scenarios")),
-        // Every worker dies after one row — nothing can finish.
-        envs: vec![("SCENARIOS_CHAOS".into(), "fragment_row=panic@hit:2".into())],
-    };
-    let err = orchestrate(&config, &launcher, &NO_CHAOS).expect_err("run must give up");
+    // Every worker dies after one row — nothing can finish.
+    let chaos = ChaosRegistry::from_spec("fragment_row=panic@hit:2").unwrap();
+    let err = orchestrate(&config, &process_launcher(), &chaos).expect_err("run must give up");
     assert!(err.to_string().contains("failed 2 times"), "{err}");
     let log = events(&config.out_dir);
     assert_eq!(count(&log, EventKind::Failed), 1);
@@ -189,16 +211,9 @@ fn straggler_range_is_stolen_and_bytes_still_match() {
     config.min_steal_configs = 1;
     config.stall_after_s = 300.0; // keep stall recovery out of this test
     let launcher = FaultyNth {
-        inner: ProcessLauncher {
-            binary: PathBuf::from(env!("CARGO_BIN_EXE_scenarios")),
-            envs: Vec::new(),
-        },
         // Worker 0 crawls: 400ms per row over its 6-config range gives
         // the fast worker ample time to finish and steal.
-        fault_env: vec![(
-            "SCENARIOS_CHAOS".into(),
-            "fragment_row=delay:400@hit:1".into(),
-        )],
+        chaos: "fragment_row=delay:400@hit:1",
         nth: 0,
         launches: AtomicU32::new(0),
     };

@@ -249,23 +249,16 @@ fn cli_orchestrate_merges_byte_identical_and_watch_renders_it() {
     assert!(table.contains("att"), "{table}");
 }
 
-/// Chaos specs are compiled right after argument parsing, from the
-/// `--chaos` flag and the `SCENARIOS_CHAOS` variable alike: a malformed
-/// spec exits 2 before any work, even where nothing would be armed, and
-/// a spec that arms a failpoint from the variable takes the checkpointed
-/// path the flag takes.
+/// Chaos specs are compiled from the `--chaos` flag right after argument
+/// parsing: a malformed spec exits 2 before any work, even where nothing
+/// would be armed, and a spec that arms a failpoint takes the
+/// checkpointed path. The flag is the only source: an inherited
+/// `SCENARIOS_CHAOS` arms nothing, malformed or not.
 #[test]
-fn cli_chaos_specs_fail_early_and_arm_from_either_source() {
+fn cli_chaos_specs_fail_early_and_arm_only_from_the_flag() {
     let scratch = Scratch::new("chaos-spec");
     let aggregate = scratch.arg("aggregate.csv");
     run_ok(&[SWEEP, "--out", &aggregate, "--quiet"]);
-    let with_env = |spec: &str, args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_scenarios"))
-            .args(args)
-            .env("SCENARIOS_CHAOS", spec)
-            .output()
-            .expect("scenarios binary runs")
-    };
     let expect = |what: &str, out: std::process::Output, code: i32, message: &str| {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(code), "{what}: {stderr}");
@@ -279,18 +272,13 @@ fn cli_chaos_specs_fail_early_and_arm_from_either_source() {
         2,
         "bad chaos spec",
     );
-    expect(
-        "SCENARIOS_CHAOS=garbage analyze",
-        with_env("garbage", &["analyze", &aggregate]),
-        2,
-        "bad chaos spec",
-    );
 
     let streamed = scratch.arg("streamed.csv");
     let stream = [SWEEP, "--out", streamed.as_str(), "--stream", "--quiet"];
+    let with_chaos = |spec: &'static str| [&stream[..], &["--chaos", spec]].concat();
     expect(
-        "SCENARIOS_CHAOS=garbage --stream",
-        with_env("garbage", &stream),
+        "--stream --chaos garbage",
+        scenarios(&with_chaos("garbage")),
         2,
         "bad chaos spec",
     );
@@ -299,32 +287,59 @@ fn cli_chaos_specs_fail_early_and_arm_from_either_source() {
         "wrote before failing"
     );
 
-    // Armed from the variable, the run checkpoints (the streamed path
-    // writes no manifest) and the first row commit fails it.
+    // Armed by the flag, the run checkpoints (the streamed path writes
+    // no manifest) and the first row commit fails it.
     expect(
-        "SCENARIOS_CHAOS=parallel_commit=err@hit:1 --stream",
-        with_env("parallel_commit=err@hit:1", &stream),
+        "--stream --chaos parallel_commit=err@hit:1",
+        scenarios(&with_chaos("parallel_commit=err@hit:1")),
         1,
         "chaos: injected failure at parallel_commit",
     );
     let manifest = std::fs::read_to_string(scratch.path("streamed.csv.manifest"))
         .expect("the armed run checkpoints");
     assert!(manifest.contains("rows = 0"), "{manifest}");
+
+    // The variable the flag replaced arms nothing: the run streams the
+    // clean bytes, with no manifest.
+    let clean = scratch.arg("clean.csv");
+    run_ok(&[SWEEP, "--out", &clean, "--stream", "--quiet"]);
+    for spec in ["parallel_commit=err@hit:1", "garbage"] {
+        let inherited = scratch.arg("inherited.csv");
+        let out = Command::new(env!("CARGO_BIN_EXE_scenarios"))
+            .args([SWEEP, "--out", &inherited, "--stream", "--quiet"])
+            .env("SCENARIOS_CHAOS", spec)
+            .output()
+            .expect("scenarios binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "SCENARIOS_CHAOS={spec}: {stderr}"
+        );
+        assert_eq!(
+            std::fs::read(&inherited).unwrap(),
+            std::fs::read(&clean).unwrap(),
+            "SCENARIOS_CHAOS={spec} changed the bytes"
+        );
+        assert!(!scratch.path("inherited.csv.manifest").exists());
+    }
 }
 
-/// `orchestrate --chaos` arms its workers as it arms itself: with the
-/// flag's rules followed by those of the `SCENARIOS_CHAOS` it inherited.
-/// The variable's `fragment_row` rule fails the only worker whether or
-/// not a flag adds a rule of its own.
+/// `orchestrate --chaos` arms its workers as it arms itself: each worker
+/// gets the spec on its command line, so a `fragment_row` rule fails the
+/// only worker whether or not the spec adds a supervisor rule of its own.
 #[test]
-fn cli_orchestrate_arms_workers_from_the_flag_and_the_variable() {
+fn cli_orchestrate_arms_workers_from_the_flag() {
     let scratch = Scratch::new("orchestrate-chaos");
-    for (i, flag) in [None, Some("merge_write=delay:1@hit:1")]
-        .into_iter()
-        .enumerate()
+    for (i, spec) in [
+        "fragment_row=err@hit:1",
+        "merge_write=delay:1@hit:1;fragment_row=err@hit:1",
+    ]
+    .into_iter()
+    .enumerate()
     {
         let out_dir = scratch.arg(&format!("run-{i}"));
-        let mut args = vec![
+        let out = scenarios(&[
             "orchestrate",
             SWEEP,
             "--workers",
@@ -334,19 +349,85 @@ fn cli_orchestrate_arms_workers_from_the_flag_and_the_variable() {
             "--out-dir",
             &out_dir,
             "--quiet",
-        ];
-        args.extend(flag.iter().flat_map(|spec| ["--chaos", spec]));
-        let out = Command::new(env!("CARGO_BIN_EXE_scenarios"))
-            .args(&args)
-            .env("SCENARIOS_CHAOS", "fragment_row=err@hit:1")
-            .output()
-            .expect("scenarios binary runs");
+            "--chaos",
+            spec,
+        ]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "--chaos {flag:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "--chaos {spec}: {stderr}");
         assert!(
             !scratch.path(&format!("run-{i}/merged.csv")).exists(),
-            "--chaos {flag:?} merged despite the failing worker"
+            "--chaos {spec} merged despite the failing worker"
         );
+        let worker_log =
+            std::fs::read_to_string(scratch.path(&format!("run-{i}/frag-0000.csv.log")))
+                .expect("the worker's stderr log");
+        assert!(
+            worker_log.contains("chaos: injected failure at fragment_row"),
+            "--chaos {spec}: {worker_log}"
+        );
+    }
+}
+
+/// `orchestrate --stall-after` takes a positive number of seconds: NaN
+/// would switch stall detection off, and zero or less would kill every
+/// worker at its first poll. Each is refused before any work.
+#[test]
+fn cli_orchestrate_refuses_a_stall_threshold_that_is_not_positive() {
+    let scratch = Scratch::new("stall-after");
+    let out_dir = scratch.arg("run");
+    for seconds in ["-1", "0", "-0.5", "nan", "NaN", "inf"] {
+        let out = scenarios(&[
+            "orchestrate",
+            SWEEP,
+            "--workers",
+            "1",
+            "--out-dir",
+            &out_dir,
+            "--stall-after",
+            seconds,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--stall-after {seconds}: {stderr}"
+        );
+        assert!(stderr.contains("--stall-after"), "{seconds}: {stderr}");
+        assert!(
+            !scratch.path("run").exists(),
+            "--stall-after {seconds} did work"
+        );
+    }
+}
+
+/// Every subcommand reads its flags through the one reader: an unknown
+/// flag and a value-taking flag at the end of the line each exit 2,
+/// name the flag on stderr and print nothing on stdout.
+#[test]
+fn cli_rejects_unknown_and_valueless_flags_on_every_subcommand() {
+    let scratch = Scratch::new("reader");
+    let dir = scratch.arg("");
+    let cases: [(&[&str], &str); 10] = [
+        (&[SWEEP, "--bogus"], "--bogus"),
+        (&[SWEEP, "--threads"], "--threads"),
+        (&["merge", "--out", "m.csv", "--bogus"], "--bogus"),
+        (&["merge", "--out"], "--out"),
+        (&["analyze", &dir, "--bogus"], "--bogus"),
+        (&["analyze", &dir, "--format"], "--format"),
+        (&["orchestrate", SWEEP, "--bogus"], "--bogus"),
+        (&["orchestrate", SWEEP, "--workers"], "--workers"),
+        (&["watch", &dir, "--bogus"], "--bogus"),
+        (&["watch", &dir, "--interval"], "--interval"),
+    ];
+    for (args, flag) in cases {
+        let out = scenarios(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(flag),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
     }
 }
 

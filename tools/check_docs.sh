@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Consistency check for the docs/ book and README: every repository
 # path the docs reference must exist, each binary's flag parsers and its
-# section of docs/cli.md must agree both ways, and the README must link
-# the book. Run from the repository root (CI's `docs` step does).
+# section of docs/cli.md must agree both ways, every environment
+# variable the code reads must be named in docs/cli.md, and the README
+# must link the book. Run from the repository root (CI's `docs` step
+# does).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -33,6 +35,8 @@ done
 #    parses, and every flag a parser matches has a row in its table.
 scenarios_src=crates/scenarios/src/bin/scenarios.rs
 green_perf_src=crates/integration/src/bin/green_perf.rs
+# The argument reader every binary shares parses `--help` for them all.
+reader_src=crates/bench/src/args.rs
 # The lines of docs/cli.md from the first line matching $1 up to, not
 # including, the next line matching $2 (or the end of the page).
 cli_section() {
@@ -48,7 +52,7 @@ for binary in scenarios green-perf; do
         green-perf) src=$green_perf_src; next='^## [^`]' ;;
     esac
     for flag in $(cli_section "^## \`$binary\`" "$next" | named_flags); do
-        grep -qF -- "\"$flag\"" "$src" \
+        grep -qF -- "\"$flag\"" "$src" "$reader_src" \
             || fail "docs/cli.md documents $flag under $binary but $src does not parse it"
     done
 done
@@ -225,6 +229,26 @@ while IFS=: read -r file line baseline; do
     [ -e "$baseline" ] || fail "$file:$line names a missing baseline: $baseline"
 done < <(grep -rnoE --include='*.md' 'BENCH_[0-9]+\.json' README.md docs || true
     grep -rnoE --include='*.rs' 'BENCH_[0-9]+\.json' crates || true)
+
+# 13. Every environment variable a non-test source under crates/ reads
+#     (`env::var("NAME")` or `env::var_os("NAME")`) is named in
+#     docs/cli.md. Files under a tests/ directory and the unit-test
+#     module that closes a file (from its `#[cfg(test)]` line on) are
+#     test sources.
+env_reads=$(find crates -name '*.rs' -not -path '*/tests/*' -print0 | xargs -0 awk '
+    FNR == 1 { in_test = 0 }
+    /^#\[cfg\(test\)\]/ { in_test = 1 }
+    !in_test && match($0, /env::var(_os)?\("[A-Za-z0-9_]+"/) {
+        name = substr($0, RSTART, RLENGTH)
+        sub(/^[^"]*"/, "", name)
+        sub(/"$/, "", name)
+        print FILENAME ":" FNR ":" name
+    }')
+while IFS=: read -r file line name; do
+    [ -n "$name" ] || continue
+    grep -qF -- "\`$name\`" docs/cli.md \
+        || fail "$file:$line reads the environment variable $name, which docs/cli.md does not name"
+done <<< "$env_reads"
 
 # 5. Workload presets stay in sync between parser and docs.
 for preset in micro tiny quick paper; do
