@@ -172,7 +172,7 @@ pub fn work_within_allocation(jobs: impl IntoIterator<Item = ChargedJob>, alloca
         .into_iter()
         .enumerate()
         .map(|(i, job)| {
-            let key = ((total_order_key(job.arrival_s) as u128) << 64) | i as u128;
+            let key = ((green_units::total_order_key(job.arrival_s) as u128) << 64) | i as u128;
             (key, job.charge, job.work_core_hours)
         })
         .collect();
@@ -217,17 +217,6 @@ pub fn finished_curve(ends: impl IntoIterator<Item = f64>, bucket_hours: f64) ->
 /// Counts `o` in `counts`, the jobs per fleet machine (Figure 5c).
 pub fn count_machine(counts: &mut [usize], o: &JobOutcome) {
     counts[o.machine as usize] += 1;
-}
-
-/// An unsigned key that orders as [`f64::total_cmp`] orders: negative
-/// values have every bit flipped, the others only the sign bit.
-fn total_order_key(v: f64) -> u64 {
-    let bits = v.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
 }
 
 /// The outcome of simulating one policy over the workload.

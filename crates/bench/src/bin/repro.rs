@@ -67,6 +67,7 @@ fn main() {
 
     let want = |id: &str| experiment == "all" || experiment == id;
     let mut checked: Vec<claims::Claim> = Vec::new();
+    let mut export_failed = false;
 
     if want("fig1") || want("fig2") {
         let (f1, f2) = surveyfig::figures(7);
@@ -399,7 +400,10 @@ fn main() {
         if let Some(dir) = &export_dir {
             match green_bench::export::export_all(dir, &artifacts) {
                 Ok(files) => eprintln!("exported {} CSV files to {}", files.len(), dir.display()),
-                Err(e) => eprintln!("export failed: {e}"),
+                Err(e) => {
+                    eprintln!("export failed: {e}");
+                    export_failed = true;
+                }
             }
         }
         if want("fig7") {
@@ -542,6 +546,8 @@ fn main() {
     let failed = checked.iter().filter(|c| !c.holds).count();
     if failed > 0 {
         eprintln!("{failed} of {} claims fail", checked.len());
+    }
+    if failed > 0 || export_failed {
         std::process::exit(1);
     }
 }

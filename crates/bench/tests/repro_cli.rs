@@ -1,6 +1,7 @@
 //! `repro`'s command line: every flag it does not know and every
 //! experiment id it does not run is refused (exit 2, naming the flag or
-//! id) before any experiment runs, and `--help` prints the usage.
+//! id) before any experiment runs, `--help` prints the usage, and an
+//! `--export` that fails fails the run (exit 1).
 
 use std::process::{Command, Output};
 
@@ -56,4 +57,15 @@ fn help_prints_the_usage_and_runs_nothing() {
         );
         assert!(out.stderr.is_empty(), "{flag}");
     }
+}
+
+#[test]
+fn a_failed_export_fails_the_run() {
+    // A directory cannot be made under a regular file.
+    let under_a_file = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/csv");
+    let out = repro(&["--experiment", "table5", "--export", under_a_file]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("export failed: "), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Table 5"));
 }

@@ -7,8 +7,16 @@ pub struct KnnRegressor {
     k: usize,
     feat_mean: Vec<f64>,
     feat_std: Vec<f64>,
-    points: Vec<Vec<f64>>, // normalized
+    dim: usize,
+    /// Each point's first normalized feature (0 when it has none) and
+    /// its index, ascending: the order `predict` sweeps.
+    by_first: Vec<(f64, usize)>,
+    /// The normalized points, `dim` features each, in `by_first` order.
+    rows: Vec<f64>,
     targets: Vec<Vec<f64>>,
+    /// Whether every normalized feature is finite, so that a point's
+    /// distance is never NaN unless every point's is.
+    finite: bool,
 }
 
 impl KnnRegressor {
@@ -42,7 +50,7 @@ impl KnnRegressor {
                 *s = 1.0;
             }
         }
-        let points = features
+        let points: Vec<Vec<f64>> = features
             .iter()
             .map(|f| {
                 f.iter()
@@ -52,61 +60,98 @@ impl KnnRegressor {
                     .collect()
             })
             .collect();
+        let mut by_first: Vec<(f64, usize)> = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.first().copied().unwrap_or(0.0), i))
+            .collect();
+        by_first.sort_unstable_by(nearer);
+        let rows: Vec<f64> = by_first
+            .iter()
+            .flat_map(|&(_, i)| points[i].iter().copied())
+            .collect();
         Some(KnnRegressor {
             k: k.min(features.len()),
             feat_mean,
             feat_std,
-            points,
+            dim,
+            by_first,
+            finite: rows.iter().all(|v| v.is_finite()),
+            rows,
             targets: targets.to_vec(),
         })
     }
 
     /// Number of memorized points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.by_first.len()
     }
 
     /// True when the corpus is empty (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.by_first.is_empty()
     }
 
     /// Inverse-distance-weighted prediction of the target vector at `x`.
     /// An exact feature match returns that row's target directly.
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
-        let mut dist = self.distances(x);
-        // The k nearest by partial selection: `nearer` is a strict total
-        // order, so its first k are exactly the neighbours, in the same
-        // order, that a stable sort by distance alone puts first.
-        if self.k < dist.len() {
-            dist.select_nth_unstable_by(self.k - 1, nearer);
-            dist.truncate(self.k);
+        let q = self.normalize(x);
+        if q.is_empty() {
+            // No feature to compare: every distance is the empty sum,
+            // zero, so the first point is an exact match.
+            return self.targets[0].clone();
         }
-        dist.sort_unstable_by(nearer);
-        self.weigh(&dist)
+        // The k nearest by `nearer`, a strict total order, so they are
+        // exactly the neighbours, in the same order, that a stable sort
+        // by distance alone puts first. Points are visited in order of
+        // their first feature, up from the query's and then down. A
+        // distance is a sum of non-negative terms that starts with the
+        // first feature's, and rounding keeps a sum at or above any
+        // addend, so once that term alone strictly exceeds the k-th best
+        // distance, no point further out on that side can be nearer. A
+        // NaN or infinite query never stops early (the k-th best is NaN
+        // or infinite too), nor does a corpus with a non-finite feature,
+        // where one point's distance may be NaN and order anywhere.
+        let mut best: Vec<(f64, usize)> = Vec::with_capacity(self.k + 1);
+        // Visits the `j`-th point; false once its side is done.
+        let mut visit = |j: usize| {
+            let gap = self.by_first[j].0 - q[0];
+            if self.finite && best.len() == self.k && gap * gap > best[self.k - 1].0 {
+                return false;
+            }
+            let cand = (sq_dist(self.row(j), &q), self.by_first[j].1);
+            if best.len() < self.k || nearer(&cand, &best[self.k - 1]).is_lt() {
+                let at = best.partition_point(|b| nearer(b, &cand).is_lt());
+                best.insert(at, cand);
+                best.truncate(self.k);
+            }
+            true
+        };
+        let mid = self.by_first.partition_point(|&(f, _)| f < q[0]);
+        for j in mid..self.len() {
+            if !visit(j) {
+                break;
+            }
+        }
+        for j in (0..mid).rev() {
+            if !visit(j) {
+                break;
+            }
+        }
+        self.weigh(&best)
     }
 
-    /// Squared distance from `x` (normalized here) to every memorized
-    /// point, tagged with the point's index.
-    fn distances(&self, x: &[f64]) -> Vec<(f64, usize)> {
-        let q: Vec<f64> = x
-            .iter()
+    /// The `j`-th point in `by_first` order.
+    fn row(&self, j: usize) -> &[f64] {
+        &self.rows[j * self.dim..(j + 1) * self.dim]
+    }
+
+    /// `x` z-scored by the corpus's feature means and deviations.
+    fn normalize(&self, x: &[f64]) -> Vec<f64> {
+        x.iter()
             .zip(&self.feat_mean)
             .zip(&self.feat_std)
             .map(|((v, m), s)| (v - m) / s)
-            .collect();
-        self.points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                (
-                    p.iter()
-                        .zip(&q)
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum::<f64>(),
-                    i,
-                )
-            })
             .collect()
     }
 
@@ -134,13 +179,23 @@ impl KnnRegressor {
     }
 
     /// [`predict`](KnnRegressor::predict) by a stable sort of every
-    /// distance: the selection's oracle.
+    /// distance: the sweep's oracle.
     #[cfg(test)]
     fn predict_by_full_sort(&self, x: &[f64]) -> Vec<f64> {
-        let mut dist = self.distances(x);
+        let q = self.normalize(x);
+        let mut dist = vec![(0.0, 0); self.len()];
+        for (j, &(_, i)) in self.by_first.iter().enumerate() {
+            dist[i] = (sq_dist(self.row(j), &q), i);
+        }
         dist.sort_by(|a, b| a.0.total_cmp(&b.0));
         self.weigh(&dist[..self.k])
     }
+}
+
+/// Squared distance between two normalized points, summed in dimension
+/// order.
+fn sq_dist(p: &[f64], q: &[f64]) -> f64 {
+    p.iter().zip(q).map(|(a, b)| (a - b) * (a - b)).sum()
 }
 
 /// Nearer first: by distance, then by index.
@@ -231,25 +286,31 @@ mod tests {
         );
     }
 
+    /// Query coordinates whose distances are NaN or infinite.
+    const ODD: [f64; 4] = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(500))]
 
-        /// Selection against the stable full sort over a corpus where
-        /// distances tie exactly: features on a 5 × 5 grid, each row
-        /// twice with its two targets swapped. Queries hit every
-        /// training point (the exact-match return), midpoints between
-        /// two of them, and points far outside the grid.
+        /// The sweep against the stable full sort over a corpus where
+        /// distances tie exactly: features on a 5 × 5 grid cut to 0, 1
+        /// or 2 dimensions, each row twice with its two targets swapped.
+        /// Queries hit every training point (the exact-match return),
+        /// midpoints between two of them, points far outside the grid,
+        /// and training points with one coordinate NaN or infinite.
         #[test]
         fn selection_matches_the_full_sort(
             rows in prop::collection::vec((0u32..5, 0u32..5, -10.0f64..10.0, -10.0f64..10.0), 1..24),
+            dim in 0usize..3,
             k in 1usize..12,
             pairs in prop::collection::vec((0usize..1 << 16, 0usize..1 << 16), 0..8),
             far in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 0..4),
+            odd in prop::collection::vec((0usize..1 << 16, 0usize..2, 0usize..4), 0..4),
         ) {
             let (mut xs, mut ys) = (Vec::new(), Vec::new());
             for &(a, b, t0, t1) in &rows {
                 for target in [vec![t0, t1], vec![t1, t0]] {
-                    xs.push(vec![a as f64, b as f64]);
+                    xs.push(vec![a as f64, b as f64][..dim].to_vec());
                     ys.push(target);
                 }
             }
@@ -259,10 +320,33 @@ mod tests {
             }
             for &(i, j) in &pairs {
                 let (a, b) = (&xs[i % xs.len()], &xs[j % xs.len()]);
-                check_bits(&knn, &[(a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0]);
+                let mid: Vec<f64> = a.iter().zip(b).map(|(u, v)| (u + v) / 2.0).collect();
+                check_bits(&knn, &mid);
             }
             for &(u, v) in &far {
-                check_bits(&knn, &[1e3 * u, 1e3 * v]);
+                check_bits(&knn, &[1e3 * u, 1e3 * v][..dim]);
+            }
+            for &(i, c, o) in &odd {
+                let mut x = xs[i % xs.len()].clone();
+                if let Some(v) = x.get_mut(c) {
+                    *v = ODD[o];
+                }
+                check_bits(&knn, &x);
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_corpus_matches_the_full_sort() {
+        for bad in [f64::NAN, f64::INFINITY, f64::MAX] {
+            let mut xs: Vec<Vec<f64>> = (0..12)
+                .map(|i| vec![(i % 4) as f64, -f64::MAX * 0.9])
+                .collect();
+            xs[5][1] = bad;
+            let ys: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64]).collect();
+            let knn = KnnRegressor::fit(&xs, &ys, 3).unwrap();
+            for x in xs.iter().chain([&vec![1.5, 0.0], &vec![f64::NAN, 2.0]]) {
+                check_bits(&knn, x);
             }
         }
     }

@@ -514,22 +514,37 @@ fn main() {
                 eprintln!("error: list: {e}");
                 std::process::exit(1);
             });
-        println!(
-            "sweep `{}`: {} configurations × {} replicates = {} cells",
-            sweep.name,
-            sweep.config_count(),
-            sweep.seeds.len(),
-            sweep.cell_count()
-        );
-        for cell in cells {
-            println!(
-                "  [{:>4}] {} seed={}",
-                cell.index,
-                cell_label(&cell.spec),
-                cell.spec.seed
-            );
+        // A reader that closes the pipe early (`| head`) ends the
+        // listing quietly.
+        let listed = (|| -> std::io::Result<()> {
+            use std::io::Write;
+            let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+            writeln!(
+                out,
+                "sweep `{}`: {} configurations × {} replicates = {} cells",
+                sweep.name,
+                sweep.config_count(),
+                sweep.seeds.len(),
+                sweep.cell_count()
+            )?;
+            for cell in cells {
+                writeln!(
+                    out,
+                    "  [{:>4}] {} seed={}",
+                    cell.index,
+                    cell_label(&cell.spec),
+                    cell.spec.seed
+                )?;
+            }
+            out.flush()
+        })();
+        match listed {
+            Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+                eprintln!("error: list: {e}");
+                std::process::exit(1);
+            }
+            _ => return,
         }
-        return;
     }
 
     let runner = SweepRunner::new(threads).armed(&chaos);

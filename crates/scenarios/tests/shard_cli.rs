@@ -480,3 +480,30 @@ fn cli_quiet_runs_leave_stderr_empty() {
         assert_eq!(stderr, "", "{args:?}");
     }
 }
+
+/// `--list | head -1`: a reader that closes the pipe after one line
+/// ends the listing with exit 0 and nothing on stderr.
+#[test]
+fn cli_list_ends_quietly_when_its_reader_closes_the_pipe() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mega = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/sweeps/mega_grid.toml"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_scenarios"))
+        .args([mega, "--list"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("scenarios binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("one line");
+    assert!(first.starts_with("sweep `"), "{first}");
+    let out = child.wait_with_output().expect("scenarios exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+}

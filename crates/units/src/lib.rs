@@ -40,6 +40,20 @@ pub use time::{
 };
 pub use work::CoreHours;
 
+/// An unsigned key that orders as [`f64::total_cmp`] orders: negative
+/// values have every bit flipped, the others only the sign bit. Sorting
+/// by it, packed beside a unique tie-break, gives a stable sort's order
+/// from an unstable sort.
+#[inline]
+pub fn total_order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 /// Implements the ring-ish operations every scalar quantity supports:
 /// addition/subtraction with itself, scaling by `f64`, dividing two
 /// quantities into a dimensionless ratio, ordering helpers, iterator sums
@@ -229,5 +243,32 @@ mod tests {
         assert_eq!(a.max(b), b);
         assert_eq!(Credits::new(5.0).clamp(a, b), b);
         assert_eq!(a.lerp(b, 0.5), Credits::new(2.0));
+    }
+
+    #[test]
+    fn total_order_key_orders_as_total_cmp() {
+        let values = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            1.0,
+            1.0 + f64::EPSILON,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} against {b}"
+                );
+            }
+        }
     }
 }

@@ -82,12 +82,12 @@ known_keys=$(sed -n '/const KNOWN/,/^];/p' "$sweep_src" | grep -oE '"[a-z_]+"' |
     | grep -vxE 'grid|workload' | sort -u)  # section names are not keys
 doc_keys=$(grep -oE '^\| `[a-z_]+` \|' docs/sweep-format.md | grep -oE '[a-z_]+' | sort -u)
 for key in $known_keys; do
-    if ! echo "$doc_keys" | grep -qx "$key"; then
+    if ! grep -qx "$key" <<<"$doc_keys"; then
         fail "sweep key \`$key\` (sweep.rs KNOWN) is undocumented in docs/sweep-format.md"
     fi
 done
 for key in $doc_keys; do
-    if ! echo "$known_keys" | grep -qx "$key"; then
+    if ! grep -qx "$key" <<<"$known_keys"; then
         fail "docs/sweep-format.md documents \`$key\` but sweep.rs does not parse it"
     fi
 done
