@@ -212,21 +212,41 @@ impl ProgressRecord {
 
 /// The newest parseable record of the `.progress` trail of `csv`
 /// (`None` without a sidecar or an intact record), plus a warning for
-/// every line the tolerant parse skipped, prefixed with the sidecar's
-/// file name. A torn final line therefore never hides the record
-/// written before it.
+/// every unparsable line after it, prefixed with the sidecar's file
+/// name. A torn final line therefore never hides the record written
+/// before it.
+///
+/// Lines are parsed from the end, so only the trail's tail is parsed:
+/// appends repair a torn tail before writing, which leaves unparsable
+/// lines only after the newest record, and there this gives the record
+/// and warnings of a tolerant parse of the whole trail. Without an
+/// intact record the scan reaches the first line, as that parse does.
 pub fn newest_record(csv: &Path) -> (Option<ProgressRecord>, Vec<String>) {
     let path = progress_path(csv);
     let Ok(text) = std::fs::read_to_string(&path) else {
         return (None, Vec::new());
     };
-    let (records, torn) = ProgressRecord::parse_sidecar_tolerant(&text);
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.display().to_string());
-    let warnings = torn.into_iter().map(|w| format!("{name}: {w}")).collect();
-    (records.into_iter().next_back(), warnings)
+    let lines: Vec<&str> = text.lines().collect();
+    let mut newest = None;
+    let mut warnings = Vec::new();
+    for (index, line) in lines.iter().enumerate().rev() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match ProgressRecord::parse(line) {
+            Ok(record) => {
+                newest = Some(record);
+                break;
+            }
+            Err(e) => warnings.push(format!("{name}: line {}: {e}", index + 1)),
+        }
+    }
+    warnings.reverse();
+    (newest, warnings)
 }
 
 /// The process's current resident set size in MiB, read from
@@ -347,6 +367,42 @@ mod tests {
         // A healthy sidecar produces no warnings.
         let (_, warnings) = ProgressRecord::parse_sidecar_tolerant(&record().to_json_line());
         assert!(warnings.is_empty());
+    }
+
+    /// `newest_record` against a tolerant parse of the whole trail.
+    #[test]
+    fn newest_record_matches_the_whole_trail_parse() {
+        let dir = Scratch::new("progress-tail");
+        let csv = dir.join("shard0.csv");
+        let torn = "{\"schema\": \"green-progress/1\", \"sw";
+        let mut long = String::new();
+        for done in 0..300 {
+            let mut r = record();
+            r.rows = done;
+            long.push_str(&r.to_json_line());
+            long.push('\n');
+        }
+        let one = record().to_json_line();
+        for text in [
+            long.clone(),
+            format!("{long}{torn}"),
+            format!("{long}{torn}\n\n{torn}\n"),
+            torn.to_string(),
+            format!("{torn}\n{torn}"),
+            one.clone(),
+            format!("{one}\n\n"),
+            String::new(),
+        ] {
+            std::fs::write(progress_path(&csv), &text).unwrap();
+            let (records, torn) = ProgressRecord::parse_sidecar_tolerant(&text);
+            let whole = (
+                records.into_iter().next_back(),
+                torn.into_iter()
+                    .map(|w| format!("shard0.csv.progress: {w}"))
+                    .collect::<Vec<_>>(),
+            );
+            assert_eq!(newest_record(&csv), whole, "{text:?}");
+        }
     }
 
     #[test]
