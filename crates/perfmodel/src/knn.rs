@@ -293,45 +293,47 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(500))]
 
         /// The sweep against the stable full sort over a corpus where
-        /// distances tie exactly: features on a 5 × 5 grid cut to 0, 1
-        /// or 2 dimensions, each row twice with its two targets swapped.
-        /// Queries hit every training point (the exact-match return),
-        /// midpoints between two of them, points far outside the grid,
-        /// and training points with one coordinate NaN or infinite.
+        /// distances tie exactly: features on a 5 × 5 grid, each row
+        /// twice with its two targets swapped, and the same rows cut to
+        /// one and to zero dimensions. Queries hit every training point
+        /// (the exact-match return), midpoints between two of them,
+        /// points far outside the grid, and training points with one
+        /// coordinate NaN or infinite.
         #[test]
         fn selection_matches_the_full_sort(
             rows in prop::collection::vec((0u32..5, 0u32..5, -10.0f64..10.0, -10.0f64..10.0), 1..24),
-            dim in 0usize..3,
             k in 1usize..12,
             pairs in prop::collection::vec((0usize..1 << 16, 0usize..1 << 16), 0..8),
             far in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 0..4),
             odd in prop::collection::vec((0usize..1 << 16, 0usize..2, 0usize..4), 0..4),
         ) {
-            let (mut xs, mut ys) = (Vec::new(), Vec::new());
-            for &(a, b, t0, t1) in &rows {
-                for target in [vec![t0, t1], vec![t1, t0]] {
-                    xs.push(vec![a as f64, b as f64][..dim].to_vec());
-                    ys.push(target);
+            for dim in [2, 1, 0] {
+                let (mut xs, mut ys) = (Vec::new(), Vec::new());
+                for &(a, b, t0, t1) in &rows {
+                    for target in [vec![t0, t1], vec![t1, t0]] {
+                        xs.push(vec![a as f64, b as f64][..dim].to_vec());
+                        ys.push(target);
+                    }
                 }
-            }
-            let knn = KnnRegressor::fit(&xs, &ys, k).unwrap();
-            for x in &xs {
-                check_bits(&knn, x);
-            }
-            for &(i, j) in &pairs {
-                let (a, b) = (&xs[i % xs.len()], &xs[j % xs.len()]);
-                let mid: Vec<f64> = a.iter().zip(b).map(|(u, v)| (u + v) / 2.0).collect();
-                check_bits(&knn, &mid);
-            }
-            for &(u, v) in &far {
-                check_bits(&knn, &[1e3 * u, 1e3 * v][..dim]);
-            }
-            for &(i, c, o) in &odd {
-                let mut x = xs[i % xs.len()].clone();
-                if let Some(v) = x.get_mut(c) {
-                    *v = ODD[o];
+                let knn = KnnRegressor::fit(&xs, &ys, k).unwrap();
+                for x in &xs {
+                    check_bits(&knn, x);
                 }
-                check_bits(&knn, &x);
+                for &(i, j) in &pairs {
+                    let (a, b) = (&xs[i % xs.len()], &xs[j % xs.len()]);
+                    let mid: Vec<f64> = a.iter().zip(b).map(|(u, v)| (u + v) / 2.0).collect();
+                    check_bits(&knn, &mid);
+                }
+                for &(u, v) in &far {
+                    check_bits(&knn, &[1e3 * u, 1e3 * v][..dim]);
+                }
+                for &(i, c, o) in &odd {
+                    let mut x = xs[i % xs.len()].clone();
+                    if let Some(v) = x.get_mut(c) {
+                        *v = ODD[o];
+                    }
+                    check_bits(&knn, &x);
+                }
             }
         }
     }

@@ -20,7 +20,8 @@
 //!   `write` and syncs. Readers apply the same rule on their side
 //!   ([`parse_lines_tolerant`], behind
 //!   [`crate::progress::ProgressRecord::parse_sidecar_tolerant`] and
-//!   [`crate::orchestrate::OrchestrateEvent::parse_log_tolerant`]):
+//!   [`crate::orchestrate::OrchestrateEvent::parse_log_tolerant`], and
+//!   [`last_line_tolerant`], behind [`crate::progress::newest_record`]):
 //!   a torn tail is skipped with a warning, never a hard error and
 //!   never silent data loss of the intact prefix.
 //!
@@ -182,10 +183,88 @@ pub fn parse_lines_tolerant<T, E: std::fmt::Display>(
         }
         match parse(line) {
             Ok(record) => records.push(record),
-            Err(e) => warnings.push(format!("line {}: {e}", index + 1)),
+            Err(e) => warnings.push(refused(index, e)),
         }
     }
     (records, warnings)
+}
+
+/// The warning for the refused line at 0-based `index`.
+fn refused(index: usize, error: impl std::fmt::Display) -> String {
+    format!("line {}: {error}", index + 1)
+}
+
+/// How many bytes at the end of a log [`last_line_tolerant`] reads
+/// first: dozens of progress records.
+const TAIL_BYTES: u64 = 16 * 1024;
+
+/// The last line of the log at `path` that `parse` accepts (`None` when
+/// it accepts none), plus a warning, worded as [`parse_lines_tolerant`]
+/// words it, for every non-blank line after it that `parse` refuses.
+///
+/// Lines are parsed from the end back to the first one accepted. When
+/// the last 16 KiB (`TAIL_BYTES`) hold an accepted line with only blank
+/// lines after it, only they are read, so a live reader's cost does not
+/// grow with the log; otherwise (no accepted line there, or a refused
+/// line after it, whose warning needs its line number) the whole file
+/// is. Lines before the accepted one are never parsed, so a refused
+/// line there, such as a record from an incompatible build, gets no
+/// warning where [`parse_lines_tolerant`] gives one; a repaired append
+/// ([`append_line`]) leaves torn lines only after the last complete
+/// one, where the two agree. A line that is not UTF-8 is refused with
+/// its decoding error.
+pub fn last_line_tolerant<T, E: std::fmt::Display>(
+    path: &Path,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> io::Result<(Option<T>, Vec<String>)> {
+    let mut file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut start = len.saturating_sub(TAIL_BYTES);
+    loop {
+        let mut bytes = Vec::new();
+        file.seek(SeekFrom::Start(start))?;
+        (&mut file).take(len - start).read_to_end(&mut bytes)?;
+        // A window that starts mid-file may cut its first line: skip it.
+        let first = match start {
+            0 => 0,
+            _ => bytes
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |p| p + 1),
+        };
+        // The lines of `str::lines`: `\n` or `\r\n` ends one.
+        let lines: Vec<&[u8]> = bytes[first..]
+            .split_inclusive(|&b| b == b'\n')
+            .map(|line| match line.strip_suffix(b"\n") {
+                Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+                None => line,
+            })
+            .collect();
+        let mut newest = None;
+        let mut warnings = Vec::new();
+        for (index, line) in lines.iter().enumerate().rev() {
+            let error = match std::str::from_utf8(line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => match parse(text) {
+                    Ok(record) => {
+                        newest = Some(record);
+                        break;
+                    }
+                    Err(e) => e.to_string(),
+                },
+                Err(e) => e.to_string(),
+            };
+            if start > 0 {
+                break;
+            }
+            warnings.push(refused(index, error));
+        }
+        if newest.is_some() || start == 0 {
+            warnings.reverse();
+            return Ok((newest, warnings));
+        }
+        start = 0;
+    }
 }
 
 /// Appends one line to a JSONL log (created if missing), repairing any
@@ -332,6 +411,81 @@ mod tests {
         assert_eq!(repair_torn_tail(&log).unwrap(), 0);
         let read = rchar().unwrap() - before;
         assert!(read < 4096, "repairing a healthy log read {read} bytes");
+    }
+
+    /// A record is a line ending in `;`.
+    fn semi(line: &str) -> Result<usize, &'static str> {
+        line.ends_with(';').then_some(line.len()).ok_or("torn")
+    }
+
+    /// `last_line_tolerant` against the last record and the warnings of
+    /// a tolerant parse of the whole text, on logs past the tail window
+    /// and short ones.
+    #[test]
+    fn last_line_matches_the_whole_parse() {
+        let dir = Scratch::new("durable-last-line");
+        let log = dir.join("trail.jsonl");
+        let long: String = (0..10_000).map(|i| format!("{i};\n")).collect();
+        assert!(long.len() as u64 > 2 * TAIL_BYTES);
+        let junk = "12\n".repeat(TAIL_BYTES as usize);
+        let huge = format!("{};\n", "7".repeat(2 * TAIL_BYTES as usize));
+        for text in [
+            long.clone(),
+            format!("{long}12"),
+            format!("{long}12\n\n \t\n12\n"),
+            format!("{long}5;\r\n"),
+            format!("{long}5;\r"),
+            format!("{long}{junk}"),
+            format!("{long}{huge}"),
+            format!("{long}{huge}12"),
+            "12".to_string(),
+            "12\n12".to_string(),
+            "5;".to_string(),
+            "5;\n\n".to_string(),
+            String::new(),
+        ] {
+            std::fs::write(&log, &text).unwrap();
+            let (records, warnings) = parse_lines_tolerant(&text, semi);
+            let whole = (records.into_iter().next_back(), warnings);
+            let tail = &text[text.len().saturating_sub(40)..];
+            assert_eq!(last_line_tolerant(&log, semi).unwrap(), whole, "…{tail:?}");
+        }
+        // Lines before the last record are not parsed, so a refused one
+        // there gets no warning.
+        std::fs::write(&log, "12\n5;\n").unwrap();
+        assert_eq!(last_line_tolerant(&log, semi).unwrap(), (Some(2), vec![]));
+        // A tear inside a multi-byte character refuses that line only.
+        std::fs::write(&log, b"5;\n\xe2\x82").unwrap();
+        let (last, warnings) = last_line_tolerant(&log, semi).unwrap();
+        assert_eq!(last, Some(2));
+        assert_eq!(warnings.len(), 1);
+        assert!(
+            warnings[0].starts_with("line 2: incomplete utf-8"),
+            "{warnings:?}"
+        );
+        let absent = last_line_tolerant(&dir.join("absent"), semi).unwrap_err();
+        assert_eq!(absent.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn last_line_reads_only_the_tail_of_a_healthy_log() {
+        let rchar = || -> Option<u64> {
+            let io = std::fs::read_to_string("/proc/thread-self/io").ok()?;
+            io.lines()
+                .find_map(|l| l.strip_prefix("rchar:"))
+                .and_then(|v| v.trim().parse().ok())
+        };
+        let dir = Scratch::new("durable-last-line-read");
+        let log = dir.join("trail.jsonl");
+        let body: String = (0..200_000).map(|i| format!("{i};\n")).collect();
+        std::fs::write(&log, &body).unwrap();
+        let Some(before) = rchar() else { return };
+        assert_eq!(last_line_tolerant(&log, semi).unwrap(), (Some(7), vec![]));
+        let read = rchar().unwrap() - before;
+        assert!(
+            read < TAIL_BYTES + 4096,
+            "reading the last line read {read} bytes"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use green_bench::json::{fmt_num, quote, Json};
 use green_chaos::{ChaosRegistry, Failpoint};
 
-use crate::durable_io::{append_line, parse_lines_tolerant};
+use crate::durable_io::{append_line, last_line_tolerant, parse_lines_tolerant};
 use crate::spec::SpecError;
 
 /// Schema tag carried by every progress record (first key), so a
@@ -216,36 +216,19 @@ impl ProgressRecord {
 /// name. A torn final line therefore never hides the record written
 /// before it.
 ///
-/// Lines are parsed from the end, so only the trail's tail is parsed:
-/// appends repair a torn tail before writing, which leaves unparsable
-/// lines only after the newest record, and there this gives the record
-/// and warnings of a tolerant parse of the whole trail. Without an
-/// intact record the scan reaches the first line, as that parse does.
+/// The trail is read from its end ([`last_line_tolerant`]), so a
+/// redraw costs the same on a long trail as on a short one; an
+/// unparsable line before the newest record gets no warning.
 pub fn newest_record(csv: &Path) -> (Option<ProgressRecord>, Vec<String>) {
     let path = progress_path(csv);
-    let Ok(text) = std::fs::read_to_string(&path) else {
+    let Ok((newest, torn)) = last_line_tolerant(&path, ProgressRecord::parse) else {
         return (None, Vec::new());
     };
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.display().to_string());
-    let lines: Vec<&str> = text.lines().collect();
-    let mut newest = None;
-    let mut warnings = Vec::new();
-    for (index, line) in lines.iter().enumerate().rev() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match ProgressRecord::parse(line) {
-            Ok(record) => {
-                newest = Some(record);
-                break;
-            }
-            Err(e) => warnings.push(format!("{name}: line {}: {e}", index + 1)),
-        }
-    }
-    warnings.reverse();
+    let warnings = torn.into_iter().map(|w| format!("{name}: {w}")).collect();
     (newest, warnings)
 }
 

@@ -175,8 +175,8 @@ impl Trace {
     /// The jobs come out ordered by arrival, then id, and on a tie of
     /// both by pair (the original's position), the original before its
     /// own repeat: the order a stable sort of the interleaved pairs
-    /// gives. Each run, originals and repeats, is sorted by that key
-    /// (one linear check when it already is) and the two are merged.
+    /// gives. Each run, originals and repeats, is sorted by that key and
+    /// the two are merged.
     pub fn doubled(&self) -> Trace {
         let base = self.jobs.len() as u32;
         let repeat = |job: &Job| Job {
@@ -293,9 +293,7 @@ fn sorted_run(jobs: impl Iterator<Item = Job>) -> Vec<u128> {
                 | i as u128
         })
         .collect();
-    if !keys.is_sorted() {
-        keys.sort_unstable();
-    }
+    keys.sort_unstable();
     keys
 }
 
